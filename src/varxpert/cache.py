@@ -1,10 +1,17 @@
 """Line-delimited JSON cache for per-change classification results.
 
-One record per (commit, file) pair. A cache file is valid only for the
-exact branch tip and analyzer configuration it was built with, so the
-file name embeds both; anything else is ignored rather than migrated.
-Records carry everything the ledger fold needs, which lets a warm run
-skip annotation entirely. Writes go to a temp file that is renamed into
+One record per (commit, file) pair, in format varxpert-change-cache/2:
+the commit, author key, timestamp, path and change kind, the
+touched_variable/touched_mandatory flags, and saw_variable (whether
+either side had a variable line). That is everything the ledger fold
+needs, which lets a warm run skip reading and scanning blobs entirely.
+
+A cache file is valid only for the exact branch tip and analyzer
+configuration it was built with, so the file name embeds the tip and a
+digest of the configuration and the format string. Files of another
+tip, configuration or format (such as /1, which also stored the
+expressions around each change) are ignored, never migrated, and the
+run builds a new file. Writes go to a temp file that is renamed into
 place once the run finishes, so an interrupted run never leaves a
 half-trusted cache behind.
 """
@@ -18,7 +25,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-_FORMAT = "varxpert-change-cache/1"
+_FORMAT = "varxpert-change-cache/2"
 
 
 def analyzer_config_hash(extensions: frozenset[str], exclude_include_guards: bool) -> str:
@@ -42,7 +49,6 @@ class CacheRecord:
     kind: str
     touched_variable: bool
     touched_mandatory: bool
-    variability_expressions: tuple[str, ...]
     saw_variable: bool
 
     def as_json(self) -> str:
@@ -55,7 +61,6 @@ class CacheRecord:
                 "kind": self.kind,
                 "touched_variable": self.touched_variable,
                 "touched_mandatory": self.touched_mandatory,
-                "variability_expressions": list(self.variability_expressions),
                 "saw_variable": self.saw_variable,
             },
             sort_keys=True,
@@ -101,7 +106,6 @@ class ChangeCache:
                             kind=raw["kind"],
                             touched_variable=bool(raw["touched_variable"]),
                             touched_mandatory=bool(raw["touched_mandatory"]),
-                            variability_expressions=tuple(raw["variability_expressions"]),
                             saw_variable=bool(raw["saw_variable"]),
                         )
                     except (json.JSONDecodeError, KeyError, TypeError, ValueError):

@@ -17,6 +17,10 @@ class BranchNotFound(VarxpertError):
     """The requested branch or revision does not resolve to a commit."""
 
 
+class CorruptRepo(VarxpertError):
+    """git cannot produce an object or a history the analysis needs."""
+
+
 class CorruptCommit(VarxpertError):
     """A commit record could not be parsed; callers skip and tally it."""
 

@@ -11,6 +11,19 @@ shows up as an unrelated delete plus add.
 Hunks are recomputed from both file images with difflib rather than
 parsed out of patch text, which guarantees that applying them to the
 old content reproduces the new content exactly.
+
+An author clock before 1990 or more than a day after the commit's own
+committer clock is treated as misconfigured: the commit takes its
+committer time instead, with a clamped_timestamp warning. The rule
+reads only the repository, so the stream does not depend on the day it
+is mined.
+
+A failing git is never read as empty content. A blob that `git
+cat-file` cannot produce, or a `git log` that exits non-zero after its
+output ends (a damaged object database, for instance), raises
+CorruptRepo with the blob id or git's own message. Gitlink (submodule)
+entries name commits of another repository; their sides carry no blob
+and are read as absent.
 """
 
 from __future__ import annotations
@@ -19,20 +32,23 @@ import difflib
 import os
 import re
 import subprocess
+import tempfile
 import threading
-import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
-from varxpert.errors import BranchNotFound, EmptyIdentity, RepoNotFound
+from varxpert.errors import BranchNotFound, CorruptRepo, EmptyIdentity, RepoNotFound
 from varxpert.util import split_lines
 
 DEFAULT_EXTENSIONS = frozenset({".c", ".h"})
 
-# Author clocks earlier than this are treated as misconfigured.
+# Author clocks earlier than this, or more than a day after the commit's
+# committer clock, are treated as misconfigured.
 _EPOCH_FLOOR = 631152000  # 1990-01-01T00:00:00Z
+_CLOCK_SKEW = 86400
 _NULL_OID = "0" * 40
+_GITLINK_MODE = "160000"
 
 WarningSinkFn = Callable[[dict], None]
 
@@ -185,14 +201,15 @@ class _BlobReader:
         )
         self._lock = threading.Lock()
 
-    def read(self, oid: str) -> Optional[bytes]:
+    def read(self, oid: str) -> bytes:
         assert self._proc.stdin is not None and self._proc.stdout is not None
         with self._lock:
             self._proc.stdin.write(f"{oid}\n".encode("ascii"))
             self._proc.stdin.flush()
             header = self._proc.stdout.readline().decode("ascii", errors="replace").split()
             if len(header) < 3 or header[1] != "blob":
-                return None
+                reply = " ".join(header[1:]) or "nothing"
+                raise CorruptRepo(f"cannot read blob {oid}: git cat-file replied {reply!r}")
             size = int(header[2])
             payload = self._proc.stdout.read(size)
             self._proc.stdout.read(1)  # trailing newline
@@ -259,9 +276,7 @@ class GitRepo:
             return None  # repository has no commits at all
         raise BranchNotFound(f"cannot resolve {branch!r} in {self.path}")
 
-    def blob_bytes(self, oid: str) -> Optional[bytes]:
-        if oid == _NULL_OID:
-            return None
+    def blob_bytes(self, oid: str) -> bytes:
         if self._blobs is None:
             self._blobs = _BlobReader(self.path)
         return self._blobs.read(oid)
@@ -294,41 +309,51 @@ class GitRepo:
     ) -> Iterator[CommitRecord]:
         """First-parent commits, oldest first, with filtered file changes."""
         emit = warn or (lambda record: None)
-        log = subprocess.Popen(
-            [
-                "git", "-C", self.path,
-                "-c", "core.quotepath=false",
-                "-c", "diff.renameLimit=10000",
-                "log", "--first-parent", "--reverse", "--raw", "--no-abbrev",
-                "--diff-merges=off", "--find-renames=50%",
-                "--format=%x01%H%x1f%P%x1f%an%x1f%ae%x1f%at%x1f%ct",
-                tip, "--",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-        )
-        assert log.stdout is not None
-        chunk_lines: list[str] = []
-        try:
-            for raw_line in log.stdout:
-                line = raw_line.decode("utf-8", errors="replace").rstrip("\n")
-                if line.startswith("\x01"):
-                    if chunk_lines:
-                        record = self._parse_chunk(
-                            chunk_lines, since, until, extensions, hydrate, emit
-                        )
-                        if record is not None:
-                            yield record
-                    chunk_lines = [line[1:]]
-                elif chunk_lines:
-                    chunk_lines.append(line)
-            if chunk_lines:
-                record = self._parse_chunk(chunk_lines, since, until, extensions, hydrate, emit)
-                if record is not None:
-                    yield record
-        finally:
-            log.stdout.close()
-            log.wait()
+        # stderr goes to a file: a pipe nobody drains could block git.
+        with tempfile.TemporaryFile() as errors:
+            log = subprocess.Popen(
+                [
+                    "git", "-C", self.path,
+                    "-c", "core.quotepath=false",
+                    "-c", "diff.renameLimit=10000",
+                    "log", "--first-parent", "--reverse", "--raw", "--no-abbrev",
+                    "--diff-merges=off", "--find-renames=50%",
+                    "--format=%x01%H%x1f%P%x1f%an%x1f%ae%x1f%at%x1f%ct",
+                    tip, "--",
+                ],
+                stdout=subprocess.PIPE,
+                stderr=errors,
+            )
+            assert log.stdout is not None
+            chunk_lines: list[str] = []
+            try:
+                for raw_line in log.stdout:
+                    line = raw_line.decode("utf-8", errors="replace").rstrip("\n")
+                    if line.startswith("\x01"):
+                        if chunk_lines:
+                            record = self._parse_chunk(
+                                chunk_lines, since, until, extensions, hydrate, emit
+                            )
+                            if record is not None:
+                                yield record
+                        chunk_lines = [line[1:]]
+                    elif chunk_lines:
+                        chunk_lines.append(line)
+                if chunk_lines:
+                    record = self._parse_chunk(
+                        chunk_lines, since, until, extensions, hydrate, emit
+                    )
+                    if record is not None:
+                        yield record
+            finally:
+                log.stdout.close()
+                log.wait()
+            # Reached only when the stream ran to its end, never when the
+            # consumer closed the generator early.
+            if log.returncode != 0:
+                errors.seek(0)
+                message = errors.read().decode("utf-8", errors="replace").strip()
+                raise CorruptRepo(f"git log failed (exit {log.returncode}): {message}")
 
     def _parse_chunk(
         self,
@@ -352,8 +377,7 @@ class GitRepo:
             emit({"kind": "corrupt_commit", "detail": str(exc)})
             return None
 
-        ceiling = int(time.time()) + 86400
-        if timestamp < _EPOCH_FLOOR or timestamp > ceiling:
+        if timestamp < _EPOCH_FLOOR or timestamp > committer + _CLOCK_SKEW:
             emit({
                 "kind": "clamped_timestamp",
                 "commit": commit_id,
@@ -406,20 +430,18 @@ class GitRepo:
         new_text: Optional[str] = None
         if change.old_blob and change.old_blob != _NULL_OID:
             payload = self.blob_bytes(change.old_blob)
-            if payload is not None:
-                if looks_binary(payload):
-                    report({"kind": "binary_skipped", "commit": commit_id,
-                            "path": change.effective_path})
-                    return None
-                old_text = payload.decode("utf-8", errors="replace")
+            if looks_binary(payload):
+                report({"kind": "binary_skipped", "commit": commit_id,
+                        "path": change.effective_path})
+                return None
+            old_text = payload.decode("utf-8", errors="replace")
         if change.new_blob and change.new_blob != _NULL_OID:
             payload = self.blob_bytes(change.new_blob)
-            if payload is not None:
-                if looks_binary(payload):
-                    report({"kind": "binary_skipped", "commit": commit_id,
-                            "path": change.effective_path})
-                    return None
-                new_text = payload.decode("utf-8", errors="replace")
+            if looks_binary(payload):
+                report({"kind": "binary_skipped", "commit": commit_id,
+                        "path": change.effective_path})
+                return None
+            new_text = payload.decode("utf-8", errors="replace")
         old_lines = split_lines(old_text) if old_text is not None else []
         new_lines = split_lines(new_text) if new_text is not None else []
         return replace(
@@ -436,7 +458,13 @@ def _parse_raw_change(raw: str) -> Optional[FileChange]:
     parts = head[1:].split(" ")
     if len(parts) < 5 or not paths:
         return None
-    old_oid, new_oid, status_field = parts[2], parts[3], parts[4]
+    old_mode, new_mode, old_oid, new_oid, status_field = parts[:5]
+    # A gitlink (submodule) side names a commit of another repository,
+    # not a blob, so it has no lines to read.
+    if old_mode == _GITLINK_MODE:
+        old_oid = _NULL_OID
+    if new_mode == _GITLINK_MODE:
+        new_oid = _NULL_OID
     match = _RAW_STATUS_RE.match(status_field)
     if not match:
         return None

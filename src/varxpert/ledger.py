@@ -26,10 +26,7 @@ from varxpert.history import ChangeKind, CommitRecord, FileChange
 from varxpert.preproc import (
     AnalyzerOptions,
     DEFAULT_OPTIONS,
-    LineAnnotation,
-    LineKind,
     ScanWarning,
-    has_variable_lines,
     scan_text,
 )
 from varxpert.util import month_of, split_lines
@@ -39,73 +36,51 @@ from varxpert.util import month_of, split_lines
 class ChangeClassification:
     touched_variable: bool
     touched_mandatory: bool
-    impacted_expressions: frozenset[str] = frozenset()
 
     @property
     def is_empty(self) -> bool:
         return not (self.touched_variable or self.touched_mandatory)
 
 
-def _expressions_of(annotation: LineAnnotation) -> set[str]:
-    found: set[str] = set()
-    for frame in annotation.presence_condition.frames:
-        if frame.raw_expression:
-            found.add(frame.raw_expression)
-        found.update(frame.negated_predecessors)
-    return found
-
-
 def classify_change(
     change: FileChange,
-    old_annotations: Optional[list[LineAnnotation]],
-    new_annotations: Optional[list[LineAnnotation]],
+    old_bitmap: Optional[bytearray],
+    new_bitmap: Optional[bytearray],
 ) -> ChangeClassification:
     """Decide whether a change touched variable code, mandatory code, or both.
 
-    Annotations must cover their content exactly, one per physical line.
+    Each bitmap holds one byte per physical line of its side's content,
+    1 for a variable line (see preproc.scan_text).
     """
-    def check(side: str, content: Optional[str], annotations: Optional[list[LineAnnotation]]):
+    def check(side: str, content: Optional[str], bitmap: Optional[bytearray]):
         if content is None:
             return
         expected = len(split_lines(content))
-        actual = len(annotations) if annotations is not None else 0
+        actual = len(bitmap) if bitmap is not None else 0
         if expected != actual:
             raise AnnotationMismatch(
                 f"{side} side of {change.effective_path}: "
-                f"{actual} annotations for {expected} lines"
+                f"{actual} line flags for {expected} lines"
             )
 
-    check("old", change.old_content, old_annotations)
-    check("new", change.new_content, new_annotations)
+    check("old", change.old_content, old_bitmap)
+    check("new", change.new_content, new_bitmap)
 
+    old_bitmap = old_bitmap or bytearray()
+    new_bitmap = new_bitmap or bytearray()
     if change.kind is ChangeKind.ADDED:
-        added = range(1, len(new_annotations or []) + 1)
-        deleted: Iterable[int] = ()
+        touched = [new_bitmap]
     elif change.kind is ChangeKind.DELETED:
-        added = range(0)
-        deleted = range(1, len(old_annotations or []) + 1)
+        touched = [old_bitmap]
     else:
-        added = [line_no for hunk in change.hunks for line_no, _ in hunk.added_lines]
-        deleted = [line_no for hunk in change.hunks for line_no, _ in hunk.deleted_lines]
-
-    touched_variable = False
-    touched_mandatory = False
-    expressions: set[str] = set()
-    for line_no in added:
-        note = (new_annotations or [])[line_no - 1]
-        if note.classification is LineKind.VARIABLE:
-            touched_variable = True
-            expressions |= _expressions_of(note)
-        else:
-            touched_mandatory = True
-    for line_no in deleted:
-        note = (old_annotations or [])[line_no - 1]
-        if note.classification is LineKind.VARIABLE:
-            touched_variable = True
-            expressions |= _expressions_of(note)
-        else:
-            touched_mandatory = True
-    return ChangeClassification(touched_variable, touched_mandatory, frozenset(expressions))
+        touched = []
+        for hunk in change.hunks:
+            touched.append(old_bitmap[hunk.old_start - 1:hunk.old_start - 1 + hunk.old_count])
+            touched.append(new_bitmap[hunk.new_start - 1:hunk.new_start - 1 + hunk.new_count])
+    return ChangeClassification(
+        touched_variable=any(1 in lines for lines in touched),
+        touched_mandatory=any(0 in lines for lines in touched),
+    )
 
 
 @dataclass
@@ -183,21 +158,21 @@ def make_default_classifier(options: AnalyzerOptions = DEFAULT_OPTIONS) -> Class
     def classify(commit: CommitRecord, change: FileChange) -> Optional[ClassifiedChange]:
         warnings: list[tuple[str, ScanWarning]] = []
         sides = 0
-        old_annotations = new_annotations = None
+        old_bitmap = new_bitmap = None
         saw_variable = False
         if change.old_content is not None:
             scan = scan_text(change.old_content, options)
-            old_annotations = scan.annotations
+            old_bitmap = scan.annotations
             warnings.extend((change.old_blob or "", w) for w in scan.warnings)
-            saw_variable |= has_variable_lines(scan.annotations)
+            saw_variable |= 1 in old_bitmap
             sides += 1
         if change.new_content is not None:
             scan = scan_text(change.new_content, options)
-            new_annotations = scan.annotations
+            new_bitmap = scan.annotations
             warnings.extend((change.new_blob or "", w) for w in scan.warnings)
-            saw_variable |= has_variable_lines(scan.annotations)
+            saw_variable |= 1 in new_bitmap
             sides += 1
-        classification = classify_change(change, old_annotations, new_annotations)
+        classification = classify_change(change, old_bitmap, new_bitmap)
         return ClassifiedChange(
             classification=classification,
             saw_variable=saw_variable,
@@ -380,9 +355,12 @@ def _fold_rank(change: FileChange) -> int:
 # Serialization, so later verbs can reuse an analysis without re-mining.
 # ----------------------------------------------------------------------
 
+LEDGER_FORMAT = "varxpert-ledger/1"
+
+
 def ledger_to_dict(ledger: ContributionLedger) -> dict:
     return {
-        "format": "varxpert-ledger/1",
+        "format": LEDGER_FORMAT,
         "first_month": ledger.first_month,
         "last_month": ledger.last_month,
         "commit_count": ledger.commit_count,

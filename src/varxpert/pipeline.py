@@ -27,8 +27,10 @@ from varxpert.history import (
     FileChange,
     GitRepo,
     filter_source_files,
+    looks_binary,
 )
 from varxpert.ledger import (
+    LEDGER_FORMAT,
     ChangeClassification,
     ClassifiedChange,
     ContributionLedger,
@@ -45,13 +47,7 @@ from varxpert.metrics import (
     ExpertiseScore,
     compute_scores,
 )
-from varxpert.preproc import (
-    AnalyzerOptions,
-    VariabilityCount,
-    count_variabilities,
-    has_variable_lines,
-    scan_text,
-)
+from varxpert.preproc import AnalyzerOptions, ScanResult, VariabilityCount, scan_text
 from varxpert.report import ProjectReport
 from varxpert.timeline import (
     SpecializationSummary,
@@ -67,6 +63,7 @@ EVALUATION_CSV = "evaluation.csv"
 LEDGER_JSON = "ledger.json"
 WARNINGS_JSONL = "warnings.jsonl"
 RUN_META_JSON = "run_meta.json"
+RUN_FORMAT = "varxpert-run/1"
 REPORT_BASENAME = "report"
 
 OUTPUT_FORMATS = ("csv", "json", "markdown")
@@ -159,6 +156,8 @@ class Counters:
 class _PipelineClassifier:
     """Per-change classification with a blob-level scan memo and cache lookups.
 
+    scan_memo maps each scanned blob oid to its ScanResult, so every blob
+    is scanned once per run, and the final-tree snapshot reuses it.
     Worker threads may call this concurrently; nothing here writes to
     the warning sink directly. Warnings ride along on the returned
     value (or in _pending for skipped changes) and the sequential fold
@@ -169,16 +168,15 @@ class _PipelineClassifier:
         self._repo = repo
         self._options = options
         self._cache = cache
-        self._scan_memo: dict[str, tuple] = {}
+        self.scan_memo: dict[str, ScanResult] = {}
         self._pending: dict[tuple[str, str], list[dict]] = {}
 
-    def scan_blob(self, oid: str, text: str):
-        cached = self._scan_memo.get(oid)
-        if cached is None:
+    def scan_blob(self, oid: str, text: str) -> ScanResult:
+        result = self.scan_memo.get(oid)
+        if result is None:
             result = scan_text(text, self._options)
-            cached = (result.annotations, tuple(result.warnings), has_variable_lines(result.annotations))
-            self._scan_memo[oid] = cached
-        return cached
+            self.scan_memo[oid] = result
+        return result
 
     def take_pending(self, commit_id: str, path: str) -> list[dict]:
         return self._pending.pop((commit_id, path), [])
@@ -194,7 +192,6 @@ class _PipelineClassifier:
                 classification=ChangeClassification(
                     touched_variable=record.touched_variable,
                     touched_mandatory=record.touched_mandatory,
-                    impacted_expressions=frozenset(record.variability_expressions),
                 ),
                 saw_variable=record.saw_variable,
                 from_cache=True,
@@ -212,20 +209,20 @@ class _PipelineClassifier:
         scan_warnings = []
         sides = 0
         saw_variable = False
-        old_annotations = new_annotations = None
+        old_bitmap = new_bitmap = None
         if hydrated.old_content is not None and hydrated.old_blob:
-            annotations, warnings, saw = self.scan_blob(hydrated.old_blob, hydrated.old_content)
-            old_annotations = annotations
-            scan_warnings.extend((hydrated.old_blob, w) for w in warnings)
-            saw_variable |= saw
+            scan = self.scan_blob(hydrated.old_blob, hydrated.old_content)
+            old_bitmap = scan.annotations
+            scan_warnings.extend((hydrated.old_blob, w) for w in scan.warnings)
+            saw_variable |= 1 in old_bitmap
             sides += 1
         if hydrated.new_content is not None and hydrated.new_blob:
-            annotations, warnings, saw = self.scan_blob(hydrated.new_blob, hydrated.new_content)
-            new_annotations = annotations
-            scan_warnings.extend((hydrated.new_blob, w) for w in warnings)
-            saw_variable |= saw
+            scan = self.scan_blob(hydrated.new_blob, hydrated.new_content)
+            new_bitmap = scan.annotations
+            scan_warnings.extend((hydrated.new_blob, w) for w in scan.warnings)
+            saw_variable |= 1 in new_bitmap
             sides += 1
-        classification = classify_change(hydrated, old_annotations, new_annotations)
+        classification = classify_change(hydrated, old_bitmap, new_bitmap)
         return ClassifiedChange(
             classification=classification,
             saw_variable=saw_variable,
@@ -295,9 +292,6 @@ def run_analyze(config: RunConfig) -> AnalysisState:
                     kind=change.kind.value,
                     touched_variable=classified.classification.touched_variable,
                     touched_mandatory=classified.classification.touched_mandatory,
-                    variability_expressions=tuple(
-                        sorted(classified.classification.impacted_expressions)
-                    ),
                     saw_variable=classified.saw_variable,
                 )
             )
@@ -355,26 +349,29 @@ def _final_snapshot(
     classifier: _PipelineClassifier,
     sink: WarningSink,
 ) -> tuple[int, VariabilityCount]:
-    """Count source files and variability in the tree of the last commit."""
+    """Count source files and variability in the tree of the last commit.
+
+    Blobs the fold already scanned come from the classifier's memo; only
+    the others are read and scanned here.
+    """
     entries = [
         entry for entry in repo.ls_tree(rev)
         if filter_source_files(entry.path, config.extensions)
     ]
-    region_lists = []
+    blocks = 0
+    macros: set[str] = set()
     for entry in entries:
-        payload = repo.blob_bytes(entry.oid)
-        if payload is None:
-            continue
-        if b"\x00" in payload[:8192]:
-            sink({"kind": "binary_skipped", "commit": rev, "path": entry.path})
-            continue
-        text = payload.decode("utf-8", errors="replace")
-        result = scan_text(text, config.analyzer_options())
-        region_lists.append(result.regions)
-    variability = count_variabilities(
-        region_lists, include_guards=not config.exclude_include_guards
-    )
-    return len(entries), variability
+        result = classifier.scan_memo.get(entry.oid)
+        if result is None:
+            payload = repo.blob_bytes(entry.oid)
+            if looks_binary(payload):
+                sink({"kind": "binary_skipped", "commit": rev, "path": entry.path})
+                continue
+            text = payload.decode("utf-8", errors="replace")
+            result = scan_text(text, config.analyzer_options())
+        blocks += result.blocks
+        macros |= result.macros
+    return len(entries), VariabilityCount(blocks=blocks, distinct_macros=len(macros))
 
 
 # ----------------------------------------------------------------------
@@ -469,7 +466,7 @@ def _write_analysis_artifacts(state: AnalysisState, sink: WarningSink) -> None:
     )
     sink.write(os.path.join(config.output_dir, WARNINGS_JSONL))
     meta = {
-        "format": "varxpert-run/1",
+        "format": RUN_FORMAT,
         "tip": state.tip,
         "last_commit": state.last_commit,
         "ledger_key": config.ledger_key(),
@@ -487,37 +484,46 @@ def _write_analysis_artifacts(state: AnalysisState, sink: WarningSink) -> None:
 # Analysis reuse
 # ----------------------------------------------------------------------
 
+def _load_json(path: str, expected_format: str) -> dict:
+    with open(path, "r", encoding="utf-8") as handle:
+        data = json.load(handle)
+    if not isinstance(data, dict) or data.get("format") != expected_format:
+        raise MissingAnalysis(f"{path} is not in format {expected_format}")
+    return data
+
+
 def load_analysis(config: RunConfig) -> AnalysisState:
-    """Load a stored analysis; MissingAnalysis when absent or stale."""
+    """Load a stored analysis; MissingAnalysis when absent, stale or damaged."""
     meta_path = os.path.join(config.output_dir, RUN_META_JSON)
     ledger_path = os.path.join(config.output_dir, LEDGER_JSON)
     if not (os.path.exists(meta_path) and os.path.exists(ledger_path)):
         raise MissingAnalysis(f"no analysis artifacts under {config.output_dir}")
-    with open(meta_path, "r", encoding="utf-8") as handle:
-        meta = json.load(handle)
     with GitRepo(config.repo_path) as repo:
         tip = repo.resolve_tip(config.branch)
-    if tip is None or meta.get("tip") != tip:
-        raise MissingAnalysis("stored analysis is for a different branch tip")
-    if meta.get("ledger_key") != config.ledger_key():
-        raise MissingAnalysis("stored analysis used a different configuration")
-    with open(ledger_path, "r", encoding="utf-8") as handle:
-        ledger = ledger_from_dict(json.load(handle))
-    snapshot = meta.get("snapshot", {})
-    counters = Counters(**meta.get("counters", {}))
-    return AnalysisState(
-        config=config,
-        ledger=ledger,
-        tip=tip,
-        last_commit=meta.get("last_commit", tip),
-        snapshot_files=int(snapshot.get("files", 0)),
-        variability=VariabilityCount(
-            blocks=int(snapshot.get("variability_blocks", 0)),
-            distinct_macros=int(snapshot.get("distinct_macros", 0)),
-        ),
-        counters=counters,
-        reused=True,
-    )
+    try:
+        meta = _load_json(meta_path, RUN_FORMAT)
+        if tip is None or meta.get("tip") != tip:
+            raise MissingAnalysis("stored analysis is for a different branch tip")
+        if meta.get("ledger_key") != config.ledger_key():
+            raise MissingAnalysis("stored analysis used a different configuration")
+        ledger = ledger_from_dict(_load_json(ledger_path, LEDGER_FORMAT))
+        snapshot = meta.get("snapshot", {})
+        return AnalysisState(
+            config=config,
+            ledger=ledger,
+            tip=tip,
+            last_commit=meta.get("last_commit", tip),
+            snapshot_files=int(snapshot.get("files", 0)),
+            variability=VariabilityCount(
+                blocks=int(snapshot.get("variability_blocks", 0)),
+                distinct_macros=int(snapshot.get("distinct_macros", 0)),
+            ),
+            counters=Counters(**meta.get("counters", {})),
+            reused=True,
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors.
+        raise MissingAnalysis(f"stored analysis is damaged: {exc}") from exc
 
 
 def ensure_analysis(config: RunConfig) -> AnalysisState:

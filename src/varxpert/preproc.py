@@ -5,117 +5,39 @@ A line is variable when it is a conditional-compilation directive
 open conditional block; every other line, including non-conditional
 directives such as #define or #include at the top level, is mandatory.
 
-The scanner is purely syntactic. Presence conditions are recorded as
-stacks of directive frames with their raw expressions; nothing is
-evaluated or satisfiability-checked. Comments and string literals are
-not stripped before directive detection, so a directive spelled inside
-a block comment is counted like any other. The scanner never fails on
-malformed input: a stray #endif (or #else/#elif with no open block) is
-ignored with a warning and an unterminated block extends to the end of
-the file with a warning.
+scan_text makes one pass over the text. A multiline regex jumps from one
+directive line (blank space, then `#`) to the next, following backslash
+continuations, and a stack of open blocks decides each directive; the
+lines between two directives keep the state the first one left. The
+result is a bitmap with one byte per physical line (1 = variable), the
+scan warnings, and the number of conditional blocks and the distinct
+macros they name, which the final-tree snapshot adds up. A block names
+the first identifier of an #ifdef/#ifndef, every identifier but
+`defined` of an #if/#elif expression, and, once it has an #elif or
+#else branch, every identifier of its opening expression.
+
+The scanner is purely syntactic: expressions are neither evaluated nor
+satisfiability-checked. Comments and string literals are not stripped
+before directive detection, so a directive spelled inside a block
+comment is counted like any other. The scanner never fails on malformed
+input: a stray #endif (or #else/#elif with no open block) is mandatory
+with a warning, and an unterminated block extends to the end of the file
+with a warning.
 
 Classic include guards (#ifndef X directly followed by #define X, with
-the matching #endif as the last directive of the file) wrap a whole
-header without expressing product variability. With
-AnalyzerOptions.exclude_include_guards (the default) a detected guard
-contributes neither variable classification nor nesting depth; the
-guard still surfaces as a region flagged is_include_guard so counters
-can report it separately.
+the matching #endif as the last directive of the file and no #elif or
+#else at guard level) wrap a whole header without expressing product
+variability. With AnalyzerOptions.exclude_include_guards (the default) a
+detected guard is transparent: it makes no line variable and counts as
+neither a block nor a macro.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Mapping, Optional
-
-from varxpert.util import split_lines
-
-
-class DirectiveKind(Enum):
-    IF = "if"
-    IFDEF = "ifdef"
-    IFNDEF = "ifndef"
-    ELIF = "elif"
-    ELSE = "else"
-    ENDIF = "endif"
-    OTHER = "other"
-
-
-OPENING_KINDS = frozenset({DirectiveKind.IF, DirectiveKind.IFDEF, DirectiveKind.IFNDEF})
-BRANCHING_KINDS = frozenset({DirectiveKind.ELIF, DirectiveKind.ELSE})
-CONDITIONAL_KINDS = OPENING_KINDS | BRANCHING_KINDS | {DirectiveKind.ENDIF}
-
-
-class LineKind(Enum):
-    VARIABLE = "variable"
-    MANDATORY = "mandatory"
-
-
-@dataclass(frozen=True)
-class ConditionFrame:
-    """One conditional block branch on the presence-condition stack."""
-
-    directive: DirectiveKind
-    raw_expression: str
-    negated_predecessors: tuple[str, ...] = ()
-    macro_identifiers: frozenset[str] = frozenset()
-
-    def describe(self) -> str:
-        negations = " && ".join(f"!({expr})" for expr in self.negated_predecessors)
-        if self.directive is DirectiveKind.IFNDEF:
-            own = f"!{self.raw_expression}" if self.raw_expression else "!?"
-        elif self.directive is DirectiveKind.ELSE:
-            own = ""
-        else:
-            own = self.raw_expression
-        parts = [part for part in (own, negations) if part]
-        return " && ".join(parts) if parts else "1"
-
-
-@dataclass(frozen=True)
-class PresenceCondition:
-    """Syntactic record of the conditional frames enclosing a line."""
-
-    frames: tuple[ConditionFrame, ...] = ()
-
-    @property
-    def is_unconditional(self) -> bool:
-        return not self.frames
-
-    def describe(self) -> str:
-        if not self.frames:
-            return "1"
-        return " && ".join(frame.describe() for frame in self.frames)
-
-
-EMPTY_CONDITION = PresenceCondition()
-
-
-@dataclass(frozen=True)
-class LineAnnotation:
-    line_no: int  # 1-based physical line number
-    classification: LineKind
-    presence_condition: PresenceCondition
-    nesting_depth: int
-    is_directive_line: bool
-    # Directive kind on the head line of a directive; None on its
-    # backslash-continuation lines and on ordinary code lines.
-    directive: Optional[DirectiveKind] = None
-    directive_expression: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class VariableRegion:
-    """One branch of a conditional block, from its directive line to the
-    line before the next sibling directive; the final branch includes
-    the #endif line. Unterminated blocks extend to the end of file."""
-
-    start_line: int
-    end_line: int
-    presence_condition: PresenceCondition
-    is_include_guard: bool = False
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -142,24 +64,24 @@ class ScanWarning:
         return {"kind": self.kind, "line_no": self.line_no, "detail": self.detail}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanResult:
-    annotations: list[LineAnnotation]
-    regions: list[VariableRegion]
-    warnings: list[ScanWarning]
-    include_guard: Optional[VariableRegion]
+    annotations: bytearray  # one byte per physical line: 1 variable, 0 mandatory
+    warnings: tuple[ScanWarning, ...]
+    blocks: int  # conditional blocks, not counting a transparent include guard
+    macros: frozenset[str]
 
 
+_DIRECTIVE_RE = re.compile(r"^[^\S\n]*#", re.MULTILINE)
 _HEAD_RE = re.compile(r"^\s*#\s*([A-Za-z_][A-Za-z0-9_]*)?\s*(.*?)\s*$")
 _IDENT_RE = re.compile(r"(?<![0-9A-Za-z_])[A-Za-z_][0-9A-Za-z_]*")
-_KEYWORDS: Mapping[str, DirectiveKind] = {
-    "if": DirectiveKind.IF,
-    "ifdef": DirectiveKind.IFDEF,
-    "ifndef": DirectiveKind.IFNDEF,
-    "elif": DirectiveKind.ELIF,
-    "else": DirectiveKind.ELSE,
-    "endif": DirectiveKind.ENDIF,
-}
+_OPENING = frozenset({"if", "ifdef", "ifndef"})
+_BRANCHING = frozenset({"elif", "else"})
+_CONDITIONAL = _OPENING | _BRANCHING | {"endif"}
+
+# Expressions repeat across the blobs of a history, so their identifiers
+# are computed once per distinct text; the bound keeps memory flat.
+_MACRO_CACHE_SIZE = 1 << 14
 
 
 def _strip_expression_comments(text: str) -> str:
@@ -168,6 +90,7 @@ def _strip_expression_comments(text: str) -> str:
     return re.sub(r"//.*$", " ", text)
 
 
+@functools.lru_cache(maxsize=_MACRO_CACHE_SIZE)
 def extract_macro_identifiers(expression: str) -> frozenset[str]:
     """Identifiers referenced by a #if/#elif expression, minus `defined`."""
     cleaned = _strip_expression_comments(expression)
@@ -181,372 +104,128 @@ def _first_identifier(expression: str) -> Optional[str]:
     return match.group(0) if match else None
 
 
-def _make_frame(
-    kind: DirectiveKind, expression: str, preceding: tuple[str, ...] = ()
-) -> ConditionFrame:
-    predecessor_ids = frozenset().union(
-        *(extract_macro_identifiers(expr) for expr in preceding)
-    ) if preceding else frozenset()
-    if kind in (DirectiveKind.IFDEF, DirectiveKind.IFNDEF):
-        first = _first_identifier(expression)
-        idents = frozenset({first}) if first else frozenset()
-        return ConditionFrame(kind, expression, (), idents)
-    if kind is DirectiveKind.ELSE:
-        return ConditionFrame(kind, "", preceding, predecessor_ids)
-    return ConditionFrame(
-        kind, expression, preceding, extract_macro_identifiers(expression) | predecessor_ids
-    )
+@functools.lru_cache(maxsize=_MACRO_CACHE_SIZE)
+def _opener_macros(keyword: str, expression: str) -> frozenset[str]:
+    if keyword == "if":
+        return extract_macro_identifiers(expression)
+    first = _first_identifier(expression)
+    return frozenset({first}) if first else frozenset()
 
 
-def _is_directive_head(line: str) -> bool:
-    return line.lstrip().startswith("#")
-
-
-def _continued(line: str) -> bool:
-    return line.rstrip().endswith("\\")
-
-
-def _span_end(lines: list[str], start: int) -> int:
-    """Last physical line index of the directive starting at `start`,
-    following backslash continuations."""
-    end = start
-    while end < len(lines) - 1 and _continued(lines[end]):
-        end += 1
-    return end
-
-
-def _logical_text(lines: list[str], start: int, end: int) -> str:
-    parts = []
-    for index in range(start, end + 1):
-        text = lines[index]
-        if index < end and _continued(text):
-            text = text.rstrip()[:-1]
+def _directives(content: str) -> list[tuple[int, int, Optional[str], str]]:
+    """(first line, last line, keyword, rest) of every directive, with
+    0-based physical lines; a backslash continues a directive onto the
+    next line unless it is the last line."""
+    found = []
+    size = len(content)
+    line = 0
+    counted = 0  # offset up to which newlines are counted into `line`
+    search = _DIRECTIVE_RE.search
+    match = search(content)
+    while match is not None:
+        start = match.start()
+        line += content.count("\n", counted, start)
+        first = line
+        eol = content.find("\n", start)
+        text = content[start:eol if eol != -1 else size]
+        parts = []
+        while eol != -1 and eol + 1 < size and text.rstrip().endswith("\\"):
+            parts.append(text.rstrip()[:-1])
+            start = eol + 1
+            eol = content.find("\n", start)
+            text = content[start:eol if eol != -1 else size]
+            line += 1
         parts.append(text)
-    return "".join(parts)
+        head = _HEAD_RE.match("".join(parts))
+        assert head is not None  # every directive text starts with blank space and `#`
+        found.append((first, line, head.group(1), head.group(2)))
+        if eol == -1:
+            break
+        counted = eol + 1
+        line += 1
+        match = search(content, counted)
+    return found
 
 
-def _parse_directive(logical: str) -> tuple[Optional[str], str]:
-    match = _HEAD_RE.match(logical)
-    if not match:
-        return None, ""
-    return match.group(1), match.group(2)
-
-
-@dataclass
-class _OpenBlock:
-    frame: ConditionFrame
-    preceding: list[str]
-    opened_line: int
-    transparent: bool  # a detected include guard being excluded
-
-
-def _detect_include_guard(lines: list[str]) -> Optional[tuple[int, int, str]]:
-    """Return (ifndef_line, endif_line, macro) for a classic include guard.
+def _include_guard(directives: list[tuple[int, int, Optional[str], str]]) -> Optional[int]:
+    """Index of a classic include guard's #ifndef in `directives`, or None.
 
     The first conditional directive must be #ifndef X, the next physical
     line must be #define X, the matching #endif must be the last
     directive of the file, and the guard block may not have #elif/#else
     branches.
     """
-    heads: list[tuple[int, int, Optional[str], str]] = []  # (start, end, keyword, rest)
-    index = 0
-    while index < len(lines):
-        if _is_directive_head(lines[index]):
-            end = _span_end(lines, index)
-            keyword, rest = _parse_directive(_logical_text(lines, index, end))
-            heads.append((index, end, keyword, rest))
-            index = end + 1
-        else:
-            index += 1
-    conditional_positions = [
-        pos for pos, head in enumerate(heads)
-        if _KEYWORDS.get(head[2] or "") in CONDITIONAL_KINDS
-    ]
-    if not conditional_positions:
+    first = next(
+        (pos for pos, head in enumerate(directives) if head[2] in _CONDITIONAL), None
+    )
+    if first is None or directives[first][2] != "ifndef" or first + 1 >= len(directives):
         return None
-    first = conditional_positions[0]
-    start, end, keyword, rest = heads[first]
-    if _KEYWORDS.get(keyword or "") is not DirectiveKind.IFNDEF:
-        return None
+    _start, end, _keyword, rest = directives[first]
     macro = _first_identifier(rest)
-    if macro is None:
-        return None
-    # The #define must sit on the very next physical line.
-    define_pos = first + 1
-    if define_pos >= len(heads):
-        return None
-    define_start, _define_end, define_kw, define_rest = heads[define_pos]
-    if define_start != end + 1 or define_kw != "define":
+    define_start, _define_end, define_kw, define_rest = directives[first + 1]
+    if macro is None or define_start != end + 1 or define_kw != "define":
         return None
     if _first_identifier(define_rest) != macro:
         return None
     depth = 1
-    match_pos = None
-    for pos in range(define_pos + 1, len(heads)):
-        kind = _KEYWORDS.get(heads[pos][2] or "")
-        if kind in OPENING_KINDS:
+    for pos in range(first + 2, len(directives)):
+        keyword = directives[pos][2]
+        if keyword in _OPENING:
             depth += 1
-        elif kind in BRANCHING_KINDS and depth == 1:
+        elif keyword in _BRANCHING and depth == 1:
             return None  # a branching guard expresses real variability
-        elif kind is DirectiveKind.ENDIF:
+        elif keyword == "endif":
             depth -= 1
             if depth == 0:
-                match_pos = pos
-                break
-    if match_pos is None or match_pos != len(heads) - 1:
-        return None
-    return start + 1, heads[match_pos][0] + 1, macro
+                return first if pos == len(directives) - 1 else None
+    return None
 
 
 def scan_text(content: str, options: AnalyzerOptions = DEFAULT_OPTIONS) -> ScanResult:
-    """Annotate every physical line and extract branch regions in one pass."""
-    lines = split_lines(content)
-    guard = _detect_include_guard(lines)
-    suppress_guard = guard is not None and options.exclude_include_guards
-
-    annotations: list[LineAnnotation] = []
+    """Classify every physical line in one pass; never raises on any text."""
+    total = content.count("\n") + (0 if not content or content.endswith("\n") else 1)
+    bitmap = bytearray(total)
+    directives = _directives(content)
+    guard = _include_guard(directives) if options.exclude_include_guards else None
     warnings: list[ScanWarning] = []
-    stack: list[_OpenBlock] = []
-
-    def active_frames() -> tuple[ConditionFrame, ...]:
-        return tuple(block.frame for block in stack if not block.transparent)
-
-    def annotate_span(
-        start: int,
-        end: int,
-        classification: LineKind,
-        condition: PresenceCondition,
-        kind: Optional[DirectiveKind],
-        expression: Optional[str],
-    ) -> None:
-        for index in range(start, end + 1):
-            annotations.append(
-                LineAnnotation(
-                    line_no=index + 1,
-                    classification=classification,
-                    presence_condition=condition,
-                    nesting_depth=len(condition.frames),
-                    is_directive_line=True,
-                    directive=kind if index == start else None,
-                    directive_expression=expression if index == start else None,
-                )
-            )
-
-    index = 0
-    while index < len(lines):
-        line = lines[index]
-        if not _is_directive_head(line):
-            frames = active_frames()
-            condition = PresenceCondition(frames) if frames else EMPTY_CONDITION
-            annotations.append(
-                LineAnnotation(
-                    line_no=index + 1,
-                    classification=LineKind.VARIABLE if frames else LineKind.MANDATORY,
-                    presence_condition=condition,
-                    nesting_depth=len(frames),
-                    is_directive_line=False,
-                )
-            )
-            index += 1
-            continue
-
-        end = _span_end(lines, index)
-        keyword, rest = _parse_directive(_logical_text(lines, index, end))
-        kind = _KEYWORDS.get(keyword or "", DirectiveKind.OTHER)
-
-        if kind in OPENING_KINDS:
-            transparent = suppress_guard and guard is not None and guard[0] == index + 1
-            frame = _make_frame(kind, rest)
-            stack.append(_OpenBlock(frame, [], index + 1, transparent))
-            # A transparent guard contributes no frame, so its own
-            # directive lines stay mandatory at depth zero.
-            frames = active_frames()
-            annotate_span(
-                index,
-                end,
-                LineKind.VARIABLE if frames else LineKind.MANDATORY,
-                PresenceCondition(frames) if frames else EMPTY_CONDITION,
-                kind,
-                rest,
-            )
-        elif kind in BRANCHING_KINDS:
-            if not stack:
-                warnings.append(
-                    ScanWarning(
-                        "stray_directive",
-                        index + 1,
-                        f"#{keyword} without an open conditional block",
-                    )
-                )
-                annotate_span(index, end, LineKind.MANDATORY, EMPTY_CONDITION, kind, rest)
-            else:
-                top = stack[-1]
-                if top.frame.directive is not DirectiveKind.ELSE:
-                    top.preceding.append(top.frame.raw_expression)
-                top.frame = _make_frame(kind, rest, tuple(top.preceding))
-                frames = active_frames()
-                annotate_span(
-                    index, end, LineKind.VARIABLE,
-                    PresenceCondition(frames) if frames else EMPTY_CONDITION,
-                    kind, rest,
-                )
-        elif kind is DirectiveKind.ENDIF:
-            if not stack:
-                warnings.append(
-                    ScanWarning(
-                        "stray_directive",
-                        index + 1,
-                        "#endif without an open conditional block",
-                    )
-                )
-                annotate_span(index, end, LineKind.MANDATORY, EMPTY_CONDITION, kind, rest)
-            else:
-                frames = active_frames()
-                annotate_span(
-                    index, end,
-                    LineKind.VARIABLE if frames else LineKind.MANDATORY,
-                    PresenceCondition(frames) if frames else EMPTY_CONDITION,
-                    kind, rest,
-                )
-                stack.pop()
-        else:
-            frames = active_frames()
-            annotate_span(
-                index,
-                end,
-                LineKind.VARIABLE if frames else LineKind.MANDATORY,
-                PresenceCondition(frames) if frames else EMPTY_CONDITION,
-                kind,
-                None,
-            )
-        index = end + 1
-
-    for block in stack:
-        warnings.append(
-            ScanWarning(
-                "unterminated_block",
-                block.opened_line,
-                "conditional block still open at end of file",
-            )
-        )
-
-    guard_hint = (guard[0], guard[1]) if guard is not None else None
-    regions = extract_regions(annotations, guard_lines=guard_hint)
-    guard_region = next((region for region in regions if region.is_include_guard), None)
-    return ScanResult(annotations, regions, warnings, guard_region)
-
-
-def annotate_lines(
-    content: str, options: AnalyzerOptions = DEFAULT_OPTIONS
-) -> list[LineAnnotation]:
-    """One annotation per physical line; never raises on any text input."""
-    return scan_text(content, options).annotations
-
-
-@dataclass
-class _OpenRegion:
-    start: int
-    condition: PresenceCondition
-    is_guard: bool
-
-
-def extract_regions(
-    annotations: list[LineAnnotation],
-    *,
-    guard_lines: Optional[tuple[int, int]] = None,
-) -> list[VariableRegion]:
-    """Rebuild branch regions from line annotations.
-
-    A guard block whose directives were classified mandatory (the
-    excluded-guard case) is emitted as a region flagged
-    is_include_guard; guard_lines lets callers flag the guard when it
-    was not excluded and therefore looks like an ordinary block.
-    """
-    regions: list[VariableRegion] = []
-    stack: list[_OpenRegion] = []
-    total = len(annotations)
-    index = 0
-    while index < total:
-        note = annotations[index]
-        kind = note.directive
-        if kind is None or kind not in CONDITIONAL_KINDS:
-            index += 1
-            continue
-        span_end = index
-        while (
-            span_end + 1 < total
-            and annotations[span_end + 1].is_directive_line
-            and annotations[span_end + 1].directive is None
-        ):
-            span_end += 1
-
-        if kind in OPENING_KINDS:
-            suppressed = note.classification is LineKind.MANDATORY
-            flagged = suppressed or (
-                guard_lines is not None and guard_lines[0] == note.line_no
-            )
-            if suppressed:
-                condition = PresenceCondition(
-                    (_make_frame(kind, note.directive_expression or ""),)
-                )
-            else:
-                condition = note.presence_condition
-            stack.append(_OpenRegion(note.line_no, condition, flagged))
-        elif kind in BRANCHING_KINDS:
-            if stack and note.classification is LineKind.VARIABLE:
-                top = stack[-1]
-                if note.line_no > top.start:
-                    regions.append(
-                        VariableRegion(top.start, note.line_no - 1, top.condition, False)
-                    )
-                top.start = note.line_no
-                top.condition = note.presence_condition
-        elif kind is DirectiveKind.ENDIF:
-            if stack:
-                top = stack.pop()
-                regions.append(
-                    VariableRegion(
-                        top.start,
-                        annotations[span_end].line_no,
-                        top.condition,
-                        top.is_guard,
-                    )
-                )
-        index = span_end + 1
-
-    last_line = annotations[-1].line_no if annotations else 0
-    while stack:
-        top = stack.pop()
-        regions.append(VariableRegion(top.start, last_line, top.condition, top.is_guard))
-    regions.sort(key=lambda region: (region.start_line, -region.end_line))
-    return regions
-
-
-def count_variabilities(
-    per_file_regions: Iterable[list[VariableRegion]],
-    *,
-    include_guards: bool = False,
-) -> VariabilityCount:
-    """Count conditional blocks and distinct macros across files.
-
-    One block per #if/#ifdef/#ifndef regardless of how many branches it
-    has; macros are the union of identifiers over every branch frame.
-    """
+    stack: list[tuple[int, str, bool]] = []  # (opening line, expression, transparent)
+    live = 0  # open blocks that are not a transparent guard
     blocks = 0
     macros: set[str] = set()
-    for regions in per_file_regions:
-        for region in regions:
-            if region.is_include_guard and not include_guards:
-                continue
-            frames = region.presence_condition.frames
-            if not frames:
-                continue
-            innermost = frames[-1]
-            if innermost.directive in OPENING_KINDS:
+    cursor = 0  # first line not yet classified
+    for index, (first, last, keyword, rest) in enumerate(directives):
+        if live and first > cursor:
+            bitmap[cursor:first] = b"\x01" * (first - cursor)
+        variable = live > 0
+        if keyword in _OPENING:
+            transparent = index == guard
+            stack.append((first + 1, rest, transparent))
+            if not transparent:
+                live += 1
                 blocks += 1
-            macros.update(innermost.macro_identifiers)
-    return VariabilityCount(blocks=blocks, distinct_macros=len(macros))
-
-
-def has_variable_lines(annotations: Iterable[LineAnnotation]) -> bool:
-    return any(note.classification is LineKind.VARIABLE for note in annotations)
+                variable = True
+                macros |= _opener_macros(keyword, rest)
+        elif keyword in _BRANCHING or keyword == "endif":
+            if not stack:
+                warnings.append(ScanWarning(
+                    "stray_directive", first + 1,
+                    f"#{keyword} without an open conditional block",
+                ))
+            elif keyword == "endif":
+                if not stack.pop()[2]:
+                    live -= 1
+            else:
+                variable = True
+                macros |= extract_macro_identifiers(stack[-1][1])
+                if keyword == "elif":
+                    macros |= extract_macro_identifiers(rest)
+        if variable:
+            bitmap[first:last + 1] = b"\x01" * (last + 1 - first)
+        cursor = last + 1
+    if live and total > cursor:
+        bitmap[cursor:] = b"\x01" * (total - cursor)
+    for opened_line, _rest, _transparent in stack:
+        warnings.append(ScanWarning(
+            "unterminated_block", opened_line, "conditional block still open at end of file"
+        ))
+    return ScanResult(bitmap, tuple(warnings), blocks, frozenset(macros))

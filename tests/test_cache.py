@@ -18,7 +18,6 @@ def record(commit="c" * 40, path="f.c"):
         kind="modified",
         touched_variable=True,
         touched_mandatory=False,
-        variability_expressions=("FOO", "defined(B)"),
         saw_variable=True,
     )
 
@@ -34,7 +33,6 @@ def test_record_json_round_trip():
         kind=raw["kind"],
         touched_variable=raw["touched_variable"],
         touched_mandatory=raw["touched_mandatory"],
-        variability_expressions=tuple(raw["variability_expressions"]),
         saw_variable=raw["saw_variable"],
     )
     assert rebuilt == rec

@@ -190,6 +190,101 @@ def test_changed_options_invalidate_stored_analysis(guard_repo, tmp_path):
     assert read(os.path.join(out, "run_meta.json")) != before
 
 
+BYTE_IDENTICAL = ("scores.csv", "timeline.csv", "evaluation.csv",
+                  "report.csv", "report.json", "report.md")
+
+
+def _truncate_ledger(out):
+    path = os.path.join(out, "ledger.json")
+    payload = read(path)
+    with open(path, "wb") as handle:
+        handle.write(payload[: len(payload) // 2])
+
+
+def _add_unknown_counter(out):
+    path = os.path.join(out, "run_meta.json")
+    meta = json.loads(read(path))
+    meta["counters"]["from_a_newer_version"] = 1
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(meta, handle)
+
+
+def _foreign_ledger_format(out):
+    path = os.path.join(out, "ledger.json")
+    ledger = json.loads(read(path))
+    ledger["format"] = "varxpert-ledger/999"
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(ledger, handle)
+
+
+@pytest.mark.parametrize(
+    "damage", [_truncate_ledger, _add_unknown_counter, _foreign_ledger_format]
+)
+def test_damaged_stored_analysis_is_mined_again(multifile_repo, tmp_path, damage):
+    path, _ = multifile_repo
+    clean, damaged = str(tmp_path / "clean"), str(tmp_path / "damaged")
+    assert run_cli("report", path, "--out", clean) == 0
+    assert run_cli("analyze", path, "--out", damaged) == 0
+    damage(damaged)
+    assert run_cli("report", path, "--out", damaged) == 0
+    assert_same_artifacts(clean, damaged, names=BYTE_IDENTICAL)
+    # mined again, so the stored analysis is whole once more
+    assert read(os.path.join(clean, "ledger.json")) == read(os.path.join(damaged, "ledger.json"))
+
+
+# ----------------------------------------------------------------------
+# damaged repositories
+# ----------------------------------------------------------------------
+
+def three_commit_repo(builder):
+    builder.write("a.c", "int a;\n")
+    builder.write("b.c", "int b;\n")
+    builder.commit("one", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    builder.write("a.c", "#ifdef X\nint a;\n#endif\n")
+    builder.commit("two", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    builder.write("a.c", "#ifdef X\nint a2;\n#endif\n")
+    builder.commit("three", "Alice", "alice@example.com", "2020-03-01T00:00:00 +0000")
+    return builder
+
+
+def remove_loose_object(builder, oid):
+    os.remove(os.path.join(builder.path, ".git", "objects", oid[:2], oid[2:]))
+
+
+@pytest.mark.parametrize("rev, args", [
+    ("HEAD~2:a.c", ()),  # read by the history fold
+    # read only by the final-tree snapshot: the window skips the commit
+    # that added b.c
+    ("HEAD:b.c", ("--since", "2020-01-15")),
+])
+def test_missing_blob_fails_the_run(repo_builder, tmp_path, capsys, rev, args):
+    repo = three_commit_repo(repo_builder)
+    oid = repo.git("rev-parse", rev).strip()
+    remove_loose_object(repo, oid)
+    code = run_cli("analyze", repo.path, "--out", str(tmp_path / "out"), *args)
+    assert code == 1
+    assert oid in capsys.readouterr().err
+
+
+def test_submodule_named_like_a_source_file_is_no_missing_blob(repo_builder, tmp_path):
+    repo = repo_builder
+    repo.write("a.c", "int a;\n")
+    repo.git("add", "a.c")
+    # the gitlink's commit lives in another repository
+    repo.git("update-index", "--add", "--cacheinfo", f"160000,{'1' * 40},lib.c")
+    date = "2020-01-01T00:00:00 +0000"
+    repo.git("commit", "-q", "-m", "vendored library",
+             env={"GIT_AUTHOR_DATE": date, "GIT_COMMITTER_DATE": date})
+    assert run_cli("analyze", repo.path, "--out", str(tmp_path / "out")) == 0
+
+
+def test_unreadable_history_fails_the_run(repo_builder, tmp_path, capsys):
+    repo = three_commit_repo(repo_builder)
+    remove_loose_object(repo, repo.git("rev-list", "--max-parents=0", "HEAD").strip())
+    assert run_cli("analyze", repo.path, "--out", str(tmp_path / "out")) == 1
+    assert "git log failed" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # option behavior
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Git mining tests: commit enumeration, rename and merge handling,
 binary detection, identity folding, timestamp clamping, hunk fidelity."""
 
+import time
+
 import pytest
 
 from varxpert.errors import BranchNotFound, EmptyIdentity, RepoNotFound
@@ -205,6 +207,25 @@ def test_prehistoric_author_clock_clamped(repo_builder):
     assert commits[0].commit_id == sha
     assert commits[0].timestamp == 1590969600
     assert any(w["kind"] == "clamped_timestamp" for w in warned)
+
+
+def test_clamping_ignores_the_wall_clock(identity_repo, monkeypatch):
+    path, _ = identity_repo
+    seen = []
+    for now in (0.0, 4e9):
+        monkeypatch.setattr(time, "time", lambda: now)
+        warned = []
+        stamps = [c.timestamp for c in enumerate_commits(path, warn=warned.append)]
+        seen.append((stamps, warned))
+    assert seen[0] == seen[1]
+
+
+def test_closing_the_stream_early_raises_nothing(basic_repo):
+    path, _ = basic_repo
+    with GitRepo(path) as repo:
+        stream = repo.iter_commits(repo.resolve_tip("HEAD"))
+        next(stream)
+        stream.close()
 
 
 def test_since_until_filtering(basic_repo):

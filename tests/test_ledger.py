@@ -12,7 +12,7 @@ from varxpert.ledger import (
     ledger_from_dict,
     ledger_to_dict,
 )
-from varxpert.preproc import DEFAULT_OPTIONS, annotate_lines
+from varxpert.preproc import DEFAULT_OPTIONS, scan_text
 from varxpert.util import split_lines
 
 
@@ -22,6 +22,10 @@ def fold(path, **kwargs):
         options=DEFAULT_OPTIONS,
         **kwargs,
     )
+
+
+def bitmap(content):
+    return scan_text(content, DEFAULT_OPTIONS).annotations
 
 
 def only_file(ledger):
@@ -45,16 +49,15 @@ def test_classify_added_variable_lines():
     new = "#ifdef A\nint x;\n#endif\n"
     change = FileChange(kind=ChangeKind.ADDED, path_before=None, path_after="f.c",
                         new_content=new, hydrated=True)
-    got = classify_change(change, None, annotate_lines(new))
+    got = classify_change(change, None, bitmap(new))
     assert got.touched_variable and not got.touched_mandatory
-    assert got.impacted_expressions == {"A"}
 
 
 def test_classify_mixed_addition():
     new = "int a;\n#ifdef A\nint x;\n#endif\n"
     change = FileChange(kind=ChangeKind.ADDED, path_before=None, path_after="f.c",
                         new_content=new, hydrated=True)
-    got = classify_change(change, None, annotate_lines(new))
+    got = classify_change(change, None, bitmap(new))
     assert got.touched_variable and got.touched_mandatory
 
 
@@ -62,40 +65,36 @@ def test_classify_deletion_only_variable():
     old = "#ifdef A\nint x;\n#endif\nint y;\n"
     new = "int y;\n"
     change = modify(old, new)
-    got = classify_change(change, annotate_lines(old), annotate_lines(new))
+    got = classify_change(change, bitmap(old), bitmap(new))
     assert got.touched_variable and not got.touched_mandatory
-    assert got.impacted_expressions == {"A"}
 
 
 def test_classify_mandatory_edit():
     old = "int a;\nint b;\n"
     new = "int a;\nint c;\n"
     change = modify(old, new)
-    got = classify_change(change, annotate_lines(old), annotate_lines(new))
+    got = classify_change(change, bitmap(old), bitmap(new))
     assert not got.touched_variable and got.touched_mandatory
-    assert got.impacted_expressions == frozenset()
 
 
 def test_classify_else_branch_edit_names_opener_macro():
     old = "#ifdef X\nint m = 1;\n#else\nint m = 0;\n#endif\n"
     new = "#ifdef X\nint m = 1;\n#else\nint m = 9;\n#endif\n"
     change = modify(old, new)
-    got = classify_change(change, annotate_lines(old), annotate_lines(new))
-    assert got.touched_variable
-    assert got.impacted_expressions == {"X"}
+    got = classify_change(change, bitmap(old), bitmap(new))
+    assert got.touched_variable and not got.touched_mandatory
 
 
 def test_classify_zero_line_change_is_empty():
     change = modify("int a;\n", "int a;\n")
-    got = classify_change(change, annotate_lines("int a;\n"),
-                          annotate_lines("int a;\n"))
+    got = classify_change(change, bitmap("int a;\n"), bitmap("int a;\n"))
     assert got.is_empty
 
 
 def test_annotation_count_must_match_content():
     old = "int a;\nint b;\n"
     change = modify(old, "int a;\n")
-    short = annotate_lines("int a;\n")
+    short = bitmap("int a;\n")
     with pytest.raises(AnnotationMismatch):
         classify_change(change, short, short)
 
@@ -161,19 +160,6 @@ def test_deletion_only_variable_change_counts(rename_repo):
     assert bob.mandatory_touch_months == set()
     # the block is gone but the lineage remembers having had it
     assert record.has_variable_code_ever
-
-
-def test_impacted_expressions_surface_in_classifier(rename_repo):
-    path, shas = rename_repo
-    seen = {}
-
-    def observer(commit, change, classified):
-        if classified is not None:
-            seen[commit.commit_id] = classified.classification
-
-    fold(path, observer=observer)
-    assert seen[shas["c2"]].impacted_expressions == {RENAME["expression"]}
-    assert seen[shas["c4"]].impacted_expressions == {RENAME["expression"]}
 
 
 def test_identity_folding_and_dead_lineage(identity_repo):

@@ -1,24 +1,13 @@
-"""Scanner tests: classification, presence conditions, regions, guards,
+"""Scanner tests: line bitmaps, block and macro counts, guards,
 recovery, and agreement with a naive per-line rescanning oracle."""
 
 import random
 import re
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varxpert.preproc import (
-    AnalyzerOptions,
-    DirectiveKind,
-    LineKind,
-    annotate_lines,
-    count_variabilities,
-    extract_macro_identifiers,
-    extract_regions,
-    has_variable_lines,
-    scan_text,
-)
+from varxpert.preproc import AnalyzerOptions, extract_macro_identifiers, scan_text
 from varxpert.util import split_lines
 
 NO_GUARD_FOLDING = AnalyzerOptions(exclude_include_guards=False)
@@ -126,16 +115,21 @@ def run_oracle_comparison(count, seed, balanced=True):
     checked = 0
     for _ in range(count):
         content = random_directive_file(rng, balanced=balanced)
-        annotations = annotate_lines(content, NO_GUARD_FOLDING)
+        got = flags(content, NO_GUARD_FOLDING)
         expected = naive_flags(content)
-        assert len(annotations) == len(expected)
-        for annotation, flag in zip(annotations, expected):
-            want = LineKind.VARIABLE if flag else LineKind.MANDATORY
-            assert annotation.classification is want, (
-                f"line {annotation.line_no} of:\n{content}"
-            )
+        assert len(got) == len(expected)
+        for line_no, (flag, want) in enumerate(zip(got, expected), start=1):
+            assert flag == want, f"line {line_no} of:\n{content}"
         checked += len(expected)
     return checked
+
+
+def flags(content, options=AnalyzerOptions()):
+    """The scanner's per-line classification as booleans (True = variable)."""
+    return [bool(byte) for byte in scan_text(content, options).annotations]
+
+
+V, M = True, False
 
 
 # ----------------------------------------------------------------------
@@ -146,79 +140,58 @@ SEVEN = ("int a;\n#ifdef FOO\nint b;\n#else\nint c;\n#endif\nint d;\n")
 
 
 def test_seven_line_example_classification():
-    annotations = annotate_lines(SEVEN)
-    kinds = [a.classification for a in annotations]
-    V, M = LineKind.VARIABLE, LineKind.MANDATORY
-    assert kinds == [M, V, V, V, V, V, M]
-
-
-def test_seven_line_example_conditions():
-    annotations = annotate_lines(SEVEN)
-    assert annotations[0].presence_condition.describe() == "1"
-    assert annotations[1].presence_condition.describe() == "FOO"
-    assert annotations[2].presence_condition.describe() == "FOO"
-    assert annotations[3].presence_condition.describe() == "!(FOO)"
-    assert annotations[4].presence_condition.describe() == "!(FOO)"
-    assert annotations[5].presence_condition.describe() == "!(FOO)"
-    assert annotations[6].presence_condition.is_unconditional
+    assert flags(SEVEN) == [M, V, V, V, V, V, M]
 
 
 def test_seven_line_example_regions():
     result = scan_text(SEVEN)
-    spans = [(r.start_line, r.end_line) for r in result.regions]
-    assert spans == [(2, 3), (4, 6)]
-    assert result.regions[0].presence_condition.describe() == "FOO"
-    assert result.regions[1].presence_condition.describe() == "!(FOO)"
+    # one block: the #else branch extends its opener's block
+    assert result.blocks == 1
+    assert result.macros == {"FOO"}
     assert not result.warnings
-
-
-def test_directive_line_metadata():
-    annotations = annotate_lines(SEVEN)
-    assert annotations[1].is_directive_line
-    assert annotations[1].directive is DirectiveKind.IFDEF
-    assert annotations[1].directive_expression == "FOO"
-    assert annotations[3].directive is DirectiveKind.ELSE
-    assert annotations[5].directive is DirectiveKind.ENDIF
-    assert not annotations[0].is_directive_line
-    assert annotations[0].directive is None
 
 
 def test_nested_conditions_and_depth():
     content = "#if A\n#if B\nint x;\n#endif\n#endif\n"
-    annotations = annotate_lines(content)
-    assert annotations[2].nesting_depth == 2
-    assert annotations[2].presence_condition.describe() == "A && B"
-    macros = set()
-    for frame in annotations[2].presence_condition.frames:
-        macros |= frame.macro_identifiers
-    assert macros == {"A", "B"}
-    # outer endif closes last, back to depth 1
-    assert annotations[4].nesting_depth == 1
-    assert annotations[4].classification is LineKind.VARIABLE
+    result = scan_text(content)
+    # the outer #endif closes last and is still inside block A
+    assert flags(content) == [V] * 5
+    assert result.blocks == 2
+    assert result.macros == {"A", "B"}
 
 
 def test_elif_carries_negated_predecessors():
     content = "#if A\nint a;\n#elif B\nint b;\n#else\nint c;\n#endif\n"
-    annotations = annotate_lines(content)
-    assert annotations[3].presence_condition.describe() == "B && !(A)"
-    assert annotations[5].presence_condition.describe() == "!(A) && !(B)"
-    frame = annotations[3].presence_condition.frames[0]
-    assert frame.negated_predecessors == ("A",)
-    assert frame.macro_identifiers == {"A", "B"}
+    result = scan_text(content)
+    assert flags(content) == [V] * 7
+    assert result.blocks == 1
+    assert result.macros == {"A", "B"}
+
+
+def test_branches_name_every_identifier_of_an_ifdef_opener():
+    # an #ifdef alone names its first identifier; its #else branch names
+    # the opener's whole expression, as a negated predecessor
+    assert scan_text("#ifdef A B\nint a;\n#endif\n").macros == {"A"}
+    assert scan_text("#ifdef A B\nint a;\n#else\nint b;\n#endif\n").macros == {"A", "B"}
 
 
 def test_define_and_include_outside_blocks_are_mandatory():
-    content = "#define K 1\n#include <k.h>\nint x;\n"
-    annotations = annotate_lines(content)
-    assert all(a.classification is LineKind.MANDATORY for a in annotations)
-    assert annotations[0].is_directive_line
-    assert annotations[0].directive is DirectiveKind.OTHER
+    assert flags("#define K 1\n#include <k.h>\nint x;\n") == [M, M, M]
+    assert scan_text("#define K 1\n").blocks == 0
 
 
 def test_define_inside_block_is_variable():
-    content = "#ifdef FOO\n#define K 1\n#endif\n"
-    annotations = annotate_lines(content)
-    assert annotations[1].classification is LineKind.VARIABLE
+    assert flags("#ifdef FOO\n#define K 1\n#endif\n") == [V, V, V]
+
+
+def test_line_count_follows_split_lines():
+    for content in ("", "\n", "a", "a\n", "a\n\n", "#if A\nb", "#if A\r\nb\r\n"):
+        assert len(scan_text(content).annotations) == len(split_lines(content))
+
+
+def test_directive_needs_only_blank_space_before_the_hash():
+    content = "\t#ifdef A\n\f # if B\nint x;\n  #endif\n\r#endif\nx # y\n"
+    assert flags(content) == [V, V, V, V, V, M]
 
 
 # ----------------------------------------------------------------------
@@ -230,64 +203,56 @@ GUARDED = "#ifndef H_H\n#define H_H\nint helper(int x);\n#endif\n"
 
 def test_include_guard_folded_by_default():
     result = scan_text(GUARDED)
-    assert all(a.classification is LineKind.MANDATORY for a in result.annotations)
-    assert not has_variable_lines(result.annotations)
-    assert result.include_guard is not None
-    assert result.include_guard.is_include_guard
-    assert (result.include_guard.start_line, result.include_guard.end_line) == (1, 4)
-    assert [r for r in result.regions if not r.is_include_guard] == []
+    assert flags(GUARDED) == [M] * 4
+    assert result.blocks == 0
+    assert result.macros == frozenset()
 
 
 def test_include_guard_counted_when_asked():
     result = scan_text(GUARDED, NO_GUARD_FOLDING)
-    assert all(a.classification is LineKind.VARIABLE for a in result.annotations)
-    assert result.annotations[0].presence_condition.describe() == "!H_H"
+    assert flags(GUARDED, NO_GUARD_FOLDING) == [V] * 4
+    assert result.blocks == 1
+    assert result.macros == {"H_H"}
 
 
 def test_guard_interior_block_still_variable():
     content = ("#ifndef H_H\n#define H_H\n#ifdef DEBUG\nint d;\n#endif\n"
                "int helper(int x);\n#endif\n")
-    annotations = annotate_lines(content)
-    kinds = [a.classification for a in annotations]
-    V, M = LineKind.VARIABLE, LineKind.MANDATORY
-    assert kinds == [M, M, V, V, V, M, M]
-    # the inner block sits at depth 1: the guard is transparent
-    assert annotations[3].nesting_depth == 1
+    result = scan_text(content)
+    assert flags(content) == [M, M, V, V, V, M, M]
+    assert result.blocks == 1
+    assert result.macros == {"DEBUG"}
 
 
 def test_not_a_guard_when_define_mismatches():
     content = "#ifndef H_H\n#define OTHER\nint x;\n#endif\n"
-    result = scan_text(content)
-    assert result.include_guard is None
-    assert all(a.classification is LineKind.VARIABLE for a in result.annotations)
+    assert flags(content) == [V] * 4
+    assert scan_text(content).blocks == 1
 
 
 def test_not_a_guard_when_else_at_guard_depth():
     content = "#ifndef H_H\n#define H_H\nint x;\n#else\nint y;\n#endif\n"
-    result = scan_text(content)
-    assert result.include_guard is None
-    assert has_variable_lines(result.annotations)
+    assert flags(content) == [V] * 6
+    assert scan_text(content).blocks == 1
 
 
 def test_not_a_guard_when_endif_is_not_last_directive():
     content = ("#ifndef H_H\n#define H_H\nint x;\n#endif\n"
                "#ifdef TAIL\nint y;\n#endif\n")
-    result = scan_text(content)
-    assert result.include_guard is None
-    assert result.annotations[0].classification is LineKind.VARIABLE
+    assert flags(content)[0] is V
+    assert scan_text(content).blocks == 2
 
 
 def test_guard_define_must_be_next_physical_line():
     content = "#ifndef H_H\nint gap;\n#define H_H\n#endif\n"
-    result = scan_text(content)
-    assert result.include_guard is None
+    assert flags(content) == [V] * 4
+    assert scan_text(content).blocks == 1
 
 
 def test_trailing_code_after_guard_endif_is_fine():
     content = "#ifndef H_H\n#define H_H\nint x;\n#endif\nint tail;\n"
-    result = scan_text(content)
-    assert result.include_guard is not None
-    assert all(a.classification is LineKind.MANDATORY for a in result.annotations)
+    assert flags(content) == [M] * 5
+    assert scan_text(content).blocks == 0
 
 
 # ----------------------------------------------------------------------
@@ -296,16 +261,19 @@ def test_trailing_code_after_guard_endif_is_fine():
 
 def test_backslash_continuation_absorbed():
     content = "#if defined(FOO) && \\\n    defined(BAR)\nint x;\n#endif\n"
-    annotations = annotate_lines(content)
-    assert annotations[0].directive is DirectiveKind.IF
-    assert annotations[0].is_directive_line
-    assert annotations[1].is_directive_line
-    assert annotations[1].directive is None
-    assert annotations[0].classification is LineKind.VARIABLE
-    assert annotations[1].classification is LineKind.VARIABLE
-    frame = annotations[2].presence_condition.frames[0]
-    assert frame.macro_identifiers == {"FOO", "BAR"}
-    assert len(annotations) == 4
+    result = scan_text(content)
+    assert flags(content) == [V] * 4
+    assert result.blocks == 1
+    assert result.macros == {"FOO", "BAR"}
+
+
+def test_continuation_line_is_not_a_directive():
+    # the second physical line continues the #define, so its `#endif`
+    # text closes nothing; a backslash on the last line continues nothing
+    content = "#ifdef A\n#define X \\\n#endif\nint a;\n#endif\nint b; \\"
+    result = scan_text(content)
+    assert flags(content) == [V, V, V, V, V, M]
+    assert not result.warnings
 
 
 def test_expression_comments_ignored_for_macros():
@@ -319,68 +287,51 @@ def test_expression_comments_ignored_for_macros():
 # ----------------------------------------------------------------------
 
 def test_stray_endif_is_mandatory_with_warning():
-    content = "int a;\n#endif\nint b;\n"
-    result = scan_text(content)
-    kinds = [a.classification for a in result.annotations]
-    assert kinds == [LineKind.MANDATORY] * 3
+    result = scan_text("int a;\n#endif\nint b;\n")
+    assert list(result.annotations) == [0, 0, 0]
     assert [w.kind for w in result.warnings] == ["stray_directive"]
     assert result.warnings[0].line_no == 2
+    assert result.blocks == 0
 
 
 def test_stray_else_is_mandatory_with_warning():
-    content = "#else\nint a;\n"
-    result = scan_text(content)
-    assert result.annotations[0].classification is LineKind.MANDATORY
-    assert result.annotations[1].classification is LineKind.MANDATORY
+    result = scan_text("#else\nint a;\n")
+    assert list(result.annotations) == [0, 0]
     assert [w.kind for w in result.warnings] == ["stray_directive"]
 
 
 def test_unterminated_block_runs_to_eof_with_warning():
     content = "int a;\n#ifdef FOO\nint b;\nint c;\n"
     result = scan_text(content)
-    kinds = [a.classification for a in result.annotations]
-    V, M = LineKind.VARIABLE, LineKind.MANDATORY
-    assert kinds == [M, V, V, V]
+    assert flags(content) == [M, V, V, V]
     assert [w.kind for w in result.warnings] == ["unterminated_block"]
     assert result.warnings[0].line_no == 2
-    spans = [(r.start_line, r.end_line) for r in result.regions]
-    assert spans == [(2, 4)]
+    assert result.blocks == 1
 
 
 # ----------------------------------------------------------------------
-# regions and counting
+# block and macro counting
 # ----------------------------------------------------------------------
-
-def test_extract_regions_matches_scan_regions():
-    for content in (SEVEN, GUARDED, "#if A\n#if B\nint x;\n#endif\n#endif\n",
-                    "int a;\n#ifdef FOO\nint b;\n"):
-        result = scan_text(content)
-        rebuilt = extract_regions(result.annotations)
-        assert rebuilt == result.regions
-
 
 def test_count_variabilities_blocks_and_macros():
-    xc = scan_text("#ifdef X\nint a;\n#else\nint b;\n#endif\n").regions
-    yc = scan_text("#ifndef Y\nint c;\n#endif\n").regions
-    count = count_variabilities([xc, yc])
-    # an #else branch region extends its opener's block, it is not a new one
-    assert count.blocks == 2
-    assert count.distinct_macros == 2
+    xc = scan_text("#ifdef X\nint a;\n#else\nint b;\n#endif\n")
+    yc = scan_text("#ifndef Y\nint c;\n#endif\n")
+    # an #else branch extends its opener's block, it is not a new one
+    assert xc.blocks + yc.blocks == 2
+    assert len(xc.macros | yc.macros) == 2
 
 
 def test_count_variabilities_guard_handling():
-    guarded = scan_text(GUARDED).regions
-    assert count_variabilities([guarded]).blocks == 0
-    assert count_variabilities([guarded], include_guards=True).blocks == 1
-    assert count_variabilities([guarded], include_guards=True).distinct_macros == 1
+    assert scan_text(GUARDED).blocks == 0
+    assert scan_text(GUARDED, NO_GUARD_FOLDING).blocks == 1
+    assert len(scan_text(GUARDED, NO_GUARD_FOLDING).macros) == 1
 
 
 def test_macro_union_deduplicates():
-    first = scan_text("#ifdef X\nint a;\n#endif\n").regions
-    second = scan_text("#if defined(X) && defined(Z)\nint b;\n#endif\n").regions
-    count = count_variabilities([first, second])
-    assert count.blocks == 2
-    assert count.distinct_macros == 2
+    first = scan_text("#ifdef X\nint a;\n#endif\n")
+    second = scan_text("#if defined(X) && defined(Z)\nint b;\n#endif\n")
+    assert first.blocks + second.blocks == 2
+    assert len(first.macros | second.macros) == 2
 
 
 # ----------------------------------------------------------------------
@@ -408,36 +359,14 @@ def test_scan_totality_and_idempotence(lines):
     content = "".join(line + "\n" for line in lines)
     first = scan_text(content, NO_GUARD_FOLDING)
     assert len(first.annotations) == len(lines)
-    assert [a.line_no for a in first.annotations] == list(range(1, len(lines) + 1))
-    for annotation in first.annotations:
-        assert annotation.nesting_depth == len(annotation.presence_condition.frames)
-        assert annotation.nesting_depth >= 0
-        if annotation.classification is LineKind.VARIABLE:
-            assert annotation.nesting_depth > 0 or annotation.is_directive_line
-    second = scan_text(content, NO_GUARD_FOLDING)
-    assert second.annotations == first.annotations
-    assert second.regions == first.regions
-    assert second.warnings == first.warnings
+    assert set(first.annotations) <= {0, 1}
+    openers = sum(1 for line in lines if line.startswith("#if"))
+    assert first.blocks == openers
+    assert scan_text(content, NO_GUARD_FOLDING) == first
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_LINE_MENU, min_size=1, max_size=60))
 def test_scan_agrees_with_oracle(lines):
     content = "".join(line + "\n" for line in lines)
-    annotations = annotate_lines(content, NO_GUARD_FOLDING)
-    expected = naive_flags(content)
-    got = [a.classification is LineKind.VARIABLE for a in annotations]
-    assert got == expected
-
-
-def test_variable_lines_covered_by_regions():
-    rng = random.Random(7)
-    for _ in range(50):
-        content = random_directive_file(rng, max_lines=80)
-        result = scan_text(content, NO_GUARD_FOLDING)
-        covered = set()
-        for region in result.regions:
-            covered.update(range(region.start_line, region.end_line + 1))
-        variable = {a.line_no for a in result.annotations
-                    if a.classification is LineKind.VARIABLE}
-        assert variable <= covered
+    assert flags(content, NO_GUARD_FOLDING) == naive_flags(content)
