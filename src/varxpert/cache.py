@@ -1,19 +1,20 @@
 """Line-delimited JSON cache for per-change classification results.
 
-One record per (commit, file) pair, in format varxpert-change-cache/2:
+One record per (commit, file) pair, in format varxpert-change-cache/3:
 the commit, author key, timestamp, path and change kind, the
-touched_variable/touched_mandatory flags, and saw_variable (whether
-either side had a variable line). That is everything the ledger fold
-needs, which lets a warm run skip reading and scanning blobs entirely.
+touched_variable/touched_mandatory flags, saw_variable (whether either
+side had a variable line), and the scan warnings the run reported for
+the change with their blob oids. That is everything the ledger fold and
+warnings.jsonl need, so a warm run skips reading and scanning blobs.
 
 A cache file is valid only for the exact branch tip and analyzer
 configuration it was built with, so the file name embeds the tip and a
 digest of the configuration and the format string. Files of another
-tip, configuration or format (such as /1, which also stored the
-expressions around each change) are ignored, never migrated, and the
-run builds a new file. Writes go to a temp file that is renamed into
-place once the run finishes, so an interrupted run never leaves a
-half-trusted cache behind.
+tip, configuration or format (such as /2, which lacked the scan
+warnings, or /1, which also stored the expressions around each change)
+are ignored, never migrated, and the run builds a new file. Writes go
+to a temp file that is renamed into place once the run finishes, so an
+interrupted run never leaves a half-trusted cache behind.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-_FORMAT = "varxpert-change-cache/2"
+from varxpert.preproc import ScanWarning
+
+_FORMAT = "varxpert-change-cache/3"
 
 
 def analyzer_config_hash(extensions: frozenset[str], exclude_include_guards: bool) -> str:
@@ -50,21 +53,11 @@ class CacheRecord:
     touched_variable: bool
     touched_mandatory: bool
     saw_variable: bool
+    scan_warnings: tuple[tuple[str, ScanWarning], ...] = ()  # (blob oid, warning) reported
 
     def as_json(self) -> str:
-        return json.dumps(
-            {
-                "commit_id": self.commit_id,
-                "timestamp": self.timestamp,
-                "author_key": self.author_key,
-                "path_after": self.path_after,
-                "kind": self.kind,
-                "touched_variable": self.touched_variable,
-                "touched_mandatory": self.touched_mandatory,
-                "saw_variable": self.saw_variable,
-            },
-            sort_keys=True,
-        )
+        warnings = [[oid, warning.as_dict()] for oid, warning in self.scan_warnings]
+        return json.dumps(dict(vars(self), scan_warnings=warnings), sort_keys=True)
 
 
 class ChangeCache:
@@ -98,17 +91,12 @@ class ChangeCache:
                         continue
                     try:
                         raw = json.loads(line)
-                        record = CacheRecord(
-                            commit_id=raw["commit_id"],
-                            timestamp=int(raw["timestamp"]),
-                            author_key=raw["author_key"],
-                            path_after=raw["path_after"],
-                            kind=raw["kind"],
-                            touched_variable=bool(raw["touched_variable"]),
-                            touched_mandatory=bool(raw["touched_mandatory"]),
-                            saw_variable=bool(raw["saw_variable"]),
+                        warnings = tuple(
+                            (oid, ScanWarning(**warning))
+                            for oid, warning in raw.pop("scan_warnings")
                         )
-                    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                        record = CacheRecord(**raw, scan_warnings=warnings)
+                    except (ValueError, KeyError, TypeError, AttributeError):
                         continue  # a damaged line costs a recomputation, nothing more
                     cache._records[(record.commit_id, record.path_after)] = record
         return cache

@@ -31,7 +31,7 @@ def variable_changers(record: FileRecord) -> set[str]:
     return {
         key
         for key, stats in record.contributors.items()
-        if stats.variable_touch_months
+        if stats.first_variable_month is not None
     }
 
 

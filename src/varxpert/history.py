@@ -64,7 +64,6 @@ class ChangeKind(Enum):
 class DeveloperId:
     canonical_key: str
     display_name: str
-    emails: frozenset[str] = frozenset()
 
 
 def resolve_identity(name: str, email: str) -> DeveloperId:
@@ -82,9 +81,7 @@ def resolve_identity(name: str, email: str) -> DeveloperId:
         key = name.lower()
     else:
         raise EmptyIdentity("author has neither name nor email")
-    display = name if name else email
-    emails = frozenset({email}) if email else frozenset()
-    return DeveloperId(canonical_key=key, display_name=display, emails=emails)
+    return DeveloperId(canonical_key=key, display_name=name if name else email)
 
 
 def filter_source_files(path: str, extensions: frozenset[str] = DEFAULT_EXTENSIONS) -> bool:

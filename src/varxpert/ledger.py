@@ -13,6 +13,13 @@ A change touches variable code when any added line is variable in the
 new image or any deleted line is variable in the old image; deleting a
 whole conditional block therefore counts as variable work even though
 the resulting file has none left.
+
+Per (file, developer) the ledger stores the DOA tallies FA, DL and AC
+and two months, each None until such a change exists: the earliest with
+a variable-touching change and the earliest with a mandatory-touching
+one. Timeline categories are cumulative, so those two months decide the
+developer's category in every month. The fold keeps the minimum, since
+the first-parent stream is not in author-date order.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from varxpert.preproc import (
     ScanWarning,
     scan_text,
 )
-from varxpert.util import month_of, split_lines
+from varxpert.util import earliest_month, month_of, split_lines
 
 
 @dataclass(frozen=True)
@@ -90,9 +97,8 @@ class ContributionStats:
     fa: int = 0  # 1 when this developer authored the change that created the file
     dl: int = 0  # deliveries: commits by this developer touching the file
     ac: int = 0  # acceptances: commits by everyone else, filled at finalize time
-    first_touch: Optional[int] = None
-    variable_touch_months: set[str] = field(default_factory=set)
-    mandatory_touch_months: set[str] = field(default_factory=set)
+    first_variable_month: Optional[str] = None  # earliest 'YYYY-MM' touching variable code
+    first_mandatory_month: Optional[str] = None  # earliest 'YYYY-MM' touching mandatory code
 
     @property
     def commit_count(self) -> int:
@@ -117,7 +123,6 @@ class FileRecord:
 class DeveloperProfile:
     canonical_key: str
     display_name: str
-    emails: set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -234,18 +239,14 @@ def build_contribution_ledger(
             record.fa_key = key
             stats.fa = 1
         stats.dl += 1
-        if stats.first_touch is None or commit.timestamp < stats.first_touch:
-            stats.first_touch = commit.timestamp
         month = month_of(commit.timestamp)
         if classified.classification.touched_variable:
-            stats.variable_touch_months.add(month)
+            stats.first_variable_month = earliest_month(stats.first_variable_month, month)
         if classified.classification.touched_mandatory:
-            stats.mandatory_touch_months.add(month)
+            stats.first_mandatory_month = earliest_month(stats.first_mandatory_month, month)
         record.total_events += 1
-        profile = ledger.developers.setdefault(
-            key, DeveloperProfile(key, commit.author.display_name)
-        )
-        profile.emails.update(commit.author.emails)
+        if key not in ledger.developers:
+            ledger.developers[key] = DeveloperProfile(key, commit.author.display_name)
 
     try:
         for commit in commits:
@@ -355,7 +356,7 @@ def _fold_rank(change: FileChange) -> int:
 # Serialization, so later verbs can reuse an analysis without re-mining.
 # ----------------------------------------------------------------------
 
-LEDGER_FORMAT = "varxpert-ledger/1"
+LEDGER_FORMAT = "varxpert-ledger/2"
 
 
 def ledger_to_dict(ledger: ContributionLedger) -> dict:
@@ -366,11 +367,7 @@ def ledger_to_dict(ledger: ContributionLedger) -> dict:
         "commit_count": ledger.commit_count,
         "merge_count": ledger.merge_count,
         "developers": {
-            key: {
-                "display_name": profile.display_name,
-                "emails": sorted(profile.emails),
-            }
-            for key, profile in ledger.developers.items()
+            key: profile.display_name for key, profile in ledger.developers.items()
         },
         "files": {
             lineage_id: {
@@ -385,9 +382,8 @@ def ledger_to_dict(ledger: ContributionLedger) -> dict:
                         "fa": stats.fa,
                         "dl": stats.dl,
                         "ac": stats.ac,
-                        "first_touch": stats.first_touch,
-                        "variable_touch_months": sorted(stats.variable_touch_months),
-                        "mandatory_touch_months": sorted(stats.mandatory_touch_months),
+                        "first_variable_month": stats.first_variable_month,
+                        "first_mandatory_month": stats.first_mandatory_month,
                     }
                     for key, stats in record.contributors.items()
                 },
@@ -399,35 +395,30 @@ def ledger_to_dict(ledger: ContributionLedger) -> dict:
 
 def ledger_from_dict(data: dict) -> ContributionLedger:
     ledger = ContributionLedger(
-        first_month=data.get("first_month"),
-        last_month=data.get("last_month"),
-        commit_count=int(data.get("commit_count", 0)),
-        merge_count=int(data.get("merge_count", 0)),
+        first_month=data["first_month"],
+        last_month=data["last_month"],
+        commit_count=int(data["commit_count"]),
+        merge_count=int(data["merge_count"]),
     )
-    for key, raw in data.get("developers", {}).items():
-        ledger.developers[key] = DeveloperProfile(
-            canonical_key=key,
-            display_name=raw.get("display_name", key),
-            emails=set(raw.get("emails", [])),
-        )
-    for lineage_id, raw in data.get("files", {}).items():
+    for key, display_name in data["developers"].items():
+        ledger.developers[key] = DeveloperProfile(key, display_name)
+    for lineage_id, raw in data["files"].items():
         record = FileRecord(
             lineage_id=lineage_id,
             created_path=raw["created_path"],
             current_path=raw["current_path"],
-            alive=bool(raw.get("alive", True)),
-            fa_key=raw.get("fa_key"),
-            has_variable_code_ever=bool(raw.get("has_variable_code_ever", False)),
-            total_events=int(raw.get("total_events", 0)),
+            alive=bool(raw["alive"]),
+            fa_key=raw["fa_key"],
+            has_variable_code_ever=bool(raw["has_variable_code_ever"]),
+            total_events=int(raw["total_events"]),
         )
-        for dev_key, stats_raw in raw.get("contributors", {}).items():
+        for dev_key, stats_raw in raw["contributors"].items():
             record.contributors[dev_key] = ContributionStats(
-                fa=int(stats_raw.get("fa", 0)),
-                dl=int(stats_raw.get("dl", 0)),
-                ac=int(stats_raw.get("ac", 0)),
-                first_touch=stats_raw.get("first_touch"),
-                variable_touch_months=set(stats_raw.get("variable_touch_months", [])),
-                mandatory_touch_months=set(stats_raw.get("mandatory_touch_months", [])),
+                fa=int(stats_raw["fa"]),
+                dl=int(stats_raw["dl"]),
+                ac=int(stats_raw["ac"]),
+                first_variable_month=stats_raw["first_variable_month"],
+                first_mandatory_month=stats_raw["first_mandatory_month"],
             )
         ledger.files[lineage_id] = record
     return ledger

@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from varxpert.cache import CacheRecord, ChangeCache
@@ -143,15 +143,6 @@ class Counters:
     cache_hits: int = 0
     annotated_sides: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "commits": self.commits,
-            "merges": self.merges,
-            "changes": self.changes,
-            "cache_hits": self.cache_hits,
-            "annotated_sides": self.annotated_sides,
-        }
-
 
 class _PipelineClassifier:
     """Per-change classification with a blob-level scan memo and cache lookups.
@@ -195,6 +186,7 @@ class _PipelineClassifier:
                 ),
                 saw_variable=record.saw_variable,
                 from_cache=True,
+                scan_warnings=record.scan_warnings,
             )
 
         local: list[dict] = []
@@ -270,10 +262,8 @@ def run_analyze(config: RunConfig) -> AnalysisState:
                 sink(record)
             if classified is None:
                 return
-            if classified.from_cache:
-                counters.cache_hits += 1
-                return
-            counters.annotated_sides += classified.annotated_sides
+            # a cache hit carries the scan warnings its cold run reported
+            reported = []
             for oid, warning in classified.scan_warnings:
                 if oid in seen_oids:
                     continue
@@ -283,6 +273,11 @@ def run_analyze(config: RunConfig) -> AnalysisState:
                                 "commit": commit.commit_id,
                                 "path": change.effective_path})
                 sink(payload)
+                reported.append((oid, warning))
+            if classified.from_cache:
+                counters.cache_hits += 1
+                return
+            counters.annotated_sides += classified.annotated_sides
             cache.put(
                 CacheRecord(
                     commit_id=commit.commit_id,
@@ -293,6 +288,7 @@ def run_analyze(config: RunConfig) -> AnalysisState:
                     touched_variable=classified.classification.touched_variable,
                     touched_mandatory=classified.classification.touched_mandatory,
                     saw_variable=classified.saw_variable,
+                    scan_warnings=tuple(reported),
                 )
             )
 
@@ -475,7 +471,7 @@ def _write_analysis_artifacts(state: AnalysisState, sink: WarningSink) -> None:
             "variability_blocks": state.variability.blocks,
             "distinct_macros": state.variability.distinct_macros,
         },
-        "counters": state.counters.as_dict(),
+        "counters": asdict(state.counters),
     }
     _write_text(os.path.join(config.output_dir, RUN_META_JSON), stable_json(meta))
 

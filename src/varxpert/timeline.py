@@ -6,17 +6,26 @@ who has done both is mixed. Profiles are cumulative over the whole
 history, so the only moves a developer can make are generalist to mixed
 and specialist to mixed. Snapshots cover every calendar month from the
 first commit to the last, carrying counts forward through quiet months.
+
+A developer's category in a month therefore depends only on whether
+their first variable and first mandatory change lie at or before it:
+the minima, over their files, of the two months the ledger keeps per
+(file, developer). Counting per month the developers whose variable
+work, mandatory work or both began then, and summing over the months,
+gives every snapshot in O(devs + months): mixed is "both", specialist
+is variable less mixed, generalist is mandatory less mixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Optional
 
 from varxpert.errors import VarxpertError
 from varxpert.ledger import ContributionLedger
-from varxpert.util import month_range
+from varxpert.util import earliest_month, month_number, month_range
 
 
 class DeveloperCategory(Enum):
@@ -41,36 +50,34 @@ class TimelineSnapshot:
         return self.generalist + self.specialist + self.mixed
 
 
-def developer_month_sets(
+def developer_first_months(
     ledger: ContributionLedger,
-) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
-    """Per developer: (variable touch months, mandatory touch months) across all files."""
-    merged: dict[str, tuple[set[str], set[str]]] = {}
+) -> dict[str, tuple[Optional[str], Optional[str]]]:
+    """Per developer: (first variable month, first mandatory month) across all files."""
+    merged: dict[str, tuple[Optional[str], Optional[str]]] = {}
     for record in ledger.files.values():
         for key, stats in record.contributors.items():
-            variable, mandatory = merged.setdefault(key, (set(), set()))
-            variable.update(stats.variable_touch_months)
-            mandatory.update(stats.mandatory_touch_months)
-    return {
-        key: (frozenset(variable), frozenset(mandatory))
-        for key, (variable, mandatory) in merged.items()
-    }
+            variable, mandatory = merged.get(key, (None, None))
+            merged[key] = (
+                earliest_month(variable, stats.first_variable_month),
+                earliest_month(mandatory, stats.first_mandatory_month),
+            )
+    return merged
 
 
 def classify_developer(
-    variable_months: frozenset[str],
-    mandatory_months: frozenset[str],
+    first_variable: Optional[str],
+    first_mandatory: Optional[str],
     as_of: Optional[str] = None,
 ) -> DeveloperCategory:
     """Cumulative category using only activity at or before as_of."""
-    if as_of is not None:
-        variable_months = frozenset(m for m in variable_months if m <= as_of)
-        mandatory_months = frozenset(m for m in mandatory_months if m <= as_of)
-    if variable_months and mandatory_months:
+    variable = first_variable is not None and (as_of is None or first_variable <= as_of)
+    mandatory = first_mandatory is not None and (as_of is None or first_mandatory <= as_of)
+    if variable and mandatory:
         return DeveloperCategory.MIXED
-    if variable_months:
+    if variable:
         return DeveloperCategory.SPECIALIST
-    if mandatory_months:
+    if mandatory:
         return DeveloperCategory.GENERALIST
     raise NeverActive("developer has no change events in the asked window")
 
@@ -79,27 +86,33 @@ def monthly_snapshots(ledger: ContributionLedger) -> list[TimelineSnapshot]:
     """One snapshot per calendar month, first to last commit month inclusive."""
     if ledger.first_month is None or ledger.last_month is None:
         raise VarxpertError("ledger covers no commits")
-    month_sets = developer_month_sets(ledger)
-    first_active = {
-        key: min(variable | mandatory)
-        for key, (variable, mandatory) in month_sets.items()
-    }
-    snapshots = []
-    for month in month_range(ledger.first_month, ledger.last_month):
-        counts = {category: 0 for category in DeveloperCategory}
-        for key, (variable, mandatory) in month_sets.items():
-            if first_active[key] > month:
-                continue
-            counts[classify_developer(variable, mandatory, as_of=month)] += 1
-        snapshots.append(
-            TimelineSnapshot(
-                year_month=month,
-                generalist=counts[DeveloperCategory.GENERALIST],
-                specialist=counts[DeveloperCategory.SPECIALIST],
-                mixed=counts[DeveloperCategory.MIXED],
-            )
+    months = month_range(ledger.first_month, ledger.last_month)
+    origin = month_number(ledger.first_month)
+    # developers whose variable work, mandatory work, or both had begun, by month
+    started = [[0] * len(months) for _ in range(3)]
+
+    def begin(kind: int, month: Optional[str]) -> None:
+        if month is not None:
+            # work before the window counts from its first month; after it, never
+            index = max(month_number(month) - origin, 0)
+            if index < len(months):
+                started[kind][index] += 1
+
+    for variable, mandatory in developer_first_months(ledger).values():
+        begin(0, variable)
+        begin(1, mandatory)
+        if variable is not None and mandatory is not None:
+            begin(2, max(variable, mandatory))
+    variable, mandatory, both = (list(accumulate(counts)) for counts in started)
+    return [
+        TimelineSnapshot(
+            year_month=month,
+            generalist=mandatory[index] - both[index],
+            specialist=variable[index] - both[index],
+            mixed=both[index],
         )
-    return snapshots
+        for index, month in enumerate(months)
+    ]
 
 
 @dataclass(frozen=True)

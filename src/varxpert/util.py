@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
+from typing import Optional
 
 
 def split_lines(text: str) -> list[str]:
@@ -24,6 +25,16 @@ def month_of(timestamp: int) -> str:
     """UTC calendar month of a unix timestamp, as 'YYYY-MM'."""
     dt = datetime.fromtimestamp(timestamp, tz=timezone.utc)
     return f"{dt.year:04d}-{dt.month:02d}"
+
+
+def month_number(month: str) -> int:
+    """Months since year 0 of a 'YYYY-MM' string, for month arithmetic."""
+    return int(month[:4]) * 12 + int(month[5:7])
+
+
+def earliest_month(*months: Optional[str]) -> Optional[str]:
+    """The earliest of the given 'YYYY-MM' months; None when all are None."""
+    return min((month for month in months if month is not None), default=None)
 
 
 def month_range(first: str, last: str) -> list[str]:

@@ -32,14 +32,14 @@ from fixture_repos import (
 )
 from test_preproc import run_oracle_comparison
 from test_timeline import run_transition_check
+from timeline_reference import (
+    ledger_from_month_sets,
+    reference_snapshots,
+    snapshot_rows,
+)
 from varxpert.cli import main as cli_main
 from varxpert.evaluation import precision_recall
-from varxpert.ledger import (
-    ContributionLedger,
-    ContributionStats,
-    DeveloperProfile,
-    FileRecord,
-)
+from varxpert.ledger import ContributionStats
 from varxpert.metrics import doa_absolute, doa_normalized, score_file
 from varxpert.preproc import scan_text
 from varxpert.timeline import monthly_snapshots
@@ -283,41 +283,23 @@ def test_criterion_3_metric_properties():
 
 
 def random_synthetic_ledger(rng):
+    """A ledger of first months, reduced from random month sets, plus
+    each developer's union of those sets for the reference timeline."""
     months = month_range("2018-01", "2020-12")
-    ledger = ContributionLedger()
     n_devs = rng.randint(1, 6)
     n_files = rng.randint(1, 4)
-    for f in range(n_files):
-        lineage = f"f{f}.c@000000000000"
-        ledger.files[lineage] = FileRecord(
-            lineage_id=lineage, created_path=f"f{f}.c", current_path=f"f{f}.c"
-        )
-    seen = []
+    file_month_sets = {f"f{f}.c": {} for f in range(n_files)}
     for d in range(n_devs):
         key = f"dev{d}"
-        ledger.developers[key] = DeveloperProfile(key, key)
         picked = rng.sample(range(n_files), rng.randint(1, n_files))
-        active = []
         for f in picked:
-            record = ledger.files[f"f{f}.c@000000000000"]
-            stats = record.contributors.setdefault(key, ContributionStats())
-            stats.dl += 1
-            variable = rng.sample(months, rng.randint(0, 3))
-            mandatory = rng.sample(months, rng.randint(0, 3))
-            stats.variable_touch_months.update(variable)
-            stats.mandatory_touch_months.update(mandatory)
-            active.extend(variable)
-            active.extend(mandatory)
-        if not active:
+            variable = set(rng.sample(months, rng.randint(0, 3)))
+            mandatory = set(rng.sample(months, rng.randint(0, 3)))
+            file_month_sets[f"f{f}.c"][key] = (variable, mandatory)
+        if not any(any(file_month_sets[f"f{f}.c"][key]) for f in picked):
             # every developer needs at least one change month
-            record = ledger.files[f"f{picked[0]}.c@000000000000"]
-            month = rng.choice(months)
-            record.contributors[key].mandatory_touch_months.add(month)
-            active.append(month)
-        seen.extend(active)
-    ledger.first_month = min(seen)
-    ledger.last_month = max(seen)
-    return ledger
+            file_month_sets[f"f{picked[0]}.c"][key][1].add(rng.choice(months))
+    return ledger_from_month_sets(file_month_sets)
 
 
 def test_criterion_4_timeline_properties():
@@ -325,8 +307,11 @@ def test_criterion_4_timeline_properties():
         assert run_transition_check(histories=1000, seed=271828) > 0
         rng = random.Random(16384)
         for _ in range(300):
-            ledger = random_synthetic_ledger(rng)
+            ledger, month_sets = random_synthetic_ledger(rng)
             snapshots = monthly_snapshots(ledger)
+            assert snapshot_rows(snapshots) == reference_snapshots(
+                month_sets, ledger.first_month, ledger.last_month
+            )
             assert len(snapshots) == len(
                 month_range(ledger.first_month, ledger.last_month)
             )

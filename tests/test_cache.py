@@ -4,9 +4,12 @@ equivalence, tolerance for damaged lines."""
 import json
 import os
 
+import pytest
+
 from varxpert.cache import CacheRecord, ChangeCache, analyzer_config_hash
 from varxpert.history import DEFAULT_EXTENSIONS
 from varxpert.pipeline import RunConfig, run_analyze
+from varxpert.preproc import ScanWarning
 
 
 def record(commit="c" * 40, path="f.c"):
@@ -36,6 +39,21 @@ def test_record_json_round_trip():
         saw_variable=raw["saw_variable"],
     )
     assert rebuilt == rec
+
+
+def test_scan_warnings_survive_a_reopen(tmp_path):
+    tip = "e" * 40
+    warned = CacheRecord(
+        commit_id="c" * 40, timestamp=1577836800, author_key="alice@example.com",
+        path_after="f.c", kind="added", touched_variable=False,
+        touched_mandatory=True, saw_variable=False,
+        scan_warnings=(("b" * 40, ScanWarning("stray_directive", 2, "#endif")),),
+    )
+    cache = ChangeCache.open(str(tmp_path), tip, DEFAULT_EXTENSIONS, True)
+    cache.put(warned)
+    cache.flush()
+    again = ChangeCache.open(str(tmp_path), tip, DEFAULT_EXTENSIONS, True)
+    assert again.get("c" * 40, "f.c") == warned
 
 
 def test_disabled_cache_is_inert():
@@ -151,3 +169,54 @@ def test_cache_ignored_across_different_options(guard_repo, tmp_path):
                                     exclude_include_guards=False))
     # different analyzer options must not reuse the other run's records
     assert flipped.counters.cache_hits == 0
+
+
+def _stray_endif_repo(repo):
+    repo.write("f.c", "int a;\n#endif\nint b;\n")
+    repo.commit("stray", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+
+
+def _warnings_across_commits_repo(repo):
+    # a.c's first blob warns, is replaced by another warning blob and then
+    # comes back, so the cold run reports each blob once, at its first use
+    first = "int a;\n#endif\n"
+    repo.write("a.c", first)
+    repo.write("b.c", "#ifdef X\nint x;\n")
+    repo.commit("c1", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    repo.write("a.c", first + "int b;\n#else\n")
+    repo.write("c.c", "int c;\n")
+    repo.commit("c2", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    repo.write("a.c", first)
+    repo.write("b.c", "#ifdef X\nint x;\n#endif\n")
+    repo.commit("c3", "Alice", "alice@example.com", "2020-03-01T00:00:00 +0000")
+
+
+@pytest.mark.parametrize("build, scan_lines", [
+    (_stray_endif_repo, 1),
+    (_warnings_across_commits_repo, 3),
+])
+def test_warm_run_reports_the_cold_scan_warnings(repo_builder, tmp_path, build, scan_lines):
+    build(repo_builder)
+    cache_dir = str(tmp_path / "cache")
+    cold_out, warm_out = str(tmp_path / "cold"), str(tmp_path / "warm")
+    run_analyze(RunConfig(repo_path=repo_builder.path, cache_dir=cache_dir,
+                          output_dir=cold_out))
+    warm = run_analyze(RunConfig(repo_path=repo_builder.path, cache_dir=cache_dir,
+                                 output_dir=warm_out))
+    assert warm.counters.cache_hits == warm.counters.changes
+    cold_lines = read(os.path.join(cold_out, "warnings.jsonl")).splitlines()
+    assert sum(b'"kind": "scan_' in line for line in cold_lines) == scan_lines
+    assert read(os.path.join(warm_out, "warnings.jsonl")) == b"\n".join(cold_lines) + b"\n"
+
+
+def test_warm_run_keeps_fixture_warnings(identity_repo, tmp_path):
+    repo_path, _ = identity_repo
+    cache_dir = str(tmp_path / "cache")
+    cold_out, warm_out = str(tmp_path / "cold"), str(tmp_path / "warm")
+    run_analyze(RunConfig(repo_path=repo_path, cache_dir=cache_dir, output_dir=cold_out))
+    warm = run_analyze(RunConfig(repo_path=repo_path, cache_dir=cache_dir,
+                                 output_dir=warm_out))
+    assert warm.counters.cache_hits > 0
+    cold_warnings = read(os.path.join(cold_out, "warnings.jsonl"))
+    assert cold_warnings  # the fixture's clamped author clock
+    assert read(os.path.join(warm_out, "warnings.jsonl")) == cold_warnings

@@ -217,8 +217,19 @@ def _foreign_ledger_format(out):
         json.dump(ledger, handle)
 
 
+V1_LEDGER = os.path.join(os.path.dirname(__file__), "data", "multifile_ledger_v1.json")
+
+
+def _ledger_at_format_1(out):
+    # ledger.json as the varxpert-ledger/1 writer left it for this fixture
+    with open(V1_LEDGER, "rb") as source, \
+            open(os.path.join(out, "ledger.json"), "wb") as target:
+        target.write(source.read())
+
+
 @pytest.mark.parametrize(
-    "damage", [_truncate_ledger, _add_unknown_counter, _foreign_ledger_format]
+    "damage",
+    [_truncate_ledger, _add_unknown_counter, _foreign_ledger_format, _ledger_at_format_1],
 )
 def test_damaged_stored_analysis_is_mined_again(multifile_repo, tmp_path, damage):
     path, _ = multifile_repo

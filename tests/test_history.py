@@ -41,13 +41,12 @@ def test_identity_email_lowercased_and_trimmed():
     dev = resolve_identity("Alice", " ALICE@X.COM ")
     assert dev.canonical_key == "alice@x.com"
     assert dev.display_name == "Alice"
-    assert dev.emails == {"ALICE@X.COM"}
 
 
 def test_identity_falls_back_to_name():
     dev = resolve_identity(" Bob ", "")
     assert dev.canonical_key == "bob"
-    assert dev.emails == frozenset()
+    assert dev.display_name == "Bob"
 
 
 def test_identity_requires_something():

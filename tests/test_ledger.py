@@ -28,6 +28,11 @@ def bitmap(content):
     return scan_text(content, DEFAULT_OPTIONS).annotations
 
 
+def first(months):
+    """The month a first-month field must hold for an oracle month set."""
+    return min(months, default=None)
+
+
 def only_file(ledger):
     assert len(ledger.files) == 1
     return next(iter(ledger.files.values()))
@@ -120,10 +125,10 @@ def test_basic_ledger_stats(basic_repo):
         assert stats.commit_count == dl
     alice = record.contributors[BASIC["alice"]]
     bob = record.contributors[BASIC["bob"]]
-    assert alice.variable_touch_months == BASIC["alice_variable_months"]
-    assert alice.mandatory_touch_months == BASIC["alice_mandatory_months"]
-    assert bob.variable_touch_months == set()
-    assert bob.mandatory_touch_months == BASIC["bob_mandatory_months"]
+    assert alice.first_variable_month == first(BASIC["alice_variable_months"])
+    assert alice.first_mandatory_month == first(BASIC["alice_mandatory_months"])
+    assert bob.first_variable_month is None
+    assert bob.first_mandatory_month == first(BASIC["bob_mandatory_months"])
     assert ledger.commit_count == 4
     assert ledger.merge_count == 0
     assert (ledger.first_month, ledger.last_month) == ("2020-01", "2020-04")
@@ -156,8 +161,8 @@ def test_deletion_only_variable_change_counts(rename_repo):
     ledger = fold(path)
     record = only_file(ledger)
     bob = record.contributors["bob@example.com"]
-    assert bob.variable_touch_months == RENAME["bob_variable_months"]
-    assert bob.mandatory_touch_months == set()
+    assert bob.first_variable_month == first(RENAME["bob_variable_months"])
+    assert bob.first_mandatory_month is None
     # the block is gone but the lineage remembers having had it
     assert record.has_variable_code_ever
 
@@ -166,8 +171,6 @@ def test_identity_folding_and_dead_lineage(identity_repo):
     path, shas = identity_repo
     ledger = fold(path)
     assert set(ledger.developers) == {IDENTITY["ivy_key"], IDENTITY["jack_key"]}
-    ivy = ledger.developers[IDENTITY["ivy_key"]]
-    assert ivy.emails == {"IVY@x.COM", "ivy@X.com"}
 
     by_path = {r.created_path: r for r in ledger.files.values()}
     assert by_path["tmp.c"].alive is False
@@ -177,8 +180,8 @@ def test_identity_folding_and_dead_lineage(identity_repo):
     stats = by_path["m.c"].contributors[IDENTITY["ivy_key"]]
     assert (stats.fa, stats.dl, stats.ac) == IDENTITY["m_fa_dl_ac"][IDENTITY["ivy_key"]]
     # the lying author clock lands in the committer's month
-    assert stats.mandatory_touch_months == IDENTITY["ivy_months"]["mandatory"]
-    assert stats.variable_touch_months == IDENTITY["ivy_months"]["variable"]
+    assert stats.first_mandatory_month == first(IDENTITY["ivy_months"]["mandatory"])
+    assert stats.first_variable_month == first(IDENTITY["ivy_months"]["variable"])
 
 
 def test_file_created_before_window_has_no_first_author(basic_repo):
@@ -307,6 +310,26 @@ def test_merge_commits_count_but_record_nothing(repo_builder):
     assert set(ledger.developers) == {"alice@example.com"}
 
 
+def test_first_months_are_minima_not_first_seen(repo_builder):
+    # author dates run 2020-05, 2020-02, 2020-04 down the first-parent
+    # chain, so in either stream order the earliest month is neither the
+    # first nor the last one the fold sees
+    repo = repo_builder
+    content = ""
+    for n, (author_date, commit_date) in enumerate([
+        ("2020-05-10T00:00:00 +0000", None),
+        ("2020-02-10T00:00:00 +0000", "2020-06-10T00:00:00 +0000"),
+        ("2020-04-10T00:00:00 +0000", "2020-07-10T00:00:00 +0000"),
+    ]):
+        content += f"#ifdef X{n}\nint x{n};\n#endif\nint y{n};\n"
+        repo.write("f.c", content)
+        repo.commit(f"c{n}", "Alice", "alice@example.com", author_date, commit_date)
+    stats = only_file(fold(repo.path)).contributors["alice@example.com"]
+    assert stats.dl == 3
+    assert (stats.first_variable_month, stats.first_mandatory_month) == \
+        ("2020-02", "2020-02")
+
+
 def test_ledger_serialization_round_trip(multifile_repo):
     path, _ = multifile_repo
     ledger = fold(path)
@@ -320,4 +343,5 @@ def test_ledger_serialization_round_trip(multifile_repo):
         for key, stats in record.contributors.items():
             other = twin.contributors[key]
             assert (other.fa, other.dl, other.ac) == (stats.fa, stats.dl, stats.ac)
-            assert other.variable_touch_months == stats.variable_touch_months
+            assert other.first_variable_month == stats.first_variable_month
+            assert other.first_mandatory_month == stats.first_mandatory_month

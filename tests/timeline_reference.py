@@ -1,0 +1,104 @@
+"""The month-set timeline, kept as a test oracle for monthly_snapshots.
+
+This is the algorithm the first-month timeline replaced: every developer
+keeps the set of months in which they touched variable code and the set
+in which they touched mandatory code, and each month's category comes
+from filtering both sets to that month. It costs
+O(months x devs x months) and is only meant for checking the fast
+version on small and medium inputs.
+"""
+
+from varxpert.ledger import (
+    ContributionLedger,
+    ContributionStats,
+    DeveloperProfile,
+    FileRecord,
+    build_contribution_ledger,
+)
+from varxpert.timeline import DeveloperCategory
+from varxpert.util import month_of, month_range
+
+
+def reference_category(variable, mandatory, as_of):
+    variable = {m for m in variable if m <= as_of}
+    mandatory = {m for m in mandatory if m <= as_of}
+    if variable and mandatory:
+        return DeveloperCategory.MIXED
+    if variable:
+        return DeveloperCategory.SPECIALIST
+    if mandatory:
+        return DeveloperCategory.GENERALIST
+    return None
+
+
+def reference_snapshots(month_sets, first_month, last_month):
+    """(year_month, generalist, specialist, mixed) rows from per-developer
+    (variable months, mandatory months) sets."""
+    rows = []
+    for month in month_range(first_month, last_month):
+        counts = {category: 0 for category in DeveloperCategory}
+        for variable, mandatory in month_sets.values():
+            category = reference_category(variable, mandatory, month)
+            if category is not None:
+                counts[category] += 1
+        rows.append((month,
+                     counts[DeveloperCategory.GENERALIST],
+                     counts[DeveloperCategory.SPECIALIST],
+                     counts[DeveloperCategory.MIXED]))
+    return rows
+
+
+def snapshot_rows(snapshots):
+    return [(s.year_month, s.generalist, s.specialist, s.mixed) for s in snapshots]
+
+
+def fold_with_month_sets(commits, options):
+    """Fold a commit stream; also collect every developer's month sets.
+
+    Every classified change that touched a line is one ledger event, so
+    the fold's observer sees exactly the events the ledger counts.
+    """
+    month_sets = {}
+
+    def observe(commit, change, classified):
+        if classified is None or classified.classification.is_empty:
+            return
+        variable, mandatory = month_sets.setdefault(
+            commit.author.canonical_key, (set(), set())
+        )
+        month = month_of(commit.timestamp)
+        if classified.classification.touched_variable:
+            variable.add(month)
+        if classified.classification.touched_mandatory:
+            mandatory.add(month)
+
+    ledger = build_contribution_ledger(commits, options=options, observer=observe)
+    return ledger, month_sets
+
+
+def ledger_from_month_sets(file_month_sets):
+    """A ledger whose (file, developer) first months are the minima of
+    file_month_sets[path][developer] = (variable months, mandatory months),
+    plus the per-developer union of those sets."""
+    ledger = ContributionLedger()
+    merged = {}
+    seen = []
+    for path, developers in file_month_sets.items():
+        lineage = f"{path}@000000000000"
+        record = FileRecord(lineage_id=lineage, created_path=path, current_path=path)
+        ledger.files[lineage] = record
+        for key, (variable, mandatory) in developers.items():
+            ledger.developers.setdefault(key, DeveloperProfile(key, key))
+            record.contributors[key] = ContributionStats(
+                dl=1,
+                first_variable_month=min(variable, default=None),
+                first_mandatory_month=min(mandatory, default=None),
+            )
+            union = merged.setdefault(key, (set(), set()))
+            union[0].update(variable)
+            union[1].update(mandatory)
+            seen.extend(variable)
+            seen.extend(mandatory)
+    ledger.first_month = min(seen)
+    ledger.last_month = max(seen)
+    return ledger, merged
