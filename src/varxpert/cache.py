@@ -1,6 +1,6 @@
 """Line-delimited JSON cache for per-change classification results.
 
-One record per (commit, file) pair, in format varxpert-change-cache/3:
+One record per (commit, file) pair, in format varxpert-change-cache/4:
 the commit, author key, timestamp, path and change kind, the
 touched_variable/touched_mandatory flags, saw_variable (whether either
 side had a variable line), and the scan warnings the run reported for
@@ -10,11 +10,12 @@ warnings.jsonl need, so a warm run skips reading and scanning blobs.
 A cache file is valid only for the exact branch tip and analyzer
 configuration it was built with, so the file name embeds the tip and a
 digest of the configuration and the format string. Files of another
-tip, configuration or format (such as /2, which lacked the scan
-warnings, or /1, which also stored the expressions around each change)
-are ignored, never migrated, and the run builds a new file. Writes go
-to a temp file that is renamed into place once the run finishes, so an
-interrupted run never leaves a half-trusted cache behind.
+tip, configuration or format (such as /3, which kept only the first
+warning of a blob, /2, which lacked the scan warnings, or /1, which
+also stored the expressions around each change) are ignored, never
+migrated, and the run builds a new file. Writes go to a temp file that
+is renamed into place once the run finishes, so an interrupted run
+never leaves a half-trusted cache behind.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional
 
 from varxpert.preproc import ScanWarning
 
-_FORMAT = "varxpert-change-cache/3"
+_FORMAT = "varxpert-change-cache/4"
 
 
 def analyzer_config_hash(extensions: frozenset[str], exclude_include_guards: bool) -> str:

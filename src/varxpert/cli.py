@@ -18,7 +18,7 @@ import sys
 from typing import Optional
 
 from varxpert import __version__
-from varxpert.errors import USER_ERRORS, VarxpertError
+from varxpert.errors import USER_ERRORS, InvalidConfig, VarxpertError
 from varxpert.evaluation import MACRO, MICRO
 from varxpert.history import DEFAULT_EXTENSIONS
 from varxpert.metrics import DEFAULT_DOA_THRESHOLD, DEFAULT_OWNERSHIP_THRESHOLD
@@ -72,7 +72,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=OUTPUT_FORMATS, default="csv",
                         dest="output_format", help="report rendering (default csv)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for change classification")
+                        help="accepted for compatibility; mining runs on one thread")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,6 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    if args.jobs < 1:
+        raise InvalidConfig("jobs must be at least 1")
     return RunConfig(
         repo_path=args.repo,
         branch=args.branch,
@@ -108,7 +110,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         cache_dir=args.cache_dir,
         output_dir=args.output_dir,
         output_format=args.output_format,
-        jobs=args.jobs,
     )
 
 

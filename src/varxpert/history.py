@@ -9,8 +9,10 @@ are detected at a 50 percent similarity threshold; anything below that
 shows up as an unrelated delete plus add.
 
 Hunks are recomputed from both file images with difflib rather than
-parsed out of patch text, which guarantees that applying them to the
-old content reproduces the new content exactly.
+parsed out of patch text. A hunk is four numbers, the 1-based start
+and the line count on each side. Hunks come in order and the lines
+between them are equal on both sides, so replacing each hunk's old
+range with the new lines of its new range rebuilds the new content.
 
 An author clock before 1990 or more than a day after the commit's own
 committer clock is treated as misconfigured: the commit takes its
@@ -33,7 +35,6 @@ import os
 import re
 import subprocess
 import tempfile
-import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterator, Optional
@@ -96,8 +97,6 @@ class Hunk:
     old_count: int
     new_start: int
     new_count: int
-    deleted_lines: tuple[tuple[int, str], ...]
-    added_lines: tuple[tuple[int, str], ...]
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,6 @@ class FileChange:
     old_content: Optional[str] = None
     new_content: Optional[str] = None
     hunks: tuple[Hunk, ...] = ()
-    hydrated: bool = False
 
     @property
     def effective_path(self) -> str:
@@ -131,21 +129,11 @@ class CommitRecord:
 def diff_hunks(old_lines: list[str], new_lines: list[str]) -> tuple[Hunk, ...]:
     """Line-level edit script between two file images."""
     matcher = difflib.SequenceMatcher(a=old_lines, b=new_lines, autojunk=False)
-    hunks = []
-    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
-        if tag == "equal":
-            continue
-        hunks.append(
-            Hunk(
-                old_start=i1 + 1,
-                old_count=i2 - i1,
-                new_start=j1 + 1,
-                new_count=j2 - j1,
-                deleted_lines=tuple((i + 1, old_lines[i]) for i in range(i1, i2)),
-                added_lines=tuple((j + 1, new_lines[j]) for j in range(j1, j2)),
-            )
-        )
-    return tuple(hunks)
+    return tuple(
+        Hunk(old_start=i1 + 1, old_count=i2 - i1, new_start=j1 + 1, new_count=j2 - j1)
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes()
+        if tag != "equal"
+    )
 
 
 _QUOTED_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r",
@@ -187,7 +175,7 @@ def looks_binary(blob: bytes) -> bool:
 
 
 class _BlobReader:
-    """Thread-safe wrapper around a persistent `git cat-file --batch` child."""
+    """A persistent `git cat-file --batch` child, one blob request at a time."""
 
     def __init__(self, repo_path: str):
         self._proc = subprocess.Popen(
@@ -196,21 +184,19 @@ class _BlobReader:
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
         )
-        self._lock = threading.Lock()
 
     def read(self, oid: str) -> bytes:
         assert self._proc.stdin is not None and self._proc.stdout is not None
-        with self._lock:
-            self._proc.stdin.write(f"{oid}\n".encode("ascii"))
-            self._proc.stdin.flush()
-            header = self._proc.stdout.readline().decode("ascii", errors="replace").split()
-            if len(header) < 3 or header[1] != "blob":
-                reply = " ".join(header[1:]) or "nothing"
-                raise CorruptRepo(f"cannot read blob {oid}: git cat-file replied {reply!r}")
-            size = int(header[2])
-            payload = self._proc.stdout.read(size)
-            self._proc.stdout.read(1)  # trailing newline
-            return payload
+        self._proc.stdin.write(f"{oid}\n".encode("ascii"))
+        self._proc.stdin.flush()
+        header = self._proc.stdout.readline().decode("ascii", errors="replace").split()
+        if len(header) < 3 or header[1] != "blob":
+            reply = " ".join(header[1:]) or "nothing"
+            raise CorruptRepo(f"cannot read blob {oid}: git cat-file replied {reply!r}")
+        size = int(header[2])
+        payload = self._proc.stdout.read(size)
+        self._proc.stdout.read(1)  # trailing newline
+        return payload
 
     def close(self) -> None:
         if self._proc.stdin:
@@ -402,9 +388,13 @@ class GitRepo:
                     continue
                 if hydrate:
                     hydrated = self.hydrate_change(change, emit=emit, commit_id=commit_id)
-                    if hydrated is None:
+                    if hydrated is not None:
+                        change = hydrated
+                    elif change.kind in (ChangeKind.ADDED, ChangeKind.MODIFIED):
                         continue
-                    change = hydrated
+                    # A binary deletion or rename stays, without contents:
+                    # the fold still releases or moves its path, as it does
+                    # when a classifier returns None for it.
                 changes.append(change)
         return CommitRecord(
             commit_id=commit_id,
@@ -446,7 +436,6 @@ class GitRepo:
             old_content=old_text,
             new_content=new_text,
             hunks=diff_hunks(old_lines, new_lines),
-            hydrated=True,
         )
 
 
@@ -491,6 +480,9 @@ def enumerate_commits(
     warn: Optional[WarningSinkFn] = None,
 ) -> Iterator[CommitRecord]:
     """Convenience wrapper yielding fully hydrated commits.
+
+    A binary side drops an addition or a modification from the stream; a
+    binary deletion or rename stays, without contents.
 
     An empty repository yields an empty stream; a branch that does not
     resolve in a non-empty repository raises BranchNotFound.

@@ -24,7 +24,6 @@ the first-parent stream is not in author-date order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -33,6 +32,7 @@ from varxpert.history import ChangeKind, CommitRecord, FileChange
 from varxpert.preproc import (
     AnalyzerOptions,
     DEFAULT_OPTIONS,
+    ScanResult,
     ScanWarning,
     scan_text,
 )
@@ -155,37 +155,40 @@ class ClassifiedChange:
 
 ClassifyFn = Callable[[CommitRecord, FileChange], Optional[ClassifiedChange]]
 ObserverFn = Callable[[CommitRecord, FileChange, Optional[ClassifiedChange]], None]
+ScanFn = Callable[[str, str], ScanResult]  # (blob oid, text) -> scan
+
+
+def classify_sides(change: FileChange, scan: ScanFn) -> ClassifiedChange:
+    """Scan both sides of a hydrated change and classify it.
+
+    scan maps a side's blob oid and text to its ScanResult, so callers
+    decide whether scans are memoized per blob.
+    """
+    warnings: list[tuple[str, ScanWarning]] = []
+    bitmaps: list[Optional[bytearray]] = []
+    for oid, content in ((change.old_blob, change.old_content),
+                         (change.new_blob, change.new_content)):
+        if content is None:
+            bitmaps.append(None)
+            continue
+        result = scan(oid or "", content)
+        bitmaps.append(result.annotations)
+        warnings.extend((oid or "", w) for w in result.warnings)
+    old_bitmap, new_bitmap = bitmaps
+    present = [bitmap for bitmap in bitmaps if bitmap is not None]
+    return ClassifiedChange(
+        classification=classify_change(change, old_bitmap, new_bitmap),
+        saw_variable=any(1 in bitmap for bitmap in present),
+        annotated_sides=len(present),
+        scan_warnings=tuple(warnings),
+    )
 
 
 def make_default_classifier(options: AnalyzerOptions = DEFAULT_OPTIONS) -> ClassifyFn:
     """Classifier for already hydrated commit streams (fixtures, tests)."""
-
-    def classify(commit: CommitRecord, change: FileChange) -> Optional[ClassifiedChange]:
-        warnings: list[tuple[str, ScanWarning]] = []
-        sides = 0
-        old_bitmap = new_bitmap = None
-        saw_variable = False
-        if change.old_content is not None:
-            scan = scan_text(change.old_content, options)
-            old_bitmap = scan.annotations
-            warnings.extend((change.old_blob or "", w) for w in scan.warnings)
-            saw_variable |= 1 in old_bitmap
-            sides += 1
-        if change.new_content is not None:
-            scan = scan_text(change.new_content, options)
-            new_bitmap = scan.annotations
-            warnings.extend((change.new_blob or "", w) for w in scan.warnings)
-            saw_variable |= 1 in new_bitmap
-            sides += 1
-        classification = classify_change(change, old_bitmap, new_bitmap)
-        return ClassifiedChange(
-            classification=classification,
-            saw_variable=saw_variable,
-            annotated_sides=sides,
-            scan_warnings=tuple(warnings),
-        )
-
-    return classify
+    return lambda commit, change: classify_sides(
+        change, lambda oid, text: scan_text(text, options)
+    )
 
 
 def _lineage_id(path: str, commit_id: str) -> str:
@@ -198,18 +201,17 @@ def build_contribution_ledger(
     options: AnalyzerOptions = DEFAULT_OPTIONS,
     classify_fn: Optional[ClassifyFn] = None,
     observer: Optional[ObserverFn] = None,
-    jobs: int = 1,
 ) -> ContributionLedger:
     """Sequential fold of the commit stream into a ContributionLedger.
 
-    classify_fn may run per-change work; with jobs greater than one the
-    changes of a commit are classified on a thread pool, but results are
-    always folded in change order so output never depends on jobs.
+    A commit's changes are folded deletions first, then renames, then
+    the rest. Each change is classified in that order, after the path
+    bookkeeping and right before the observer sees it, so anything the
+    classifier reports lands next to the change it belongs to.
     """
     classify = classify_fn or make_default_classifier(options)
     ledger = ContributionLedger()
     path_map: dict[str, str] = {}
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
 
     def touch_months(commit: CommitRecord) -> None:
         month = month_of(commit.timestamp)
@@ -248,98 +250,80 @@ def build_contribution_ledger(
         if key not in ledger.developers:
             ledger.developers[key] = DeveloperProfile(key, commit.author.display_name)
 
-    try:
-        for commit in commits:
-            touch_months(commit)
-            if commit.is_merge:
-                ledger.merge_count += 1
-                continue
-            ledger.commit_count += 1
-            if not commit.changes:
-                continue
+    for commit in commits:
+        touch_months(commit)
+        if commit.is_merge:
+            ledger.merge_count += 1
+            continue
+        ledger.commit_count += 1
+        if not commit.changes:
+            continue
 
-            if pool is not None and len(commit.changes) > 1:
-                classified_list = list(
-                    pool.map(lambda change: classify(commit, change), commit.changes)
-                )
-            else:
-                classified_list = [classify(commit, change) for change in commit.changes]
+        changes = sorted(commit.changes, key=_fold_rank)
 
-            pairs = sorted(
-                zip(commit.changes, classified_list),
-                key=lambda pair: _fold_rank(pair[0]),
-            )
+        # Path bookkeeping first: deletions release their path and renames
+        # move theirs, pops before assigns so same-commit swaps cannot
+        # clobber each other. This runs even for changes that record no
+        # event (binary sides, pure moves).
+        resolved: list[Optional[str]] = [None] * len(changes)
+        for index, change in enumerate(changes):
+            if change.kind in (ChangeKind.DELETED, ChangeKind.RENAMED):
+                assert change.path_before is not None
+                resolved[index] = path_map.pop(change.path_before, None)
+                if change.kind is ChangeKind.DELETED and resolved[index] is not None:
+                    ledger.files[resolved[index]].alive = False
+        for index, change in enumerate(changes):
+            if change.kind is ChangeKind.RENAMED and resolved[index] is not None:
+                assert change.path_after is not None
+                path_map[change.path_after] = resolved[index]
+                ledger.files[resolved[index]].current_path = change.path_after
 
-            # Path bookkeeping first: deletions release their path and
-            # renames move theirs, pops before assigns so same-commit
-            # swaps cannot clobber each other. This runs even for
-            # changes that record no event (binary sides, pure moves).
-            resolved: list[Optional[str]] = [None] * len(pairs)
-            for index, (change, _) in enumerate(pairs):
-                if change.kind in (ChangeKind.DELETED, ChangeKind.RENAMED):
-                    assert change.path_before is not None
-                    resolved[index] = path_map.pop(change.path_before, None)
-                    if change.kind is ChangeKind.DELETED and resolved[index] is not None:
-                        ledger.files[resolved[index]].alive = False
-            for index, (change, _) in enumerate(pairs):
-                if change.kind is ChangeKind.RENAMED and resolved[index] is not None:
-                    assert change.path_after is not None
-                    path_map[change.path_after] = resolved[index]
-                    ledger.files[resolved[index]].current_path = change.path_after
+        for index, change in enumerate(changes):
+            classified = classify(commit, change)
+            if observer is not None:
+                observer(commit, change, classified)
+            if classified is None:
+                continue  # binary or unreadable side; bookkeeping already done
+            empty = classified.classification.is_empty
+            first_author = False
 
-            for index, (change, classified) in enumerate(pairs):
-                if observer is not None:
-                    observer(commit, change, classified)
-                if classified is None:
-                    continue  # binary or unreadable side; bookkeeping already done
-                empty = classified.classification.is_empty
-                first_author = False
-
-                if change.kind is ChangeKind.ADDED:
+            if change.kind is ChangeKind.ADDED:
+                if empty:
+                    continue  # zero-line additions start no lineage
+                assert change.path_after is not None
+                record = start_lineage(change.path_after, commit, map_path=change.path_after)
+                first_author = True
+            elif change.kind is ChangeKind.DELETED:
+                lid = resolved[index]
+                if lid is None:
                     if empty:
-                        continue  # zero-line additions start no lineage
-                    assert change.path_after is not None
-                    record = start_lineage(change.path_after, commit, map_path=change.path_after)
-                    first_author = True
-                elif change.kind is ChangeKind.DELETED:
-                    lid = resolved[index]
-                    if lid is None:
-                        if empty:
-                            continue
-                        assert change.path_before is not None
-                        record = start_lineage(
-                            change.path_before, commit, map_path=None, alive=False
-                        )
-                    else:
-                        record = ledger.files[lid]
-                elif change.kind is ChangeKind.RENAMED:
-                    lid = resolved[index]
-                    if lid is None:
-                        if empty:
-                            continue
-                        assert change.path_before is not None and change.path_after is not None
-                        record = start_lineage(
-                            change.path_before, commit, map_path=change.path_after
-                        )
-                    else:
-                        record = ledger.files[lid]
+                        continue
+                    assert change.path_before is not None
+                    record = start_lineage(change.path_before, commit, map_path=None, alive=False)
                 else:
-                    lid = path_map.get(change.effective_path)
-                    if lid is None:
-                        if empty:
-                            continue
-                        record = start_lineage(
-                            change.effective_path, commit, map_path=change.effective_path
-                        )
-                    else:
-                        record = ledger.files[lid]
+                    record = ledger.files[lid]
+            elif change.kind is ChangeKind.RENAMED:
+                lid = resolved[index]
+                if lid is None:
+                    if empty:
+                        continue
+                    assert change.path_before is not None and change.path_after is not None
+                    record = start_lineage(change.path_before, commit, map_path=change.path_after)
+                else:
+                    record = ledger.files[lid]
+            else:
+                lid = path_map.get(change.effective_path)
+                if lid is None:
+                    if empty:
+                        continue
+                    record = start_lineage(
+                        change.effective_path, commit, map_path=change.effective_path)
+                else:
+                    record = ledger.files[lid]
 
-                record.has_variable_code_ever |= classified.saw_variable
-                if not empty:
-                    record_event(record, commit, classified, first_author=first_author)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+            record.has_variable_code_ever |= classified.saw_variable
+            if not empty:
+                record_event(record, commit, classified, first_author=first_author)
 
     return ledger.finalize()
 

@@ -6,8 +6,7 @@ output directory. run_specialization and run_evaluate reuse that
 analysis when the repository tip and configuration still match,
 otherwise they re-run it; run_report does everything and renders the
 one-line project report. All artifacts sort their rows and fix their
-key order, so identical inputs produce byte-identical files no matter
-how many worker threads classified the changes.
+key order, so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from varxpert.ledger import (
     ClassifiedChange,
     ContributionLedger,
     build_contribution_ledger,
-    classify_change,
+    classify_sides,
     ledger_from_dict,
     ledger_to_dict,
 )
@@ -84,7 +83,6 @@ class RunConfig:
     cache_dir: Optional[str] = None
     output_dir: str = "varxpert-out"
     output_format: str = "csv"
-    jobs: int = 1
 
     def validate(self) -> None:
         if not (0.0 < self.doa_threshold <= 1.0):
@@ -95,8 +93,6 @@ class RunConfig:
             raise InvalidConfig(f"unknown aggregation {self.aggregation!r}")
         if self.output_format not in OUTPUT_FORMATS:
             raise InvalidConfig(f"unknown output format {self.output_format!r}")
-        if self.jobs < 1:
-            raise InvalidConfig("jobs must be at least 1")
         if not self.extensions:
             raise InvalidConfig("at least one file extension is required")
         if self.since is not None and self.until is not None and self.since > self.until:
@@ -149,18 +145,18 @@ class _PipelineClassifier:
 
     scan_memo maps each scanned blob oid to its ScanResult, so every blob
     is scanned once per run, and the final-tree snapshot reuses it.
-    Worker threads may call this concurrently; nothing here writes to
-    the warning sink directly. Warnings ride along on the returned
-    value (or in _pending for skipped changes) and the sequential fold
-    observer emits them, so output order never depends on --jobs.
+    Hydration warnings go straight to the sink: the fold classifies each
+    change right before its observer call, so they land in fold order.
     """
 
-    def __init__(self, repo: GitRepo, options: AnalyzerOptions, cache: ChangeCache):
+    def __init__(
+        self, repo: GitRepo, options: AnalyzerOptions, cache: ChangeCache, sink: WarningSink
+    ):
         self._repo = repo
         self._options = options
         self._cache = cache
+        self._sink = sink
         self.scan_memo: dict[str, ScanResult] = {}
-        self._pending: dict[tuple[str, str], list[dict]] = {}
 
     def scan_blob(self, oid: str, text: str) -> ScanResult:
         result = self.scan_memo.get(oid)
@@ -168,9 +164,6 @@ class _PipelineClassifier:
             result = scan_text(text, self._options)
             self.scan_memo[oid] = result
         return result
-
-    def take_pending(self, commit_id: str, path: str) -> list[dict]:
-        return self._pending.pop((commit_id, path), [])
 
     def __call__(self, commit: CommitRecord, change: FileChange) -> Optional[ClassifiedChange]:
         record = (
@@ -188,39 +181,10 @@ class _PipelineClassifier:
                 from_cache=True,
                 scan_warnings=record.scan_warnings,
             )
-
-        local: list[dict] = []
-        hydrated = self._repo.hydrate_change(
-            change, emit=local.append, commit_id=commit.commit_id
-        )
+        hydrated = self._repo.hydrate_change(change, emit=self._sink, commit_id=commit.commit_id)
         if hydrated is None:
-            if local:
-                self._pending[(commit.commit_id, change.effective_path)] = local
             return None
-
-        scan_warnings = []
-        sides = 0
-        saw_variable = False
-        old_bitmap = new_bitmap = None
-        if hydrated.old_content is not None and hydrated.old_blob:
-            scan = self.scan_blob(hydrated.old_blob, hydrated.old_content)
-            old_bitmap = scan.annotations
-            scan_warnings.extend((hydrated.old_blob, w) for w in scan.warnings)
-            saw_variable |= 1 in old_bitmap
-            sides += 1
-        if hydrated.new_content is not None and hydrated.new_blob:
-            scan = self.scan_blob(hydrated.new_blob, hydrated.new_content)
-            new_bitmap = scan.annotations
-            scan_warnings.extend((hydrated.new_blob, w) for w in scan.warnings)
-            saw_variable |= 1 in new_bitmap
-            sides += 1
-        classification = classify_change(hydrated, old_bitmap, new_bitmap)
-        return ClassifiedChange(
-            classification=classification,
-            saw_variable=saw_variable,
-            annotated_sides=sides,
-            scan_warnings=tuple(scan_warnings),
-        )
+        return classify_sides(hydrated, self.scan_blob)
 
 
 @dataclass
@@ -232,7 +196,6 @@ class AnalysisState:
     snapshot_files: int
     variability: VariabilityCount
     counters: Counters = field(default_factory=Counters)
-    reused: bool = False
 
 
 def run_analyze(config: RunConfig) -> AnalysisState:
@@ -250,7 +213,7 @@ def run_analyze(config: RunConfig) -> AnalysisState:
         cache = ChangeCache.open(
             config.cache_dir, tip, config.extensions, config.exclude_include_guards
         )
-        classifier = _PipelineClassifier(repo, options, cache)
+        classifier = _PipelineClassifier(repo, options, cache, sink)
         seen_oids: set[str] = set()
         last_commit: dict[str, Optional[str]] = {"id": None}
 
@@ -258,16 +221,17 @@ def run_analyze(config: RunConfig) -> AnalysisState:
             commit: CommitRecord, change: FileChange, classified: Optional[ClassifiedChange]
         ) -> None:
             counters.changes += 1
-            for record in classifier.take_pending(commit.commit_id, change.effective_path):
-                sink(record)
             if classified is None:
                 return
-            # a cache hit carries the scan warnings its cold run reported
+            # Every warning of a blob is reported once, where the blob first
+            # appears; a cache hit carries the warnings its cold run reported.
+            fresh = {oid for oid, _ in classified.scan_warnings} - seen_oids
+            seen_oids.update(fresh)
             reported = []
-            for oid, warning in classified.scan_warnings:
-                if oid in seen_oids:
+            # dict.fromkeys: a rename that keeps its blob lists it on both sides
+            for oid, warning in dict.fromkeys(classified.scan_warnings):
+                if oid not in fresh:
                     continue
-                seen_oids.add(oid)
                 payload = warning.as_dict()
                 payload.update({"kind": f"scan_{warning.kind}",
                                 "commit": commit.commit_id,
@@ -311,7 +275,6 @@ def run_analyze(config: RunConfig) -> AnalysisState:
             options=options,
             classify_fn=classifier,
             observer=observer,
-            jobs=config.jobs,
         )
         counters.commits = ledger.commit_count
         counters.merges = ledger.merge_count
@@ -515,7 +478,6 @@ def load_analysis(config: RunConfig) -> AnalysisState:
                 distinct_macros=int(snapshot.get("distinct_macros", 0)),
             ),
             counters=Counters(**meta.get("counters", {})),
-            reused=True,
         )
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         # json.JSONDecodeError and UnicodeDecodeError are ValueErrors.

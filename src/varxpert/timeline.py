@@ -23,7 +23,7 @@ from enum import Enum
 from itertools import accumulate
 from typing import Optional
 
-from varxpert.errors import VarxpertError
+from varxpert.errors import NoEligibleFiles, VarxpertError
 from varxpert.ledger import ContributionLedger
 from varxpert.util import earliest_month, month_number, month_range
 
@@ -129,7 +129,8 @@ def specialization_summary(snapshots: list[TimelineSnapshot]) -> SpecializationS
         raise VarxpertError("no snapshots to summarize")
     last = snapshots[-1]
     if last.total == 0:
-        raise VarxpertError("final snapshot has no active developers")
+        # only binary or empty source files: nobody changed a line
+        raise NoEligibleFiles("final snapshot has no active developers")
     return SpecializationSummary(
         generalist_pct=100.0 * last.generalist / last.total,
         specialist_pct=100.0 * last.specialist / last.total,

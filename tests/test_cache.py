@@ -177,8 +177,9 @@ def _stray_endif_repo(repo):
 
 
 def _warnings_across_commits_repo(repo):
-    # a.c's first blob warns, is replaced by another warning blob and then
-    # comes back, so the cold run reports each blob once, at its first use
+    # a.c's first blob warns, is replaced by a blob with two warnings and
+    # then comes back, so the cold run reports each blob's warnings once,
+    # at its first use
     first = "int a;\n#endif\n"
     repo.write("a.c", first)
     repo.write("b.c", "#ifdef X\nint x;\n")
@@ -191,9 +192,15 @@ def _warnings_across_commits_repo(repo):
     repo.commit("c3", "Alice", "alice@example.com", "2020-03-01T00:00:00 +0000")
 
 
+def _two_warnings_repo(repo):
+    repo.write("f.c", "int a;\n#endif\nint b;\n#else\n")
+    repo.commit("strays", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+
+
 @pytest.mark.parametrize("build, scan_lines", [
     (_stray_endif_repo, 1),
-    (_warnings_across_commits_repo, 3),
+    (_warnings_across_commits_repo, 4),
+    (_two_warnings_repo, 2),
 ])
 def test_warm_run_reports_the_cold_scan_warnings(repo_builder, tmp_path, build, scan_lines):
     build(repo_builder)
@@ -207,6 +214,25 @@ def test_warm_run_reports_the_cold_scan_warnings(repo_builder, tmp_path, build, 
     cold_lines = read(os.path.join(cold_out, "warnings.jsonl")).splitlines()
     assert sum(b'"kind": "scan_' in line for line in cold_lines) == scan_lines
     assert read(os.path.join(warm_out, "warnings.jsonl")) == b"\n".join(cold_lines) + b"\n"
+
+
+def test_rename_first_seen_reports_its_blob_once(repo_builder, tmp_path):
+    # with the add outside the window, the rename is where the blob first
+    # appears; it lists the blob on both sides, and each warning shows once
+    _two_warnings_repo(repo_builder)
+    repo_builder.move("f.c", "g.c")
+    repo_builder.commit("move", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    cache_dir = str(tmp_path / "cache")
+    since = 1580515200  # 2020-02-01T00:00:00Z
+    for name in ("cold", "warm"):
+        out = str(tmp_path / name)
+        run_analyze(RunConfig(repo_path=repo_builder.path, cache_dir=cache_dir,
+                              output_dir=out, since=since))
+        lines = read(os.path.join(out, "warnings.jsonl")).splitlines()
+        assert [(w["kind"], w["path"], w["line_no"]) for w in map(json.loads, lines)] == [
+            ("scan_stray_directive", "g.c", 2),
+            ("scan_stray_directive", "g.c", 4),
+        ]
 
 
 def test_warm_run_keeps_fixture_warnings(identity_repo, tmp_path):

@@ -120,6 +120,20 @@ def test_inverted_window_is_a_user_error(basic_repo, tmp_path):
     assert code == 2
 
 
+def test_report_without_active_developers_is_a_user_error(repo_builder, tmp_path):
+    # the only source file is binary, so no developer changed a line
+    repo_builder.write_bytes("table.c", b"\x00\x01\x02")
+    repo_builder.commit("table", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    assert run_cli("report", repo_builder.path, "--out", str(tmp_path / "out")) == 2
+
+
+def test_jobs_below_one_is_a_user_error(basic_repo, tmp_path):
+    path, _ = basic_repo
+    code = run_cli("analyze", path, "--jobs", "0", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_console_script_version():
     proc = subprocess.run(
         [sys.executable, "-m", "varxpert", "--version"],

@@ -19,15 +19,17 @@ from varxpert.history import (
 from varxpert.util import split_lines
 
 
-def apply_hunks(old_lines, hunks):
-    """Test-local patcher: replay hunks onto the old lines.
-    Hunk line numbers are 1-based."""
+def apply_hunks(old_lines, new_lines, hunks):
+    """Test-local patcher: replace each hunk's old range with the new
+    lines of its new range. Hunk line numbers are 1-based; each hunk's
+    new range must start where the output built so far ends."""
     out = []
     cursor = 0
     for hunk in hunks:
         start = hunk.old_start - 1
         out.extend(old_lines[cursor:start])
-        out.extend(text for _, text in hunk.added_lines)
+        assert hunk.new_start - 1 == len(out)
+        out.extend(new_lines[hunk.new_start - 1:hunk.new_start - 1 + hunk.new_count])
         cursor = start + hunk.old_count
     out.extend(old_lines[cursor:])
     return out
@@ -84,7 +86,7 @@ def test_diff_hunks_round_trip_simple():
     old = ["a", "b", "c"]
     new = ["a", "x", "c", "d"]
     hunks = diff_hunks(old, new)
-    assert apply_hunks(old, hunks) == new
+    assert apply_hunks(old, new, hunks) == new
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +128,8 @@ def test_basic_repo_stream(basic_repo):
     assert first[0].new_content.startswith("#include")
     second = commits[1].changes[0]
     assert second.kind is ChangeKind.MODIFIED
-    assert second.hydrated
+    assert second.old_content == first[0].new_content
+    assert second.new_content is not None
 
 
 def test_hunks_round_trip_over_fixtures(basic_repo, rename_repo, multifile_repo):
@@ -135,7 +138,7 @@ def test_hunks_round_trip_over_fixtures(basic_repo, rename_repo, multifile_repo)
             for change in commit.changes:
                 old = split_lines(change.old_content or "")
                 new = split_lines(change.new_content or "")
-                assert apply_hunks(old, change.hunks) == new
+                assert apply_hunks(old, new, change.hunks) == new
 
 
 def test_rename_detected(rename_repo):
@@ -264,10 +267,11 @@ def test_unhydrated_stream_has_no_content(basic_repo):
     with GitRepo(path) as repo:
         tip = repo.resolve_tip("HEAD")
         commits = list(repo.iter_commits(tip, hydrate=False))
+    changes = [change for commit in commits for change in commit.changes]
+    assert changes
     assert all(
-        not change.hydrated and change.new_content is None
-        for commit in commits
-        for change in commit.changes
+        change.old_content is None and change.new_content is None and not change.hunks
+        for change in changes
     )
 
 

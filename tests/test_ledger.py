@@ -46,14 +46,14 @@ def modify(old, new):
     return FileChange(
         kind=ChangeKind.MODIFIED, path_before="f.c", path_after="f.c",
         old_content=old, new_content=new,
-        hunks=diff_hunks(split_lines(old), split_lines(new)), hydrated=True,
+        hunks=diff_hunks(split_lines(old), split_lines(new)),
     )
 
 
 def test_classify_added_variable_lines():
     new = "#ifdef A\nint x;\n#endif\n"
     change = FileChange(kind=ChangeKind.ADDED, path_before=None, path_after="f.c",
-                        new_content=new, hydrated=True)
+                        new_content=new)
     got = classify_change(change, None, bitmap(new))
     assert got.touched_variable and not got.touched_mandatory
 
@@ -61,7 +61,7 @@ def test_classify_added_variable_lines():
 def test_classify_mixed_addition():
     new = "int a;\n#ifdef A\nint x;\n#endif\n"
     change = FileChange(kind=ChangeKind.ADDED, path_before=None, path_after="f.c",
-                        new_content=new, hydrated=True)
+                        new_content=new)
     got = classify_change(change, None, bitmap(new))
     assert got.touched_variable and got.touched_mandatory
 
@@ -266,12 +266,12 @@ def test_synthetic_rename_ordering_is_harmless():
 
     def added(path, content):
         return FileChange(kind=ChangeKind.ADDED, path_before=None,
-                          path_after=path, new_content=content, hydrated=True)
+                          path_after=path, new_content=content)
 
     def moved(old, new, content):
         return FileChange(kind=ChangeKind.RENAMED, path_before=old,
                           path_after=new, old_content=content,
-                          new_content=content, hunks=(), hydrated=True)
+                          new_content=content, hunks=())
 
     alpha = "int alpha;\n"
     beta = "long beta;\n"
