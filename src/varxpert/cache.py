@@ -1,21 +1,35 @@
-"""Line-delimited JSON cache for per-change classification results.
+"""Line-delimited JSON cache of per-change and per-blob facts.
 
-One record per (commit, file) pair, in format varxpert-change-cache/4:
-the commit, author key, timestamp, path and change kind, the
-touched_variable/touched_mandatory flags, saw_variable (whether either
-side had a variable line), and the scan warnings the run reported for
-the change with their blob oids. That is everything the ledger fold and
-warnings.jsonl need, so a warm run skips reading and scanning blobs.
+A cache file lives in --cache-dir and is named changes-{digest}.jsonl,
+where digest hashes the analyzer options (extensions, include-guard
+handling) and the format string, varxpert-change-cache/5. The tip is not
+part of the key: one file serves every run with those options, so after
+a new commit only that commit's changes are mined. Files of other
+options or formats (/4 and older, or the tip-named files
+changes-{tip}-{digest}.jsonl) are ignored, never migrated.
 
-A cache file is valid only for the exact branch tip and analyzer
-configuration it was built with, so the file name embeds the tip and a
-digest of the configuration and the format string. Files of another
-tip, configuration or format (such as /3, which kept only the first
-warning of a blob, /2, which lacked the scan warnings, or /1, which
-also stored the expressions around each change) are ignored, never
-migrated, and the run builds a new file. Writes go to a temp file that
-is renamed into place once the run finishes, so an interrupted run
-never leaves a half-trusted cache behind.
+Two record kinds, one JSON object per line:
+
+- a change record, keyed by (commit, path): author key, timestamp, change
+  kind, the touched_variable/touched_mandatory flags, saw_variable
+  (whether either side had a variable line) and every scan warning of
+  the change's scanned sides with its blob oid. That is everything the
+  ledger fold and warnings.jsonl need, so a hit skips reading and
+  scanning blobs.
+- a blob record, keyed by oid: the blob's conditional blocks and macros,
+  or that it is binary. That is all the final-tree snapshot needs.
+
+Records are context-free: a change record depends only on its commit's
+first-parent diff, the blobs and the options; a blob record only on the
+oid and the options. A change record keeps all of its warnings, not the
+ones a run reported, because which warnings a run reports depends on the
+blobs it saw earlier (with --since, for example); the run dedups them by
+oid on hits and misses alike.
+
+flush appends the run's new lines to the file in one write. When open
+found a damaged line (such as the torn tail of an interrupted run) or a
+key listed twice, flush instead writes every record to a temp file and
+renames it into place, so the damage is gone after one run.
 """
 
 from __future__ import annotations
@@ -25,11 +39,11 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from varxpert.preproc import ScanWarning
 
-_FORMAT = "varxpert-change-cache/4"
+_FORMAT = "varxpert-change-cache/5"
 
 
 def analyzer_config_hash(extensions: frozenset[str], exclude_include_guards: bool) -> str:
@@ -54,11 +68,46 @@ class CacheRecord:
     touched_variable: bool
     touched_mandatory: bool
     saw_variable: bool
-    scan_warnings: tuple[tuple[str, ScanWarning], ...] = ()  # (blob oid, warning) reported
+    scan_warnings: tuple[tuple[str, ScanWarning], ...] = ()  # (blob oid, warning), all sides
+
+    @property
+    def key(self) -> tuple[str, str]:
+        return (self.commit_id, self.path_after)
 
     def as_json(self) -> str:
         warnings = [[oid, warning.as_dict()] for oid, warning in self.scan_warnings]
         return json.dumps(dict(vars(self), scan_warnings=warnings), sort_keys=True)
+
+
+@dataclass(frozen=True)
+class BlobFacts:
+    """What the final-tree snapshot needs of one blob."""
+
+    oid: str
+    blocks: int = 0
+    macros: frozenset[str] = frozenset()
+    binary: bool = False
+
+    @property
+    def key(self) -> str:
+        return self.oid
+
+    def as_json(self) -> str:
+        return json.dumps(dict(vars(self), macros=sorted(self.macros)), sort_keys=True)
+
+
+def _parse(line: str) -> Union[CacheRecord, BlobFacts]:
+    raw = json.loads(line)
+    if "oid" in raw:
+        return BlobFacts(**dict(raw, macros=frozenset(raw["macros"])))
+    warnings = tuple(
+        (oid, ScanWarning(**warning)) for oid, warning in raw.pop("scan_warnings")
+    )
+    return CacheRecord(**raw, scan_warnings=warnings)
+
+
+def _lines(entries: list[Union[CacheRecord, BlobFacts]]) -> str:
+    return "".join(entry.as_json() + "\n" for entry in entries)
 
 
 class ChangeCache:
@@ -67,14 +116,15 @@ class ChangeCache:
     def __init__(self, path: Optional[str]):
         self.path = path
         self._records: dict[tuple[str, str], CacheRecord] = {}
-        self._fresh: list[CacheRecord] = []
+        self._blobs: dict[str, BlobFacts] = {}
+        self._fresh: list[Union[CacheRecord, BlobFacts]] = []
+        self._damaged = False  # open saw a bad or repeated line: flush rewrites
         self.hits = 0
 
     @classmethod
     def open(
         cls,
         cache_dir: Optional[str],
-        tip: str,
         extensions: frozenset[str],
         exclude_include_guards: bool,
     ) -> "ChangeCache":
@@ -82,29 +132,31 @@ class ChangeCache:
             return cls(None)
         os.makedirs(cache_dir, exist_ok=True)
         digest = analyzer_config_hash(extensions, exclude_include_guards)
-        path = os.path.join(cache_dir, f"changes-{tip}-{digest}.jsonl")
-        cache = cls(path)
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        raw = json.loads(line)
-                        warnings = tuple(
-                            (oid, ScanWarning(**warning))
-                            for oid, warning in raw.pop("scan_warnings")
-                        )
-                        record = CacheRecord(**raw, scan_warnings=warnings)
-                    except (ValueError, KeyError, TypeError, AttributeError):
-                        continue  # a damaged line costs a recomputation, nothing more
-                    cache._records[(record.commit_id, record.path_after)] = record
+        cache = cls(os.path.join(cache_dir, f"changes-{digest}.jsonl"))
+        if os.path.exists(cache.path):
+            with open(cache.path, "r", encoding="utf-8", errors="replace") as handle:
+                lines = handle.read().split("\n")
+            # a file that does not end in a newline was cut mid-line
+            cache._damaged = lines.pop() != ""
+            for line in lines:
+                try:
+                    entry = _parse(line)
+                except (ValueError, KeyError, TypeError, AttributeError):
+                    cache._damaged = True  # a damaged line costs a recomputation
+                    continue
+                table = cache._table(entry)
+                if entry.key in table:
+                    cache._damaged = True
+                    continue
+                table[entry.key] = entry
         return cache
 
     @property
     def enabled(self) -> bool:
         return self.path is not None
+
+    def _table(self, entry: Union[CacheRecord, BlobFacts]) -> dict:
+        return self._blobs if isinstance(entry, BlobFacts) else self._records
 
     def get(self, commit_id: str, path: str) -> Optional[CacheRecord]:
         record = self._records.get((commit_id, path))
@@ -112,32 +164,34 @@ class ChangeCache:
             self.hits += 1
         return record
 
-    def put(self, record: CacheRecord) -> None:
+    def blob(self, oid: str) -> Optional[BlobFacts]:
+        return self._blobs.get(oid)
+
+    def put(self, entry: Union[CacheRecord, BlobFacts]) -> None:
         if not self.enabled:
             return
-        key = (record.commit_id, record.path_after)
-        if key in self._records:
+        table = self._table(entry)
+        if entry.key in table:
             return
-        self._records[key] = record
-        self._fresh.append(record)
+        table[entry.key] = entry
+        self._fresh.append(entry)
 
     def flush(self) -> None:
-        """Atomically persist everything seen this run."""
-        if not self.enabled or not self._fresh:
+        """Append this run's new records, or rewrite a damaged file whole."""
+        if not self.enabled or not (self._fresh or self._damaged):
             return
         assert self.path is not None
-        directory = os.path.dirname(self.path)
-        existing = os.path.exists(self.path)
-        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                if existing:
-                    with open(self.path, "r", encoding="utf-8") as previous:
-                        handle.write(previous.read())
-                for record in self._fresh:
-                    handle.write(record.as_json() + "\n")
-            os.replace(temp_path, self.path)
-        finally:
-            if os.path.exists(temp_path):
-                os.unlink(temp_path)
+        if self._damaged:
+            fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(self.path), suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                    handle.write(_lines([*self._records.values(), *self._blobs.values()]))
+                os.replace(temp_path, self.path)
+            finally:
+                if os.path.exists(temp_path):
+                    os.unlink(temp_path)
+        else:
+            with open(self.path, "a", encoding="utf-8", newline="\n") as handle:
+                handle.write(_lines(self._fresh))  # one write: a crash tears one tail
         self._fresh = []
+        self._damaged = False

@@ -410,25 +410,27 @@ class GitRepo:
         *,
         emit: Optional[WarningSinkFn] = None,
         commit_id: str = "",
+        binary: Optional[set[str]] = None,
     ) -> Optional[FileChange]:
-        """Attach file contents and hunks; None when a side is binary."""
-        report = emit or (lambda record: None)
-        old_text: Optional[str] = None
-        new_text: Optional[str] = None
-        if change.old_blob and change.old_blob != _NULL_OID:
-            payload = self.blob_bytes(change.old_blob)
+        """Attach file contents and hunks; None when a side is binary.
+
+        The binary side is reported to emit, and its oid added to binary.
+        """
+        texts: list[Optional[str]] = []
+        for oid in (change.old_blob, change.new_blob):
+            if not oid or oid == _NULL_OID:
+                texts.append(None)
+                continue
+            payload = self.blob_bytes(oid)
             if looks_binary(payload):
-                report({"kind": "binary_skipped", "commit": commit_id,
-                        "path": change.effective_path})
+                if emit is not None:
+                    emit({"kind": "binary_skipped", "commit": commit_id,
+                          "path": change.effective_path})
+                if binary is not None:
+                    binary.add(oid)
                 return None
-            old_text = payload.decode("utf-8", errors="replace")
-        if change.new_blob and change.new_blob != _NULL_OID:
-            payload = self.blob_bytes(change.new_blob)
-            if looks_binary(payload):
-                report({"kind": "binary_skipped", "commit": commit_id,
-                        "path": change.effective_path})
-                return None
-            new_text = payload.decode("utf-8", errors="replace")
+            texts.append(payload.decode("utf-8", errors="replace"))
+        old_text, new_text = texts
         old_lines = split_lines(old_text) if old_text is not None else []
         new_lines = split_lines(new_text) if new_text is not None else []
         return replace(

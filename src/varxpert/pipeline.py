@@ -17,7 +17,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from varxpert.cache import CacheRecord, ChangeCache
+from varxpert.cache import BlobFacts, CacheRecord, ChangeCache
 from varxpert.errors import InvalidConfig, MissingAnalysis, NoEligibleFiles
 from varxpert.evaluation import MACRO, MICRO, EvaluationResult, project_evaluation
 from varxpert.history import (
@@ -144,7 +144,8 @@ class _PipelineClassifier:
     """Per-change classification with a blob-level scan memo and cache lookups.
 
     scan_memo maps each scanned blob oid to its ScanResult, so every blob
-    is scanned once per run, and the final-tree snapshot reuses it.
+    is scanned once per run, and binary_oids holds the binary sides the
+    run reported; the final-tree snapshot reuses both.
     Hydration warnings go straight to the sink: the fold classifies each
     change right before its observer call, so they land in fold order.
     """
@@ -157,6 +158,7 @@ class _PipelineClassifier:
         self._cache = cache
         self._sink = sink
         self.scan_memo: dict[str, ScanResult] = {}
+        self.binary_oids: set[str] = set()
 
     def scan_blob(self, oid: str, text: str) -> ScanResult:
         result = self.scan_memo.get(oid)
@@ -181,7 +183,9 @@ class _PipelineClassifier:
                 from_cache=True,
                 scan_warnings=record.scan_warnings,
             )
-        hydrated = self._repo.hydrate_change(change, emit=self._sink, commit_id=commit.commit_id)
+        hydrated = self._repo.hydrate_change(
+            change, emit=self._sink, commit_id=commit.commit_id, binary=self.binary_oids
+        )
         if hydrated is None:
             return None
         return classify_sides(hydrated, self.scan_blob)
@@ -211,7 +215,7 @@ def run_analyze(config: RunConfig) -> AnalysisState:
         if tip is None:
             raise NoEligibleFiles("repository has no commits")
         cache = ChangeCache.open(
-            config.cache_dir, tip, config.extensions, config.exclude_include_guards
+            config.cache_dir, config.extensions, config.exclude_include_guards
         )
         classifier = _PipelineClassifier(repo, options, cache, sink)
         seen_oids: set[str] = set()
@@ -224,10 +228,9 @@ def run_analyze(config: RunConfig) -> AnalysisState:
             if classified is None:
                 return
             # Every warning of a blob is reported once, where the blob first
-            # appears; a cache hit carries the warnings its cold run reported.
+            # appears in this run, whether the change was scanned or cached.
             fresh = {oid for oid, _ in classified.scan_warnings} - seen_oids
             seen_oids.update(fresh)
-            reported = []
             # dict.fromkeys: a rename that keeps its blob lists it on both sides
             for oid, warning in dict.fromkeys(classified.scan_warnings):
                 if oid not in fresh:
@@ -237,7 +240,6 @@ def run_analyze(config: RunConfig) -> AnalysisState:
                                 "commit": commit.commit_id,
                                 "path": change.effective_path})
                 sink(payload)
-                reported.append((oid, warning))
             if classified.from_cache:
                 counters.cache_hits += 1
                 return
@@ -252,7 +254,7 @@ def run_analyze(config: RunConfig) -> AnalysisState:
                     touched_variable=classified.classification.touched_variable,
                     touched_mandatory=classified.classification.touched_mandatory,
                     saw_variable=classified.saw_variable,
-                    scan_warnings=tuple(reported),
+                    scan_warnings=classified.scan_warnings,
                 )
             )
 
@@ -282,7 +284,7 @@ def run_analyze(config: RunConfig) -> AnalysisState:
             raise NoEligibleFiles("no commits in the requested range")
 
         snapshot_files, variability = _final_snapshot(
-            repo, last_commit["id"], config, classifier, sink
+            repo, last_commit["id"], config, classifier, cache, sink
         )
         if not ledger.files and snapshot_files == 0:
             raise NoEligibleFiles("no source files in the history or the final tree")
@@ -306,12 +308,15 @@ def _final_snapshot(
     rev: str,
     config: RunConfig,
     classifier: _PipelineClassifier,
+    cache: ChangeCache,
     sink: WarningSink,
 ) -> tuple[int, VariabilityCount]:
     """Count source files and variability in the tree of the last commit.
 
-    Blobs the fold already scanned come from the classifier's memo; only
-    the others are read and scanned here.
+    Each tree blob's facts come from the fold (its scan memo and the
+    binary sides it reported), else from the cache; only the rest are
+    read and scanned here. A binary blob is reported unless the fold
+    already reported it.
     """
     entries = [
         entry for entry in repo.ls_tree(rev)
@@ -320,17 +325,29 @@ def _final_snapshot(
     blocks = 0
     macros: set[str] = set()
     for entry in entries:
-        result = classifier.scan_memo.get(entry.oid)
-        if result is None:
-            payload = repo.blob_bytes(entry.oid)
-            if looks_binary(payload):
+        scanned = classifier.scan_memo.get(entry.oid)
+        if scanned is not None:
+            facts = BlobFacts(entry.oid, scanned.blocks, scanned.macros)
+        elif entry.oid in classifier.binary_oids:
+            facts = BlobFacts(entry.oid, binary=True)
+        else:
+            facts = cache.blob(entry.oid) or _read_blob_facts(repo, entry.oid, config)
+        cache.put(facts)
+        if facts.binary:
+            if entry.oid not in classifier.binary_oids:
                 sink({"kind": "binary_skipped", "commit": rev, "path": entry.path})
-                continue
-            text = payload.decode("utf-8", errors="replace")
-            result = scan_text(text, config.analyzer_options())
-        blocks += result.blocks
-        macros |= result.macros
+            continue
+        blocks += facts.blocks
+        macros |= facts.macros
     return len(entries), VariabilityCount(blocks=blocks, distinct_macros=len(macros))
+
+
+def _read_blob_facts(repo: GitRepo, oid: str, config: RunConfig) -> BlobFacts:
+    payload = repo.blob_bytes(oid)
+    if looks_binary(payload):
+        return BlobFacts(oid, binary=True)
+    result = scan_text(payload.decode("utf-8", errors="replace"), config.analyzer_options())
+    return BlobFacts(oid, result.blocks, result.macros)
 
 
 # ----------------------------------------------------------------------

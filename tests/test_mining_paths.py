@@ -93,7 +93,6 @@ def test_warnings_follow_fold_order(repo_builder, tmp_path):
         ("scan_stray_directive", "y_new.c"),
         ("binary_skipped", "a_bin.c"),
         ("scan_stray_directive", "b_mod.c"),
-        ("binary_skipped", "a_bin.c"),  # the final-tree snapshot
     ]
     assert {r["commit"] for r in records} == {commit}
 
@@ -125,10 +124,15 @@ _operations = st.tuples(
 )
 
 
-def _build_history(root, commits):
+def _build_history(root, commits, start=0, present=None):
+    """Commit each list of operations in turn.
+
+    To extend a history, pass the number of its commits as start and the
+    set of paths it left present.
+    """
     repo = RepoBuilder(root)
-    present = set()
-    for month, operations in enumerate(commits):
+    present = set() if present is None else present
+    for month, operations in enumerate(commits, start):
         for verb, first, second, content in operations:
             name, target = _NAMES[first], _NAMES[second]
             if verb == "write":
@@ -150,10 +154,17 @@ def _build_history(root, commits):
     return repo.path
 
 
-def _report(repo_path, out):
-    """Artifact bytes by name after `report`; NoEligibleFiles is the one allowed error."""
+def _report(repo_path, out, cache_dir=None):
+    """Artifact bytes by name after `report`; NoEligibleFiles is the one allowed error.
+
+    With a cache_dir, `analyze` mines into the cache first and `report`
+    reuses that analysis.
+    """
+    config = RunConfig(repo_path=repo_path, output_dir=out, cache_dir=cache_dir)
     try:
-        run_report(RunConfig(repo_path=repo_path, output_dir=out))
+        if cache_dir is not None:
+            run_analyze(config)
+        run_report(config)
     except NoEligibleFiles:
         pass
     if not os.path.isdir(out):
@@ -171,3 +182,39 @@ def test_random_histories_mine_deterministically(commits):
         assert first == second
         if "ledger.json" in first:
             assert first["ledger.json"] == folded_ledger_json(repo_path)
+
+
+def _change_records(cache_dir):
+    count = 0
+    for name in os.listdir(cache_dir):
+        with open(os.path.join(cache_dir, name), encoding="utf-8") as handle:
+            count += sum('"commit_id"' in line for line in handle)
+    return count
+
+
+_ADVANCED = ("scores.csv", "ledger.json", "warnings.jsonl", "timeline.csv",
+             "evaluation.csv", "report.csv", "report.json", "report.md")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.lists(_operations, min_size=1, max_size=4), min_size=2, max_size=6),
+       st.data())
+def test_advanced_cache_gives_the_cold_artifacts(commits, data):
+    # ROADMAP item 5's gate: mine at commit k into a cache, extend the
+    # history to n, mine again on that cache; the result is the cold run's
+    # at n, and every change up to k came from the old tip's records
+    k = data.draw(st.integers(1, len(commits) - 1), label="k")
+    with tempfile.TemporaryDirectory() as scratch:
+        root, cache_dir = os.path.join(scratch, "repo"), os.path.join(scratch, "cache")
+        present = set()
+        _build_history(root, commits[:k], present=present)
+        _report(root, os.path.join(scratch, "at_k"), cache_dir)
+        cached = _change_records(cache_dir)
+        _build_history(root, commits[k:], start=k, present=present)
+        advanced = _report(root, os.path.join(scratch, "advanced"), cache_dir)
+        cold = _report(root, os.path.join(scratch, "cold"))
+        assert set(advanced) == set(cold)
+        for name in _ADVANCED:
+            assert advanced.get(name) == cold.get(name), name
+        if "run_meta.json" in advanced:
+            assert json.loads(advanced["run_meta.json"])["counters"]["cache_hits"] == cached
