@@ -119,7 +119,6 @@ class ChangeCache:
         self._blobs: dict[str, BlobFacts] = {}
         self._fresh: list[Union[CacheRecord, BlobFacts]] = []
         self._damaged = False  # open saw a bad or repeated line: flush rewrites
-        self.hits = 0
 
     @classmethod
     def open(
@@ -159,10 +158,7 @@ class ChangeCache:
         return self._blobs if isinstance(entry, BlobFacts) else self._records
 
     def get(self, commit_id: str, path: str) -> Optional[CacheRecord]:
-        record = self._records.get((commit_id, path))
-        if record is not None:
-            self.hits += 1
-        return record
+        return self._records.get((commit_id, path))
 
     def blob(self, oid: str) -> Optional[BlobFacts]:
         return self._blobs.get(oid)

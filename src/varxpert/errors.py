@@ -21,10 +21,6 @@ class CorruptRepo(VarxpertError):
     """git cannot produce an object or a history the analysis needs."""
 
 
-class CorruptCommit(VarxpertError):
-    """A commit record could not be parsed; callers skip and tally it."""
-
-
 class EmptyIdentity(VarxpertError):
     """Author name and email are both blank."""
 

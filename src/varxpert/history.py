@@ -106,8 +106,6 @@ class FileChange:
     path_after: Optional[str]
     old_blob: Optional[str] = None
     new_blob: Optional[str] = None
-    old_content: Optional[str] = None
-    new_content: Optional[str] = None
     hunks: tuple[Hunk, ...] = ()
 
     @property
@@ -201,6 +199,8 @@ class _BlobReader:
     def close(self) -> None:
         if self._proc.stdin:
             self._proc.stdin.close()
+        if self._proc.stdout:
+            self._proc.stdout.close()
         self._proc.terminate()
         self._proc.wait(timeout=10)
 
@@ -287,10 +287,12 @@ class GitRepo:
         since: Optional[int] = None,
         until: Optional[int] = None,
         extensions: frozenset[str] = DEFAULT_EXTENSIONS,
-        hydrate: bool = True,
         warn: Optional[WarningSinkFn] = None,
     ) -> Iterator[CommitRecord]:
-        """First-parent commits, oldest first, with filtered file changes."""
+        """First-parent commits, oldest first, with filtered file changes.
+
+        Changes carry blob ids but no hunks; hydrate_change reads them.
+        """
         emit = warn or (lambda record: None)
         # stderr goes to a file: a pipe nobody drains could block git.
         with tempfile.TemporaryFile() as errors:
@@ -315,7 +317,7 @@ class GitRepo:
                     if line.startswith("\x01"):
                         if chunk_lines:
                             record = self._parse_chunk(
-                                chunk_lines, since, until, extensions, hydrate, emit
+                                chunk_lines, since, until, extensions, emit
                             )
                             if record is not None:
                                 yield record
@@ -324,7 +326,7 @@ class GitRepo:
                         chunk_lines.append(line)
                 if chunk_lines:
                     record = self._parse_chunk(
-                        chunk_lines, since, until, extensions, hydrate, emit
+                        chunk_lines, since, until, extensions, emit
                     )
                     if record is not None:
                         yield record
@@ -344,7 +346,6 @@ class GitRepo:
         since: Optional[int],
         until: Optional[int],
         extensions: frozenset[str],
-        hydrate: bool,
         emit: WarningSinkFn,
     ) -> Optional[CommitRecord]:
         try:
@@ -386,15 +387,6 @@ class GitRepo:
                 keep_path = change.path_after if change.path_after is not None else change.path_before
                 if keep_path is None or not filter_source_files(keep_path, extensions):
                     continue
-                if hydrate:
-                    hydrated = self.hydrate_change(change, emit=emit, commit_id=commit_id)
-                    if hydrated is not None:
-                        change = hydrated
-                    elif change.kind in (ChangeKind.ADDED, ChangeKind.MODIFIED):
-                        continue
-                    # A binary deletion or rename stays, without contents:
-                    # the fold still releases or moves its path, as it does
-                    # when a classifier returns None for it.
                 changes.append(change)
         return CommitRecord(
             commit_id=commit_id,
@@ -411,10 +403,11 @@ class GitRepo:
         emit: Optional[WarningSinkFn] = None,
         commit_id: str = "",
         binary: Optional[set[str]] = None,
-    ) -> Optional[FileChange]:
-        """Attach file contents and hunks; None when a side is binary.
+    ) -> Optional[tuple[FileChange, Optional[str], Optional[str]]]:
+        """(change with its hunks, old text, new text); None when a side is binary.
 
-        The binary side is reported to emit, and its oid added to binary.
+        An absent side has no text. The binary side is reported to emit,
+        and its oid added to binary.
         """
         texts: list[Optional[str]] = []
         for oid in (change.old_blob, change.new_blob):
@@ -433,12 +426,7 @@ class GitRepo:
         old_text, new_text = texts
         old_lines = split_lines(old_text) if old_text is not None else []
         new_lines = split_lines(new_text) if new_text is not None else []
-        return replace(
-            change,
-            old_content=old_text,
-            new_content=new_text,
-            hunks=diff_hunks(old_lines, new_lines),
-        )
+        return replace(change, hunks=diff_hunks(old_lines, new_lines)), old_text, new_text
 
 
 def _parse_raw_change(raw: str) -> Optional[FileChange]:
@@ -470,32 +458,3 @@ def _parse_raw_change(raw: str) -> Optional[FileChange]:
         )
     # M plus oddballs such as typechanges behave like in-place edits.
     return FileChange(ChangeKind.MODIFIED, decoded[0], decoded[0], old_blob=old_oid, new_blob=new_oid)
-
-
-def enumerate_commits(
-    repo_path: str,
-    branch: str = "HEAD",
-    *,
-    since: Optional[int] = None,
-    until: Optional[int] = None,
-    extensions: frozenset[str] = DEFAULT_EXTENSIONS,
-    warn: Optional[WarningSinkFn] = None,
-) -> Iterator[CommitRecord]:
-    """Convenience wrapper yielding fully hydrated commits.
-
-    A binary side drops an addition or a modification from the stream; a
-    binary deletion or rename stays, without contents.
-
-    An empty repository yields an empty stream; a branch that does not
-    resolve in a non-empty repository raises BranchNotFound.
-    """
-    repo = GitRepo(repo_path)
-    try:
-        tip = repo.resolve_tip(branch)
-        if tip is None:
-            return
-        yield from repo.iter_commits(
-            tip, since=since, until=until, extensions=extensions, hydrate=True, warn=warn
-        )
-    finally:
-        repo.close()

@@ -29,13 +29,7 @@ from typing import Callable, Iterable, Optional
 
 from varxpert.errors import AnnotationMismatch
 from varxpert.history import ChangeKind, CommitRecord, FileChange
-from varxpert.preproc import (
-    AnalyzerOptions,
-    DEFAULT_OPTIONS,
-    ScanResult,
-    ScanWarning,
-    scan_text,
-)
+from varxpert.preproc import ScanResult, ScanWarning
 from varxpert.util import earliest_month, month_of, split_lines
 
 
@@ -59,20 +53,6 @@ def classify_change(
     Each bitmap holds one byte per physical line of its side's content,
     1 for a variable line (see preproc.scan_text).
     """
-    def check(side: str, content: Optional[str], bitmap: Optional[bytearray]):
-        if content is None:
-            return
-        expected = len(split_lines(content))
-        actual = len(bitmap) if bitmap is not None else 0
-        if expected != actual:
-            raise AnnotationMismatch(
-                f"{side} side of {change.effective_path}: "
-                f"{actual} line flags for {expected} lines"
-            )
-
-    check("old", change.old_content, old_bitmap)
-    check("new", change.new_content, new_bitmap)
-
     old_bitmap = old_bitmap or bytearray()
     new_bitmap = new_bitmap or bytearray()
     if change.kind is ChangeKind.ADDED:
@@ -158,20 +138,30 @@ ObserverFn = Callable[[CommitRecord, FileChange, Optional[ClassifiedChange]], No
 ScanFn = Callable[[str, str], ScanResult]  # (blob oid, text) -> scan
 
 
-def classify_sides(change: FileChange, scan: ScanFn) -> ClassifiedChange:
+def classify_sides(
+    change: FileChange, old_text: Optional[str], new_text: Optional[str], scan: ScanFn
+) -> ClassifiedChange:
     """Scan both sides of a hydrated change and classify it.
 
-    scan maps a side's blob oid and text to its ScanResult, so callers
-    decide whether scans are memoized per blob.
+    An absent side's text is None. scan maps a side's blob oid and text
+    to its ScanResult, so callers decide whether scans are memoized per
+    blob; a scan whose bitmap does not give one flag per line raises
+    AnnotationMismatch.
     """
     warnings: list[tuple[str, ScanWarning]] = []
     bitmaps: list[Optional[bytearray]] = []
-    for oid, content in ((change.old_blob, change.old_content),
-                         (change.new_blob, change.new_content)):
+    for side, oid, content in (("old", change.old_blob, old_text),
+                               ("new", change.new_blob, new_text)):
         if content is None:
             bitmaps.append(None)
             continue
         result = scan(oid or "", content)
+        expected = len(split_lines(content))
+        if len(result.annotations) != expected:
+            raise AnnotationMismatch(
+                f"{side} side of {change.effective_path}: "
+                f"{len(result.annotations)} line flags for {expected} lines"
+            )
         bitmaps.append(result.annotations)
         warnings.extend((oid or "", w) for w in result.warnings)
     old_bitmap, new_bitmap = bitmaps
@@ -184,13 +174,6 @@ def classify_sides(change: FileChange, scan: ScanFn) -> ClassifiedChange:
     )
 
 
-def make_default_classifier(options: AnalyzerOptions = DEFAULT_OPTIONS) -> ClassifyFn:
-    """Classifier for already hydrated commit streams (fixtures, tests)."""
-    return lambda commit, change: classify_sides(
-        change, lambda oid, text: scan_text(text, options)
-    )
-
-
 def _lineage_id(path: str, commit_id: str) -> str:
     return f"{path}@{commit_id[:12]}"
 
@@ -198,8 +181,7 @@ def _lineage_id(path: str, commit_id: str) -> str:
 def build_contribution_ledger(
     commits: Iterable[CommitRecord],
     *,
-    options: AnalyzerOptions = DEFAULT_OPTIONS,
-    classify_fn: Optional[ClassifyFn] = None,
+    classify_fn: ClassifyFn,
     observer: Optional[ObserverFn] = None,
 ) -> ContributionLedger:
     """Sequential fold of the commit stream into a ContributionLedger.
@@ -209,7 +191,6 @@ def build_contribution_ledger(
     bookkeeping and right before the observer sees it, so anything the
     classifier reports lands next to the change it belongs to.
     """
-    classify = classify_fn or make_default_classifier(options)
     ledger = ContributionLedger()
     path_map: dict[str, str] = {}
 
@@ -279,7 +260,7 @@ def build_contribution_ledger(
                 ledger.files[resolved[index]].current_path = change.path_after
 
         for index, change in enumerate(changes):
-            classified = classify(commit, change)
+            classified = classify_fn(commit, change)
             if observer is not None:
                 observer(commit, change, classified)
             if classified is None:

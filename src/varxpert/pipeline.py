@@ -1,12 +1,15 @@
 """Orchestrate mining, scoring, and artifact emission for one repository.
 
-run_analyze mines the history into a contribution ledger and writes
-scores.csv, ledger.json, warnings.jsonl, and run_meta.json under the
-output directory. run_specialization and run_evaluate reuse that
-analysis when the repository tip and configuration still match,
-otherwise they re-run it; run_report does everything and renders the
-one-line project report. All artifacts sort their rows and fix their
-key order, so identical inputs produce byte-identical files.
+mine is the one path from a repository to a contribution ledger: it
+folds the history, takes the final-tree snapshot and collects the
+warnings, and writes nothing but the change cache. run_analyze is mine
+followed by the writer, which puts scores.csv, ledger.json,
+warnings.jsonl and run_meta.json under the output directory.
+run_specialization and run_evaluate reuse that analysis when the
+repository tip and configuration still match, otherwise they re-run
+it; run_report does everything and renders the one-line project
+report. All artifacts sort their rows and fix their key order, so
+identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ class _PipelineClassifier:
         )
         if hydrated is None:
             return None
-        return classify_sides(hydrated, self.scan_blob)
+        return classify_sides(*hydrated, self.scan_blob)
 
 
 @dataclass
@@ -202,13 +205,14 @@ class AnalysisState:
     counters: Counters = field(default_factory=Counters)
 
 
-def run_analyze(config: RunConfig) -> AnalysisState:
-    """Mine the repository and write the analysis artifacts."""
+def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
+    """Mine the repository into an analysis and its warnings.
+
+    Nothing is written except the change cache under config.cache_dir.
+    """
     config.validate()
-    os.makedirs(config.output_dir, exist_ok=True)
     sink = WarningSink()
     counters = Counters()
-    options = config.analyzer_options()
 
     with GitRepo(config.repo_path) as repo:
         tip = repo.resolve_tip(config.branch)
@@ -217,7 +221,7 @@ def run_analyze(config: RunConfig) -> AnalysisState:
         cache = ChangeCache.open(
             config.cache_dir, config.extensions, config.exclude_include_guards
         )
-        classifier = _PipelineClassifier(repo, options, cache, sink)
+        classifier = _PipelineClassifier(repo, config.analyzer_options(), cache, sink)
         seen_oids: set[str] = set()
         last_commit: dict[str, Optional[str]] = {"id": None}
 
@@ -270,11 +274,9 @@ def run_analyze(config: RunConfig) -> AnalysisState:
                     since=config.since,
                     until=config.until,
                     extensions=config.extensions,
-                    hydrate=False,
                     warn=sink,
                 )
             ),
-            options=options,
             classify_fn=classifier,
             observer=observer,
         )
@@ -290,7 +292,7 @@ def run_analyze(config: RunConfig) -> AnalysisState:
             raise NoEligibleFiles("no source files in the history or the final tree")
         cache.flush()
 
-    state = AnalysisState(
+    return AnalysisState(
         config=config,
         ledger=ledger,
         tip=tip,
@@ -298,7 +300,12 @@ def run_analyze(config: RunConfig) -> AnalysisState:
         snapshot_files=snapshot_files,
         variability=variability,
         counters=counters,
-    )
+    ), sink
+
+
+def run_analyze(config: RunConfig) -> AnalysisState:
+    """Mine the repository and write the analysis artifacts."""
+    state, sink = mine(config)
     _write_analysis_artifacts(state, sink)
     return state
 
@@ -429,6 +436,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_analysis_artifacts(state: AnalysisState, sink: WarningSink) -> None:
     config = state.config
+    os.makedirs(config.output_dir, exist_ok=True)
     scores = compute_scores(
         state.ledger,
         doa_threshold=config.doa_threshold,

@@ -13,6 +13,12 @@ from fixture_repos import (
     build_multifile,
     build_rename,
 )
+from varxpert.pipeline import RunConfig, mine
+
+
+def mined_ledger(repo_path, **options):
+    """The ledger pipeline.mine folds for a repository, writing nothing."""
+    return mine(RunConfig(repo_path=repo_path, **options))[0].ledger
 
 
 class RepoBuilder:

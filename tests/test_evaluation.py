@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mined_ledger
 from fixture_repos import BASIC, GUARD, IDENTITY, MULTIFILE, RENAME
 from varxpert.errors import NoEligibleFiles, NoVariableCode
 from varxpert.evaluation import (
@@ -14,20 +15,12 @@ from varxpert.evaluation import (
     project_evaluation,
     variable_changers,
 )
-from varxpert.history import enumerate_commits
-from varxpert.ledger import ContributionStats, FileRecord, build_contribution_ledger
+from varxpert.ledger import ContributionStats, FileRecord
 from varxpert.metrics import METRIC_DOA, METRIC_OWNERSHIP, compute_scores
-from varxpert.preproc import DEFAULT_OPTIONS
-
-
-def fold(path):
-    return build_contribution_ledger(
-        enumerate_commits(path), options=DEFAULT_OPTIONS
-    )
 
 
 def evaluate(path, metric, aggregation=MICRO):
-    ledger = fold(path)
+    ledger = mined_ledger(path)
     scores = compute_scores(ledger)
     return project_evaluation(ledger, scores, metric, aggregation=aggregation)
 
@@ -95,7 +88,7 @@ def test_variable_changers_requires_variable_history():
 
 def test_variable_changers_lists_variable_touchers(basic_repo):
     path, _ = basic_repo
-    ledger = fold(path)
+    ledger = mined_ledger(path)
     record = next(iter(ledger.files.values()))
     assert variable_changers(record) == {BASIC["alice"]}
 
@@ -105,7 +98,7 @@ def test_no_eligible_files_raises(repo_builder):
     repo.write("plain.c", "int a;\n")
     repo.commit("no conditionals anywhere", "Alice", "alice@example.com",
                 "2020-01-01T00:00:00 +0000")
-    ledger = fold(repo.path)
+    ledger = mined_ledger(repo.path)
     scores = compute_scores(ledger)
     with pytest.raises(NoEligibleFiles):
         project_evaluation(ledger, scores, METRIC_DOA)

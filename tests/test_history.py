@@ -10,13 +10,20 @@ from varxpert.history import (
     ChangeKind,
     GitRepo,
     diff_hunks,
-    enumerate_commits,
     filter_source_files,
     looks_binary,
     resolve_identity,
     unquote_git_path,
 )
+from varxpert.pipeline import RunConfig, mine
 from varxpert.util import split_lines
+
+
+def stream(path, branch="HEAD", **kwargs):
+    """The raw first-parent stream as a list; empty for an empty repository."""
+    with GitRepo(path) as repo:
+        tip = repo.resolve_tip(branch)
+        return [] if tip is None else list(repo.iter_commits(tip, **kwargs))
 
 
 def apply_hunks(old_lines, new_lines, hunks):
@@ -99,19 +106,19 @@ def test_missing_repo_rejected(tmp_path):
 
 
 def test_empty_repo_yields_nothing(repo_builder):
-    commits = list(enumerate_commits(repo_builder.path))
+    commits = stream(repo_builder.path)
     assert commits == []
 
 
 def test_missing_branch_in_nonempty_repo(basic_repo):
     path, _ = basic_repo
     with pytest.raises(BranchNotFound):
-        list(enumerate_commits(path, branch="does-not-exist"))
+        stream(path, branch="does-not-exist")
 
 
 def test_basic_repo_stream(basic_repo):
     path, shas = basic_repo
-    commits = list(enumerate_commits(path))
+    commits = stream(path)
     assert [c.commit_id for c in commits] == [
         shas["c1"], shas["c2"], shas["c3"], shas["c4"]
     ]
@@ -124,26 +131,31 @@ def test_basic_repo_stream(basic_repo):
     assert len(first) == 1
     assert first[0].kind is ChangeKind.ADDED
     assert first[0].path_after == "f.c"
-    assert first[0].old_content is None
-    assert first[0].new_content.startswith("#include")
+    assert first[0].old_blob is None
     second = commits[1].changes[0]
     assert second.kind is ChangeKind.MODIFIED
-    assert second.old_content == first[0].new_content
-    assert second.new_content is not None
+    assert second.old_blob == first[0].new_blob
+    with GitRepo(path) as repo:
+        assert repo.blob_bytes(first[0].new_blob).startswith(b"#include")
+        _, old_text, new_text = repo.hydrate_change(second)
+        assert old_text == repo.blob_bytes(first[0].new_blob).decode("utf-8")
+        assert new_text is not None
 
 
 def test_hunks_round_trip_over_fixtures(basic_repo, rename_repo, multifile_repo):
     for path, _ in (basic_repo, rename_repo, multifile_repo):
-        for commit in enumerate_commits(path):
-            for change in commit.changes:
-                old = split_lines(change.old_content or "")
-                new = split_lines(change.new_content or "")
-                assert apply_hunks(old, new, change.hunks) == new
+        with GitRepo(path) as repo:
+            for commit in repo.iter_commits(repo.resolve_tip("HEAD")):
+                for change in commit.changes:
+                    hydrated, old_text, new_text = repo.hydrate_change(change)
+                    old = split_lines(old_text or "")
+                    new = split_lines(new_text or "")
+                    assert apply_hunks(old, new, hydrated.hunks) == new
 
 
 def test_rename_detected(rename_repo):
     path, shas = rename_repo
-    commits = {c.commit_id: c for c in enumerate_commits(path)}
+    commits = {c.commit_id: c for c in stream(path)}
     change = commits[shas["c3"]].changes[0]
     assert change.kind is ChangeKind.RENAMED
     assert change.path_before == "a.c"
@@ -153,12 +165,15 @@ def test_rename_detected(rename_repo):
 
 def test_deletion_carries_old_content(identity_repo):
     path, shas = identity_repo
-    commits = {c.commit_id: c for c in enumerate_commits(path)}
+    commits = {c.commit_id: c for c in stream(path)}
     change = commits[shas["c3"]].changes[0]
     assert change.kind is ChangeKind.DELETED
     assert change.path_before == "tmp.c"
-    assert change.new_content is None
-    assert "scratch" in change.old_content
+    assert change.new_blob is None
+    with GitRepo(path) as repo:
+        _, old_text, new_text = repo.hydrate_change(change)
+    assert new_text is None
+    assert "scratch" in old_text
 
 
 def test_merge_commit_listed_without_changes(repo_builder):
@@ -176,7 +191,7 @@ def test_merge_commit_listed_without_changes(repo_builder):
                      "2020-01-03T00:00:00 +0000")
     merge = repo.merge("side", "2020-01-04T00:00:00 +0000")
 
-    commits = list(enumerate_commits(repo.path))
+    commits = stream(repo.path)
     by_id = {c.commit_id: c for c in commits}
     assert merge in by_id
     assert by_id[merge].is_merge
@@ -190,7 +205,7 @@ def test_author_clock_clamped_to_committer(identity_repo):
     warned = []
     commits = {
         c.commit_id: c
-        for c in enumerate_commits(path, warn=warned.append)
+        for c in stream(path, warn=warned.append)
     }
     # committer date 2024-04-20T09:00:00Z
     assert commits[shas["c4"]].timestamp == 1713603600
@@ -205,7 +220,7 @@ def test_prehistoric_author_clock_clamped(repo_builder):
                       "315532800 +0000",
                       committer_date="2020-06-01T00:00:00 +0000")
     warned = []
-    commits = list(enumerate_commits(repo.path, warn=warned.append))
+    commits = stream(repo.path, warn=warned.append)
     assert commits[0].commit_id == sha
     assert commits[0].timestamp == 1590969600
     assert any(w["kind"] == "clamped_timestamp" for w in warned)
@@ -217,7 +232,7 @@ def test_clamping_ignores_the_wall_clock(identity_repo, monkeypatch):
     for now in (0.0, 4e9):
         monkeypatch.setattr(time, "time", lambda: now)
         warned = []
-        stamps = [c.timestamp for c in enumerate_commits(path, warn=warned.append)]
+        stamps = [c.timestamp for c in stream(path, warn=warned.append)]
         seen.append((stamps, warned))
     assert seen[0] == seen[1]
 
@@ -225,15 +240,15 @@ def test_clamping_ignores_the_wall_clock(identity_repo, monkeypatch):
 def test_closing_the_stream_early_raises_nothing(basic_repo):
     path, _ = basic_repo
     with GitRepo(path) as repo:
-        stream = repo.iter_commits(repo.resolve_tip("HEAD"))
-        next(stream)
-        stream.close()
+        commits = repo.iter_commits(repo.resolve_tip("HEAD"))
+        next(commits)
+        commits.close()
 
 
 def test_since_until_filtering(basic_repo):
     path, shas = basic_repo
     # 2020-02-01 .. 2020-03-31
-    commits = list(enumerate_commits(path, since=1580515200, until=1585612800))
+    commits = stream(path, since=1580515200, until=1585612800)
     assert [c.commit_id for c in commits] == [shas["c2"], shas["c3"]]
 
 
@@ -244,7 +259,7 @@ def test_extension_filter(repo_builder):
     repo.write("b.H", "int b;\n")
     repo.commit("mixed", "Alice", "alice@example.com",
                 "2020-01-01T00:00:00 +0000")
-    commits = list(enumerate_commits(repo.path))
+    commits = stream(repo.path)
     paths = sorted(change.effective_path for change in commits[0].changes)
     assert paths == ["a.c", "b.H"]
 
@@ -255,24 +270,18 @@ def test_binary_change_skipped_with_warning(repo_builder):
     repo.write("ok.c", "int a;\n")
     repo.commit("binary and text", "Alice", "alice@example.com",
                 "2020-01-01T00:00:00 +0000")
-    warned = []
-    commits = list(enumerate_commits(repo.path, warn=warned.append))
-    paths = [change.effective_path for change in commits[0].changes]
-    assert paths == ["ok.c"]
-    assert any(w["kind"] == "binary_skipped" for w in warned)
+    state, sink = mine(RunConfig(repo_path=repo.path))
+    assert [r.current_path for r in state.ledger.files.values()] == ["ok.c"]
+    assert [(w["kind"], w["path"]) for w in sink.records] == [("binary_skipped", "blob.c")]
 
 
-def test_unhydrated_stream_has_no_content(basic_repo):
+def test_raw_stream_has_no_hunks(basic_repo):
     path, _ = basic_repo
-    with GitRepo(path) as repo:
-        tip = repo.resolve_tip("HEAD")
-        commits = list(repo.iter_commits(tip, hydrate=False))
-    changes = [change for commit in commits for change in commit.changes]
+    changes = [change for commit in stream(path) for change in commit.changes]
     assert changes
-    assert all(
-        change.old_content is None and change.new_content is None and not change.hunks
-        for change in changes
-    )
+    assert all(change.new_blob and not change.hunks for change in changes)
+    with GitRepo(path) as repo:
+        assert all(repo.hydrate_change(change)[0].hunks for change in changes)
 
 
 def test_resolve_tip_none_for_empty(repo_builder):

@@ -3,25 +3,21 @@ across renames and deletions, change classification, month bookkeeping."""
 
 import pytest
 
+from conftest import mined_ledger
 from fixture_repos import BASIC, IDENTITY, RENAME
 from varxpert.errors import AnnotationMismatch
-from varxpert.history import ChangeKind, FileChange, diff_hunks, enumerate_commits
+from varxpert.history import ChangeKind, FileChange, diff_hunks
 from varxpert.ledger import (
+    ChangeClassification,
+    ClassifiedChange,
     build_contribution_ledger,
     classify_change,
+    classify_sides,
     ledger_from_dict,
     ledger_to_dict,
 )
 from varxpert.preproc import DEFAULT_OPTIONS, scan_text
 from varxpert.util import split_lines
-
-
-def fold(path, **kwargs):
-    return build_contribution_ledger(
-        enumerate_commits(path, **kwargs.pop("enum", {})),
-        options=DEFAULT_OPTIONS,
-        **kwargs,
-    )
 
 
 def bitmap(content):
@@ -45,23 +41,20 @@ def only_file(ledger):
 def modify(old, new):
     return FileChange(
         kind=ChangeKind.MODIFIED, path_before="f.c", path_after="f.c",
-        old_content=old, new_content=new,
         hunks=diff_hunks(split_lines(old), split_lines(new)),
     )
 
 
 def test_classify_added_variable_lines():
     new = "#ifdef A\nint x;\n#endif\n"
-    change = FileChange(kind=ChangeKind.ADDED, path_before=None, path_after="f.c",
-                        new_content=new)
+    change = FileChange(kind=ChangeKind.ADDED, path_before=None, path_after="f.c")
     got = classify_change(change, None, bitmap(new))
     assert got.touched_variable and not got.touched_mandatory
 
 
 def test_classify_mixed_addition():
     new = "int a;\n#ifdef A\nint x;\n#endif\n"
-    change = FileChange(kind=ChangeKind.ADDED, path_before=None, path_after="f.c",
-                        new_content=new)
+    change = FileChange(kind=ChangeKind.ADDED, path_before=None, path_after="f.c")
     got = classify_change(change, None, bitmap(new))
     assert got.touched_variable and got.touched_mandatory
 
@@ -97,11 +90,11 @@ def test_classify_zero_line_change_is_empty():
 
 
 def test_annotation_count_must_match_content():
-    old = "int a;\nint b;\n"
-    change = modify(old, "int a;\n")
-    short = bitmap("int a;\n")
+    old, new = "int a;\nint b;\n", "int a;\n"
+    change = modify(old, new)
+    short = scan_text(new, DEFAULT_OPTIONS)  # one flag for the two old lines
     with pytest.raises(AnnotationMismatch):
-        classify_change(change, short, short)
+        classify_sides(change, old, new, lambda oid, text: short)
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +103,7 @@ def test_annotation_count_must_match_content():
 
 def test_basic_ledger_stats(basic_repo):
     path, shas = basic_repo
-    ledger = fold(path)
+    ledger = mined_ledger(path)
     record = only_file(ledger)
     assert record.lineage_id == f"f.c@{shas['c1'][:12]}"
     assert record.created_path == "f.c"
@@ -136,7 +129,7 @@ def test_basic_ledger_stats(basic_repo):
 
 def test_acceptances_complement_deliveries(basic_repo, rename_repo, multifile_repo):
     for path, _ in (basic_repo, rename_repo, multifile_repo):
-        ledger = fold(path)
+        ledger = mined_ledger(path)
         for record in ledger.files.values():
             for stats in record.contributors.values():
                 assert stats.ac == record.total_events - stats.dl
@@ -144,7 +137,7 @@ def test_acceptances_complement_deliveries(basic_repo, rename_repo, multifile_re
 
 def test_rename_keeps_one_lineage(rename_repo):
     path, shas = rename_repo
-    ledger = fold(path)
+    ledger = mined_ledger(path)
     record = only_file(ledger)
     assert record.lineage_id == f"a.c@{shas['c1'][:12]}"
     assert record.created_path == "a.c"
@@ -158,7 +151,7 @@ def test_rename_keeps_one_lineage(rename_repo):
 
 def test_deletion_only_variable_change_counts(rename_repo):
     path, _ = rename_repo
-    ledger = fold(path)
+    ledger = mined_ledger(path)
     record = only_file(ledger)
     bob = record.contributors["bob@example.com"]
     assert bob.first_variable_month == first(RENAME["bob_variable_months"])
@@ -169,7 +162,7 @@ def test_deletion_only_variable_change_counts(rename_repo):
 
 def test_identity_folding_and_dead_lineage(identity_repo):
     path, shas = identity_repo
-    ledger = fold(path)
+    ledger = mined_ledger(path)
     assert set(ledger.developers) == {IDENTITY["ivy_key"], IDENTITY["jack_key"]}
 
     by_path = {r.created_path: r for r in ledger.files.values()}
@@ -187,7 +180,7 @@ def test_identity_folding_and_dead_lineage(identity_repo):
 def test_file_created_before_window_has_no_first_author(basic_repo):
     path, shas = basic_repo
     # window opens after c1, so f.c looks pre-existing
-    ledger = fold(path, enum={"since": 1580515200})
+    ledger = mined_ledger(path, since=1580515200)
     record = only_file(ledger)
     assert record.fa_key is None
     assert record.lineage_id == f"f.c@{shas['c2'][:12]}"
@@ -206,7 +199,7 @@ def test_pure_rename_records_no_event(repo_builder):
     repo.move("r.c", "s.c")
     repo.commit("just move", "Bob", "bob@example.com",
                 "2020-02-01T00:00:00 +0000")
-    ledger = fold(repo.path)
+    ledger = mined_ledger(repo.path)
     record = only_file(ledger)
     assert record.lineage_id == f"r.c@{c1[:12]}"
     assert record.current_path == "s.c"
@@ -225,7 +218,7 @@ def test_empty_added_file_starts_no_lineage(repo_builder):
     repo.write("e.c", "int later;\n")
     c2 = repo.commit("fill in", "Bob", "bob@example.com",
                      "2020-02-01T00:00:00 +0000")
-    ledger = fold(repo.path)
+    ledger = mined_ledger(repo.path)
     by_path = {r.created_path: r for r in ledger.files.values()}
     assert set(by_path) == {"real.c", "e.c"}
     # e.c only gained a lineage when content appeared, with no first author
@@ -248,7 +241,7 @@ def test_name_reuse_chain_as_git_reports_it(repo_builder):
     repo.move("a.c", "b.c")
     repo.commit("shift names", "Alice", "alice@example.com",
                 "2020-02-01T00:00:00 +0000")
-    ledger = fold(repo.path)
+    ledger = mined_ledger(repo.path)
     by_created = {r.created_path: r for r in ledger.files.values()}
     assert len(ledger.files) == 3
     assert by_created["a.c"].alive is False
@@ -264,24 +257,26 @@ def test_synthetic_rename_ordering_is_harmless():
 
     dev = resolve_identity("Alice", "alice@example.com")
 
-    def added(path, content):
-        return FileChange(kind=ChangeKind.ADDED, path_before=None,
-                          path_after=path, new_content=content)
+    def added(path):
+        return FileChange(kind=ChangeKind.ADDED, path_before=None, path_after=path)
 
-    def moved(old, new, content):
-        return FileChange(kind=ChangeKind.RENAMED, path_before=old,
-                          path_after=new, old_content=content,
-                          new_content=content, hunks=())
+    def moved(old, new):
+        return FileChange(kind=ChangeKind.RENAMED, path_before=old, path_after=new)
 
-    alpha = "int alpha;\n"
-    beta = "long beta;\n"
+    def classify(commit, change):
+        # an addition of mandatory lines; a rename that moves no line
+        return ClassifiedChange(
+            classification=ChangeClassification(
+                touched_variable=False, touched_mandatory=change.kind is ChangeKind.ADDED),
+            saw_variable=False,
+        )
+
     commits = [
-        CommitRecord("a" * 40, dev, 1577836800, False,
-                     (added("a.c", alpha), added("b.c", beta))),
+        CommitRecord("a" * 40, dev, 1577836800, False, (added("a.c"), added("b.c"))),
         CommitRecord("b" * 40, dev, 1580515200, False,
-                     (moved("a.c", "b.c", alpha), moved("b.c", "c.c", beta))),
+                     (moved("a.c", "b.c"), moved("b.c", "c.c"))),
     ]
-    ledger = build_contribution_ledger(iter(commits), options=DEFAULT_OPTIONS)
+    ledger = build_contribution_ledger(iter(commits), classify_fn=classify)
     assert len(ledger.files) == 2
     by_created = {r.created_path: r for r in ledger.files.values()}
     assert by_created["a.c"].current_path == "b.c"
@@ -304,7 +299,7 @@ def test_merge_commits_count_but_record_nothing(repo_builder):
     repo.commit("main work", "Alice", "alice@example.com",
                 "2020-01-03T00:00:00 +0000")
     repo.merge("side", "2020-01-04T00:00:00 +0000")
-    ledger = fold(repo.path)
+    ledger = mined_ledger(repo.path)
     assert ledger.merge_count == 1
     assert ledger.commit_count == 2
     assert set(ledger.developers) == {"alice@example.com"}
@@ -324,7 +319,7 @@ def test_first_months_are_minima_not_first_seen(repo_builder):
         content += f"#ifdef X{n}\nint x{n};\n#endif\nint y{n};\n"
         repo.write("f.c", content)
         repo.commit(f"c{n}", "Alice", "alice@example.com", author_date, commit_date)
-    stats = only_file(fold(repo.path)).contributors["alice@example.com"]
+    stats = only_file(mined_ledger(repo.path)).contributors["alice@example.com"]
     assert stats.dl == 3
     assert (stats.first_variable_month, stats.first_mandatory_month) == \
         ("2020-02", "2020-02")
@@ -332,7 +327,7 @@ def test_first_months_are_minima_not_first_seen(repo_builder):
 
 def test_ledger_serialization_round_trip(multifile_repo):
     path, _ = multifile_repo
-    ledger = fold(path)
+    ledger = mined_ledger(path)
     rebuilt = ledger_from_dict(ledger_to_dict(ledger))
     assert ledger_to_dict(rebuilt) == ledger_to_dict(ledger)
     assert set(rebuilt.files) == set(ledger.files)

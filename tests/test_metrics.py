@@ -6,10 +6,10 @@ import random
 
 import pytest
 
+from conftest import mined_ledger
 from fixture_repos import BASIC, MULTIFILE, RENAME
 from varxpert.errors import DegenerateFile, EmptyHistory
-from varxpert.history import enumerate_commits
-from varxpert.ledger import ContributionStats, build_contribution_ledger
+from varxpert.ledger import ContributionStats
 from varxpert.metrics import (
     METRIC_DOA,
     METRIC_OWNERSHIP,
@@ -20,17 +20,10 @@ from varxpert.metrics import (
     recommended_sets,
     score_file,
 )
-from varxpert.preproc import DEFAULT_OPTIONS
 
 
 def stats(fa, dl, ac):
     return ContributionStats(fa=fa, dl=dl, ac=ac)
-
-
-def fold(path):
-    return build_contribution_ledger(
-        enumerate_commits(path), options=DEFAULT_OPTIONS
-    )
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +165,7 @@ def by_key(scores, lineage_id):
 
 def test_basic_fixture_scores(basic_repo):
     path, shas = basic_repo
-    scores = compute_scores(fold(path))
+    scores = compute_scores(mined_ledger(path))
     lineage = f"f.c@{shas['c1'][:12]}"
     rows = by_key(scores, lineage)
     for key, expected in BASIC["doa_abs"].items():
@@ -188,7 +181,7 @@ def test_basic_fixture_scores(basic_repo):
 
 def test_rename_fixture_scores(rename_repo):
     path, shas = rename_repo
-    scores = compute_scores(fold(path))
+    scores = compute_scores(mined_ledger(path))
     rows = by_key(scores, f"a.c@{shas['c1'][:12]}")
     for key, expected in RENAME["doa_abs"].items():
         assert abs(rows[key].doa_abs - expected) < 1e-9
@@ -202,7 +195,7 @@ def test_rename_fixture_scores(rename_repo):
 
 def test_multifile_fixture_scores(multifile_repo):
     path, shas = multifile_repo
-    scores = compute_scores(fold(path))
+    scores = compute_scores(mined_ledger(path))
     x_rows = by_key(scores, f"x.c@{shas['c1'][:12]}")
     y_rows = by_key(scores, f"y.c@{shas['c2'][:12]}")
     for key, expected in MULTIFILE["x_doa"].items():

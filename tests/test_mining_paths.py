@@ -1,10 +1,10 @@
-"""The two ways a change reaches the classifier, checked against each other.
+"""Every ledger comes from pipeline.mine; these tests pin what it hands on.
 
-run_analyze reads an unhydrated `git log` stream and hydrates each change
-inside its classifier; enumerate_commits hydrates the stream itself and
-the fold uses the default classifier. Both must give the same ledger.
-Also here: warnings.jsonl follows fold order, and random small histories
-(ROADMAP item 2's gate) neither crash a run nor make two runs differ.
+mine folds the history and writes nothing; run_analyze is mine followed
+by the writer, so the ledger.json it writes is the ledger mine folded.
+Also here: binary sides keep their path bookkeeping, warnings.jsonl
+follows fold order, and random small histories (ROADMAP item 2's gate)
+neither crash a run nor make two runs differ.
 """
 
 import json
@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RepoBuilder
+from fixture_repos import BASIC, IDENTITY, MULTIFILE, RENAME
 from varxpert.errors import NoEligibleFiles
-from varxpert.history import enumerate_commits
-from varxpert.ledger import build_contribution_ledger, ledger_to_dict
-from varxpert.pipeline import RunConfig, run_analyze, run_report
+from varxpert.ledger import ledger_to_dict
+from varxpert.pipeline import RunConfig, mine, run_analyze, run_report
 from varxpert.util import stable_json
 
 
@@ -28,24 +28,36 @@ def read(path):
         return handle.read()
 
 
-def folded_ledger_json(repo_path):
-    """ledger.json as the hydrated stream and the default classifier give it."""
-    ledger = build_contribution_ledger(enumerate_commits(repo_path))
-    return stable_json(ledger_to_dict(ledger)).encode("utf-8")
+# hand-computed (FA, DL, AC) per developer, by the path that created the file
+_FA_DL_AC = {
+    "basic_repo": {"f.c": BASIC["fa_dl_ac"]},
+    "rename_repo": {"a.c": RENAME["fa_dl_ac"]},
+    "guard_repo": {},
+    "multifile_repo": {"x.c": MULTIFILE["x_fa_dl_ac"], "y.c": MULTIFILE["y_fa_dl_ac"]},
+    "identity_repo": {"m.c": IDENTITY["m_fa_dl_ac"]},
+}
 
 
-@pytest.mark.parametrize("fixture", [
-    "basic_repo", "rename_repo", "guard_repo", "multifile_repo", "identity_repo",
-])
-def test_both_hydration_paths_fold_the_same_ledger(fixture, request, tmp_path):
+@pytest.mark.parametrize("fixture", sorted(_FA_DL_AC))
+def test_writer_writes_the_mined_ledger(fixture, request, tmp_path):
     repo_path, _ = request.getfixturevalue(fixture)
-    run_analyze(RunConfig(repo_path=repo_path, output_dir=str(tmp_path)))
-    assert read(os.path.join(tmp_path, "ledger.json")) == folded_ledger_json(repo_path)
+    out = tmp_path / "out"
+    config = RunConfig(repo_path=repo_path, output_dir=str(out))
+    state, sink = mine(config)
+    assert not out.exists()
+    by_created = {r.created_path: r for r in state.ledger.files.values()}
+    for path, expected in _FA_DL_AC[fixture].items():
+        contributors = by_created[path].contributors
+        assert {key: (s.fa, s.dl, s.ac) for key, s in contributors.items()} == expected
+    run_analyze(config)
+    assert read(out / "ledger.json").decode("utf-8") == stable_json(ledger_to_dict(state.ledger))
+    assert [json.loads(line) for line in read(out / "warnings.jsonl").splitlines()] == \
+        sink.records
 
 
-def test_binary_deletion_and_rename_keep_their_bookkeeping(repo_builder, tmp_path):
+def test_binary_deletion_and_rename_keep_their_bookkeeping(repo_builder):
     # both files turn binary; the rename must still move b.c's lineage
-    # and the deletion must still end a.c's, on both hydration paths
+    # and the deletion must still end a.c's
     repo = repo_builder
     repo.write("a.c", "int a;\n")
     repo.write("b.c", "int b;\n")
@@ -58,14 +70,11 @@ def test_binary_deletion_and_rename_keep_their_bookkeeping(repo_builder, tmp_pat
     repo.commit("delete and rename", "Bob", "bob@example.com", "2020-03-01T00:00:00 +0000")
     repo.write("moved.c", "int b;\nint c;\n")
     repo.commit("text again", "Carol", "carol@example.com", "2020-04-01T00:00:00 +0000")
-    folded = folded_ledger_json(repo.path)
-    files = json.loads(folded)["files"]
-    assert {lid: (f["alive"], f["current_path"]) for lid, f in files.items()} == {
+    files = mine(RunConfig(repo_path=repo.path))[0].ledger.files
+    assert {lid: (f.alive, f.current_path) for lid, f in files.items()} == {
         next(lid for lid in files if lid.startswith("a.c@")): (False, "a.c"),
         next(lid for lid in files if lid.startswith("b.c@")): (True, "moved.c"),
     }
-    run_analyze(RunConfig(repo_path=repo.path, output_dir=str(tmp_path)))
-    assert read(os.path.join(tmp_path, "ledger.json")) == folded
 
 
 def test_warnings_follow_fold_order(repo_builder, tmp_path):
@@ -180,8 +189,6 @@ def test_random_histories_mine_deterministically(commits):
         first = _report(repo_path, os.path.join(scratch, "first"))
         second = _report(repo_path, os.path.join(scratch, "second"))
         assert first == second
-        if "ledger.json" in first:
-            assert first["ledger.json"] == folded_ledger_json(repo_path)
 
 
 def _change_records(cache_dir):

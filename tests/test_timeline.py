@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import mined_ledger
 from fixture_repos import BASIC, IDENTITY, MULTIFILE, RENAME
 from timeline_reference import (
     fold_with_month_sets,
@@ -13,9 +14,6 @@ from timeline_reference import (
     reference_snapshots,
     snapshot_rows,
 )
-from varxpert.history import enumerate_commits
-from varxpert.ledger import build_contribution_ledger
-from varxpert.preproc import DEFAULT_OPTIONS
 from varxpert.timeline import (
     DeveloperCategory,
     NeverActive,
@@ -25,12 +23,6 @@ from varxpert.timeline import (
     specialization_summary,
 )
 from varxpert.util import month_range
-
-
-def fold(path):
-    return build_contribution_ledger(
-        enumerate_commits(path), options=DEFAULT_OPTIONS
-    )
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +68,7 @@ def test_fixture_timelines(request, fixture_name, expected_key):
     expected = {"BASIC": BASIC, "RENAME": RENAME,
                 "MULTIFILE": MULTIFILE, "IDENTITY": IDENTITY}[expected_key]
     path, _ = request.getfixturevalue(fixture_name)
-    snapshots = monthly_snapshots(fold(path))
+    snapshots = monthly_snapshots(mined_ledger(path))
     assert snapshot_rows(snapshots) == expected["timeline"]
     summary = specialization_summary(snapshots)
     g, s, m = expected["summary"]
@@ -87,14 +79,14 @@ def test_fixture_timelines(request, fixture_name, expected_key):
 
 def test_summary_percentages_partition(basic_repo):
     path, _ = basic_repo
-    summary = specialization_summary(monthly_snapshots(fold(path)))
+    summary = specialization_summary(monthly_snapshots(mined_ledger(path)))
     total = summary.generalist_pct + summary.specialist_pct + summary.mixed_pct
     assert abs(total - 100.0) < 1e-9
 
 
 def test_snapshot_for_every_month_inclusive(multifile_repo):
     path, _ = multifile_repo
-    ledger = fold(path)
+    ledger = mined_ledger(path)
     snapshots = monthly_snapshots(ledger)
     assert [s.year_month for s in snapshots] == month_range(
         ledger.first_month, ledger.last_month
@@ -103,7 +95,7 @@ def test_snapshot_for_every_month_inclusive(multifile_repo):
 
 def test_quiet_months_carry_counts_forward(basic_repo):
     path, _ = basic_repo
-    snapshots = {s.year_month: s for s in monthly_snapshots(fold(path))}
+    snapshots = {s.year_month: s for s in monthly_snapshots(mined_ledger(path))}
     # nothing happened between the march and april commits
     assert (snapshots["2020-03"].generalist, snapshots["2020-03"].mixed) == \
            (snapshots["2020-04"].generalist, snapshots["2020-04"].mixed)
@@ -111,7 +103,7 @@ def test_quiet_months_carry_counts_forward(basic_repo):
 
 def test_first_months_are_minima_across_files(multifile_repo):
     path, _ = multifile_repo
-    first = developer_first_months(fold(path))
+    first = developer_first_months(mined_ledger(path))
     # frank's variable months are {2023-01, 2023-05}, mandatory {2023-01}
     assert first["frank@example.com"] == (min({"2023-01", "2023-05"}),
                                           min({"2023-01"}))
@@ -171,7 +163,7 @@ def test_totals_never_decrease_and_partition_holds(multifile_repo,
                                                    rename_repo):
     for fixture in (multifile_repo, basic_repo, rename_repo):
         path, _ = fixture
-        snapshots = monthly_snapshots(fold(path))
+        snapshots = monthly_snapshots(mined_ledger(path))
         previous_total = 0
         for snap in snapshots:
             assert snap.generalist + snap.specialist + snap.mixed == snap.total
@@ -186,9 +178,9 @@ def test_totals_never_decrease_and_partition_holds(multifile_repo,
 @pytest.mark.parametrize("fixture_name", [
     "basic_repo", "rename_repo", "guard_repo", "multifile_repo", "identity_repo",
 ])
-def test_snapshots_match_month_set_reference_on_fixtures(request, fixture_name):
+def test_snapshots_match_month_set_reference_on_fixtures(request, fixture_name, tmp_path):
     path, _ = request.getfixturevalue(fixture_name)
-    ledger, month_sets = fold_with_month_sets(enumerate_commits(path), DEFAULT_OPTIONS)
+    ledger, month_sets = fold_with_month_sets(path, str(tmp_path))
     assert month_sets
     assert snapshot_rows(monthly_snapshots(ledger)) == reference_snapshots(
         month_sets, ledger.first_month, ledger.last_month

@@ -8,13 +8,16 @@ O(months x devs x months) and is only meant for checking the fast
 version on small and medium inputs.
 """
 
+import json
+import os
+
 from varxpert.ledger import (
     ContributionLedger,
     ContributionStats,
     DeveloperProfile,
     FileRecord,
-    build_contribution_ledger,
 )
+from varxpert.pipeline import RunConfig, mine
 from varxpert.timeline import DeveloperCategory
 from varxpert.util import month_of, month_range
 
@@ -52,27 +55,25 @@ def snapshot_rows(snapshots):
     return [(s.year_month, s.generalist, s.specialist, s.mixed) for s in snapshots]
 
 
-def fold_with_month_sets(commits, options):
-    """Fold a commit stream; also collect every developer's month sets.
+def fold_with_month_sets(repo_path, cache_dir):
+    """Mine a repository cold into cache_dir; also collect every
+    developer's month sets from the change records the run cached.
 
-    Every classified change that touched a line is one ledger event, so
-    the fold's observer sees exactly the events the ledger counts.
+    Every cached change that touched a line is one ledger event, so the
+    records hold exactly the events the ledger counts.
     """
+    ledger = mine(RunConfig(repo_path=repo_path, cache_dir=cache_dir))[0].ledger
     month_sets = {}
-
-    def observe(commit, change, classified):
-        if classified is None or classified.classification.is_empty:
-            return
-        variable, mandatory = month_sets.setdefault(
-            commit.author.canonical_key, (set(), set())
-        )
-        month = month_of(commit.timestamp)
-        if classified.classification.touched_variable:
-            variable.add(month)
-        if classified.classification.touched_mandatory:
-            mandatory.add(month)
-
-    ledger = build_contribution_ledger(commits, options=options, observer=observe)
+    for name in os.listdir(cache_dir):
+        with open(os.path.join(cache_dir, name), encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle if '"commit_id"' in line]
+        for record in records:
+            variable, mandatory = month_sets.setdefault(record["author_key"], (set(), set()))
+            month = month_of(record["timestamp"])
+            if record["touched_variable"]:
+                variable.add(month)
+            if record["touched_mandatory"]:
+                mandatory.add(month)
     return ledger, month_sets
 
 
