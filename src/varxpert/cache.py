@@ -2,10 +2,10 @@
 
 A cache file lives in --cache-dir and is named changes-{digest}.jsonl,
 where digest hashes the analyzer options (extensions, include-guard
-handling) and the format string, varxpert-change-cache/5. The tip is not
+handling) and the format string, varxpert-change-cache/6. The tip is not
 part of the key: one file serves every run with those options, so after
 a new commit only that commit's changes are mined. Files of other
-options or formats (/4 and older, or the tip-named files
+options or formats (/5 and older, or the tip-named files
 changes-{tip}-{digest}.jsonl) are ignored, never migrated.
 
 Two record kinds, one JSON object per line:
@@ -15,7 +15,8 @@ Two record kinds, one JSON object per line:
   (whether either side had a variable line) and every scan warning of
   the change's scanned sides with its blob oid. That is everything the
   ledger fold and warnings.jsonl need, so a hit skips reading and
-  scanning blobs.
+  scanning blobs. A change stopped at a binary side holds that side's
+  oid instead, so a hit reports the binary side without reading it.
 - a blob record, keyed by oid: the blob's conditional blocks and macros,
   or that it is binary. That is all the final-tree snapshot needs.
 
@@ -38,12 +39,11 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from varxpert.preproc import ScanWarning
 
-_FORMAT = "varxpert-change-cache/5"
+_FORMAT = "varxpert-change-cache/6"
 
 
 def analyzer_config_hash(extensions: frozenset[str], exclude_include_guards: bool) -> str:
@@ -58,29 +58,28 @@ def analyzer_config_hash(extensions: frozenset[str], exclude_include_guards: boo
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class CacheRecord:
+class CacheRecord(NamedTuple):
     commit_id: str
     timestamp: int
     author_key: str
     path_after: str  # for deletions this is the path being removed
     kind: str
-    touched_variable: bool
-    touched_mandatory: bool
-    saw_variable: bool
+    touched_variable: bool = False
+    touched_mandatory: bool = False
+    saw_variable: bool = False
     scan_warnings: tuple[tuple[str, ScanWarning], ...] = ()  # (blob oid, warning), all sides
+    binary_oid: Optional[str] = None  # the binary side that stopped the change
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.commit_id, self.path_after)
 
     def as_json(self) -> str:
-        warnings = [[oid, warning.as_dict()] for oid, warning in self.scan_warnings]
-        return json.dumps(dict(vars(self), scan_warnings=warnings), sort_keys=True)
+        warnings = [[oid, warning._asdict()] for oid, warning in self.scan_warnings]
+        return json.dumps(dict(self._asdict(), scan_warnings=warnings), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class BlobFacts:
+class BlobFacts(NamedTuple):
     """What the final-tree snapshot needs of one blob."""
 
     oid: str
@@ -93,7 +92,7 @@ class BlobFacts:
         return self.oid
 
     def as_json(self) -> str:
-        return json.dumps(dict(vars(self), macros=sorted(self.macros)), sort_keys=True)
+        return json.dumps(dict(self._asdict(), macros=sorted(self.macros)), sort_keys=True)
 
 
 def _parse(line: str) -> Union[CacheRecord, BlobFacts]:

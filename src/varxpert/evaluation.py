@@ -11,8 +11,7 @@ per-file values is available for sensitivity checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from varxpert.errors import NoEligibleFiles, NoVariableCode
 from varxpert.ledger import ContributionLedger, FileRecord
@@ -45,8 +44,7 @@ def precision_recall(
     return precision, recall
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
+class EvaluationResult(NamedTuple):
     metric: str
     aggregation: str
     precision: Optional[float]

@@ -35,9 +35,8 @@ import os
 import re
 import subprocess
 import tempfile
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from varxpert.errors import BranchNotFound, CorruptRepo, EmptyIdentity, RepoNotFound
 from varxpert.util import split_lines
@@ -61,8 +60,7 @@ class ChangeKind(Enum):
     RENAMED = "renamed"
 
 
-@dataclass(frozen=True)
-class DeveloperId:
+class DeveloperId(NamedTuple):
     canonical_key: str
     display_name: str
 
@@ -91,16 +89,14 @@ def filter_source_files(path: str, extensions: frozenset[str] = DEFAULT_EXTENSIO
     return ext.lower() in {e.lower() for e in extensions}
 
 
-@dataclass(frozen=True)
-class Hunk:
+class Hunk(NamedTuple):
     old_start: int
     old_count: int
     new_start: int
     new_count: int
 
 
-@dataclass(frozen=True)
-class FileChange:
+class FileChange(NamedTuple):
     kind: ChangeKind
     path_before: Optional[str]
     path_after: Optional[str]
@@ -115,8 +111,7 @@ class FileChange:
         return path
 
 
-@dataclass(frozen=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     commit_id: str
     author: DeveloperId
     timestamp: int  # effective author time, UTC epoch seconds
@@ -205,8 +200,7 @@ class _BlobReader:
         self._proc.wait(timeout=10)
 
 
-@dataclass(frozen=True)
-class TreeEntry:
+class TreeEntry(NamedTuple):
     oid: str
     path: str
 
@@ -303,6 +297,9 @@ class GitRepo:
                     "-c", "diff.renameLimit=10000",
                     "log", "--first-parent", "--reverse", "--raw", "--no-abbrev",
                     "--diff-merges=off", "--find-renames=50%",
+                    # pin what log.showRoot, diff.relative, diff.orderFile and
+                    # i18n.logOutputEncoding change
+                    "--root", "--no-relative", f"-O{os.devnull}", "--encoding=UTF-8",
                     "--format=%x01%H%x1f%P%x1f%an%x1f%ae%x1f%at%x1f%ct",
                     tip, "--",
                 ],
@@ -400,14 +397,12 @@ class GitRepo:
         self,
         change: FileChange,
         *,
-        emit: Optional[WarningSinkFn] = None,
-        commit_id: str = "",
-        binary: Optional[set[str]] = None,
+        on_binary: Optional[Callable[[str], None]] = None,
     ) -> Optional[tuple[FileChange, Optional[str], Optional[str]]]:
         """(change with its hunks, old text, new text); None when a side is binary.
 
-        An absent side has no text. The binary side is reported to emit,
-        and its oid added to binary.
+        An absent side has no text. Reading stops at the first binary
+        side, and its oid is passed to on_binary.
         """
         texts: list[Optional[str]] = []
         for oid in (change.old_blob, change.new_blob):
@@ -416,17 +411,14 @@ class GitRepo:
                 continue
             payload = self.blob_bytes(oid)
             if looks_binary(payload):
-                if emit is not None:
-                    emit({"kind": "binary_skipped", "commit": commit_id,
-                          "path": change.effective_path})
-                if binary is not None:
-                    binary.add(oid)
+                if on_binary is not None:
+                    on_binary(oid)
                 return None
             texts.append(payload.decode("utf-8", errors="replace"))
         old_text, new_text = texts
         old_lines = split_lines(old_text) if old_text is not None else []
         new_lines = split_lines(new_text) if new_text is not None else []
-        return replace(change, hunks=diff_hunks(old_lines, new_lines)), old_text, new_text
+        return change._replace(hunks=diff_hunks(old_lines, new_lines)), old_text, new_text
 
 
 def _parse_raw_change(raw: str) -> Optional[FileChange]:

@@ -24,8 +24,7 @@ the first-parent stream is not in author-date order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from varxpert.errors import AnnotationMismatch
 from varxpert.history import ChangeKind, CommitRecord, FileChange
@@ -33,8 +32,7 @@ from varxpert.preproc import ScanResult, ScanWarning
 from varxpert.util import earliest_month, month_of, split_lines
 
 
-@dataclass(frozen=True)
-class ChangeClassification:
+class ChangeClassification(NamedTuple):
     touched_variable: bool
     touched_mandatory: bool
 
@@ -70,49 +68,74 @@ def classify_change(
     )
 
 
-@dataclass
 class ContributionStats:
     """Per developer-and-file tallies feeding the expertise metrics."""
 
-    fa: int = 0  # 1 when this developer authored the change that created the file
-    dl: int = 0  # deliveries: commits by this developer touching the file
-    ac: int = 0  # acceptances: commits by everyone else, filled at finalize time
-    first_variable_month: Optional[str] = None  # earliest 'YYYY-MM' touching variable code
-    first_mandatory_month: Optional[str] = None  # earliest 'YYYY-MM' touching mandatory code
+    def __init__(
+        self,
+        *,
+        fa: int = 0,
+        dl: int = 0,
+        ac: int = 0,
+        first_variable_month: Optional[str] = None,
+        first_mandatory_month: Optional[str] = None,
+    ):
+        self.fa = fa  # 1 when this developer authored the change that created the file
+        self.dl = dl  # deliveries: commits by this developer touching the file
+        self.ac = ac  # acceptances: commits by everyone else, filled at finalize time
+        # earliest 'YYYY-MM' of a change touching variable, and mandatory, code
+        self.first_variable_month = first_variable_month
+        self.first_mandatory_month = first_mandatory_month
 
     @property
     def commit_count(self) -> int:
         return self.dl
 
 
-@dataclass
 class FileRecord:
     """One file lineage across renames."""
 
-    lineage_id: str
-    created_path: str
-    current_path: str
-    alive: bool = True
-    fa_key: Optional[str] = None
-    has_variable_code_ever: bool = False
-    total_events: int = 0
-    contributors: dict[str, ContributionStats] = field(default_factory=dict)
+    def __init__(
+        self,
+        *,
+        lineage_id: str,
+        created_path: str,
+        current_path: str,
+        alive: bool = True,
+        fa_key: Optional[str] = None,
+        has_variable_code_ever: bool = False,
+        total_events: int = 0,
+    ):
+        self.lineage_id = lineage_id
+        self.created_path = created_path
+        self.current_path = current_path
+        self.alive = alive
+        self.fa_key = fa_key
+        self.has_variable_code_ever = has_variable_code_ever
+        self.total_events = total_events
+        self.contributors: dict[str, ContributionStats] = {}
 
 
-@dataclass
-class DeveloperProfile:
+class DeveloperProfile(NamedTuple):
     canonical_key: str
     display_name: str
 
 
-@dataclass
 class ContributionLedger:
-    files: dict[str, FileRecord] = field(default_factory=dict)
-    developers: dict[str, DeveloperProfile] = field(default_factory=dict)
-    first_month: Optional[str] = None
-    last_month: Optional[str] = None
-    commit_count: int = 0  # non-merge commits inside the analysis window
-    merge_count: int = 0
+    def __init__(
+        self,
+        *,
+        first_month: Optional[str] = None,
+        last_month: Optional[str] = None,
+        commit_count: int = 0,
+        merge_count: int = 0,
+    ):
+        self.files: dict[str, FileRecord] = {}
+        self.developers: dict[str, DeveloperProfile] = {}
+        self.first_month = first_month
+        self.last_month = last_month
+        self.commit_count = commit_count  # non-merge commits inside the analysis window
+        self.merge_count = merge_count
 
     def finalize(self) -> "ContributionLedger":
         """Fill acceptance counts: everyone else's events on the file."""
@@ -122,8 +145,7 @@ class ContributionLedger:
         return self
 
 
-@dataclass(frozen=True)
-class ClassifiedChange:
+class ClassifiedChange(NamedTuple):
     """What the classifier hands the fold for one (commit, file) pair."""
 
     classification: ChangeClassification

@@ -15,8 +15,7 @@ threshold (0.05 by default, inclusive) makes them a major contributor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from varxpert.errors import DegenerateFile, EmptyHistory
 from varxpert.ledger import ContributionLedger, ContributionStats
@@ -72,8 +71,7 @@ def ownership_shares(stats_by_dev: Mapping[str, ContributionStats]) -> dict[str,
     return {key: stats.commit_count / total for key, stats in stats_by_dev.items()}
 
 
-@dataclass(frozen=True)
-class ExpertiseScore:
+class ExpertiseScore(NamedTuple):
     file: str  # lineage id
     developer_key: str
     fa: int

@@ -17,8 +17,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from varxpert.cache import BlobFacts, CacheRecord, ChangeCache
 from varxpert.errors import InvalidConfig, MissingAnalysis, NoEligibleFiles
@@ -71,8 +70,7 @@ REPORT_BASENAME = "report"
 OUTPUT_FORMATS = ("csv", "json", "markdown")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     repo_path: str
     branch: str = "HEAD"
     since: Optional[int] = None
@@ -134,13 +132,21 @@ class WarningSink:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-@dataclass
 class Counters:
-    commits: int = 0
-    merges: int = 0
-    changes: int = 0
-    cache_hits: int = 0
-    annotated_sides: int = 0
+    def __init__(
+        self,
+        *,
+        commits: int = 0,
+        merges: int = 0,
+        changes: int = 0,
+        cache_hits: int = 0,
+        annotated_sides: int = 0,
+    ):
+        self.commits = commits
+        self.merges = merges
+        self.changes = changes
+        self.cache_hits = cache_hits
+        self.annotated_sides = annotated_sides
 
 
 class _PipelineClassifier:
@@ -149,8 +155,10 @@ class _PipelineClassifier:
     scan_memo maps each scanned blob oid to its ScanResult, so every blob
     is scanned once per run, and binary_oids holds the binary sides the
     run reported; the final-tree snapshot reuses both.
-    Hydration warnings go straight to the sink: the fold classifies each
-    change right before its observer call, so they land in fold order.
+    A change stopped at a binary side is cached with that side's oid and
+    reported to the sink as binary_skipped, whether it was read or
+    cached: the fold classifies each change right before its observer
+    call, so the line lands in fold order.
     """
 
     def __init__(
@@ -176,7 +184,14 @@ class _PipelineClassifier:
             if self._cache.enabled
             else None
         )
-        if record is not None:
+        if record is None:
+            binary: list[str] = []
+            hydrated = self._repo.hydrate_change(change, on_binary=binary.append)
+            if hydrated is not None:
+                return classify_sides(*hydrated, self.scan_blob)
+            record = _cache_record(commit, change, binary_oid=binary[0])
+            self._cache.put(record)
+        elif record.binary_oid is None:
             return ClassifiedChange(
                 classification=ChangeClassification(
                     touched_variable=record.touched_variable,
@@ -186,23 +201,31 @@ class _PipelineClassifier:
                 from_cache=True,
                 scan_warnings=record.scan_warnings,
             )
-        hydrated = self._repo.hydrate_change(
-            change, emit=self._sink, commit_id=commit.commit_id, binary=self.binary_oids
-        )
-        if hydrated is None:
-            return None
-        return classify_sides(*hydrated, self.scan_blob)
+        self._sink({"kind": "binary_skipped", "commit": commit.commit_id,
+                    "path": change.effective_path})
+        self.binary_oids.add(record.binary_oid)
+        return None
 
 
-@dataclass
-class AnalysisState:
+def _cache_record(commit: CommitRecord, change: FileChange, **facts) -> CacheRecord:
+    return CacheRecord(
+        commit_id=commit.commit_id,
+        timestamp=commit.timestamp,
+        author_key=commit.author.canonical_key,
+        path_after=change.effective_path,
+        kind=change.kind.value,
+        **facts,
+    )
+
+
+class AnalysisState(NamedTuple):
     config: RunConfig
     ledger: ContributionLedger
     tip: str
     last_commit: str
     snapshot_files: int
     variability: VariabilityCount
-    counters: Counters = field(default_factory=Counters)
+    counters: Counters
 
 
 def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
@@ -239,7 +262,7 @@ def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
             for oid, warning in dict.fromkeys(classified.scan_warnings):
                 if oid not in fresh:
                     continue
-                payload = warning.as_dict()
+                payload = warning._asdict()
                 payload.update({"kind": f"scan_{warning.kind}",
                                 "commit": commit.commit_id,
                                 "path": change.effective_path})
@@ -249,12 +272,9 @@ def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
                 return
             counters.annotated_sides += classified.annotated_sides
             cache.put(
-                CacheRecord(
-                    commit_id=commit.commit_id,
-                    timestamp=commit.timestamp,
-                    author_key=commit.author.canonical_key,
-                    path_after=change.effective_path,
-                    kind=change.kind.value,
+                _cache_record(
+                    commit,
+                    change,
                     touched_variable=classified.classification.touched_variable,
                     touched_mandatory=classified.classification.touched_mandatory,
                     saw_variable=classified.saw_variable,
@@ -459,7 +479,7 @@ def _write_analysis_artifacts(state: AnalysisState, sink: WarningSink) -> None:
             "variability_blocks": state.variability.blocks,
             "distinct_macros": state.variability.distinct_macros,
         },
-        "counters": asdict(state.counters),
+        "counters": vars(state.counters),
     }
     _write_text(os.path.join(config.output_dir, RUN_META_JSON), stable_json(meta))
 

@@ -36,36 +36,28 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class VariabilityCount:
+class VariabilityCount(NamedTuple):
     blocks: int
     distinct_macros: int
 
 
-@dataclass(frozen=True)
-class AnalyzerOptions:
+class AnalyzerOptions(NamedTuple):
     exclude_include_guards: bool = True
 
 
 DEFAULT_OPTIONS = AnalyzerOptions()
 
 
-@dataclass(frozen=True)
-class ScanWarning:
+class ScanWarning(NamedTuple):
     kind: str  # "stray_directive" or "unterminated_block"
     line_no: int
     detail: str
 
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "line_no": self.line_no, "detail": self.detail}
 
-
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     annotations: bytearray  # one byte per physical line: 1 variable, 0 mandatory
     warnings: tuple[ScanWarning, ...]
     blocks: int  # conditional blocks, not counting a transparent include guard

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from varxpert.util import csv_float, stable_json
+from varxpert.util import csv_bool, csv_float, stable_json
 
 
-@dataclass(frozen=True)
-class ProjectReport:
+class ProjectReport(NamedTuple):
     project: str
     files: int
     variability_blocks: int
@@ -28,57 +25,17 @@ class ProjectReport:
     ownership_recall: Optional[float]
     meets_min_devs: bool  # more than 30 developers, informational only
 
-    _COLUMNS = (
-        "project", "files", "variability_blocks", "distinct_macros", "commits",
-        "devs", "generalist_pct", "specialist_pct", "mixed_pct", "doa_dev_pct",
-        "doa_precision", "doa_recall", "ownership_dev_pct",
-        "ownership_precision", "ownership_recall", "meets_min_devs",
-    )
-
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(self._COLUMNS) + "\n")
         row = [
-            self.project,
-            str(self.files),
-            str(self.variability_blocks),
-            str(self.distinct_macros),
-            str(self.commits),
-            str(self.devs),
-            csv_float(self.generalist_pct),
-            csv_float(self.specialist_pct),
-            csv_float(self.mixed_pct),
-            csv_float(self.doa_dev_pct),
-            csv_float(self.doa_precision),
-            csv_float(self.doa_recall),
-            csv_float(self.ownership_dev_pct),
-            csv_float(self.ownership_precision),
-            csv_float(self.ownership_recall),
-            "true" if self.meets_min_devs else "false",
+            csv_bool(value) if isinstance(value, bool)
+            else csv_float(value) if value is None or isinstance(value, float)
+            else str(value)
+            for value in self
         ]
-        out.write(",".join(row) + "\n")
-        return out.getvalue()
+        return ",".join(self._fields) + "\n" + ",".join(row) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "project": self.project,
-            "files": self.files,
-            "variability_blocks": self.variability_blocks,
-            "distinct_macros": self.distinct_macros,
-            "commits": self.commits,
-            "devs": self.devs,
-            "generalist_pct": self.generalist_pct,
-            "specialist_pct": self.specialist_pct,
-            "mixed_pct": self.mixed_pct,
-            "doa_dev_pct": self.doa_dev_pct,
-            "doa_precision": self.doa_precision,
-            "doa_recall": self.doa_recall,
-            "ownership_dev_pct": self.ownership_dev_pct,
-            "ownership_precision": self.ownership_precision,
-            "ownership_recall": self.ownership_recall,
-            "meets_min_devs": self.meets_min_devs,
-        }
-        return stable_json(payload)
+        return stable_json(self._asdict())
 
     def to_markdown(self) -> str:
         def pct(value: float) -> str:

@@ -18,10 +18,9 @@ is variable less mixed, generalist is mandatory less mixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from varxpert.errors import NoEligibleFiles, VarxpertError
 from varxpert.ledger import ContributionLedger
@@ -38,8 +37,7 @@ class NeverActive(VarxpertError):
     """The developer has no change event at or before the asked month."""
 
 
-@dataclass(frozen=True)
-class TimelineSnapshot:
+class TimelineSnapshot(NamedTuple):
     year_month: str
     generalist: int
     specialist: int
@@ -115,8 +113,7 @@ def monthly_snapshots(ledger: ContributionLedger) -> list[TimelineSnapshot]:
     ]
 
 
-@dataclass(frozen=True)
-class SpecializationSummary:
+class SpecializationSummary(NamedTuple):
     generalist_pct: float
     specialist_pct: float
     mixed_pct: float

@@ -300,20 +300,41 @@ def count_blob_reads(monkeypatch):
     return reads
 
 
-def test_warm_run_reads_no_blob(multifile_repo, tmp_path, monkeypatch):
-    # change records cover the fold and blob records the final tree
-    repo_path, _ = multifile_repo
-    cache_dir = str(tmp_path / "cache")
-    cold_out, warm_out = str(tmp_path / "cold"), str(tmp_path / "warm")
-    run_analyze(RunConfig(repo_path=repo_path, cache_dir=cache_dir, output_dir=cold_out))
+def _binary_sides_repo(repo):
+    # t.c turns binary and back, so one change stops at its new side and
+    # one at its old side; u.c is binary from its add to the tip
+    repo.write("t.c", "#ifdef T\nint t;\n#endif\n")
+    repo.write_bytes("u.c", b"\x00 table\n")
+    repo.commit("c1", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    repo.write_bytes("t.c", b"\x00\x01 blob\n")
+    repo.commit("c2", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    repo.write("t.c", "int t;\n")
+    repo.write_bytes("u.c", b"\x00 table v2\n")
+    repo.commit("c3", "Alice", "alice@example.com", "2020-03-01T00:00:00 +0000")
+
+
+def test_warm_run_reads_no_blob(multifile_repo, repo_builder, tmp_path, monkeypatch):
+    # change records cover the fold, including the changes stopped at a
+    # binary side, and blob records the final tree
+    _binary_sides_repo(repo_builder)
+    histories = {"multifile": (multifile_repo[0], 0), "binary": (repo_builder.path, 4)}
+    for name, (repo_path, _) in histories.items():
+        run_analyze(RunConfig(repo_path=repo_path, cache_dir=str(tmp_path / name / "cache"),
+                              output_dir=str(tmp_path / name / "cold")))
     reads = count_blob_reads(monkeypatch)
-    run_analyze(RunConfig(repo_path=repo_path, cache_dir=cache_dir, output_dir=warm_out))
-    assert reads == []
-    for name in ("scores.csv", "ledger.json", "warnings.jsonl", "run_meta.json"):
-        cold, warm = (read(os.path.join(out, name)) for out in (cold_out, warm_out))
-        if name == "run_meta.json":
-            cold, warm = (json.loads(raw)["snapshot"] for raw in (cold, warm))
-        assert cold == warm
+    for name, (repo_path, binary_changes) in histories.items():
+        cold_out, warm_out = str(tmp_path / name / "cold"), str(tmp_path / name / "warm")
+        counters = run_analyze(RunConfig(repo_path=repo_path,
+                                         cache_dir=str(tmp_path / name / "cache"),
+                                         output_dir=warm_out)).counters
+        assert reads == []
+        # a binary-side hit folds no event, so it is not a counted cache hit
+        assert counters.cache_hits == counters.changes - binary_changes
+        for artifact in ("scores.csv", "ledger.json", "warnings.jsonl", "run_meta.json"):
+            cold, warm = (read(os.path.join(out, artifact)) for out in (cold_out, warm_out))
+            if artifact == "run_meta.json":
+                cold, warm = (json.loads(raw)["snapshot"] for raw in (cold, warm))
+            assert cold == warm
 
 
 def _binary_tree_blob_repo(repo):

@@ -143,6 +143,19 @@ def test_console_script_version():
     assert proc.stdout.strip().startswith("varxpert ")
 
 
+def test_cli_import_loads_no_dataclasses():
+    # every verb is a fresh process that pays for its imports, and
+    # `dataclasses` pulls in inspect, ast and dis; compare against what
+    # `site` preloaded
+    probe = ("import json, sys; before = set(sys.modules); import varxpert.cli; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "varxpert.cli" in added
+    assert "dataclasses" not in added
+
+
 # ----------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Git mining tests: commit enumeration, rename and merge handling,
 binary detection, identity folding, timestamp clamping, hunk fidelity."""
 
+import os
 import time
 
 import pytest
@@ -15,7 +16,7 @@ from varxpert.history import (
     resolve_identity,
     unquote_git_path,
 )
-from varxpert.pipeline import RunConfig, mine
+from varxpert.pipeline import RunConfig, mine, run_analyze
 from varxpert.util import split_lines
 
 
@@ -295,3 +296,51 @@ def test_ls_tree_lists_blobs(basic_repo):
         tip = repo.resolve_tip("HEAD")
         entries = repo.ls_tree(tip)
     assert [e.path for e in entries] == ["f.c"]
+
+
+# ----------------------------------------------------------------------
+# the user's git config does not change the mined stream
+# ----------------------------------------------------------------------
+
+ANALYSIS_ARTIFACTS = ("scores.csv", "ledger.json", "warnings.jsonl", "run_meta.json")
+
+
+def analysis_bytes(repo_path, out):
+    run_analyze(RunConfig(repo_path=repo_path, output_dir=str(out)))
+    artifacts = {}
+    for name in ANALYSIS_ARTIFACTS:
+        with open(os.path.join(out, name), "rb") as handle:
+            artifacts[name] = handle.read()
+    return artifacts
+
+
+def _config_sensitive_history(repo):
+    repo.write("sub/a.c", "int a;\n#endif\n")
+    repo.write("z.c", "int z;\n#endif\n")
+    repo.commit("c1", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    repo.write("sub/a.c", "#ifdef A\nint a;\n#endif\n")
+    repo.write("z.c", "int z;\nint y;\n")
+    repo.commit("c2", "Björn", "bjorn@example.com", "2020-02-01T00:00:00 +0000")
+
+
+@pytest.mark.parametrize("key, value, subdirectory", [
+    # without --root the root commit's changes vanish, and with them its authors
+    ("log.showRoot", "false", ""),
+    # without --no-relative a subdirectory path mines only that subdirectory
+    ("diff.relative", "true", "sub"),
+    # without -O/dev/null z.c comes first and so does its warning
+    ("diff.orderFile", None, ""),
+    # without --encoding=UTF-8 the author name reaches the ledger mangled
+    ("i18n.logOutputEncoding", "ISO-8859-1", ""),
+])
+def test_git_config_does_not_change_the_artifacts(repo_builder, tmp_path, key, value,
+                                                  subdirectory):
+    _config_sensitive_history(repo_builder)
+    repo_path = os.path.join(repo_builder.path, subdirectory)
+    plain = analysis_bytes(repo_path, tmp_path / "plain")
+    if value is None:
+        order = tmp_path / "order.txt"
+        order.write_text("z.c\nsub/a.c\n", encoding="utf-8")
+        value = str(order)
+    repo_builder.git("config", key, value)
+    assert analysis_bytes(repo_path, tmp_path / "configured") == plain

@@ -192,10 +192,13 @@ def test_random_histories_mine_deterministically(commits):
 
 
 def _change_records(cache_dir):
+    """Change records a hit folds: those not stopped at a binary side."""
     count = 0
     for name in os.listdir(cache_dir):
         with open(os.path.join(cache_dir, name), encoding="utf-8") as handle:
-            count += sum('"commit_id"' in line for line in handle)
+            records = [json.loads(line) for line in handle]
+        count += sum("commit_id" in record and record["binary_oid"] is None
+                     for record in records)
     return count
 
 
