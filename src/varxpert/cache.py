@@ -2,23 +2,25 @@
 
 A cache file lives in --cache-dir and is named changes-{digest}.jsonl,
 where digest hashes the analyzer options (extensions, include-guard
-handling) and the format string, varxpert-change-cache/6. The tip is not
+handling) and the format string, varxpert-change-cache/7. The tip is not
 part of the key: one file serves every run with those options, so after
 a new commit only that commit's changes are mined. Files of other
-options or formats (/5 and older, or the tip-named files
+options or formats (/6 and older, or the tip-named files
 changes-{tip}-{digest}.jsonl) are ignored, never migrated.
 
-Two record kinds, one JSON object per line:
+Two record kinds, one JSON object per line, written by one serializer:
 
-- a change record, keyed by (commit, path): author key, timestamp, change
-  kind, the touched_variable/touched_mandatory flags, saw_variable
-  (whether either side had a variable line) and every scan warning of
-  the change's scanned sides with its blob oid. That is everything the
-  ledger fold and warnings.jsonl need, so a hit skips reading and
-  scanning blobs. A change stopped at a binary side holds that side's
-  oid instead, so a hit reports the binary side without reading it.
-- a blob record, keyed by oid: the blob's conditional blocks and macros,
-  or that it is binary. That is all the final-tree snapshot needs.
+- a change record: the change's ledger.ChangeFacts under its key, the
+  fields commit and path. Those facts are the touched_variable and
+  touched_mandatory flags, saw_variable (whether either side had a
+  variable line) and every scan warning of the change's scanned sides
+  as [blob oid, [kind, line_no, detail]]. That is everything the ledger
+  fold and warnings.jsonl need, so a hit skips reading and scanning
+  blobs. A change stopped at a binary side holds that side's oid,
+  binary_oid, so a hit reports the binary side without reading it.
+- a blob record, keyed by its oid field: the blob's conditional blocks
+  and macros, or that it is binary. That is all the final-tree snapshot
+  needs.
 
 Records are context-free: a change record depends only on its commit's
 first-parent diff, the blobs and the options; a blob record only on the
@@ -41,9 +43,10 @@ import os
 import tempfile
 from typing import NamedTuple, Optional, Union
 
+from varxpert.ledger import ChangeFacts
 from varxpert.preproc import ScanWarning
 
-_FORMAT = "varxpert-change-cache/6"
+_FORMAT = "varxpert-change-cache/7"
 
 
 def analyzer_config_hash(extensions: frozenset[str], exclude_include_guards: bool) -> str:
@@ -58,27 +61,6 @@ def analyzer_config_hash(extensions: frozenset[str], exclude_include_guards: boo
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-class CacheRecord(NamedTuple):
-    commit_id: str
-    timestamp: int
-    author_key: str
-    path_after: str  # for deletions this is the path being removed
-    kind: str
-    touched_variable: bool = False
-    touched_mandatory: bool = False
-    saw_variable: bool = False
-    scan_warnings: tuple[tuple[str, ScanWarning], ...] = ()  # (blob oid, warning), all sides
-    binary_oid: Optional[str] = None  # the binary side that stopped the change
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.commit_id, self.path_after)
-
-    def as_json(self) -> str:
-        warnings = [[oid, warning._asdict()] for oid, warning in self.scan_warnings]
-        return json.dumps(dict(self._asdict(), scan_warnings=warnings), sort_keys=True)
-
-
 class BlobFacts(NamedTuple):
     """What the final-tree snapshot needs of one blob."""
 
@@ -87,26 +69,26 @@ class BlobFacts(NamedTuple):
     macros: frozenset[str] = frozenset()
     binary: bool = False
 
-    @property
-    def key(self) -> str:
-        return self.oid
 
-    def as_json(self) -> str:
-        return json.dumps(dict(self._asdict(), macros=sorted(self.macros)), sort_keys=True)
+Key = Union[tuple[str, str], str]  # (commit, path) of a change, or a blob oid
+Entry = Union[ChangeFacts, BlobFacts]
 
 
-def _parse(line: str) -> Union[CacheRecord, BlobFacts]:
+def _line(key: Key, entry: Entry) -> str:
+    fields = entry._asdict()
+    if isinstance(entry, ChangeFacts):
+        fields["commit"], fields["path"] = key
+    # default=sorted writes a blob's macros as a sorted list
+    return json.dumps(fields, sort_keys=True, default=sorted) + "\n"
+
+
+def _parse(line: str) -> tuple[Key, Entry]:
     raw = json.loads(line)
     if "oid" in raw:
-        return BlobFacts(**dict(raw, macros=frozenset(raw["macros"])))
-    warnings = tuple(
-        (oid, ScanWarning(**warning)) for oid, warning in raw.pop("scan_warnings")
-    )
-    return CacheRecord(**raw, scan_warnings=warnings)
-
-
-def _lines(entries: list[Union[CacheRecord, BlobFacts]]) -> str:
-    return "".join(entry.as_json() + "\n" for entry in entries)
+        return raw["oid"], BlobFacts(**dict(raw, macros=frozenset(raw["macros"])))
+    key = (raw.pop("commit"), raw.pop("path"))
+    warnings = tuple((oid, ScanWarning(*warning)) for oid, warning in raw.pop("scan_warnings"))
+    return key, ChangeFacts(**raw, scan_warnings=warnings)
 
 
 class ChangeCache:
@@ -114,9 +96,8 @@ class ChangeCache:
 
     def __init__(self, path: Optional[str]):
         self.path = path
-        self._records: dict[tuple[str, str], CacheRecord] = {}
-        self._blobs: dict[str, BlobFacts] = {}
-        self._fresh: list[Union[CacheRecord, BlobFacts]] = []
+        self._entries: dict[Key, Entry] = {}  # a tuple key never equals an oid
+        self._fresh: list[tuple[Key, Entry]] = []
         self._damaged = False  # open saw a bad or repeated line: flush rewrites
 
     @classmethod
@@ -138,38 +119,32 @@ class ChangeCache:
             cache._damaged = lines.pop() != ""
             for line in lines:
                 try:
-                    entry = _parse(line)
+                    key, entry = _parse(line)
                 except (ValueError, KeyError, TypeError, AttributeError):
                     cache._damaged = True  # a damaged line costs a recomputation
                     continue
-                table = cache._table(entry)
-                if entry.key in table:
+                if key in cache._entries:
                     cache._damaged = True
                     continue
-                table[entry.key] = entry
+                cache._entries[key] = entry
         return cache
 
     @property
     def enabled(self) -> bool:
         return self.path is not None
 
-    def _table(self, entry: Union[CacheRecord, BlobFacts]) -> dict:
-        return self._blobs if isinstance(entry, BlobFacts) else self._records
-
-    def get(self, commit_id: str, path: str) -> Optional[CacheRecord]:
-        return self._records.get((commit_id, path))
+    def get(self, commit_id: str, path: str) -> Optional[ChangeFacts]:
+        return self._entries.get((commit_id, path))
 
     def blob(self, oid: str) -> Optional[BlobFacts]:
-        return self._blobs.get(oid)
+        return self._entries.get(oid)
 
-    def put(self, entry: Union[CacheRecord, BlobFacts]) -> None:
-        if not self.enabled:
+    def put(self, key: Key, entry: Entry) -> None:
+        """Store a change's facts under (commit, path), or a blob's under its oid."""
+        if not self.enabled or key in self._entries:
             return
-        table = self._table(entry)
-        if entry.key in table:
-            return
-        table[entry.key] = entry
-        self._fresh.append(entry)
+        self._entries[key] = entry
+        self._fresh.append((key, entry))
 
     def flush(self) -> None:
         """Append this run's new records, or rewrite a damaged file whole."""
@@ -180,13 +155,14 @@ class ChangeCache:
             fd, temp_path = tempfile.mkstemp(dir=os.path.dirname(self.path), suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-                    handle.write(_lines([*self._records.values(), *self._blobs.values()]))
+                    handle.write("".join(_line(*item) for item in self._entries.items()))
                 os.replace(temp_path, self.path)
             finally:
                 if os.path.exists(temp_path):
                     os.unlink(temp_path)
         else:
             with open(self.path, "a", encoding="utf-8", newline="\n") as handle:
-                handle.write(_lines(self._fresh))  # one write: a crash tears one tail
+                # one write: a crash tears one tail
+                handle.write("".join(_line(*item) for item in self._fresh))
         self._fresh = []
         self._damaged = False

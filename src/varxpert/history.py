@@ -21,11 +21,11 @@ reads only the repository, so the stream does not depend on the day it
 is mined.
 
 A failing git is never read as empty content. A blob that `git
-cat-file` cannot produce, or a `git log` that exits non-zero after its
-output ends (a damaged object database, for instance), raises
-CorruptRepo with the blob id or git's own message. Gitlink (submodule)
-entries name commits of another repository; their sides carry no blob
-and are read as absent.
+cat-file` cannot produce or sends cut short, or a `git log` that exits
+non-zero after its output ends (a damaged object database, for
+instance), raises CorruptRepo with the blob id or git's own message.
+Gitlink (submodule) entries name commits of another repository; their
+sides carry no blob and are read as absent.
 """
 
 from __future__ import annotations
@@ -188,7 +188,12 @@ class _BlobReader:
             raise CorruptRepo(f"cannot read blob {oid}: git cat-file replied {reply!r}")
         size = int(header[2])
         payload = self._proc.stdout.read(size)
-        self._proc.stdout.read(1)  # trailing newline
+        # a child that dies mid-blob leaves a short payload or no newline
+        if len(payload) != size or self._proc.stdout.read(1) != b"\n":
+            raise CorruptRepo(
+                f"cannot read blob {oid}: git cat-file's reply was cut short "
+                f"({len(payload)} of {size} bytes)"
+            )
         return payload
 
     def close(self) -> None:
@@ -401,11 +406,13 @@ class GitRepo:
     ) -> Optional[tuple[FileChange, Optional[str], Optional[str]]]:
         """(change with its hunks, old text, new text); None when a side is binary.
 
-        An absent side has no text. Reading stops at the first binary
-        side, and its oid is passed to on_binary.
+        An absent side has no text. Reading starts at the new side and
+        stops at the first binary side, whose oid is passed to on_binary.
+        New first, so when both sides are binary the reported blob is the
+        one a later tree may still hold.
         """
         texts: list[Optional[str]] = []
-        for oid in (change.old_blob, change.new_blob):
+        for oid in (change.new_blob, change.old_blob):
             if not oid or oid == _NULL_OID:
                 texts.append(None)
                 continue
@@ -415,7 +422,7 @@ class GitRepo:
                     on_binary(oid)
                 return None
             texts.append(payload.decode("utf-8", errors="replace"))
-        old_text, new_text = texts
+        new_text, old_text = texts
         old_lines = split_lines(old_text) if old_text is not None else []
         new_lines = split_lines(new_text) if new_text is not None else []
         return change._replace(hunks=diff_hunks(old_lines, new_lines)), old_text, new_text

@@ -32,9 +32,22 @@ from varxpert.preproc import ScanResult, ScanWarning
 from varxpert.util import earliest_month, month_of, split_lines
 
 
-class ChangeClassification(NamedTuple):
-    touched_variable: bool
-    touched_mandatory: bool
+class ChangeFacts(NamedTuple):
+    """Everything the fold, the change cache and warnings.jsonl need of
+    one (commit, file) change.
+
+    touched_variable and touched_mandatory label the change (see
+    classify_change); saw_variable says whether either side had a
+    variable line; scan_warnings holds every warning of the scanned
+    sides with its blob oid. A change stopped at a binary side has
+    only that side's oid, binary_oid, and folds no event.
+    """
+
+    touched_variable: bool = False
+    touched_mandatory: bool = False
+    saw_variable: bool = False
+    scan_warnings: tuple[tuple[str, ScanWarning], ...] = ()  # (blob oid, warning)
+    binary_oid: Optional[str] = None
 
     @property
     def is_empty(self) -> bool:
@@ -45,7 +58,7 @@ def classify_change(
     change: FileChange,
     old_bitmap: Optional[bytearray],
     new_bitmap: Optional[bytearray],
-) -> ChangeClassification:
+) -> ChangeFacts:
     """Decide whether a change touched variable code, mandatory code, or both.
 
     Each bitmap holds one byte per physical line of its side's content,
@@ -62,7 +75,7 @@ def classify_change(
         for hunk in change.hunks:
             touched.append(old_bitmap[hunk.old_start - 1:hunk.old_start - 1 + hunk.old_count])
             touched.append(new_bitmap[hunk.new_start - 1:hunk.new_start - 1 + hunk.new_count])
-    return ChangeClassification(
+    return ChangeFacts(
         touched_variable=any(1 in lines for lines in touched),
         touched_mandatory=any(0 in lines for lines in touched),
     )
@@ -145,24 +158,13 @@ class ContributionLedger:
         return self
 
 
-class ClassifiedChange(NamedTuple):
-    """What the classifier hands the fold for one (commit, file) pair."""
-
-    classification: ChangeClassification
-    saw_variable: bool
-    from_cache: bool = False
-    annotated_sides: int = 0
-    scan_warnings: tuple[tuple[str, ScanWarning], ...] = ()  # (blob oid, warning)
-
-
-ClassifyFn = Callable[[CommitRecord, FileChange], Optional[ClassifiedChange]]
-ObserverFn = Callable[[CommitRecord, FileChange, Optional[ClassifiedChange]], None]
+ClassifyFn = Callable[[CommitRecord, FileChange], Optional[ChangeFacts]]
 ScanFn = Callable[[str, str], ScanResult]  # (blob oid, text) -> scan
 
 
 def classify_sides(
     change: FileChange, old_text: Optional[str], new_text: Optional[str], scan: ScanFn
-) -> ClassifiedChange:
+) -> ChangeFacts:
     """Scan both sides of a hydrated change and classify it.
 
     An absent side's text is None. scan maps a side's blob oid and text
@@ -186,12 +188,8 @@ def classify_sides(
             )
         bitmaps.append(result.annotations)
         warnings.extend((oid or "", w) for w in result.warnings)
-    old_bitmap, new_bitmap = bitmaps
-    present = [bitmap for bitmap in bitmaps if bitmap is not None]
-    return ClassifiedChange(
-        classification=classify_change(change, old_bitmap, new_bitmap),
-        saw_variable=any(1 in bitmap for bitmap in present),
-        annotated_sides=len(present),
+    return classify_change(change, *bitmaps)._replace(
+        saw_variable=any(bitmap is not None and 1 in bitmap for bitmap in bitmaps),
         scan_warnings=tuple(warnings),
     )
 
@@ -204,14 +202,14 @@ def build_contribution_ledger(
     commits: Iterable[CommitRecord],
     *,
     classify_fn: ClassifyFn,
-    observer: Optional[ObserverFn] = None,
 ) -> ContributionLedger:
     """Sequential fold of the commit stream into a ContributionLedger.
 
     A commit's changes are folded deletions first, then renames, then
     the rest. Each change is classified in that order, after the path
-    bookkeeping and right before the observer sees it, so anything the
-    classifier reports lands next to the change it belongs to.
+    bookkeeping, so anything the classifier reports lands in fold order.
+    classify_fn returns None for a change that folds no event (a binary
+    side); its path bookkeeping still happens.
     """
     ledger = ContributionLedger()
     path_map: dict[str, str] = {}
@@ -236,7 +234,7 @@ def build_contribution_ledger(
         return record
 
     def record_event(
-        record: FileRecord, commit: CommitRecord, classified: ClassifiedChange, *, first_author: bool
+        record: FileRecord, commit: CommitRecord, facts: ChangeFacts, *, first_author: bool
     ) -> None:
         key = commit.author.canonical_key
         stats = record.contributors.setdefault(key, ContributionStats())
@@ -245,9 +243,9 @@ def build_contribution_ledger(
             stats.fa = 1
         stats.dl += 1
         month = month_of(commit.timestamp)
-        if classified.classification.touched_variable:
+        if facts.touched_variable:
             stats.first_variable_month = earliest_month(stats.first_variable_month, month)
-        if classified.classification.touched_mandatory:
+        if facts.touched_mandatory:
             stats.first_mandatory_month = earliest_month(stats.first_mandatory_month, month)
         record.total_events += 1
         if key not in ledger.developers:
@@ -282,12 +280,10 @@ def build_contribution_ledger(
                 ledger.files[resolved[index]].current_path = change.path_after
 
         for index, change in enumerate(changes):
-            classified = classify_fn(commit, change)
-            if observer is not None:
-                observer(commit, change, classified)
-            if classified is None:
-                continue  # binary or unreadable side; bookkeeping already done
-            empty = classified.classification.is_empty
+            facts = classify_fn(commit, change)
+            if facts is None:
+                continue  # binary side; bookkeeping already done
+            empty = facts.is_empty
             first_author = False
 
             if change.kind is ChangeKind.ADDED:
@@ -324,9 +320,9 @@ def build_contribution_ledger(
                 else:
                     record = ledger.files[lid]
 
-            record.has_variable_code_ever |= classified.saw_variable
+            record.has_variable_code_ever |= facts.saw_variable
             if not empty:
-                record_event(record, commit, classified, first_author=first_author)
+                record_event(record, commit, facts, first_author=first_author)
 
     return ledger.finalize()
 

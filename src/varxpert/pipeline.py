@@ -19,7 +19,7 @@ import json
 import os
 from typing import NamedTuple, Optional
 
-from varxpert.cache import BlobFacts, CacheRecord, ChangeCache
+from varxpert.cache import BlobFacts, ChangeCache
 from varxpert.errors import InvalidConfig, MissingAnalysis, NoEligibleFiles
 from varxpert.evaluation import MACRO, MICRO, EvaluationResult, project_evaluation
 from varxpert.history import (
@@ -32,8 +32,7 @@ from varxpert.history import (
 )
 from varxpert.ledger import (
     LEDGER_FORMAT,
-    ChangeClassification,
-    ClassifiedChange,
+    ChangeFacts,
     ContributionLedger,
     build_contribution_ledger,
     classify_sides,
@@ -150,15 +149,18 @@ class Counters:
 
 
 class _PipelineClassifier:
-    """Per-change classification with a blob-level scan memo and cache lookups.
+    """The whole per-change step of the fold: count, look up or mine, report.
+
+    A change's ChangeFacts come from the cache, or on a miss from reading
+    and scanning its sides, and a miss is put into the cache. Then the
+    change is reported to the sink: a change stopped at a binary side as
+    one binary_skipped line, any other with the scan warnings of each
+    blob this run has not reported yet, whether the facts were read or
+    cached. The fold calls this in fold order, so the lines land in it.
 
     scan_memo maps each scanned blob oid to its ScanResult, so every blob
     is scanned once per run, and binary_oids holds the binary sides the
     run reported; the final-tree snapshot reuses both.
-    A change stopped at a binary side is cached with that side's oid and
-    reported to the sink as binary_skipped, whether it was read or
-    cached: the fold classifies each change right before its observer
-    call, so the line lands in fold order.
     """
 
     def __init__(
@@ -168,8 +170,10 @@ class _PipelineClassifier:
         self._options = options
         self._cache = cache
         self._sink = sink
+        self.counters = Counters()
         self.scan_memo: dict[str, ScanResult] = {}
         self.binary_oids: set[str] = set()
+        self._reported_oids: set[str] = set()  # blobs whose scan warnings are out
 
     def scan_blob(self, oid: str, text: str) -> ScanResult:
         result = self.scan_memo.get(oid)
@@ -178,44 +182,37 @@ class _PipelineClassifier:
             self.scan_memo[oid] = result
         return result
 
-    def __call__(self, commit: CommitRecord, change: FileChange) -> Optional[ClassifiedChange]:
-        record = (
-            self._cache.get(commit.commit_id, change.effective_path)
-            if self._cache.enabled
-            else None
-        )
-        if record is None:
+    def __call__(self, commit: CommitRecord, change: FileChange) -> Optional[ChangeFacts]:
+        self.counters.changes += 1
+        key = (commit.commit_id, change.effective_path)
+        facts = self._cache.get(*key)
+        if facts is None:
             binary: list[str] = []
             hydrated = self._repo.hydrate_change(change, on_binary=binary.append)
-            if hydrated is not None:
-                return classify_sides(*hydrated, self.scan_blob)
-            record = _cache_record(commit, change, binary_oid=binary[0])
-            self._cache.put(record)
-        elif record.binary_oid is None:
-            return ClassifiedChange(
-                classification=ChangeClassification(
-                    touched_variable=record.touched_variable,
-                    touched_mandatory=record.touched_mandatory,
-                ),
-                saw_variable=record.saw_variable,
-                from_cache=True,
-                scan_warnings=record.scan_warnings,
-            )
-        self._sink({"kind": "binary_skipped", "commit": commit.commit_id,
-                    "path": change.effective_path})
-        self.binary_oids.add(record.binary_oid)
-        return None
+            if hydrated is None:
+                facts = ChangeFacts(binary_oid=binary[0])
+            else:
+                facts = classify_sides(*hydrated, self.scan_blob)
+                self.counters.annotated_sides += sum(text is not None for text in hydrated[1:])
+            self._cache.put(key, facts)
+        elif facts.binary_oid is None:
+            self.counters.cache_hits += 1
 
-
-def _cache_record(commit: CommitRecord, change: FileChange, **facts) -> CacheRecord:
-    return CacheRecord(
-        commit_id=commit.commit_id,
-        timestamp=commit.timestamp,
-        author_key=commit.author.canonical_key,
-        path_after=change.effective_path,
-        kind=change.kind.value,
-        **facts,
-    )
+        if facts.binary_oid is not None:
+            self._sink({"kind": "binary_skipped", "commit": commit.commit_id,
+                        "path": change.effective_path})
+            self.binary_oids.add(facts.binary_oid)
+            return None
+        # Every warning of a blob is reported once, where the blob first
+        # appears in this run; dict.fromkeys, because a rename that keeps
+        # its blob lists it on both sides.
+        fresh = {oid for oid, _ in facts.scan_warnings} - self._reported_oids
+        self._reported_oids.update(fresh)
+        for oid, warning in dict.fromkeys(facts.scan_warnings):
+            if oid in fresh:
+                self._sink(dict(warning._asdict(), kind=f"scan_{warning.kind}",
+                                commit=commit.commit_id, path=change.effective_path))
+        return facts
 
 
 class AnalysisState(NamedTuple):
@@ -235,7 +232,6 @@ def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
     """
     config.validate()
     sink = WarningSink()
-    counters = Counters()
 
     with GitRepo(config.repo_path) as repo:
         tip = repo.resolve_tip(config.branch)
@@ -245,42 +241,7 @@ def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
             config.cache_dir, config.extensions, config.exclude_include_guards
         )
         classifier = _PipelineClassifier(repo, config.analyzer_options(), cache, sink)
-        seen_oids: set[str] = set()
         last_commit: dict[str, Optional[str]] = {"id": None}
-
-        def observer(
-            commit: CommitRecord, change: FileChange, classified: Optional[ClassifiedChange]
-        ) -> None:
-            counters.changes += 1
-            if classified is None:
-                return
-            # Every warning of a blob is reported once, where the blob first
-            # appears in this run, whether the change was scanned or cached.
-            fresh = {oid for oid, _ in classified.scan_warnings} - seen_oids
-            seen_oids.update(fresh)
-            # dict.fromkeys: a rename that keeps its blob lists it on both sides
-            for oid, warning in dict.fromkeys(classified.scan_warnings):
-                if oid not in fresh:
-                    continue
-                payload = warning._asdict()
-                payload.update({"kind": f"scan_{warning.kind}",
-                                "commit": commit.commit_id,
-                                "path": change.effective_path})
-                sink(payload)
-            if classified.from_cache:
-                counters.cache_hits += 1
-                return
-            counters.annotated_sides += classified.annotated_sides
-            cache.put(
-                _cache_record(
-                    commit,
-                    change,
-                    touched_variable=classified.classification.touched_variable,
-                    touched_mandatory=classified.classification.touched_mandatory,
-                    saw_variable=classified.saw_variable,
-                    scan_warnings=classified.scan_warnings,
-                )
-            )
 
         def tracked(stream):
             for commit in stream:
@@ -298,10 +259,9 @@ def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
                 )
             ),
             classify_fn=classifier,
-            observer=observer,
         )
-        counters.commits = ledger.commit_count
-        counters.merges = ledger.merge_count
+        classifier.counters.commits = ledger.commit_count
+        classifier.counters.merges = ledger.merge_count
         if last_commit["id"] is None:
             raise NoEligibleFiles("no commits in the requested range")
 
@@ -319,7 +279,7 @@ def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
         last_commit=last_commit["id"] or tip,
         snapshot_files=snapshot_files,
         variability=variability,
-        counters=counters,
+        counters=classifier.counters,
     ), sink
 
 
@@ -359,7 +319,7 @@ def _final_snapshot(
             facts = BlobFacts(entry.oid, binary=True)
         else:
             facts = cache.blob(entry.oid) or _read_blob_facts(repo, entry.oid, config)
-        cache.put(facts)
+        cache.put(entry.oid, facts)
         if facts.binary:
             if entry.oid not in classifier.binary_oids:
                 sink({"kind": "binary_skipped", "commit": rev, "path": entry.path})

@@ -6,85 +6,61 @@ import os
 
 import pytest
 
-from varxpert.cache import BlobFacts, CacheRecord, ChangeCache, analyzer_config_hash
+from varxpert.cache import BlobFacts, ChangeCache, analyzer_config_hash
 from varxpert.history import DEFAULT_EXTENSIONS, GitRepo
+from varxpert.ledger import ChangeFacts
 from varxpert.pipeline import RunConfig, run_analyze
 from varxpert.preproc import ScanWarning
 
-
-def record(commit="c" * 40, path="f.c"):
-    return CacheRecord(
-        commit_id=commit,
-        timestamp=1577836800,
-        author_key="alice@example.com",
-        path_after=path,
-        kind="modified",
-        touched_variable=True,
-        touched_mandatory=False,
-        saw_variable=True,
-    )
-
-
-def test_record_json_round_trip():
-    rec = record()
-    raw = json.loads(rec.as_json())
-    rebuilt = CacheRecord(
-        commit_id=raw["commit_id"],
-        timestamp=raw["timestamp"],
-        author_key=raw["author_key"],
-        path_after=raw["path_after"],
-        kind=raw["kind"],
-        touched_variable=raw["touched_variable"],
-        touched_mandatory=raw["touched_mandatory"],
-        saw_variable=raw["saw_variable"],
-    )
-    assert rebuilt == rec
+KEY = ("c" * 40, "f.c")
+FACTS = ChangeFacts(touched_variable=True, saw_variable=True)
 
 
 def test_scan_warnings_survive_a_reopen(tmp_path):
-    warned = CacheRecord(
-        commit_id="c" * 40, timestamp=1577836800, author_key="alice@example.com",
-        path_after="f.c", kind="added", touched_variable=False,
-        touched_mandatory=True, saw_variable=False,
+    warned = ChangeFacts(
+        touched_mandatory=True,
         scan_warnings=(("b" * 40, ScanWarning("stray_directive", 2, "#endif")),),
     )
+    binary = ChangeFacts(binary_oid="d" * 40)
     cache = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
-    cache.put(warned)
+    cache.put(KEY, warned)
+    cache.put(("c" * 40, "t.c"), binary)
     cache.flush()
     again = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
-    assert again.get("c" * 40, "f.c") == warned
+    assert again.get(*KEY) == warned
+    assert again.get("c" * 40, "t.c") == binary
 
 
 def test_disabled_cache_is_inert():
     cache = ChangeCache.open(None, DEFAULT_EXTENSIONS, True)
     assert not cache.enabled
-    cache.put(record())
-    assert cache.get("c" * 40, "f.c") is None
+    cache.put(KEY, FACTS)
+    assert cache.get(*KEY) is None
     cache.flush()
 
 
 def test_put_flush_reopen_get(tmp_path):
     cache = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
-    cache.put(record())
-    cache.put(record(path="g.c"))
+    cache.put(KEY, FACTS)
+    cache.put(("c" * 40, "g.c"), FACTS._replace(saw_variable=False))
     cache.flush()
 
     again = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
-    assert again.get("c" * 40, "f.c") == record()
-    assert again.get("c" * 40, "g.c") == record(path="g.c")
+    assert again.get(*KEY) == FACTS
+    assert again.get("c" * 40, "g.c") == FACTS._replace(saw_variable=False)
     assert again.get("c" * 40, "missing.c") is None
 
 
 def test_flush_appends_without_duplicates(tmp_path):
     cache = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
-    cache.put(record())
+    cache.put(KEY, FACTS)
     cache.flush()
     cache2 = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
-    cache2.put(record())  # already known, must not duplicate
-    cache2.put(record(path="h.c"))
+    cache2.put(KEY, FACTS)  # already known, must not duplicate
+    cache2.put(("c" * 40, "h.c"), FACTS)
     cache2.flush()
     cache3 = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
-    assert len(cache3._records) == 2
+    assert len(cache3._entries) == 2
 
 
 def test_config_hash_separates_settings(tmp_path):
@@ -99,14 +75,14 @@ def test_config_hash_separates_settings(tmp_path):
 
 def test_damaged_lines_are_skipped(tmp_path):
     cache = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
-    cache.put(record())
+    cache.put(KEY, FACTS)
     cache.flush()
     with open(cache.path, "a", encoding="utf-8") as handle:
         handle.write("{not json at all\n")
-        handle.write('{"commit_id": "only one field"}\n')
+        handle.write('{"commit": "only one field"}\n')
     again = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
-    assert again.get("c" * 40, "f.c") == record()
-    assert len(again._records) == 1
+    assert again.get(*KEY) == FACTS
+    assert len(again._entries) == 1
 
 
 # ----------------------------------------------------------------------
@@ -268,15 +244,15 @@ def test_blob_facts_survive_a_reopen(tmp_path):
     cache = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
     text = BlobFacts("a" * 40, blocks=3, macros=frozenset({"X", "Y"}))
     binary = BlobFacts("b" * 40, binary=True)
-    cache.put(text)
-    cache.put(binary)
-    cache.put(record())
+    cache.put(text.oid, text)
+    cache.put(binary.oid, binary)
+    cache.put(KEY, FACTS)
     cache.flush()
     again = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
     assert again.blob("a" * 40) == text
     assert again.blob("b" * 40) == binary
     assert again.blob("c" * 40) is None
-    assert again.get("c" * 40, "f.c") == record()
+    assert again.get(*KEY) == FACTS
 
 
 def test_cache_file_is_named_by_options_only(multifile_repo, tmp_path):
@@ -335,6 +311,26 @@ def test_warm_run_reads_no_blob(multifile_repo, repo_builder, tmp_path, monkeypa
             if artifact == "run_meta.json":
                 cold, warm = (json.loads(raw)["snapshot"] for raw in (cold, warm))
             assert cold == warm
+
+
+def test_each_binary_change_is_reported_once(repo_builder, tmp_path, monkeypatch):
+    # u.c is binary on both sides of the tip commit; the fold reports that
+    # change with its new blob, so the final-tree snapshot neither reads
+    # nor reports u.c again
+    _binary_sides_repo(repo_builder)
+    c1, c2, c3 = repo_builder.git("rev-list", "--reverse", "HEAD").split()
+    tip_u = repo_builder.git("rev-parse", "HEAD:u.c").strip()
+    reads = count_blob_reads(monkeypatch)
+    out = str(tmp_path / "out")
+    run_analyze(RunConfig(repo_path=repo_builder.path, output_dir=out))
+    records = [json.loads(line) for line in read(os.path.join(out, "warnings.jsonl")).splitlines()]
+    assert [(r["kind"], r["commit"], r["path"]) for r in records] == [
+        ("binary_skipped", c1, "u.c"),
+        ("binary_skipped", c2, "t.c"),
+        ("binary_skipped", c3, "t.c"),
+        ("binary_skipped", c3, "u.c"),
+    ]
+    assert reads.count(tip_u) == 1
 
 
 def _binary_tree_blob_repo(repo):
@@ -404,7 +400,7 @@ def _no_final_newline(lines):
 
 
 def _blank_and_foreign(lines):
-    return "\n".join(["", '{"commit_id": "only one field"}'] + lines)
+    return "\n".join(["", '{"commit": "only one field"}'] + lines)
 
 
 @pytest.mark.parametrize("damage", [_torn_tail, _no_final_newline, _duplicated,

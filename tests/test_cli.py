@@ -156,6 +156,22 @@ def test_cli_import_loads_no_dataclasses():
     assert "dataclasses" not in added
 
 
+def test_benchmark_tracer_finds_its_targets():
+    # perfbench/trace_cli.py wraps functions by module attribute name, and
+    # a rename would silently drop a layer's spans. install patches the
+    # modules, so it runs in a fresh interpreter. The two names expected
+    # below are tracer targets the program no longer has.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    probe = ("import json, sys; "
+             f"sys.path[:0] = [{os.path.join(root, 'perfbench')!r}, {os.path.join(root, 'src')!r}]; "
+             "import trace_cli; tracer = trace_cli.Tracer(); trace_cli.install(tracer); "
+             "print(json.dumps(tracer.missing))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["varxpert.ledger.scan_text",
+                                       "varxpert.pipeline.classify_change"]
+
+
 # ----------------------------------------------------------------------
 # determinism
 # ----------------------------------------------------------------------
@@ -301,7 +317,7 @@ def test_missing_blob_fails_the_run(repo_builder, tmp_path, capsys, rev, args):
     remove_loose_object(repo, oid)
     code = run_cli("analyze", repo.path, "--out", str(tmp_path / "out"), *args)
     assert code == 1
-    assert oid in capsys.readouterr().err
+    assert f"cannot read blob {oid}" in capsys.readouterr().err
 
 
 def test_submodule_named_like_a_source_file_is_no_missing_blob(repo_builder, tmp_path):
@@ -316,9 +332,14 @@ def test_submodule_named_like_a_source_file_is_no_missing_blob(repo_builder, tmp
     assert run_cli("analyze", repo.path, "--out", str(tmp_path / "out")) == 0
 
 
-def test_unreadable_history_fails_the_run(repo_builder, tmp_path, capsys):
+@pytest.mark.parametrize("missing", [
+    ("rev-list", "--max-parents=0", "HEAD"),
+    # git log cannot diff the middle commit against its neighbours
+    ("rev-parse", "HEAD~1^{tree}"),
+], ids=["root_commit", "tree"])
+def test_unreadable_history_fails_the_run(repo_builder, tmp_path, capsys, missing):
     repo = three_commit_repo(repo_builder)
-    remove_loose_object(repo, repo.git("rev-list", "--max-parents=0", "HEAD").strip())
+    remove_loose_object(repo, repo.git(*missing).strip())
     assert run_cli("analyze", repo.path, "--out", str(tmp_path / "out")) == 1
     assert "git log failed" in capsys.readouterr().err
 

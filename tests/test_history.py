@@ -1,15 +1,17 @@
 """Git mining tests: commit enumeration, rename and merge handling,
 binary detection, identity folding, timestamp clamping, hunk fidelity."""
 
+import io
 import os
 import time
 
 import pytest
 
-from varxpert.errors import BranchNotFound, EmptyIdentity, RepoNotFound
+from varxpert.errors import BranchNotFound, CorruptRepo, EmptyIdentity, RepoNotFound
 from varxpert.history import (
     ChangeKind,
     GitRepo,
+    _BlobReader,
     diff_hunks,
     filter_source_files,
     looks_binary,
@@ -274,6 +276,30 @@ def test_binary_change_skipped_with_warning(repo_builder):
     state, sink = mine(RunConfig(repo_path=repo.path))
     assert [r.current_path for r in state.ledger.files.values()] == ["ok.c"]
     assert [(w["kind"], w["path"]) for w in sink.records] == [("binary_skipped", "blob.c")]
+
+
+class _CannedCatFile:
+    """Stands in for the `git cat-file --batch` child: stdout is fixed bytes."""
+
+    def __init__(self, reply):
+        self.stdin = io.BytesIO()
+        self.stdout = io.BytesIO(reply)
+
+
+def cat_file_read(reply, oid="a" * 40):
+    reader = _BlobReader.__new__(_BlobReader)
+    reader._proc = _CannedCatFile(f"{oid} blob ".encode("ascii") + reply)
+    return reader.read(oid)
+
+
+@pytest.mark.parametrize("reply", [
+    b"10\nint a;\n",  # the child died after 7 of 10 bytes
+    b"7\nint a;\n",  # every byte, but no closing newline
+], ids=["short_payload", "no_newline"])
+def test_cut_short_blob_is_never_read_as_content(reply):
+    assert cat_file_read(b"7\nint a;\n\n") == b"int a;\n"
+    with pytest.raises(CorruptRepo, match=r"cannot read blob a{40}: .*\(7 of"):
+        cat_file_read(reply)
 
 
 def test_raw_stream_has_no_hunks(basic_repo):

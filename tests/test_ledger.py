@@ -8,8 +8,7 @@ from fixture_repos import BASIC, IDENTITY, RENAME
 from varxpert.errors import AnnotationMismatch
 from varxpert.history import ChangeKind, FileChange, diff_hunks
 from varxpert.ledger import (
-    ChangeClassification,
-    ClassifiedChange,
+    ChangeFacts,
     build_contribution_ledger,
     classify_change,
     classify_sides,
@@ -265,11 +264,7 @@ def test_synthetic_rename_ordering_is_harmless():
 
     def classify(commit, change):
         # an addition of mandatory lines; a rename that moves no line
-        return ClassifiedChange(
-            classification=ChangeClassification(
-                touched_variable=False, touched_mandatory=change.kind is ChangeKind.ADDED),
-            saw_variable=False,
-        )
+        return ChangeFacts(touched_mandatory=change.kind is ChangeKind.ADDED)
 
     commits = [
         CommitRecord("a" * 40, dev, 1577836800, False, (added("a.c"), added("b.c"))),

@@ -197,7 +197,7 @@ def _change_records(cache_dir):
     for name in os.listdir(cache_dir):
         with open(os.path.join(cache_dir, name), encoding="utf-8") as handle:
             records = [json.loads(line) for line in handle]
-        count += sum("commit_id" in record and record["binary_oid"] is None
+        count += sum("commit" in record and record["binary_oid"] is None
                      for record in records)
     return count
 

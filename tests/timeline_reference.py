@@ -11,6 +11,7 @@ version on small and medium inputs.
 import json
 import os
 
+from varxpert.history import GitRepo
 from varxpert.ledger import (
     ContributionLedger,
     ContributionStats,
@@ -60,16 +61,25 @@ def fold_with_month_sets(repo_path, cache_dir):
     developer's month sets from the change records the run cached.
 
     Every cached change that touched a line is one ledger event, so the
-    records hold exactly the events the ledger counts.
+    records hold exactly the events the ledger counts. A record holds
+    no author or date: each one takes them from its commit in
+    GitRepo.iter_commits.
     """
     ledger = mine(RunConfig(repo_path=repo_path, cache_dir=cache_dir))[0].ledger
+    with GitRepo(repo_path) as repo:
+        commits = {commit.commit_id: commit
+                   for commit in repo.iter_commits(repo.resolve_tip("HEAD"))}
     month_sets = {}
     for name in os.listdir(cache_dir):
         with open(os.path.join(cache_dir, name), encoding="utf-8") as handle:
-            records = [json.loads(line) for line in handle if '"commit_id"' in line]
+            records = [json.loads(line) for line in handle]
         for record in records:
-            variable, mandatory = month_sets.setdefault(record["author_key"], (set(), set()))
-            month = month_of(record["timestamp"])
+            if "commit" not in record:
+                continue  # a blob record
+            commit = commits[record["commit"]]
+            variable, mandatory = month_sets.setdefault(
+                commit.author.canonical_key, (set(), set()))
+            month = month_of(commit.timestamp)
             if record["touched_variable"]:
                 variable.add(month)
             if record["touched_mandatory"]:
