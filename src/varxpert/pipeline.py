@@ -158,9 +158,19 @@ class _PipelineClassifier:
     blob this run has not reported yet, whether the facts were read or
     cached. The fold calls this in fold order, so the lines land in it.
 
-    scan_memo maps each scanned blob oid to its ScanResult, so every blob
-    is scanned once per run, and binary_oids holds the binary sides the
-    run reported; the final-tree snapshot reuses both.
+    live maps each path to (oid, text, ScanResult) of its current version,
+    so a blob is read and scanned once as a new side and reused as the
+    next change's old side. Every change to a path pops its entry, a
+    cache hit included, and puts back the new side it read (or kept, on
+    a pure rename) under its new path; a delete leaves none. The table
+    holds one version per path the fold has seen, not one per version in
+    the history, and it holds that version's text. A path that leaves
+    the stream without a change the fold sees (renamed to a name outside
+    the extension filter, or changed by a merge) keeps its stale entry
+    until a later change to that path replaces it; an entry is only used
+    for a side with its oid, so a stale one is never misread.
+    binary_oids holds the binary sides the run reported. The final-tree
+    snapshot reuses both.
     """
 
     def __init__(
@@ -171,32 +181,44 @@ class _PipelineClassifier:
         self._cache = cache
         self._sink = sink
         self.counters = Counters()
-        self.scan_memo: dict[str, ScanResult] = {}
+        self.live: dict[str, tuple[str, str, ScanResult]] = {}
         self.binary_oids: set[str] = set()
         self._reported_oids: set[str] = set()  # blobs whose scan warnings are out
+        self._scans: dict[str, ScanResult] = {}  # the current change's sides
 
     def scan_blob(self, oid: str, text: str) -> ScanResult:
-        result = self.scan_memo.get(oid)
+        result = self._scans.get(oid)
         if result is None:
-            result = scan_text(text, self._options)
-            self.scan_memo[oid] = result
+            result = self._scans[oid] = scan_text(text, self._options)
         return result
 
     def __call__(self, commit: CommitRecord, change: FileChange) -> Optional[ChangeFacts]:
         self.counters.changes += 1
+        held = self.live.pop(change.path_before, None) if change.path_before else None
+        self._scans = {held[0]: held[2]} if held else {}
+        new_text = held[1] if held and held[0] == change.new_blob else None
         key = (commit.commit_id, change.effective_path)
         facts = self._cache.get(*key)
         if facts is None:
-            binary: list[str] = []
-            hydrated = self._repo.hydrate_change(change, on_binary=binary.append)
+            binary: list[tuple[str, Optional[str]]] = []
+            hydrated = self._repo.hydrate_change(
+                change, held=held[:2] if held else None,
+                on_binary=lambda *side: binary.append(side),
+            )
             if hydrated is None:
-                facts = ChangeFacts(binary_oid=binary[0])
+                facts = ChangeFacts(binary_oid=binary[0][0])
+                new_text = binary[0][1]
             else:
                 facts = classify_sides(*hydrated, self.scan_blob)
+                new_text = hydrated[2]
                 self.counters.annotated_sides += sum(text is not None for text in hydrated[1:])
             self._cache.put(key, facts)
         elif facts.binary_oid is None:
             self.counters.cache_hits += 1
+        if new_text is not None:
+            # only a change stopped at a binary old side left its new side unscanned
+            scan = self.scan_blob(change.new_blob, new_text)
+            self.live[change.effective_path] = (change.new_blob, new_text, scan)
 
         if facts.binary_oid is not None:
             self._sink({"kind": "binary_skipped", "commit": commit.commit_id,
@@ -300,10 +322,10 @@ def _final_snapshot(
 ) -> tuple[int, VariabilityCount]:
     """Count source files and variability in the tree of the last commit.
 
-    Each tree blob's facts come from the fold (its scan memo and the
-    binary sides it reported), else from the cache; only the rest are
-    read and scanned here. A binary blob is reported unless the fold
-    already reported it.
+    Each tree blob's facts come from the fold (its live table, when the
+    path's entry holds that blob, and the binary sides it reported), else
+    from the cache; only the rest are read and scanned here. A binary
+    blob is reported unless the fold already reported it.
     """
     entries = [
         entry for entry in repo.ls_tree(rev)
@@ -312,9 +334,9 @@ def _final_snapshot(
     blocks = 0
     macros: set[str] = set()
     for entry in entries:
-        scanned = classifier.scan_memo.get(entry.oid)
-        if scanned is not None:
-            facts = BlobFacts(entry.oid, scanned.blocks, scanned.macros)
+        held = classifier.live.get(entry.path)
+        if held is not None and held[0] == entry.oid:
+            facts = BlobFacts(entry.oid, held[2].blocks, held[2].macros)
         elif entry.oid in classifier.binary_oids:
             facts = BlobFacts(entry.oid, binary=True)
         else:

@@ -276,6 +276,21 @@ def count_blob_reads(monkeypatch):
     return reads
 
 
+def test_cold_run_reads_each_blob_once(repo_builder, tmp_path, monkeypatch):
+    # each change takes its old side from the previous change's new side,
+    # a pure rename keeps it, and the final-tree snapshot reuses the last
+    for version in range(4):
+        repo_builder.write("f.c", "#ifdef A\nint a;\n#endif\n" * (version + 1))
+        repo_builder.commit(f"v{version}", "Alice", "alice@example.com",
+                            f"2020-0{version + 1}-01T00:00:00 +0000")
+    repo_builder.move("f.c", "g.c")
+    repo_builder.commit("move", "Bob", "bob@example.com", "2020-06-01T00:00:00 +0000")
+    blobs = {repo_builder.git("rev-parse", f"HEAD~{n}:f.c").strip() for n in range(1, 5)}
+    reads = count_blob_reads(monkeypatch)
+    run_analyze(RunConfig(repo_path=repo_builder.path, output_dir=str(tmp_path / "out")))
+    assert sorted(reads) == sorted(blobs)
+
+
 def _binary_sides_repo(repo):
     # t.c turns binary and back, so one change stops at its new side and
     # one at its old side; u.c is binary from its add to the tip
@@ -319,7 +334,8 @@ def test_each_binary_change_is_reported_once(repo_builder, tmp_path, monkeypatch
     # nor reports u.c again
     _binary_sides_repo(repo_builder)
     c1, c2, c3 = repo_builder.git("rev-list", "--reverse", "HEAD").split()
-    tip_u = repo_builder.git("rev-parse", "HEAD:u.c").strip()
+    tip_t, tip_u = (repo_builder.git("rev-parse", f"HEAD:{path}").strip()
+                    for path in ("t.c", "u.c"))
     reads = count_blob_reads(monkeypatch)
     out = str(tmp_path / "out")
     run_analyze(RunConfig(repo_path=repo_builder.path, output_dir=out))
@@ -331,6 +347,9 @@ def test_each_binary_change_is_reported_once(repo_builder, tmp_path, monkeypatch
         ("binary_skipped", c3, "u.c"),
     ]
     assert reads.count(tip_u) == 1
+    # t.c turns back into text at the tip: the fold keeps that new side,
+    # so the final-tree snapshot does not read it again
+    assert reads.count(tip_t) == 1
 
 
 def _binary_tree_blob_repo(repo):

@@ -1,24 +1,33 @@
 """Git mining tests: commit enumeration, rename and merge handling,
 binary detection, identity folding, timestamp clamping, hunk fidelity."""
 
+import difflib
 import io
 import os
+import subprocess
+import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from varxpert.errors import BranchNotFound, CorruptRepo, EmptyIdentity, RepoNotFound
 from varxpert.history import (
     ChangeKind,
     GitRepo,
+    Hunk,
     _BlobReader,
+    _longest_match,
     diff_hunks,
     filter_source_files,
     looks_binary,
     resolve_identity,
     unquote_git_path,
 )
+from varxpert.ledger import classify_sides
 from varxpert.pipeline import RunConfig, mine, run_analyze
+from varxpert.preproc import AnalyzerOptions, scan_text
 from varxpert.util import split_lines
 
 
@@ -97,6 +106,127 @@ def test_diff_hunks_round_trip_simple():
     new = ["a", "x", "c", "d"]
     hunks = diff_hunks(old, new)
     assert apply_hunks(old, new, hunks) == new
+
+
+def difflib_hunks(old_lines, new_lines):
+    """The engine diff_hunks replaced, kept as its oracle: the non-equal
+    opcodes of SequenceMatcher without autojunk."""
+    matcher = difflib.SequenceMatcher(a=old_lines, b=new_lines, autojunk=False)
+    return tuple(
+        Hunk(i1 + 1, i2 - i1, j1 + 1, j2 - j1)
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes()
+        if tag != "equal"
+    )
+
+
+@st.composite
+def line_pairs(draw):
+    """Two file images over 1 to 5 distinct lines: edited, unrelated, one
+    line repeated, or one block repeated and then edited."""
+    alphabet = st.sampled_from([f"line {n}" for n in range(draw(st.integers(1, 5)))])
+    shape = draw(st.sampled_from(("edited", "unrelated", "one line", "one block")))
+    if shape == "unrelated":
+        return draw(st.lists(alphabet, max_size=120)), draw(st.lists(alphabet, max_size=120))
+    if shape == "one line":
+        return ["same"] * draw(st.integers(0, 120)), ["same"] * draw(st.integers(0, 120))
+    if shape == "one block":
+        block = draw(st.lists(alphabet, min_size=1, max_size=10))
+        old = block * draw(st.integers(1, 12))
+        new = block * draw(st.integers(1, 12))
+    else:
+        old = draw(st.lists(alphabet, max_size=120))
+        new = list(old)
+    for _ in range(draw(st.integers(0, 6))):  # an edit script of slice replacements
+        start = draw(st.integers(0, len(new)))
+        stop = draw(st.integers(start, min(len(new), start + 5)))
+        new[start:stop] = draw(st.lists(alphabet, max_size=5))
+    return old, new
+
+
+@settings(max_examples=600, deadline=None)
+@given(line_pairs())
+def test_diff_hunks_are_difflibs(pair):
+    old, new = pair
+    assert diff_hunks(old, new) == difflib_hunks(old, new)
+
+
+@st.composite
+def near_periodic_boxes(draw):
+    """Two images that repeat one unit with a few lines changed, and a box
+    of at least 16 lines a side: many longest runs, tied in length."""
+    unit = draw(st.lists(st.sampled_from("xyz"), min_size=1, max_size=6))
+    images, box = [], []
+    for _ in range(2):
+        length = draw(st.integers(16, 60))
+        shift = draw(st.integers(0, len(unit) - 1))
+        image = [unit[(t + shift) % len(unit)] for t in range(length)]
+        for t in draw(st.lists(st.integers(0, length - 1), max_size=6)):
+            image[t] = draw(st.sampled_from("xyz"))
+        low = draw(st.integers(0, length - 16))
+        images.append(image)
+        box += [low, draw(st.integers(low + 16, length))]
+    return images, box
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_periodic_boxes())
+@example(([list("yxxyxyxxyxyxxyxyxxyxyxy"), list("xxyxyxxyxyxxyxyxxyyyxxyxyxy")],
+          [7, 23, 11, 27]))  # the longest run starts just past another on its diagonal
+def test_longest_match_is_difflibs(case):
+    (a, b), (alo, ahi, blo, bhi) = case
+    matcher = difflib.SequenceMatcher(a=a, b=b, autojunk=False)
+    assert _longest_match(a, b, alo, ahi, blo, bhi) == \
+        tuple(matcher.find_longest_match(alo, ahi, blo, bhi))
+
+
+@pytest.mark.parametrize("old, new", [
+    (["same"] * 900, ["same"] * 900),
+    (["same"] * 900, ["same"] * 450 + ["other"] + ["same"] * 449),
+    ([f"b{n}" for n in range(10)] * 90,
+     [f"b{n}" for n in range(10)] * 45 + ["edit"] + [f"b{n}" for n in range(10)] * 45),
+], ids=["identical", "one_line_edit", "repeated_block"])
+def test_diff_hunks_are_difflibs_on_long_repeats(old, new):
+    assert diff_hunks(old, new) == difflib_hunks(old, new)
+
+
+def test_diff_engine_matches_difflib_on_histories(
+        basic_repo, rename_repo, guard_repo, multifile_repo, identity_repo, tmp_path):
+    # every change of the fixtures and of two generated histories: deep-ifdef
+    # (900-line files) and team-churn seed 4, where git's own hunks flip a flag
+    synth = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "synth.py")
+    paths = [path for path, _ in (basic_repo, rename_repo, guard_repo, multifile_repo,
+                                  identity_repo)]
+    for workload, seed in (("deep-ifdef", 1), ("team-churn", 4)):
+        subprocess.run([sys.executable, synth, workload, str(seed), str(tmp_path / workload)],
+                       check=True, capture_output=True)
+        paths.append(str(tmp_path / workload / workload))
+    options = AnalyzerOptions()
+    scans = {}
+
+    def scan(oid, text):
+        if oid not in scans:
+            scans[oid] = scan_text(text, options)
+        return scans[oid]
+
+    compared = 0
+    for path in paths:
+        with GitRepo(path) as repo:
+            for commit in repo.iter_commits(repo.resolve_tip("HEAD")):
+                for change in commit.changes:
+                    hydrated = repo.hydrate_change(change)
+                    if hydrated is None:
+                        continue  # a binary side has no hunks
+                    change, old_text, new_text = hydrated
+                    oracle = difflib_hunks(split_lines(old_text or ""),
+                                           split_lines(new_text or ""))
+                    assert change.hunks == oracle, (path, commit.commit_id, change)
+                    facts = classify_sides(change, old_text, new_text, scan)
+                    expected = classify_sides(change._replace(hunks=oracle),
+                                              old_text, new_text, scan)
+                    assert facts == expected
+                    compared += 1
+    assert compared > 1800
 
 
 # ----------------------------------------------------------------------
