@@ -488,16 +488,18 @@ class GitRepo:
         *,
         held: Optional[tuple[str, str]] = None,
         on_binary: Optional[Callable[[str, Optional[str]], None]] = None,
-    ) -> Optional[tuple[FileChange, Optional[str], Optional[str]]]:
-        """(change with its hunks, old text, new text); None when a side is binary.
+    ) -> Optional[tuple[FileChange, Optional[str], Optional[str], list[str], list[str]]]:
+        """(change with its hunks, old text, new text, old lines, new lines);
+        None when a side is binary.
 
-        An absent side has no text. held, when given, is the (oid, text)
-        of a blob the caller already has; a side with that oid is not
-        read. Reading starts at the new side and stops at the first
-        binary side; on_binary gets its oid and the new side's text,
-        which is None unless only the old side is binary. New first, so
-        when both sides are binary the reported blob is the one a later
-        tree may still hold.
+        An absent side has no text and no lines; the lines are split_lines
+        of the text. held, when given, is the (oid, text) of a blob the
+        caller already has; a side with that oid is not read. Reading
+        starts at the new side and stops at the first binary side;
+        on_binary gets its oid and the new side's text, which is None
+        unless only the old side is binary. New first, so when both sides
+        are binary the reported blob is the one a later tree may still
+        hold.
         """
         texts: list[Optional[str]] = []
         for oid in (change.new_blob, change.old_blob):
@@ -516,7 +518,8 @@ class GitRepo:
         new_text, old_text = texts
         old_lines = split_lines(old_text) if old_text is not None else []
         new_lines = split_lines(new_text) if new_text is not None else []
-        return change._replace(hunks=diff_hunks(old_lines, new_lines)), old_text, new_text
+        return (change._replace(hunks=diff_hunks(old_lines, new_lines)),
+                old_text, new_text, old_lines, new_lines)
 
 
 def _parse_raw_change(raw: str) -> Optional[FileChange]:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from varxpert.errors import AnnotationMismatch
 from varxpert.history import ChangeKind, CommitRecord, FileChange
 from varxpert.preproc import ScanResult, ScanWarning
-from varxpert.util import earliest_month, month_of, split_lines
+from varxpert.util import earliest_month, month_of
 
 
 class ChangeFacts(NamedTuple):
@@ -163,28 +163,33 @@ ScanFn = Callable[[str, str], ScanResult]  # (blob oid, text) -> scan
 
 
 def classify_sides(
-    change: FileChange, old_text: Optional[str], new_text: Optional[str], scan: ScanFn
+    change: FileChange,
+    old_text: Optional[str],
+    new_text: Optional[str],
+    old_lines: list[str],
+    new_lines: list[str],
+    scan: ScanFn,
 ) -> ChangeFacts:
     """Scan both sides of a hydrated change and classify it.
 
-    An absent side's text is None. scan maps a side's blob oid and text
-    to its ScanResult, so callers decide whether scans are memoized per
-    blob; a scan whose bitmap does not give one flag per line raises
+    An absent side's text is None and its lines are empty; the lines are
+    split_lines of the text. scan maps a side's blob oid and text to its
+    ScanResult, so callers decide whether scans are memoized per blob; a
+    scan whose bitmap does not give one flag per line raises
     AnnotationMismatch.
     """
     warnings: list[tuple[str, ScanWarning]] = []
     bitmaps: list[Optional[bytearray]] = []
-    for side, oid, content in (("old", change.old_blob, old_text),
-                               ("new", change.new_blob, new_text)):
+    for side, oid, content, lines in (("old", change.old_blob, old_text, old_lines),
+                                      ("new", change.new_blob, new_text, new_lines)):
         if content is None:
             bitmaps.append(None)
             continue
         result = scan(oid or "", content)
-        expected = len(split_lines(content))
-        if len(result.annotations) != expected:
+        if len(result.annotations) != len(lines):
             raise AnnotationMismatch(
                 f"{side} side of {change.effective_path}: "
-                f"{len(result.annotations)} line flags for {expected} lines"
+                f"{len(result.annotations)} line flags for {len(lines)} lines"
             )
         bitmaps.append(result.annotations)
         warnings.extend((oid or "", w) for w in result.warnings)

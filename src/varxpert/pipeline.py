@@ -47,7 +47,7 @@ from varxpert.metrics import (
     ExpertiseScore,
     compute_scores,
 )
-from varxpert.preproc import AnalyzerOptions, ScanResult, VariabilityCount, scan_text
+from varxpert.preproc import AnalyzerOptions, ScanResult, VariabilityCount, patch_scan, scan_text
 from varxpert.report import ProjectReport
 from varxpert.timeline import (
     SpecializationSummary,
@@ -159,16 +159,21 @@ class _PipelineClassifier:
     cached. The fold calls this in fold order, so the lines land in it.
 
     live maps each path to (oid, text, ScanResult) of its current version,
-    so a blob is read and scanned once as a new side and reused as the
-    next change's old side. Every change to a path pops its entry, a
-    cache hit included, and puts back the new side it read (or kept, on
-    a pure rename) under its new path; a delete leaves none. The table
-    holds one version per path the fold has seen, not one per version in
-    the history, and it holds that version's text. A path that leaves
-    the stream without a change the fold sees (renamed to a name outside
-    the extension filter, or changed by a merge) keeps its stale entry
-    until a later change to that path replaces it; an entry is only used
-    for a side with its oid, so a stale one is never misread.
+    so a blob is read once as a new side and reused as the next change's
+    old side. The ScanResult carries the version's directive list, and
+    the new side of a text-to-text change is patched from its old side's
+    scan through the change's hunks (preproc.patch_scan), so scan_text
+    lexes a path in full only at first sight, or where a backslash
+    continuation meets a hunk edge. Every change to a path pops its
+    entry, a cache hit included, and puts back the new side it read (or
+    kept, on a pure rename) under its new path; a delete leaves none.
+    The table holds one version per path the fold has seen, not one per
+    version in the history, and it holds that version's text, which
+    diff_hunks needs, and directive list. A path that leaves the stream
+    without a change the fold sees (renamed to a name outside the
+    extension filter, or changed by a merge) keeps its stale entry until
+    a later change to that path replaces it; an entry is only used for a
+    side with its oid, so a stale one is never misread.
     binary_oids holds the binary sides the run reported. The final-tree
     snapshot reuses both.
     """
@@ -209,9 +214,16 @@ class _PipelineClassifier:
                 facts = ChangeFacts(binary_oid=binary[0][0])
                 new_text = binary[0][1]
             else:
+                _, old_text, new_text, old_lines, new_lines = hydrated
+                if old_text is not None and new_text is not None:
+                    base = self.scan_blob(change.old_blob, old_text)
+                    if change.new_blob not in self._scans:
+                        patched = patch_scan(base, hydrated[0].hunks, old_lines, new_lines,
+                                             self._options)
+                        if patched is not None:
+                            self._scans[change.new_blob] = patched
                 facts = classify_sides(*hydrated, self.scan_blob)
-                new_text = hydrated[2]
-                self.counters.annotated_sides += sum(text is not None for text in hydrated[1:])
+                self.counters.annotated_sides += (old_text is not None) + (new_text is not None)
             self._cache.put(key, facts)
         elif facts.binary_oid is None:
             self.counters.cache_hits += 1

@@ -5,16 +5,28 @@ A line is variable when it is a conditional-compilation directive
 open conditional block; every other line, including non-conditional
 directives such as #define or #include at the top level, is mandatory.
 
-scan_text makes one pass over the text. A multiline regex jumps from one
+scan_text makes one pass over the text in two parts. The lexer
+(_directives) lists the directives: a multiline regex jumps from one
 directive line (blank space, then `#`) to the next, following backslash
-continuations, and a stack of open blocks decides each directive; the
-lines between two directives keep the state the first one left. The
-result is a bitmap with one byte per physical line (1 = variable), the
-scan warnings, and the number of conditional blocks and the distinct
-macros they name, which the final-tree snapshot adds up. A block names
-the first identifier of an #ifdef/#ifndef, every identifier but
-`defined` of an #if/#elif expression, and, once it has an #elif or
-#else branch, every identifier of its opening expression.
+continuations. The resolver (_resolve) turns that list and the line
+count into the result, with a stack of open blocks that decides each
+directive; the lines between two directives keep the state the first
+one left. The result is a bitmap with one byte per physical line (1 =
+variable), the scan warnings, the number of conditional blocks and the
+distinct macros they name, which the final-tree snapshot adds up, and
+the directive list itself. A block names the first identifier of an
+#ifdef/#ifndef, every identifier but `defined` of an #if/#elif
+expression, and, once it has an #elif or #else branch, every identifier
+of its opening expression.
+
+patch_scan gives scan_text's result for a file's next version without
+lexing it again. The lexer is line-local except for continuations, so
+the new list is the old one shifted through the change's hunks, minus
+the directives that start in deleted ranges, plus the lexed added
+lines; the same resolver then runs on it. When a line ending in a
+backslash sits at a hunk edge (the line before a hunk, or a hunk's last
+old or new line), a continuation may cross the edge, and patch_scan
+returns None so that the caller scans the new side in full.
 
 The scanner is purely syntactic: expressions are neither evaluated nor
 satisfiability-checked. Comments and string literals are not stripped
@@ -34,9 +46,10 @@ neither a block nor a macro.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import re
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class VariabilityCount(NamedTuple):
@@ -57,11 +70,16 @@ class ScanWarning(NamedTuple):
     detail: str
 
 
+# (first line, last line, keyword, rest) of a directive, 0-based physical lines
+Directive = tuple[int, int, Optional[str], str]
+
+
 class ScanResult(NamedTuple):
     annotations: bytearray  # one byte per physical line: 1 variable, 0 mandatory
     warnings: tuple[ScanWarning, ...]
     blocks: int  # conditional blocks, not counting a transparent include guard
     macros: frozenset[str]
+    directives: list[Directive]  # what scan_text's resolver read, for patch_scan
 
 
 _DIRECTIVE_RE = re.compile(r"^[^\S\n]*#", re.MULTILINE)
@@ -104,7 +122,7 @@ def _opener_macros(keyword: str, expression: str) -> frozenset[str]:
     return frozenset({first}) if first else frozenset()
 
 
-def _directives(content: str) -> list[tuple[int, int, Optional[str], str]]:
+def _directives(content: str) -> list[Directive]:
     """(first line, last line, keyword, rest) of every directive, with
     0-based physical lines; a backslash continues a directive onto the
     next line unless it is the last line."""
@@ -139,7 +157,7 @@ def _directives(content: str) -> list[tuple[int, int, Optional[str], str]]:
     return found
 
 
-def _include_guard(directives: list[tuple[int, int, Optional[str], str]]) -> Optional[int]:
+def _include_guard(directives: list[Directive]) -> Optional[int]:
     """Index of a classic include guard's #ifndef in `directives`, or None.
 
     The first conditional directive must be #ifndef X, the next physical
@@ -176,8 +194,56 @@ def _include_guard(directives: list[tuple[int, int, Optional[str], str]]) -> Opt
 def scan_text(content: str, options: AnalyzerOptions = DEFAULT_OPTIONS) -> ScanResult:
     """Classify every physical line in one pass; never raises on any text."""
     total = content.count("\n") + (0 if not content or content.endswith("\n") else 1)
+    return _resolve(_directives(content), total, options)
+
+
+def _continued(line: str) -> bool:
+    return line.rstrip().endswith("\\")
+
+
+def _shifted(directives: list[Directive], by: int) -> list[Directive]:
+    return [(first + by, last + by, keyword, rest)
+            for first, last, keyword, rest in directives] if by else directives
+
+
+def patch_scan(
+    old: ScanResult,
+    hunks: Iterable[tuple[int, int, int, int]],
+    old_lines: list[str],
+    new_lines: list[str],
+    options: AnalyzerOptions = DEFAULT_OPTIONS,
+) -> Optional[ScanResult]:
+    """scan_text of the new side, from the old side's scan and the hunks.
+
+    hunks are (old start, old count, new start, new count), 1-based, in
+    order, with equal lines between them; the lines are split_lines of
+    each side. None when a line ending in a backslash sits at a hunk
+    edge: a continuation may then cross it, so the caller scans in full.
+    """
+    kept = old.directives
+    directives: list[Directive] = []
+    pos = shift = 0
+    for old_start, old_count, new_start, new_count in hunks:
+        start, end = old_start - 1, old_start - 1 + old_count
+        added = new_lines[new_start - 1:new_start - 1 + new_count]
+        if ((new_start > 1 and _continued(new_lines[new_start - 2]))
+                or (old_count and _continued(old_lines[end - 1]))
+                or (added and _continued(added[-1]))):
+            return None
+        cut = bisect.bisect_left(kept, (start,), pos)
+        directives += _shifted(kept[pos:cut], shift)
+        pos = bisect.bisect_left(kept, (end,), cut)  # drop those starting in the deleted range
+        if added:
+            directives += _shifted(_directives("\n".join(added) + "\n"), new_start - 1)
+        shift = new_start - 1 + new_count - end
+    directives += _shifted(kept[pos:], shift)
+    return _resolve(directives, len(new_lines), options)
+
+
+def _resolve(directives: list[Directive], total: int, options: AnalyzerOptions) -> ScanResult:
+    """The bitmap, warnings, blocks and macros of a text of `total` lines
+    with these directives."""
     bitmap = bytearray(total)
-    directives = _directives(content)
     guard = _include_guard(directives) if options.exclude_include_guards else None
     warnings: list[ScanWarning] = []
     stack: list[tuple[int, str, bool]] = []  # (opening line, expression, transparent)
@@ -220,4 +286,4 @@ def scan_text(content: str, options: AnalyzerOptions = DEFAULT_OPTIONS) -> ScanR
         warnings.append(ScanWarning(
             "unterminated_block", opened_line, "conditional block still open at end of file"
         ))
-    return ScanResult(bitmap, tuple(warnings), blocks, frozenset(macros))
+    return ScanResult(bitmap, tuple(warnings), blocks, frozenset(macros), directives)

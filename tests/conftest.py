@@ -3,6 +3,7 @@ micro-repositories the oracle tests run against."""
 
 import os
 import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +119,31 @@ def multifile_repo(tmp_path_factory):
 @pytest.fixture(scope="session")
 def identity_repo(tmp_path_factory):
     return _session_repo(tmp_path_factory, "identity", build_identity)
+
+
+@pytest.fixture(scope="session")
+def synth_histories(tmp_path_factory):
+    """Two generated histories (perfbench/synth.py): deep-ifdef seed 1, with
+    900-line files of dense #if blocks, and team-churn seed 4, where git's
+    own hunks flip a change's flags."""
+    synth = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "synth.py")
+    paths = []
+    for workload, seed in (("deep-ifdef", 1), ("team-churn", 4)):
+        base = tmp_path_factory.mktemp(workload)
+        subprocess.run([sys.executable, synth, workload, str(seed), str(base)],
+                       check=True, capture_output=True)
+        paths.append(str(base / workload))
+    return paths
+
+
+@pytest.fixture(scope="session")
+def history_paths(basic_repo, rename_repo, guard_repo, multifile_repo, identity_repo,
+                  synth_histories):
+    """The five fixtures and the two generated histories, for differentials
+    that run over every change."""
+    fixtures = (basic_repo, rename_repo, guard_repo, multifile_repo, identity_repo)
+    return [path for path, _ in fixtures] + synth_histories
 
 
 @pytest.fixture()

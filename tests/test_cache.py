@@ -6,11 +6,12 @@ import os
 
 import pytest
 
+from varxpert import pipeline
 from varxpert.cache import BlobFacts, ChangeCache, analyzer_config_hash
 from varxpert.history import DEFAULT_EXTENSIONS, GitRepo
 from varxpert.ledger import ChangeFacts
-from varxpert.pipeline import RunConfig, run_analyze
-from varxpert.preproc import ScanWarning
+from varxpert.pipeline import RunConfig, mine, run_analyze
+from varxpert.preproc import ScanWarning, patch_scan, scan_text
 
 KEY = ("c" * 40, "f.c")
 FACTS = ChangeFacts(touched_variable=True, saw_variable=True)
@@ -289,6 +290,49 @@ def test_cold_run_reads_each_blob_once(repo_builder, tmp_path, monkeypatch):
     reads = count_blob_reads(monkeypatch)
     run_analyze(RunConfig(repo_path=repo_builder.path, output_dir=str(tmp_path / "out")))
     assert sorted(reads) == sorted(blobs)
+
+
+def test_cold_run_lexes_each_path_once(repo_builder, monkeypatch):
+    # a path is lexed in full at first sight (a.c, b.h, d.c) and where a
+    # continuation meets a hunk edge (c4); every other text side is patched
+    repo = repo_builder
+    body = ["#ifdef A", "int a;", "#endif", "#define M(x) \\", "  (x)", "int z;"]
+    repo.write("a.c", "\n".join(body) + "\n")
+    repo.write("b.h", "#ifndef B_H\n#define B_H\nint b;\n#endif\n")
+    repo.commit("c1", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    body[1:1] = ["#if B", "int b;", "#endif"]
+    repo.write("a.c", "\n".join(body) + "\n")
+    repo.commit("c2", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    del body[5]
+    repo.write("a.c", "\n".join(body) + "\n")
+    repo.write("b.h", "#ifndef B_H\n#define B_H\nlong b;\n#endif\n")
+    repo.commit("c3", "Alice", "alice@example.com", "2020-03-01T00:00:00 +0000")
+    body[body.index("  (x)")] = "  (x + 1)"
+    repo.write("a.c", "\n".join(body) + "\n")
+    repo.commit("c4", "Bob", "bob@example.com", "2020-04-01T00:00:00 +0000")
+    repo.move("a.c", "c.c")
+    repo.write("c.c", "\n".join(body + ["int y;"]) + "\n")
+    repo.commit("c5", "Alice", "alice@example.com", "2020-05-01T00:00:00 +0000")
+    repo.write("d.c", "int d;\n")
+    repo.delete("b.h")
+    repo.commit("c6", "Bob", "bob@example.com", "2020-06-01T00:00:00 +0000")
+    full, patched = [], []
+
+    def counting_scan(text, options):
+        full.append(text)
+        return scan_text(text, options)
+
+    def counting_patch(*args):
+        result = patch_scan(*args)
+        patched.append(result is not None)
+        return result
+
+    monkeypatch.setattr(pipeline, "scan_text", counting_scan)
+    monkeypatch.setattr(pipeline, "patch_scan", counting_patch)
+    mine(RunConfig(repo_path=repo.path))
+    first_sight, fallbacks = 3, patched.count(False)
+    assert len(full) == first_sight + fallbacks
+    assert (patched.count(True), fallbacks) == (4, 1)
 
 
 def _binary_sides_repo(repo):

@@ -4,8 +4,6 @@ binary detection, identity folding, timestamp clamping, hunk fidelity."""
 import difflib
 import io
 import os
-import subprocess
-import sys
 import time
 
 import pytest
@@ -189,18 +187,9 @@ def test_diff_hunks_are_difflibs_on_long_repeats(old, new):
     assert diff_hunks(old, new) == difflib_hunks(old, new)
 
 
-def test_diff_engine_matches_difflib_on_histories(
-        basic_repo, rename_repo, guard_repo, multifile_repo, identity_repo, tmp_path):
+def test_diff_engine_matches_difflib_on_histories(history_paths):
     # every change of the fixtures and of two generated histories: deep-ifdef
     # (900-line files) and team-churn seed 4, where git's own hunks flip a flag
-    synth = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench", "synth.py")
-    paths = [path for path, _ in (basic_repo, rename_repo, guard_repo, multifile_repo,
-                                  identity_repo)]
-    for workload, seed in (("deep-ifdef", 1), ("team-churn", 4)):
-        subprocess.run([sys.executable, synth, workload, str(seed), str(tmp_path / workload)],
-                       check=True, capture_output=True)
-        paths.append(str(tmp_path / workload / workload))
     options = AnalyzerOptions()
     scans = {}
 
@@ -210,20 +199,20 @@ def test_diff_engine_matches_difflib_on_histories(
         return scans[oid]
 
     compared = 0
-    for path in paths:
+    for path in history_paths:
         with GitRepo(path) as repo:
             for commit in repo.iter_commits(repo.resolve_tip("HEAD")):
                 for change in commit.changes:
                     hydrated = repo.hydrate_change(change)
                     if hydrated is None:
                         continue  # a binary side has no hunks
-                    change, old_text, new_text = hydrated
+                    change, old_text, new_text, old_lines, new_lines = hydrated
                     oracle = difflib_hunks(split_lines(old_text or ""),
                                            split_lines(new_text or ""))
                     assert change.hunks == oracle, (path, commit.commit_id, change)
-                    facts = classify_sides(change, old_text, new_text, scan)
-                    expected = classify_sides(change._replace(hunks=oracle),
-                                              old_text, new_text, scan)
+                    facts = classify_sides(*hydrated, scan)
+                    expected = classify_sides(change._replace(hunks=oracle), old_text,
+                                              new_text, old_lines, new_lines, scan)
                     assert facts == expected
                     compared += 1
     assert compared > 1800
@@ -270,7 +259,7 @@ def test_basic_repo_stream(basic_repo):
     assert second.old_blob == first[0].new_blob
     with GitRepo(path) as repo:
         assert repo.blob_bytes(first[0].new_blob).startswith(b"#include")
-        _, old_text, new_text = repo.hydrate_change(second)
+        old_text, new_text = repo.hydrate_change(second)[1:3]
         assert old_text == repo.blob_bytes(first[0].new_blob).decode("utf-8")
         assert new_text is not None
 
@@ -280,9 +269,9 @@ def test_hunks_round_trip_over_fixtures(basic_repo, rename_repo, multifile_repo)
         with GitRepo(path) as repo:
             for commit in repo.iter_commits(repo.resolve_tip("HEAD")):
                 for change in commit.changes:
-                    hydrated, old_text, new_text = repo.hydrate_change(change)
-                    old = split_lines(old_text or "")
-                    new = split_lines(new_text or "")
+                    hydrated, old_text, new_text, old, new = repo.hydrate_change(change)
+                    assert old == split_lines(old_text or "")
+                    assert new == split_lines(new_text or "")
                     assert apply_hunks(old, new, hydrated.hunks) == new
 
 
@@ -304,7 +293,7 @@ def test_deletion_carries_old_content(identity_repo):
     assert change.path_before == "tmp.c"
     assert change.new_blob is None
     with GitRepo(path) as repo:
-        _, old_text, new_text = repo.hydrate_change(change)
+        old_text, new_text = repo.hydrate_change(change)[1:3]
     assert new_text is None
     assert "scratch" in old_text
 

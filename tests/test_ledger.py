@@ -93,7 +93,8 @@ def test_annotation_count_must_match_content():
     change = modify(old, new)
     short = scan_text(new, DEFAULT_OPTIONS)  # one flag for the two old lines
     with pytest.raises(AnnotationMismatch):
-        classify_sides(change, old, new, lambda oid, text: short)
+        classify_sides(change, old, new, split_lines(old), split_lines(new),
+                       lambda oid, text: short)
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,12 @@ recovery, and agreement with a naive per-line rescanning oracle."""
 import random
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varxpert.preproc import AnalyzerOptions, extract_macro_identifiers, scan_text
+from varxpert.history import GitRepo, diff_hunks
+from varxpert.preproc import AnalyzerOptions, extract_macro_identifiers, patch_scan, scan_text
 from varxpert.util import split_lines
 
 NO_GUARD_FOLDING = AnalyzerOptions(exclude_include_guards=False)
@@ -276,6 +278,18 @@ def test_continuation_line_is_not_a_directive():
     assert not result.warnings
 
 
+@pytest.mark.parametrize("content, spans", [
+    ("#define X \\\n\nint a;\n", [(0, 1)]),
+    ("#if A \\\r\n  && B\r\nint a;\r\n#endif\r\n", [(0, 1), (3, 3)]),
+    ("#define X \\ \t\nY\nint a;\n", [(0, 1)]),
+    ("int a;\n#define X \\\n", [(1, 1)]),
+    ("int a;\n#define X \\", [(1, 1)]),
+], ids=["onto_an_empty_line", "crlf", "trailing_blanks", "last_line", "last_line_unterminated"])
+def test_continuation_rules(content, spans):
+    # (first, last) physical lines of each directive, 0-based
+    assert [(first, last) for first, last, _, _ in scan_text(content).directives] == spans
+
+
 def test_expression_comments_ignored_for_macros():
     assert extract_macro_identifiers("FOO /* BAR */ && BAZ") == {"FOO", "BAZ"}
     assert extract_macro_identifiers("defined(X) // Y") == {"X"}
@@ -370,3 +384,99 @@ def test_scan_totality_and_idempotence(lines):
 def test_scan_agrees_with_oracle(lines):
     content = "".join(line + "\n" for line in lines)
     assert flags(content, NO_GUARD_FOLDING) == naive_flags(content)
+
+
+# ----------------------------------------------------------------------
+# patching a scan through a change's hunks
+# ----------------------------------------------------------------------
+
+def patched(old_text, new_text, options=AnalyzerOptions()):
+    """patch_scan of new_text from old_text's scan and the diff_hunks between them."""
+    old_lines, new_lines = split_lines(old_text), split_lines(new_text)
+    return patch_scan(scan_text(old_text, options), diff_hunks(old_lines, new_lines),
+                      old_lines, new_lines, options)
+
+
+def test_patch_continues_onto_an_empty_added_line():
+    # the added range ends on the empty line the backslash continues onto
+    new = "a\n#define X \\\n\nb\nc\n"
+    result = patched("a\nb\nc\n", new)
+    assert result == scan_text(new)
+    assert result.directives == [(1, 2, "define", "X")]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("#define X \\\nint a;\n", "#define X \\\nint b;\n"),
+    ("#define X \\\n#ifdef A\nint a;\n", "int b;\n#ifdef A\nint a;\n"),
+    ("int b;\n#ifdef A\nint a;\n", "#define X \\\n#ifdef A\nint a;\n"),
+    ("int a;\n#define X \\\n", "int a;\n#define X \\\nint b;\n"),
+], ids=["line_before_a_hunk", "last_old_line_of_a_hunk", "last_new_line_of_a_hunk",
+        "line_before_an_append"])
+def test_patch_falls_back_at_a_continuation_edge(old, new):
+    assert patched(old, new) is None
+
+
+def test_patched_scans_equal_full_scans_on_histories(history_paths):
+    # every text-to-text change, its new side patched from the old side's
+    # scan, which is itself a patched one when the history gave it one:
+    # the chain the pipeline's live table follows
+    scans = {}
+    compared = fallbacks = 0
+    for path in history_paths:
+        with GitRepo(path) as repo:
+            for commit in repo.iter_commits(repo.resolve_tip("HEAD")):
+                for change in commit.changes:
+                    hydrated = repo.hydrate_change(change)
+                    if hydrated is None or None in hydrated[1:3]:
+                        continue
+                    change, old_text, new_text, old_lines, new_lines = hydrated
+                    base = scans.get(change.old_blob) or scan_text(old_text)
+                    result = patch_scan(base, change.hunks, old_lines, new_lines)
+                    full = scan_text(new_text)
+                    if result is None:
+                        fallbacks += 1
+                    else:
+                        assert result == full, (path, commit.commit_id, change.effective_path)
+                        compared += 1
+                    scans[change.new_blob] = full if result is None else result
+    # no change of these histories has a continuation at a hunk edge
+    assert compared > 1500 and fallbacks == 0
+
+
+_EDIT_LINE = st.builds(
+    lambda line, crlf: line + "\r" if crlf else line,
+    st.sampled_from((
+        "int x = 1;", "", "  call(x);", "int y = \\", "#ifdef M1", "#if defined(M2) && \\",
+        "    defined(M3)", "#elif M2", "#else", "#endif", "# endif", "#define K(x) \\",
+        "#define E \\  ", "#endif \\", "#ifndef G", "#define G", "#define W 1 \\\t",
+    )),
+    st.booleans(),
+)
+
+
+def _file(lines, guarded, final_newline):
+    if guarded:
+        lines = ["#ifndef G", "#define G"] + lines + ["#endif"]
+    text = "\n".join(lines)
+    return text + "\n" if final_newline and lines else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    body=st.lists(_EDIT_LINE, max_size=24),
+    edits=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 4),
+                             st.lists(_EDIT_LINE, max_size=4)), max_size=4),
+    guarded=st.tuples(st.booleans(), st.booleans()),
+    final_newline=st.tuples(st.booleans(), st.booleans()),
+    fold_guards=st.booleans(),
+)
+def test_patch_scan_is_none_or_scan_text(body, edits, guarded, final_newline, fold_guards):
+    # each edit replaces, inserts or deletes a range; the guard and the
+    # final newline may come or go
+    options = AnalyzerOptions(exclude_include_guards=fold_guards)
+    edited = list(body)
+    for at, deleted, inserted in edits:
+        edited[at:at + deleted] = inserted
+    new_text = _file(edited, guarded[1], final_newline[1])
+    result = patched(_file(body, guarded[0], final_newline[0]), new_text, options)
+    assert result is None or result == scan_text(new_text, options)
