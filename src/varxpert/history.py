@@ -8,7 +8,9 @@ attribution only ever sees work against the first-parent line. Renames
 are detected at a 50 percent similarity threshold; anything below that
 shows up as an unrelated delete plus add.
 
-Hunks are recomputed from both file images rather than parsed out of
+The stream's changes carry blob ids but no hunks. The pipeline's
+per-change step reads both sides through blob_bytes and recomputes the
+hunks from the two file images with diff_hunks, rather than parsing
 patch text. A hunk is four numbers, the 1-based start and the line
 count on each side; hunks come in order, and the lines between them are
 equal on both sides. diff_hunks gives exactly the hunks of the standard
@@ -24,11 +26,12 @@ reads only the repository, so the stream does not depend on the day it
 is mined.
 
 A failing git is never read as empty content. A blob that `git
-cat-file` cannot produce or sends cut short, or a `git log` that exits
-non-zero after its output ends (a damaged object database, for
-instance), raises CorruptRepo with the blob id or git's own message.
-Gitlink (submodule) entries name commits of another repository; their
-sides carry no blob and are read as absent.
+cat-file` cannot produce or sends cut short, a tree `git ls-tree`
+cannot list, or a `git log` that exits non-zero after its output ends
+(a damaged object database, for instance), raises CorruptRepo with the
+blob id, the commit, or git's own message. Gitlink (submodule) entries
+name commits of another repository; their sides carry no blob and are
+parsed as absent.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from varxpert.errors import BranchNotFound, CorruptRepo, EmptyIdentity, RepoNotFound
-from varxpert.util import split_lines
 
 DEFAULT_EXTENSIONS = frozenset({".c", ".h"})
 
@@ -50,7 +52,6 @@ DEFAULT_EXTENSIONS = frozenset({".c", ".h"})
 # committer clock, are treated as misconfigured.
 _EPOCH_FLOOR = 631152000  # 1990-01-01T00:00:00Z
 _CLOCK_SKEW = 86400
-_NULL_OID = "0" * 40
 _GITLINK_MODE = "160000"
 
 WarningSinkFn = Callable[[dict], None]
@@ -304,7 +305,7 @@ class GitRepo:
         self.path = os.fspath(path)
         if not os.path.isdir(self.path):
             raise RepoNotFound(f"not a directory: {self.path}")
-        probe = self._run("rev-parse", "--git-dir", check=False)
+        probe = self._run("rev-parse", "--git-dir")
         if probe.returncode != 0:
             raise RepoNotFound(f"not a git repository: {self.path}")
         self._blobs: Optional[_BlobReader] = None
@@ -320,24 +321,19 @@ class GitRepo:
             self._blobs.close()
             self._blobs = None
 
-    def _run(self, *args: str, check: bool = True) -> subprocess.CompletedProcess:
-        result = subprocess.run(
+    def _run(self, *args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
             ["git", "-C", self.path, *args],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
-        if check and result.returncode != 0:
-            raise RepoNotFound(
-                f"git {' '.join(args)} failed: {result.stderr.decode(errors='replace').strip()}"
-            )
-        return result
 
     def resolve_tip(self, branch: str = "HEAD") -> Optional[str]:
         """Commit id for a branch name or revision; None for an empty repo."""
-        result = self._run("rev-parse", "--verify", "--quiet", f"{branch}^{{commit}}", check=False)
+        result = self._run("rev-parse", "--verify", "--quiet", f"{branch}^{{commit}}")
         if result.returncode == 0:
             return result.stdout.decode("ascii").strip()
-        probe = self._run("rev-list", "-n", "1", "--all", check=False)
+        probe = self._run("rev-list", "-n", "1", "--all")
         if probe.returncode != 0 or not probe.stdout.strip():
             return None  # repository has no commits at all
         raise BranchNotFound(f"cannot resolve {branch!r} in {self.path}")
@@ -349,6 +345,9 @@ class GitRepo:
 
     def ls_tree(self, rev: str) -> list[TreeEntry]:
         result = self._run("ls-tree", "-r", "-z", "--full-tree", rev)
+        if result.returncode != 0:
+            message = result.stderr.decode("utf-8", errors="replace").strip()
+            raise CorruptRepo(f"cannot read the tree of {rev}: git ls-tree failed: {message}")
         entries = []
         for record in result.stdout.decode("utf-8", errors="replace").split("\0"):
             if not record:
@@ -374,7 +373,7 @@ class GitRepo:
     ) -> Iterator[CommitRecord]:
         """First-parent commits, oldest first, with filtered file changes.
 
-        Changes carry blob ids but no hunks; hydrate_change reads them.
+        Changes carry blob ids but no hunks.
         """
         emit = warn or (lambda record: None)
         # stderr goes to a file: a pipe nobody drains could block git.
@@ -482,45 +481,6 @@ class GitRepo:
             changes=tuple(changes),
         )
 
-    def hydrate_change(
-        self,
-        change: FileChange,
-        *,
-        held: Optional[tuple[str, str]] = None,
-        on_binary: Optional[Callable[[str, Optional[str]], None]] = None,
-    ) -> Optional[tuple[FileChange, Optional[str], Optional[str], list[str], list[str]]]:
-        """(change with its hunks, old text, new text, old lines, new lines);
-        None when a side is binary.
-
-        An absent side has no text and no lines; the lines are split_lines
-        of the text. held, when given, is the (oid, text) of a blob the
-        caller already has; a side with that oid is not read. Reading
-        starts at the new side and stops at the first binary side;
-        on_binary gets its oid and the new side's text, which is None
-        unless only the old side is binary. New first, so when both sides
-        are binary the reported blob is the one a later tree may still
-        hold.
-        """
-        texts: list[Optional[str]] = []
-        for oid in (change.new_blob, change.old_blob):
-            if not oid or oid == _NULL_OID:
-                texts.append(None)
-                continue
-            if held is not None and oid == held[0]:
-                texts.append(held[1])
-                continue
-            payload = self.blob_bytes(oid)
-            if looks_binary(payload):
-                if on_binary is not None:
-                    on_binary(oid, texts[0] if texts else None)
-                return None
-            texts.append(payload.decode("utf-8", errors="replace"))
-        new_text, old_text = texts
-        old_lines = split_lines(old_text) if old_text is not None else []
-        new_lines = split_lines(new_text) if new_text is not None else []
-        return (change._replace(hunks=diff_hunks(old_lines, new_lines)),
-                old_text, new_text, old_lines, new_lines)
-
 
 def _parse_raw_change(raw: str) -> Optional[FileChange]:
     head, *paths = raw.split("\t")
@@ -529,25 +489,23 @@ def _parse_raw_change(raw: str) -> Optional[FileChange]:
         return None
     old_mode, new_mode, old_oid, new_oid, status_field = parts[:5]
     # A gitlink (submodule) side names a commit of another repository,
-    # not a blob, so it has no lines to read.
-    if old_mode == _GITLINK_MODE:
-        old_oid = _NULL_OID
-    if new_mode == _GITLINK_MODE:
-        new_oid = _NULL_OID
+    # not a blob, so it has no lines to read: the side is absent.
+    old_blob = None if old_mode == _GITLINK_MODE else old_oid
+    new_blob = None if new_mode == _GITLINK_MODE else new_oid
     match = _RAW_STATUS_RE.match(status_field)
     if not match:
         return None
     status = match.group(1)
     decoded = [unquote_git_path(path) for path in paths]
     if status == "A" or status == "C":
-        return FileChange(ChangeKind.ADDED, None, decoded[-1], old_blob=None, new_blob=new_oid)
+        return FileChange(ChangeKind.ADDED, None, decoded[-1], new_blob=new_blob)
     if status == "D":
-        return FileChange(ChangeKind.DELETED, decoded[0], None, old_blob=old_oid, new_blob=None)
+        return FileChange(ChangeKind.DELETED, decoded[0], None, old_blob=old_blob)
     if status == "R":
         if len(decoded) < 2:
             return None
         return FileChange(
-            ChangeKind.RENAMED, decoded[0], decoded[1], old_blob=old_oid, new_blob=new_oid
+            ChangeKind.RENAMED, decoded[0], decoded[1], old_blob=old_blob, new_blob=new_blob
         )
     # M plus oddballs such as typechanges behave like in-place edits.
-    return FileChange(ChangeKind.MODIFIED, decoded[0], decoded[0], old_blob=old_oid, new_blob=new_oid)
+    return FileChange(ChangeKind.MODIFIED, decoded[0], decoded[0], old_blob=old_blob, new_blob=new_blob)

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from varxpert.errors import AnnotationMismatch
 from varxpert.history import ChangeKind, CommitRecord, FileChange
-from varxpert.preproc import ScanResult, ScanWarning
+from varxpert.preproc import ScanWarning
 from varxpert.util import earliest_month, month_of
 
 
 class ChangeFacts(NamedTuple):
     """Everything the fold, the change cache and warnings.jsonl need of
-    one (commit, file) change.
+    one (commit, file) change; the pipeline's classifier builds it.
 
     touched_variable and touched_mandatory label the change (see
     classify_change); saw_variable says whether either side had a
@@ -159,44 +158,6 @@ class ContributionLedger:
 
 
 ClassifyFn = Callable[[CommitRecord, FileChange], Optional[ChangeFacts]]
-ScanFn = Callable[[str, str], ScanResult]  # (blob oid, text) -> scan
-
-
-def classify_sides(
-    change: FileChange,
-    old_text: Optional[str],
-    new_text: Optional[str],
-    old_lines: list[str],
-    new_lines: list[str],
-    scan: ScanFn,
-) -> ChangeFacts:
-    """Scan both sides of a hydrated change and classify it.
-
-    An absent side's text is None and its lines are empty; the lines are
-    split_lines of the text. scan maps a side's blob oid and text to its
-    ScanResult, so callers decide whether scans are memoized per blob; a
-    scan whose bitmap does not give one flag per line raises
-    AnnotationMismatch.
-    """
-    warnings: list[tuple[str, ScanWarning]] = []
-    bitmaps: list[Optional[bytearray]] = []
-    for side, oid, content, lines in (("old", change.old_blob, old_text, old_lines),
-                                      ("new", change.new_blob, new_text, new_lines)):
-        if content is None:
-            bitmaps.append(None)
-            continue
-        result = scan(oid or "", content)
-        if len(result.annotations) != len(lines):
-            raise AnnotationMismatch(
-                f"{side} side of {change.effective_path}: "
-                f"{len(result.annotations)} line flags for {len(lines)} lines"
-            )
-        bitmaps.append(result.annotations)
-        warnings.extend((oid or "", w) for w in result.warnings)
-    return classify_change(change, *bitmaps)._replace(
-        saw_variable=any(bitmap is not None and 1 in bitmap for bitmap in bitmaps),
-        scan_warnings=tuple(warnings),
-    )
 
 
 def _lineage_id(path: str, commit_id: str) -> str:

@@ -19,8 +19,9 @@ import json
 import os
 from typing import NamedTuple, Optional
 
+from varxpert import history
 from varxpert.cache import BlobFacts, ChangeCache
-from varxpert.errors import InvalidConfig, MissingAnalysis, NoEligibleFiles
+from varxpert.errors import AnnotationMismatch, InvalidConfig, MissingAnalysis, NoEligibleFiles
 from varxpert.evaluation import MACRO, MICRO, EvaluationResult, project_evaluation
 from varxpert.history import (
     DEFAULT_EXTENSIONS,
@@ -35,7 +36,7 @@ from varxpert.ledger import (
     ChangeFacts,
     ContributionLedger,
     build_contribution_ledger,
-    classify_sides,
+    classify_change,
     ledger_from_dict,
     ledger_to_dict,
 )
@@ -55,7 +56,7 @@ from varxpert.timeline import (
     monthly_snapshots,
     specialization_summary,
 )
-from varxpert.util import csv_bool, csv_float, stable_json
+from varxpert.util import csv_bool, csv_float, split_lines, stable_json
 
 SCORES_CSV = "scores.csv"
 TIMELINE_CSV = "timeline.csv"
@@ -97,6 +98,9 @@ class RunConfig(NamedTuple):
             raise InvalidConfig("at least one file extension is required")
         if self.since is not None and self.until is not None and self.since > self.until:
             raise InvalidConfig("since must not be later than until")
+        for name, path in (("output", self.output_dir), ("cache", self.cache_dir)):
+            if path is not None and os.path.exists(path) and not os.path.isdir(path):
+                raise InvalidConfig(f"{name} directory {path!r} exists and is not a directory")
 
     def analyzer_options(self) -> AnalyzerOptions:
         return AnalyzerOptions(exclude_include_guards=self.exclude_include_guards)
@@ -149,33 +153,30 @@ class Counters:
 
 
 class _PipelineClassifier:
-    """The whole per-change step of the fold: count, look up or mine, report.
+    """The per-change step of the fold: the one code that turns a
+    (commit, FileChange) into ChangeFacts.
 
-    A change's ChangeFacts come from the cache, or on a miss from reading
-    and scanning its sides, and a miss is put into the cache. Then the
-    change is reported to the sink: a change stopped at a binary side as
-    one binary_skipped line, any other with the scan warnings of each
-    blob this run has not reported yet, whether the facts were read or
-    cached. The fold calls this in fold order, so the lines land in it.
+    The facts come from the cache, or on a miss from _mine, which reads
+    the sides, computes the hunks, scans and classifies; a miss is put
+    into the cache. Then the change is reported to the sink: a change
+    stopped at a binary side as one binary_skipped line, any other with
+    the scan warnings of each blob this run has not reported yet. The
+    fold calls this in fold order, so the lines land in it.
 
-    live maps each path to (oid, text, ScanResult) of its current version,
-    so a blob is read once as a new side and reused as the next change's
-    old side. The ScanResult carries the version's directive list, and
-    the new side of a text-to-text change is patched from its old side's
-    scan through the change's hunks (preproc.patch_scan), so scan_text
-    lexes a path in full only at first sight, or where a backslash
-    continuation meets a hunk edge. Every change to a path pops its
-    entry, a cache hit included, and puts back the new side it read (or
-    kept, on a pure rename) under its new path; a delete leaves none.
-    The table holds one version per path the fold has seen, not one per
-    version in the history, and it holds that version's text, which
-    diff_hunks needs, and directive list. A path that leaves the stream
-    without a change the fold sees (renamed to a name outside the
-    extension filter, or changed by a merge) keeps its stale entry until
-    a later change to that path replaces it; an entry is only used for a
-    side with its oid, so a stale one is never misread.
-    binary_oids holds the binary sides the run reported. The final-tree
-    snapshot reuses both.
+    live maps each path to (oid, text, ScanResult) of its current
+    version, so a blob is read once, as a new side, and reused as the
+    next change's old side: its text for diff_hunks, its directive list
+    for preproc.patch_scan. So scan_blob, the one full scan, lexes a path
+    only at first sight or where a backslash continuation meets a hunk
+    edge. Every change to a path pops its entry, a cache hit included,
+    and puts back the new side it read (or kept, on a pure rename) under
+    its new path; a delete leaves none. So the table holds one version
+    per path, not one per version in the history. A path that leaves the
+    stream without a change the fold sees (renamed outside the extension
+    filter, or changed by a merge) keeps its stale entry until a later
+    change to it; an entry is only used for a side with its oid, so a
+    stale one is never misread. binary_oids holds the binary sides the
+    run reported. The final-tree snapshot reuses both.
     """
 
     def __init__(
@@ -189,48 +190,25 @@ class _PipelineClassifier:
         self.live: dict[str, tuple[str, str, ScanResult]] = {}
         self.binary_oids: set[str] = set()
         self._reported_oids: set[str] = set()  # blobs whose scan warnings are out
-        self._scans: dict[str, ScanResult] = {}  # the current change's sides
 
     def scan_blob(self, oid: str, text: str) -> ScanResult:
-        result = self._scans.get(oid)
-        if result is None:
-            result = self._scans[oid] = scan_text(text, self._options)
-        return result
+        """The one full scan of a side; oid names it for a wrapper's record."""
+        return scan_text(text, self._options)
 
     def __call__(self, commit: CommitRecord, change: FileChange) -> Optional[ChangeFacts]:
         self.counters.changes += 1
         held = self.live.pop(change.path_before, None) if change.path_before else None
-        self._scans = {held[0]: held[2]} if held else {}
-        new_text = held[1] if held and held[0] == change.new_blob else None
+        # a cache hit reads nothing, so it keeps only a held new side
+        entry = held if held and held[0] == change.new_blob else None
         key = (commit.commit_id, change.effective_path)
         facts = self._cache.get(*key)
         if facts is None:
-            binary: list[tuple[str, Optional[str]]] = []
-            hydrated = self._repo.hydrate_change(
-                change, held=held[:2] if held else None,
-                on_binary=lambda *side: binary.append(side),
-            )
-            if hydrated is None:
-                facts = ChangeFacts(binary_oid=binary[0][0])
-                new_text = binary[0][1]
-            else:
-                _, old_text, new_text, old_lines, new_lines = hydrated
-                if old_text is not None and new_text is not None:
-                    base = self.scan_blob(change.old_blob, old_text)
-                    if change.new_blob not in self._scans:
-                        patched = patch_scan(base, hydrated[0].hunks, old_lines, new_lines,
-                                             self._options)
-                        if patched is not None:
-                            self._scans[change.new_blob] = patched
-                facts = classify_sides(*hydrated, self.scan_blob)
-                self.counters.annotated_sides += (old_text is not None) + (new_text is not None)
+            facts, entry = self._mine(change, held)
             self._cache.put(key, facts)
         elif facts.binary_oid is None:
             self.counters.cache_hits += 1
-        if new_text is not None:
-            # only a change stopped at a binary old side left its new side unscanned
-            scan = self.scan_blob(change.new_blob, new_text)
-            self.live[change.effective_path] = (change.new_blob, new_text, scan)
+        if entry is not None:
+            self.live[change.effective_path] = entry
 
         if facts.binary_oid is not None:
             self._sink({"kind": "binary_skipped", "commit": commit.commit_id,
@@ -247,6 +225,67 @@ class _PipelineClassifier:
                 self._sink(dict(warning._asdict(), kind=f"scan_{warning.kind}",
                                 commit=commit.commit_id, path=change.effective_path))
         return facts
+
+    def _mine(
+        self, change: FileChange, held: Optional[tuple[str, str, ScanResult]]
+    ) -> tuple[ChangeFacts, Optional[tuple[str, str, ScanResult]]]:
+        """The facts of a change the cache misses, and its new side's live
+        entry (None without a text new side).
+
+        A side with the oid of held, the path's popped entry, is neither
+        read nor scanned. Reading starts at the new side and stops at the
+        first binary side, so of two binary sides the one a later tree
+        may still hold is reported. The new side's scan is the held one,
+        else the old side's for an unchanged blob, else the old one
+        patched through the hunks, else a full one.
+        """
+        old_oid, new_oid = change.old_blob, change.new_blob
+        texts = {held[0]: held[1]} if held else {}
+        binary = None
+        for oid in (new_oid, old_oid):
+            if oid and oid not in texts:
+                texts[oid] = _read_text(self._repo, oid)
+                if texts[oid] is None:
+                    binary = oid
+                    break
+        new_text = texts.get(new_oid)
+        old_text = texts.get(old_oid) if binary is None else None
+        old_lines, new_lines = split_lines(old_text or ""), split_lines(new_text or "")
+        if binary is None:
+            # through the module, so a wrapper set on history.diff_hunks sees the call
+            change = change._replace(hunks=history.diff_hunks(old_lines, new_lines))
+        old_scan = new_scan = None
+        if old_text is not None:
+            old_scan = held[2] if held and held[0] == old_oid else self.scan_blob(old_oid, old_text)
+        if new_text is not None:
+            if held and held[0] == new_oid:
+                new_scan = held[2]
+            elif new_oid == old_oid:
+                new_scan = old_scan
+            elif old_scan is not None:
+                new_scan = patch_scan(old_scan, change.hunks, old_lines, new_lines, self._options)
+            new_scan = new_scan or self.scan_blob(new_oid, new_text)
+        entry = None if new_scan is None else (new_oid, new_text, new_scan)
+        if binary is not None:
+            return ChangeFacts(binary_oid=binary), entry
+
+        warnings = []
+        for side, oid, scan, lines in (("old", old_oid, old_scan, old_lines),
+                                       ("new", new_oid, new_scan, new_lines)):
+            if scan is None:
+                continue
+            if len(scan.annotations) != len(lines):
+                raise AnnotationMismatch(
+                    f"{side} side of {change.effective_path}: "
+                    f"{len(scan.annotations)} line flags for {len(lines)} lines"
+                )
+            warnings.extend((oid, warning) for warning in scan.warnings)
+        self.counters.annotated_sides += (old_scan is not None) + (new_scan is not None)
+        bitmaps = [scan and scan.annotations for scan in (old_scan, new_scan)]
+        return classify_change(change, *bitmaps)._replace(
+            saw_variable=any(bitmap and 1 in bitmap for bitmap in bitmaps),
+            scan_warnings=tuple(warnings),
+        ), entry
 
 
 class AnalysisState(NamedTuple):
@@ -363,11 +402,17 @@ def _final_snapshot(
     return len(entries), VariabilityCount(blocks=blocks, distinct_macros=len(macros))
 
 
-def _read_blob_facts(repo: GitRepo, oid: str, config: RunConfig) -> BlobFacts:
+def _read_text(repo: GitRepo, oid: str) -> Optional[str]:
+    """A blob's text; None when it looks binary."""
     payload = repo.blob_bytes(oid)
-    if looks_binary(payload):
+    return None if looks_binary(payload) else payload.decode("utf-8", errors="replace")
+
+
+def _read_blob_facts(repo: GitRepo, oid: str, config: RunConfig) -> BlobFacts:
+    text = _read_text(repo, oid)
+    if text is None:
         return BlobFacts(oid, binary=True)
-    result = scan_text(payload.decode("utf-8", errors="replace"), config.analyzer_options())
+    result = scan_text(text, config.analyzer_options())
     return BlobFacts(oid, result.blocks, result.macros)
 
 

@@ -14,12 +14,31 @@ from fixture_repos import (
     build_multifile,
     build_rename,
 )
+from varxpert.history import diff_hunks, looks_binary
 from varxpert.pipeline import RunConfig, mine
+from varxpert.util import split_lines
 
 
 def mined_ledger(repo_path, **options):
     """The ledger pipeline.mine folds for a repository, writing nothing."""
     return mine(RunConfig(repo_path=repo_path, **options))[0].ledger
+
+
+def hydrate(repo, change):
+    """(change with its hunks, old text, new text, old lines, new lines),
+    both sides read straight from the repository; None when a side is
+    binary. An absent side has no text and no lines. This is the input
+    of the per-change step, for differentials that run an engine on it."""
+    texts = []
+    for oid in (change.old_blob, change.new_blob):
+        payload = repo.blob_bytes(oid) if oid else None
+        if payload is not None and looks_binary(payload):
+            return None
+        texts.append(None if payload is None else payload.decode("utf-8", errors="replace"))
+    old_text, new_text = texts
+    old_lines, new_lines = split_lines(old_text or ""), split_lines(new_text or "")
+    return (change._replace(hunks=diff_hunks(old_lines, new_lines)),
+            old_text, new_text, old_lines, new_lines)
 
 
 class RepoBuilder:

@@ -127,6 +127,20 @@ def test_report_without_active_developers_is_a_user_error(repo_builder, tmp_path
     assert run_cli("report", repo_builder.path, "--out", str(tmp_path / "out")) == 2
 
 
+@pytest.mark.parametrize("flag", ["--out", "--cache-dir"])
+def test_existing_file_as_a_directory_is_a_user_error(basic_repo, tmp_path, capsys,
+                                                      monkeypatch, flag):
+    # rejected before any mining, not after it as a FileExistsError
+    monkeypatch.setattr("varxpert.pipeline.build_contribution_ledger",
+                        lambda *args, **kwargs: pytest.fail("the history was mined"))
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n", encoding="utf-8")
+    out = str(taken) if flag == "--out" else str(tmp_path / "out")
+    assert run_cli("analyze", basic_repo[0], "--out", out, flag, str(taken)) == 2
+    assert f"{str(taken)!r} exists and is not a directory" in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == "a file\n"
+
+
 def test_jobs_below_one_is_a_user_error(basic_repo, tmp_path):
     path, _ = basic_repo
     code = run_cli("analyze", path, "--jobs", "0", "--out", str(tmp_path / "out"))
@@ -156,20 +170,31 @@ def test_cli_import_loads_no_dataclasses():
     assert "dataclasses" not in added
 
 
-def test_benchmark_tracer_finds_its_targets():
-    # perfbench/trace_cli.py wraps functions by module attribute name, and
-    # a rename would silently drop a layer's spans. install patches the
-    # modules, so it runs in a fresh interpreter. The two names expected
-    # below are tracer targets the program no longer has.
+def test_benchmark_tracer_finds_its_targets(basic_repo, tmp_path):
+    # perfbench/trace_cli.py wraps functions by module attribute name, so a
+    # rename drops a layer's spans, and so does a caller that bound the
+    # function with `from x import y` before the wrappers went in; the
+    # names alone miss the second, so a traced run must record each
+    # layer. install patches the modules, so it runs in a fresh
+    # interpreter. The one name expected missing is a tracer target the
+    # program no longer has.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    probe = ("import json, sys; "
-             f"sys.path[:0] = [{os.path.join(root, 'perfbench')!r}, {os.path.join(root, 'src')!r}]; "
-             "import trace_cli; tracer = trace_cli.Tracer(); trace_cli.install(tracer); "
-             "print(json.dumps(tracer.missing))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "trace_cli.py"), str(spans),
+         "analyze", basic_repo[0], "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == ["varxpert.ledger.scan_text",
-                                       "varxpert.pipeline.classify_change"]
+    trace = json.loads(spans.read_text(encoding="utf-8"))
+    assert trace["missing"] == ["varxpert.ledger.scan_text"]
+    recorded = {span[0] for span in trace["spans"]}
+    for name in ("history.diff_hunks", "history.blob_bytes", "preproc.scan_text",
+                 "pipeline.scan_blob", "ledger.classify_change", "pipeline.classify",
+                 "ledger.fold", "pipeline.snapshot"):
+        assert name in recorded, name
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +367,23 @@ def test_unreadable_history_fails_the_run(repo_builder, tmp_path, capsys, missin
     remove_loose_object(repo, repo.git(*missing).strip())
     assert run_cli("analyze", repo.path, "--out", str(tmp_path / "out")) == 1
     assert "git log failed" in capsys.readouterr().err
+
+
+def test_missing_tree_fails_the_run(repo_builder, tmp_path, capsys):
+    # git log does not diff a merge, so only the final-tree snapshot reads
+    # the tip merge's root tree
+    repo = three_commit_repo(repo_builder)
+    repo.checkout("side", create=True)
+    repo.write("s.c", "int s;\n")
+    repo.commit("side", "Bob", "bob@example.com", "2020-04-01T00:00:00 +0000")
+    repo.checkout("main")
+    repo.write("m.c", "int m;\n")
+    repo.commit("main", "Alice", "alice@example.com", "2020-04-02T00:00:00 +0000")
+    tip = repo.merge("side", "2020-05-01T00:00:00 +0000")
+    remove_loose_object(repo, repo.git("rev-parse", "HEAD^{tree}").strip())
+    assert run_cli("analyze", repo.path, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read the tree of {tip}: git ls-tree failed" in err
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,8 @@ from varxpert.history import (
     resolve_identity,
     unquote_git_path,
 )
-from varxpert.ledger import classify_sides
+from conftest import hydrate
+from varxpert.ledger import classify_change
 from varxpert.pipeline import RunConfig, mine, run_analyze
 from varxpert.preproc import AnalyzerOptions, scan_text
 from varxpert.util import split_lines
@@ -193,9 +194,11 @@ def test_diff_engine_matches_difflib_on_histories(history_paths):
     options = AnalyzerOptions()
     scans = {}
 
-    def scan(oid, text):
+    def bitmap(oid, text):
+        if text is None:
+            return None
         if oid not in scans:
-            scans[oid] = scan_text(text, options)
+            scans[oid] = scan_text(text, options).annotations
         return scans[oid]
 
     compared = 0
@@ -203,16 +206,17 @@ def test_diff_engine_matches_difflib_on_histories(history_paths):
         with GitRepo(path) as repo:
             for commit in repo.iter_commits(repo.resolve_tip("HEAD")):
                 for change in commit.changes:
-                    hydrated = repo.hydrate_change(change)
+                    hydrated = hydrate(repo, change)
                     if hydrated is None:
                         continue  # a binary side has no hunks
                     change, old_text, new_text, old_lines, new_lines = hydrated
                     oracle = difflib_hunks(split_lines(old_text or ""),
                                            split_lines(new_text or ""))
                     assert change.hunks == oracle, (path, commit.commit_id, change)
-                    facts = classify_sides(*hydrated, scan)
-                    expected = classify_sides(change._replace(hunks=oracle), old_text,
-                                              new_text, old_lines, new_lines, scan)
+                    bitmaps = (bitmap(change.old_blob, old_text),
+                               bitmap(change.new_blob, new_text))
+                    facts = classify_change(change, *bitmaps)
+                    expected = classify_change(change._replace(hunks=oracle), *bitmaps)
                     assert facts == expected
                     compared += 1
     assert compared > 1800
@@ -259,7 +263,7 @@ def test_basic_repo_stream(basic_repo):
     assert second.old_blob == first[0].new_blob
     with GitRepo(path) as repo:
         assert repo.blob_bytes(first[0].new_blob).startswith(b"#include")
-        old_text, new_text = repo.hydrate_change(second)[1:3]
+        old_text, new_text = hydrate(repo, second)[1:3]
         assert old_text == repo.blob_bytes(first[0].new_blob).decode("utf-8")
         assert new_text is not None
 
@@ -269,7 +273,7 @@ def test_hunks_round_trip_over_fixtures(basic_repo, rename_repo, multifile_repo)
         with GitRepo(path) as repo:
             for commit in repo.iter_commits(repo.resolve_tip("HEAD")):
                 for change in commit.changes:
-                    hydrated, old_text, new_text, old, new = repo.hydrate_change(change)
+                    hydrated, old_text, new_text, old, new = hydrate(repo, change)
                     assert old == split_lines(old_text or "")
                     assert new == split_lines(new_text or "")
                     assert apply_hunks(old, new, hydrated.hunks) == new
@@ -293,7 +297,7 @@ def test_deletion_carries_old_content(identity_repo):
     assert change.path_before == "tmp.c"
     assert change.new_blob is None
     with GitRepo(path) as repo:
-        old_text, new_text = repo.hydrate_change(change)[1:3]
+        old_text, new_text = hydrate(repo, change)[1:3]
     assert new_text is None
     assert "scratch" in old_text
 
@@ -427,7 +431,7 @@ def test_raw_stream_has_no_hunks(basic_repo):
     assert changes
     assert all(change.new_blob and not change.hunks for change in changes)
     with GitRepo(path) as repo:
-        assert all(repo.hydrate_change(change)[0].hunks for change in changes)
+        assert all(hydrate(repo, change)[0].hunks for change in changes)
 
 
 def test_resolve_tip_none_for_empty(repo_builder):

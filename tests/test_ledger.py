@@ -5,16 +5,17 @@ import pytest
 
 from conftest import mined_ledger
 from fixture_repos import BASIC, IDENTITY, RENAME
+from varxpert import pipeline
 from varxpert.errors import AnnotationMismatch
 from varxpert.history import ChangeKind, FileChange, diff_hunks
 from varxpert.ledger import (
     ChangeFacts,
     build_contribution_ledger,
     classify_change,
-    classify_sides,
     ledger_from_dict,
     ledger_to_dict,
 )
+from varxpert.pipeline import RunConfig, mine
 from varxpert.preproc import DEFAULT_OPTIONS, scan_text
 from varxpert.util import split_lines
 
@@ -88,13 +89,13 @@ def test_classify_zero_line_change_is_empty():
     assert got.is_empty
 
 
-def test_annotation_count_must_match_content():
-    old, new = "int a;\nint b;\n", "int a;\n"
-    change = modify(old, new)
-    short = scan_text(new, DEFAULT_OPTIONS)  # one flag for the two old lines
-    with pytest.raises(AnnotationMismatch):
-        classify_sides(change, old, new, split_lines(old), split_lines(new),
-                       lambda oid, text: short)
+def test_annotation_count_must_match_content(repo_builder, monkeypatch):
+    repo_builder.write("f.c", "int a;\nint b;\n")
+    repo_builder.commit("add", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    short = scan_text("int a;\n", DEFAULT_OPTIONS)  # one flag for the two lines
+    monkeypatch.setattr(pipeline, "scan_text", lambda text, options: short)
+    with pytest.raises(AnnotationMismatch, match="new side of f.c: 1 line flags for 2 lines"):
+        mine(RunConfig(repo_path=repo_builder.path))
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import hydrate
 from varxpert.history import GitRepo, diff_hunks
 from varxpert.preproc import AnalyzerOptions, extract_macro_identifiers, patch_scan, scan_text
 from varxpert.util import split_lines
@@ -426,7 +427,7 @@ def test_patched_scans_equal_full_scans_on_histories(history_paths):
         with GitRepo(path) as repo:
             for commit in repo.iter_commits(repo.resolve_tip("HEAD")):
                 for change in commit.changes:
-                    hydrated = repo.hydrate_change(change)
+                    hydrated = hydrate(repo, change)
                     if hydrated is None or None in hydrated[1:3]:
                         continue
                     change, old_text, new_text, old_lines, new_lines = hydrated
