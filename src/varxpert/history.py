@@ -25,13 +25,26 @@ committer time instead, with a clamped_timestamp warning. The rule
 reads only the repository, so the stream does not depend on the day it
 is mined.
 
+Blobs are asked for ahead of their reads. GitRepo.ask queues a blob id
+and blob_bytes reads one; the cat-file child gets requests while fewer
+than _BlobReader.WINDOW blobs are requested or held unread, so git
+reads and inflates the next blobs on its own process while Python diffs
+and scans. Replies come back in request order, and one that arrives
+before its blob is read is held until it is. The window keeps the pipe
+from deadlocking: git stops reading requests while nobody drains its
+replies, but the requests it has not read never fill a pipe page, so
+writing one never waits for git. A blob read without an ask is
+requested there and then.
+
 A failing git is never read as empty content. A blob that `git
 cat-file` cannot produce or sends cut short, a tree `git ls-tree`
-cannot list, or a `git log` that exits non-zero after its output ends
-(a damaged object database, for instance), raises CorruptRepo with the
-blob id, the commit, or git's own message. Gitlink (submodule) entries
-name commits of another repository; their sides carry no blob and are
-parsed as absent.
+cannot list, a `git log` that exits non-zero after its output ends, or
+a `git rev-list` that cannot list the commits (a damaged object
+database, for instance), raises CorruptRepo with the blob id, the
+commit, or git's own message. A bad reply to a blob asked for ahead is
+raised when that blob is read, never at the ask, so a blob the run
+never reads cannot fail it. Gitlink (submodule) entries name commits of
+another repository; their sides carry no blob and are parsed as absent.
 """
 
 from __future__ import annotations
@@ -41,8 +54,9 @@ import os
 import re
 import subprocess
 import tempfile
+from collections import deque
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from varxpert.errors import BranchNotFound, CorruptRepo, EmptyIdentity, RepoNotFound
 
@@ -253,29 +267,92 @@ def looks_binary(blob: bytes) -> bool:
 
 
 class _BlobReader:
-    """A persistent `git cat-file --batch` child, one blob request at a time."""
+    """A persistent `git cat-file --batch` child that works ahead.
 
-    def __init__(self, repo_path: str):
-        self._proc = subprocess.Popen(
-            ["git", "-C", repo_path, "cat-file", "--batch"],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-        )
+    ask queues a blob id; requests go to git while fewer than WINDOW
+    blobs are requested or held unread, so git reads the next blobs on
+    its own process while the caller works. read takes replies off the
+    pipe in request order and holds the ones that came before the blob
+    it wants until they are read, so blobs may be read in any order, and
+    one never asked for is requested there and then.
+
+    The window bounds memory and cannot deadlock. At most WINDOW + 1
+    blobs are requested or held unread at any time (the one more is a
+    read that was not asked for). git stops reading requests while its
+    reply pipe is full and nobody reads it, but WINDOW + 1 request lines
+    of 65 bytes (a SHA-256 id) fit in one 4,096-byte pipe page, the least
+    a pipe holds, so writing a request never waits for git. A reply that
+    names no blob, or is cut short, is kept as the CorruptRepo of its id
+    and raised only when that blob is read.
+    """
+
+    WINDOW = 48
+
+    def __init__(self, proc: subprocess.Popen):
+        self._proc = proc  # a `git cat-file --batch` child with piped stdin and stdout
+        self._queued: deque[str] = deque()  # asked, not yet requested
+        self._requested: deque[str] = deque()  # requested, reply still in the pipe
+        self._early: dict[str, Union[bytes, CorruptRepo]] = {}  # replies taken ahead of their read
+        self._doubles = 0  # replies taken while one for the same id was held
+        self.reads = 0
+
+    @property
+    def asks_unread(self) -> int:
+        """Blobs asked for that no read has taken (yet)."""
+        return len(self._queued) + len(self._requested) + len(self._early) + self._doubles
+
+    def ask(self, oid: str) -> None:
+        self._queued.append(oid)
+        self._feed()
 
     def read(self, oid: str) -> bytes:
-        assert self._proc.stdin is not None and self._proc.stdout is not None
-        self._proc.stdin.write(f"{oid}\n".encode("ascii"))
-        self._proc.stdin.flush()
+        self.reads += 1
+        reply = self._early.pop(oid, None)
+        if reply is None:
+            if oid not in self._requested:
+                try:
+                    self._queued.remove(oid)
+                except ValueError:
+                    pass  # never asked for
+                self._send([oid])
+            while True:
+                head = self._requested.popleft()
+                reply = self._reply(head)
+                if head == oid:
+                    break
+                self._doubles += head in self._early
+                self._early[head] = reply
+        self._feed()
+        if isinstance(reply, CorruptRepo):
+            raise reply
+        return reply
+
+    def _feed(self) -> None:
+        room = self.WINDOW - len(self._requested) - len(self._early)
+        if room > 0 and self._queued:
+            self._send([self._queued.popleft() for _ in range(min(room, len(self._queued)))])
+
+    def _send(self, oids: list[str]) -> None:
+        assert self._proc.stdin is not None
+        self._requested.extend(oids)
+        try:
+            self._proc.stdin.write("".join(f"{oid}\n" for oid in oids).encode("ascii"))
+            self._proc.stdin.flush()
+        except BrokenPipeError:
+            pass  # git has exited: reading these blobs finds no reply and raises
+
+    def _reply(self, oid: str) -> Union[bytes, CorruptRepo]:
+        """The next reply on the pipe, the one to the request for oid."""
+        assert self._proc.stdout is not None
         header = self._proc.stdout.readline().decode("ascii", errors="replace").split()
         if len(header) < 3 or header[1] != "blob":
             reply = " ".join(header[1:]) or "nothing"
-            raise CorruptRepo(f"cannot read blob {oid}: git cat-file replied {reply!r}")
+            return CorruptRepo(f"cannot read blob {oid}: git cat-file replied {reply!r}")
         size = int(header[2])
         payload = self._proc.stdout.read(size)
         # a child that dies mid-blob leaves a short payload or no newline
         if len(payload) != size or self._proc.stdout.read(1) != b"\n":
-            raise CorruptRepo(
+            return CorruptRepo(
                 f"cannot read blob {oid}: git cat-file's reply was cut short "
                 f"({len(payload)} of {size} bytes)"
             )
@@ -283,7 +360,10 @@ class _BlobReader:
 
     def close(self) -> None:
         if self._proc.stdin:
-            self._proc.stdin.close()
+            try:
+                self._proc.stdin.close()
+            except BrokenPipeError:
+                pass  # requests git exited before reading; the pipe is closed anyway
         if self._proc.stdout:
             self._proc.stdout.close()
         self._proc.terminate()
@@ -334,14 +414,39 @@ class GitRepo:
         if result.returncode == 0:
             return result.stdout.decode("ascii").strip()
         probe = self._run("rev-list", "-n", "1", "--all")
-        if probe.returncode != 0 or not probe.stdout.strip():
+        if probe.returncode != 0:
+            message = probe.stderr.decode("utf-8", errors="replace").strip()
+            raise CorruptRepo(f"cannot list the commits of {self.path}: "
+                              f"git rev-list failed (exit {probe.returncode}): {message}")
+        if not probe.stdout.strip():
             return None  # repository has no commits at all
         raise BranchNotFound(f"cannot resolve {branch!r} in {self.path}")
 
-    def blob_bytes(self, oid: str) -> bytes:
+    def _reader(self) -> _BlobReader:
         if self._blobs is None:
-            self._blobs = _BlobReader(self.path)
-        return self._blobs.read(oid)
+            self._blobs = _BlobReader(subprocess.Popen(
+                # git's default 96 MiB delta-base cache makes its memory
+                # grow with the history rather than the tree
+                ["git", "-C", self.path, "-c", "core.deltaBaseCacheLimit=8m",
+                 "cat-file", "--batch"],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+            ))
+        return self._blobs
+
+    def ask(self, oid: str) -> None:
+        """Have git start on a blob that blob_bytes will be asked for."""
+        self._reader().ask(oid)
+
+    def blob_bytes(self, oid: str) -> bytes:
+        return self._reader().read(oid)
+
+    def blob_counts(self) -> tuple[int, int]:
+        """(blob_bytes calls, blobs asked for that none of them read) so far."""
+        if self._blobs is None:
+            return 0, 0
+        return self._blobs.reads, self._blobs.asks_unread
 
     def ls_tree(self, rev: str) -> list[TreeEntry]:
         result = self._run("ls-tree", "-r", "-z", "--full-tree", rev)

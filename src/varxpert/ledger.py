@@ -24,7 +24,7 @@ the first-parent stream is not in author-date order.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from varxpert.history import ChangeKind, CommitRecord, FileChange
 from varxpert.preproc import ScanWarning
@@ -226,7 +226,7 @@ def build_contribution_ledger(
         if not commit.changes:
             continue
 
-        changes = sorted(commit.changes, key=_fold_rank)
+        changes = fold_order(commit.changes)
 
         # Path bookkeeping first: deletions release their path and renames
         # move theirs, pops before assigns so same-commit swaps cannot
@@ -291,6 +291,12 @@ def build_contribution_ledger(
                 record_event(record, commit, facts, first_author=first_author)
 
     return ledger.finalize()
+
+
+def fold_order(changes: tuple[FileChange, ...]) -> Sequence[FileChange]:
+    """A commit's changes in the order the fold takes them: deletions,
+    then renames, then the rest, each in stream order."""
+    return sorted(changes, key=_fold_rank) if len(changes) > 1 else changes
 
 
 def _fold_rank(change: FileChange) -> int:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import io
 import json
 import os
-from typing import NamedTuple, Optional
+from collections import Counter, deque
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from varxpert import history
 from varxpert.cache import BlobFacts, ChangeCache
@@ -37,6 +38,7 @@ from varxpert.ledger import (
     ContributionLedger,
     build_contribution_ledger,
     classify_change,
+    fold_order,
     ledger_from_dict,
     ledger_to_dict,
 )
@@ -64,8 +66,9 @@ EVALUATION_CSV = "evaluation.csv"
 LEDGER_JSON = "ledger.json"
 WARNINGS_JSONL = "warnings.jsonl"
 RUN_META_JSON = "run_meta.json"
-RUN_FORMAT = "varxpert-run/1"
+RUN_FORMAT = "varxpert-run/2"
 REPORT_BASENAME = "report"
+READ_AHEAD = 16  # commits the fold trails the log stream by
 
 OUTPUT_FORMATS = ("csv", "json", "markdown")
 
@@ -144,12 +147,16 @@ class Counters:
         changes: int = 0,
         cache_hits: int = 0,
         annotated_sides: int = 0,
+        blob_reads: int = 0,
+        blob_asks_unread: int = 0,
     ):
         self.commits = commits
         self.merges = merges
         self.changes = changes
         self.cache_hits = cache_hits
         self.annotated_sides = annotated_sides
+        self.blob_reads = blob_reads  # GitRepo.blob_bytes calls
+        self.blob_asks_unread = blob_asks_unread  # blobs asked for ahead and never read
 
 
 class _PipelineClassifier:
@@ -177,6 +184,17 @@ class _PipelineClassifier:
     change to it; an entry is only used for a side with its oid, so a
     stale one is never misread. binary_oids holds the binary sides the
     run reported. The final-tree snapshot reuses both.
+
+    read_ahead runs the log stream READ_AHEAD commits ahead of the fold.
+    As a commit leaves the stream it looks up each change, in fold
+    order, in the cache, and on a miss asks git for the sides _mine will
+    read; the fold's call then takes that lookup from _lookups rather
+    than looking up again. The sides come from _predicted, the live table
+    as the fold will have it, oids only. It cannot know that a new side
+    is binary (live keeps no entry for one), so it may leave the old
+    side of such a change asked and never read, and a later change to
+    the path may read a side it did not ask for; blob_bytes still reads
+    that one, only without git having started on it.
     """
 
     def __init__(
@@ -190,18 +208,64 @@ class _PipelineClassifier:
         self.live: dict[str, tuple[str, str, ScanResult]] = {}
         self.binary_oids: set[str] = set()
         self._reported_oids: set[str] = set()  # blobs whose scan warnings are out
+        self._predicted: dict[str, str] = {}  # path -> oid of live once the fold gets here
+        self._lookups: deque[tuple[tuple[str, str], Optional[ChangeFacts]]] = deque()
 
     def scan_blob(self, oid: str, text: str) -> ScanResult:
         """The one full scan of a side; oid names it for a wrapper's record."""
         return scan_text(text, self._options)
+
+    def read_ahead(
+        self, commits: Iterable[CommitRecord], log_warnings: list[dict]
+    ) -> Iterator[CommitRecord]:
+        """commits, yielded READ_AHEAD commits after each leaves the stream.
+
+        The warnings the stream put in log_warnings while it produced a
+        commit go to the sink just before that commit is yielded, and
+        those after the last commit at the end, so they land where a fold
+        reading the stream itself would put them.
+        """
+        queue: deque[tuple[CommitRecord, list[dict]]] = deque()
+        for commit in commits:
+            queue.append((commit, log_warnings[:]))
+            log_warnings.clear()
+            self._look_ahead(commit)
+            while len(queue) > READ_AHEAD:
+                yield self._release(*queue.popleft())
+        while queue:
+            yield self._release(*queue.popleft())
+        for record in log_warnings:
+            self._sink(record)
+
+    def _release(self, commit: CommitRecord, warnings: list[dict]) -> CommitRecord:
+        for record in warnings:
+            self._sink(record)
+        return commit
+
+    def _look_ahead(self, commit: CommitRecord) -> None:
+        predicted = self._predicted
+        for change in fold_order(commit.changes):
+            key = (commit.commit_id, change.effective_path)
+            facts = self._cache.get(*key)
+            self._lookups.append((key, facts))
+            held = predicted.pop(change.path_before, None) if change.path_before else None
+            kept = change.new_blob
+            if facts is None:  # _mine reads the new side, then the old, each unless held
+                if kept and kept != held:
+                    self._repo.ask(kept)
+                if change.old_blob and change.old_blob not in (held, kept):
+                    self._repo.ask(change.old_blob)
+            elif held != kept:
+                kept = None
+            if kept:
+                predicted[change.effective_path] = kept
 
     def __call__(self, commit: CommitRecord, change: FileChange) -> Optional[ChangeFacts]:
         self.counters.changes += 1
         held = self.live.pop(change.path_before, None) if change.path_before else None
         # a cache hit reads nothing, so it keeps only a held new side
         entry = held if held and held[0] == change.new_blob else None
-        key = (commit.commit_id, change.effective_path)
-        facts = self._cache.get(*key)
+        key, facts = self._lookups.popleft()  # read_ahead's lookup of this change
         if facts is None:
             facts, entry = self._mine(change, held)
             self._cache.put(key, facts)
@@ -314,6 +378,7 @@ def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
             config.cache_dir, config.extensions, config.exclude_include_guards
         )
         classifier = _PipelineClassifier(repo, config.analyzer_options(), cache, sink)
+        log_warnings: list[dict] = []
         last_commit: dict[str, Optional[str]] = {"id": None}
 
         def tracked(stream):
@@ -322,15 +387,16 @@ def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
                 yield commit
 
         ledger = build_contribution_ledger(
-            tracked(
+            tracked(classifier.read_ahead(
                 repo.iter_commits(
                     tip,
                     since=config.since,
                     until=config.until,
                     extensions=config.extensions,
-                    warn=sink,
-                )
-            ),
+                    warn=log_warnings.append,
+                ),
+                log_warnings,
+            )),
             classify_fn=classifier,
         )
         classifier.counters.commits = ledger.commit_count
@@ -344,6 +410,8 @@ def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
         if not ledger.files and snapshot_files == 0:
             raise NoEligibleFiles("no source files in the history or the final tree")
         cache.flush()
+        counters = classifier.counters
+        counters.blob_reads, counters.blob_asks_unread = repo.blob_counts()
 
     return AnalysisState(
         config=config,
@@ -375,15 +443,16 @@ def _final_snapshot(
 
     Each tree blob's facts come from the fold (its live table, when the
     path's entry holds that blob, and the binary sides it reported), else
-    from the cache; only the rest are read and scanned here. A binary
-    blob is reported unless the fold already reported it.
+    from the cache; only the rest are read and scanned here, and git is
+    asked for all of them before the first is read. A binary blob is
+    reported unless the fold already reported it.
     """
     entries = [
         entry for entry in repo.ls_tree(rev)
         if filter_source_files(entry.path, config.extensions)
     ]
-    blocks = 0
-    macros: set[str] = set()
+    known: list[Optional[BlobFacts]] = []
+    seen: set[str] = set()  # with the cache on, a blob's first entry serves the others
     for entry in entries:
         held = classifier.live.get(entry.path)
         if held is not None and held[0] == entry.oid:
@@ -391,6 +460,15 @@ def _final_snapshot(
         elif entry.oid in classifier.binary_oids:
             facts = BlobFacts(entry.oid, binary=True)
         else:
+            facts = cache.blob(entry.oid)
+            if facts is None and not (cache.enabled and entry.oid in seen):
+                repo.ask(entry.oid)
+        seen.add(entry.oid)
+        known.append(facts)
+    blocks = 0
+    macros: set[str] = set()
+    for entry, facts in zip(entries, known):
+        if facts is None:
             facts = cache.blob(entry.oid) or _read_blob_facts(repo, entry.oid, config)
         cache.put(entry.oid, facts)
         if facts.binary:
@@ -519,6 +597,7 @@ def _write_analysis_artifacts(state: AnalysisState, sink: WarningSink) -> None:
             "distinct_macros": state.variability.distinct_macros,
         },
         "counters": vars(state.counters),
+        "warnings_by_kind": dict(Counter(record["kind"] for record in sink.records)),
     }
     _write_text(os.path.join(config.output_dir, RUN_META_JSON), stable_json(meta))
 

@@ -285,6 +285,17 @@ def _foreign_ledger_format(out):
         json.dump(ledger, handle)
 
 
+def _run_meta_at_format_1(out):
+    # run_meta.json as the varxpert-run/1 writer left it
+    path = os.path.join(out, "run_meta.json")
+    meta = json.loads(read(path))
+    meta["format"] = "varxpert-run/1"
+    del meta["warnings_by_kind"], meta["counters"]["blob_reads"], \
+        meta["counters"]["blob_asks_unread"]
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(meta, handle)
+
+
 V1_LEDGER = os.path.join(os.path.dirname(__file__), "data", "multifile_ledger_v1.json")
 
 
@@ -297,7 +308,8 @@ def _ledger_at_format_1(out):
 
 @pytest.mark.parametrize(
     "damage",
-    [_truncate_ledger, _add_unknown_counter, _foreign_ledger_format, _ledger_at_format_1],
+    [_truncate_ledger, _add_unknown_counter, _foreign_ledger_format, _ledger_at_format_1,
+     _run_meta_at_format_1],
 )
 def test_damaged_stored_analysis_is_mined_again(multifile_repo, tmp_path, damage):
     path, _ = multifile_repo
@@ -309,6 +321,8 @@ def test_damaged_stored_analysis_is_mined_again(multifile_repo, tmp_path, damage
     assert_same_artifacts(clean, damaged, names=BYTE_IDENTICAL)
     # mined again, so the stored analysis is whole once more
     assert read(os.path.join(clean, "ledger.json")) == read(os.path.join(damaged, "ledger.json"))
+    assert read(os.path.join(clean, "run_meta.json")) == \
+        read(os.path.join(damaged, "run_meta.json"))
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +381,14 @@ def test_unreadable_history_fails_the_run(repo_builder, tmp_path, capsys, missin
     remove_loose_object(repo, repo.git(*missing).strip())
     assert run_cli("analyze", repo.path, "--out", str(tmp_path / "out")) == 1
     assert "git log failed" in capsys.readouterr().err
+
+
+def test_missing_tip_commit_fails_the_run(repo_builder, tmp_path, capsys):
+    # HEAD names a commit that is gone; that is damage, not an empty repository
+    repo = three_commit_repo(repo_builder)
+    remove_loose_object(repo, repo.git("rev-parse", "HEAD").strip())
+    assert run_cli("analyze", repo.path, "--out", str(tmp_path / "out")) == 1
+    assert "git rev-list failed (exit 128)" in capsys.readouterr().err
 
 
 def test_missing_tree_fails_the_run(repo_builder, tmp_path, capsys):

@@ -2,8 +2,11 @@
 binary detection, identity folding, timestamp clamping, hunk fidelity."""
 
 import difflib
+import functools
 import io
 import os
+import subprocess
+import threading
 import time
 
 import pytest
@@ -410,8 +413,8 @@ class _CannedCatFile:
 
 
 def cat_file_read(reply, oid="a" * 40):
-    reader = _BlobReader.__new__(_BlobReader)
-    reader._proc = _CannedCatFile(f"{oid} blob ".encode("ascii") + reply)
+    reader = _BlobReader(_CannedCatFile(f"{oid} blob ".encode("ascii") + reply))
+    reader.ask(oid)  # the reply comes in when the blob is read
     return reader.read(oid)
 
 
@@ -437,6 +440,76 @@ def test_raw_stream_has_no_hunks(basic_repo):
 def test_resolve_tip_none_for_empty(repo_builder):
     with GitRepo(repo_builder.path) as repo:
         assert repo.resolve_tip("HEAD") is None
+
+
+_ABSENT = "0123456789abcdef" * 2 + "01234567"  # no such object
+
+
+@functools.lru_cache(maxsize=None)
+def _history_blobs(path):
+    """Every blob of the history's changes, by id, as `git cat-file blob` gives it."""
+    oids = sorted({oid for commit in stream(path) for change in commit.changes
+                   for oid in (change.old_blob, change.new_blob) if oid})
+    return {oid: subprocess.run(["git", "-C", path, "cat-file", "blob", oid],
+                                capture_output=True, check=True).stdout for oid in oids}
+
+
+@settings(max_examples=150, deadline=None)
+@given(window=st.sampled_from([1, 2, 3, _BlobReader.WINDOW]),
+       steps=st.lists(st.tuples(st.sampled_from(["ask", "read"]), st.integers(0, 99)),
+                      max_size=40))
+def test_any_interleaving_of_asks_and_reads_gives_gits_bytes(multifile_repo, window, steps):
+    blobs = _history_blobs(multifile_repo[0])
+    oids = sorted(blobs) + [_ABSENT]
+    with GitRepo(multifile_repo[0]) as repo:
+        reader = repo._reader()
+        reader.WINDOW = window
+        for verb, index in steps:
+            oid = oids[index % len(oids)]
+            if verb == "ask":
+                repo.ask(oid)
+            elif oid == _ABSENT:
+                with pytest.raises(CorruptRepo, match=f"cannot read blob {oid}: .*'missing'"):
+                    repo.blob_bytes(oid)
+            else:
+                assert repo.blob_bytes(oid) == blobs[oid]
+            # requests in git's stdin, and replies held, stay within the window
+            assert len(reader._requested) + len(reader._early) <= window
+        assert repo.blob_counts()[0] == sum(verb == "read" for verb, _ in steps)
+
+
+def test_reading_against_the_ask_order_cannot_deadlock(repo_builder):
+    # 64 blobs of 200 KB, each larger than a pipe holds. Asked 50 times
+    # over, they make 131 KB of requests, more than git's stdin pipe and
+    # its input buffer hold while git waits on a full stdout pipe, unless
+    # the window keeps them back; reading them last to first drains
+    # replies out of order.
+    bodies = {f"f{index:02d}.c": f"int v{index:02d};\n".encode("ascii") * 20000
+              for index in range(64)}
+    for name, body in bodies.items():
+        repo_builder.write_bytes(name, body)
+    repo_builder.commit("big", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    with GitRepo(repo_builder.path) as repo:
+        entries = repo.ls_tree("HEAD")
+    outcome = {}
+
+    def ask_then_read_backwards():
+        with GitRepo(repo_builder.path) as repo:
+            outcome["reader"] = repo._reader()
+            for _ in range(50):
+                for entry in entries:
+                    repo.ask(entry.oid)
+            outcome["read"] = {entry.path: repo.blob_bytes(entry.oid)
+                               for entry in reversed(entries)}
+
+    worker = threading.Thread(target=ask_then_read_backwards, daemon=True)
+    worker.start()
+    worker.join(timeout=60)
+    if worker.is_alive():
+        outcome["reader"]._proc.kill()  # lets the blocked worker fail and exit
+        worker.join(timeout=10)
+        pytest.fail("asking for and reading blobs deadlocked")
+    assert outcome["read"] == bodies
 
 
 def test_ls_tree_lists_blobs(basic_repo):

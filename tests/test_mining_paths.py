@@ -19,6 +19,7 @@ from conftest import RepoBuilder
 from fixture_repos import BASIC, IDENTITY, MULTIFILE, RENAME
 from varxpert.errors import NoEligibleFiles
 from varxpert.ledger import ledger_to_dict
+from varxpert import pipeline
 from varxpert.pipeline import RunConfig, mine, run_analyze, run_report
 from varxpert.util import stable_json
 
@@ -53,6 +54,46 @@ def test_writer_writes_the_mined_ledger(fixture, request, tmp_path):
     assert read(out / "ledger.json").decode("utf-8") == stable_json(ledger_to_dict(state.ledger))
     assert [json.loads(line) for line in read(out / "warnings.jsonl").splitlines()] == \
         sink.records
+
+
+def test_every_blob_asked_for_ahead_is_read(history_paths):
+    # read_ahead predicts the sides each change reads; on the fixtures and
+    # the generated histories it asks for exactly those
+    for path in history_paths:
+        counters = mine(RunConfig(repo_path=path))[0].counters
+        assert counters.blob_reads > 0
+        assert counters.blob_asks_unread == 0, path
+
+
+def test_read_ahead_keeps_the_warnings_in_stream_order(repo_builder, tmp_path, monkeypatch):
+    # log warnings (clamped clocks) come out of the stream READ_AHEAD
+    # commits before the fold's own (scan, binary); they must still land
+    # in warnings.jsonl where a fold that reads the stream directly puts
+    # them, the last ones (a commit the window drops) included
+    repo = repo_builder
+    for month in range(2 * pipeline.READ_AHEAD + 5):
+        name = f"f{month % 7}.c"
+        if month % 5 == 0:
+            repo.write_bytes(name, b"\x00 binary " + bytes([month]))
+        else:
+            repo.write(name, f"int v{month};\n#endif\n")
+        date = f"{2001 + month // 12}-{month % 12 + 1:02d}-01T00:00:00 +0000"
+        author_date = "1980-01-01T00:00:00 +0000" if month % 3 == 0 else date
+        repo.commit(f"c{month}", "Alice", "alice@example.com", author_date, date)
+    repo.write("late.c", "int late;\n")
+    repo.commit("late", "Bob", "bob@example.com", "1980-01-01T00:00:00 +0000",
+                "2031-01-01T00:00:00 +0000")
+    config = RunConfig(repo_path=repo.path, until=1893456000, output_dir=str(tmp_path / "ahead"))
+    run_analyze(config)
+    monkeypatch.setattr(pipeline, "READ_AHEAD", 0)
+    run_analyze(config._replace(output_dir=str(tmp_path / "direct")))
+    for name in ("warnings.jsonl", "ledger.json", "scores.csv", "run_meta.json"):
+        ahead, direct = (read(tmp_path / out / name) for out in ("ahead", "direct"))
+        assert ahead == direct, name
+    warnings = [json.loads(line) for line in read(tmp_path / "ahead" / "warnings.jsonl").splitlines()]
+    assert {warning["kind"] for warning in warnings} == \
+        {"clamped_timestamp", "scan_stray_directive", "binary_skipped"}
+    assert warnings[-1]["used_timestamp"] == 1924992000  # the late commit's, after the fold's
 
 
 def test_binary_deletion_and_rename_keep_their_bookkeeping(repo_builder):
