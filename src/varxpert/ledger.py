@@ -1,6 +1,10 @@
-"""Fold a commit stream into per-file contribution ledgers.
+"""Fold a stream of classified commits into per-file contribution ledgers.
 
-Each tracked file is a lineage: it starts at an Added change (or
+The fold consumes facts: each change arrives with its ChangeFacts, which
+the pipeline's classifier decided (classify_change on the two sides'
+line flags), so the fold reads no file and calls no classifier.
+
+Each source file is a lineage: it starts at an Added change (or
 implicitly, with no first-author credit, when the first thing we see is
 an edit to a file created before the analysis window), follows renames
 detected by git, and ends at a Deleted change. One commit touching a
@@ -24,7 +28,7 @@ the first-parent stream is not in author-date order.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from varxpert.history import ChangeKind, CommitRecord, FileChange
 from varxpert.preproc import ScanWarning
@@ -51,6 +55,10 @@ class ChangeFacts(NamedTuple):
     @property
     def is_empty(self) -> bool:
         return not (self.touched_variable or self.touched_mandatory)
+
+
+# a commit's changes in fold order, each with its facts (None: a binary side)
+ClassifiedChanges = list[tuple[FileChange, Optional[ChangeFacts]]]
 
 
 def classify_change(
@@ -157,25 +165,20 @@ class ContributionLedger:
         return self
 
 
-ClassifyFn = Callable[[CommitRecord, FileChange], Optional[ChangeFacts]]
-
-
 def _lineage_id(path: str, commit_id: str) -> str:
     return f"{path}@{commit_id[:12]}"
 
 
 def build_contribution_ledger(
-    commits: Iterable[CommitRecord],
-    *,
-    classify_fn: ClassifyFn,
+    commits: Iterable[tuple[CommitRecord, ClassifiedChanges]],
 ) -> ContributionLedger:
-    """Sequential fold of the commit stream into a ContributionLedger.
+    """Sequential fold of classified commits into a ContributionLedger.
 
-    A commit's changes are folded deletions first, then renames, then
-    the rest. Each change is classified in that order, after the path
-    bookkeeping, so anything the classifier reports lands in fold order.
-    classify_fn returns None for a change that folds no event (a binary
-    side); its path bookkeeping still happens.
+    Each commit comes with its changes in fold order (see fold_order),
+    each paired with its facts; None facts mark a change with a binary
+    side, which folds no event but keeps its path bookkeeping. The fold
+    calls nothing: whatever produced the facts has already reported its
+    warnings.
     """
     ledger = ContributionLedger()
     path_map: dict[str, str] = {}
@@ -217,36 +220,33 @@ def build_contribution_ledger(
         if key not in ledger.developers:
             ledger.developers[key] = DeveloperProfile(key, commit.author.display_name)
 
-    for commit in commits:
+    for commit, changes in commits:
         touch_months(commit)
         if commit.is_merge:
             ledger.merge_count += 1
             continue
         ledger.commit_count += 1
-        if not commit.changes:
-            continue
-
-        changes = fold_order(commit.changes)
 
         # Path bookkeeping first: deletions release their path and renames
         # move theirs, pops before assigns so same-commit swaps cannot
         # clobber each other. This runs even for changes that record no
         # event (binary sides, pure moves).
-        resolved: list[Optional[str]] = [None] * len(changes)
-        for index, change in enumerate(changes):
+        resolved: list[Optional[str]] = []
+        for change, _ in changes:
+            lid = None
             if change.kind in (ChangeKind.DELETED, ChangeKind.RENAMED):
                 assert change.path_before is not None
-                resolved[index] = path_map.pop(change.path_before, None)
-                if change.kind is ChangeKind.DELETED and resolved[index] is not None:
-                    ledger.files[resolved[index]].alive = False
-        for index, change in enumerate(changes):
-            if change.kind is ChangeKind.RENAMED and resolved[index] is not None:
+                lid = path_map.pop(change.path_before, None)
+                if change.kind is ChangeKind.DELETED and lid is not None:
+                    ledger.files[lid].alive = False
+            resolved.append(lid)
+        for (change, _), lid in zip(changes, resolved):
+            if change.kind is ChangeKind.RENAMED and lid is not None:
                 assert change.path_after is not None
-                path_map[change.path_after] = resolved[index]
-                ledger.files[resolved[index]].current_path = change.path_after
+                path_map[change.path_after] = lid
+                ledger.files[lid].current_path = change.path_after
 
-        for index, change in enumerate(changes):
-            facts = classify_fn(commit, change)
+        for (change, facts), lid in zip(changes, resolved):
             if facts is None:
                 continue  # binary side; bookkeeping already done
             empty = facts.is_empty
@@ -259,7 +259,6 @@ def build_contribution_ledger(
                 record = start_lineage(change.path_after, commit, map_path=change.path_after)
                 first_author = True
             elif change.kind is ChangeKind.DELETED:
-                lid = resolved[index]
                 if lid is None:
                     if empty:
                         continue
@@ -268,7 +267,6 @@ def build_contribution_ledger(
                 else:
                     record = ledger.files[lid]
             elif change.kind is ChangeKind.RENAMED:
-                lid = resolved[index]
                 if lid is None:
                     if empty:
                         continue
@@ -293,18 +291,13 @@ def build_contribution_ledger(
     return ledger.finalize()
 
 
-def fold_order(changes: tuple[FileChange, ...]) -> Sequence[FileChange]:
+_FOLD_RANK = {ChangeKind.DELETED: 0, ChangeKind.RENAMED: 1}
+
+
+def fold_order(changes: tuple[FileChange, ...]) -> list[FileChange]:
     """A commit's changes in the order the fold takes them: deletions,
     then renames, then the rest, each in stream order."""
-    return sorted(changes, key=_fold_rank) if len(changes) > 1 else changes
-
-
-def _fold_rank(change: FileChange) -> int:
-    if change.kind is ChangeKind.DELETED:
-        return 0
-    if change.kind is ChangeKind.RENAMED:
-        return 1
-    return 2
+    return sorted(changes, key=lambda change: _FOLD_RANK.get(change.kind, 2))
 
 
 # ----------------------------------------------------------------------

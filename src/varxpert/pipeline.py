@@ -35,6 +35,7 @@ from varxpert.history import (
 from varxpert.ledger import (
     LEDGER_FORMAT,
     ChangeFacts,
+    ClassifiedChanges,
     ContributionLedger,
     build_contribution_ledger,
     classify_change,
@@ -166,9 +167,9 @@ class _PipelineClassifier:
     The facts come from the cache, or on a miss from _mine, which reads
     the sides, computes the hunks, scans and classifies; a miss is put
     into the cache. Then the change is reported to the sink: a change
-    stopped at a binary side as one binary_skipped line, any other with
-    the scan warnings of each blob this run has not reported yet. The
-    fold calls this in fold order, so the lines land in it.
+    with a binary side as one binary_skipped line, any other with the
+    scan warnings of each blob this run has not reported yet. Changes
+    are classified in fold order, so the lines land in it.
 
     live maps each path to (oid, text, ScanResult) of its current
     version, so a blob is read once, as a new side, and reused as the
@@ -188,95 +189,103 @@ class _PipelineClassifier:
     read_ahead runs the log stream READ_AHEAD commits ahead of the fold.
     As a commit leaves the stream it looks up each change, in fold
     order, in the cache, and on a miss asks git for the sides _mine will
-    read; the fold's call then takes that lookup from _lookups rather
-    than looking up again. The sides come from _predicted, the live table
-    as the fold will have it, oids only. It cannot know that a new side
-    is binary (live keeps no entry for one), so it may leave the old
-    side of such a change asked and never read, and a later change to
-    the path may read a side it did not ask for; blob_bytes still reads
-    that one, only without git having started on it.
+    read; the queue keeps those (change, cached facts) pairs with the
+    commit until the commit is classified. The sides come from
+    _predicted, the live table as the fold will have it, oids only. It
+    cannot know that a new side is binary (live keeps no entry for one),
+    so a later change to the path may read a side it did not ask for,
+    only without git having started on it.
     """
 
     def __init__(
         self, repo: GitRepo, options: AnalyzerOptions, cache: ChangeCache, sink: WarningSink
     ):
-        self._repo = repo
-        self._options = options
-        self._cache = cache
-        self._sink = sink
+        self.repo = repo
+        self.options = options
+        self.cache = cache
+        self.sink = sink
         self.counters = Counters()
         self.live: dict[str, tuple[str, str, ScanResult]] = {}
         self.binary_oids: set[str] = set()
+        self.last_commit: Optional[str] = None  # the last commit read_ahead handed over
         self._reported_oids: set[str] = set()  # blobs whose scan warnings are out
         self._predicted: dict[str, str] = {}  # path -> oid of live once the fold gets here
-        self._lookups: deque[tuple[tuple[str, str], Optional[ChangeFacts]]] = deque()
 
     def scan_blob(self, oid: str, text: str) -> ScanResult:
         """The one full scan of a side; oid names it for a wrapper's record."""
-        return scan_text(text, self._options)
+        return scan_text(text, self.options)
 
     def read_ahead(
         self, commits: Iterable[CommitRecord], log_warnings: list[dict]
-    ) -> Iterator[CommitRecord]:
-        """commits, yielded READ_AHEAD commits after each leaves the stream.
+    ) -> Iterator[tuple[CommitRecord, ClassifiedChanges]]:
+        """Each commit of commits with its changes' facts in fold order,
+        classified READ_AHEAD commits after it leaves the stream.
 
         The warnings the stream put in log_warnings while it produced a
-        commit go to the sink just before that commit is yielded, and
+        commit go to the sink just before that commit is classified, and
         those after the last commit at the end, so they land where a fold
         reading the stream itself would put them.
         """
-        queue: deque[tuple[CommitRecord, list[dict]]] = deque()
+        queue: deque[tuple[CommitRecord, ClassifiedChanges, list[dict]]] = deque()
         for commit in commits:
-            queue.append((commit, log_warnings[:]))
+            queue.append((commit, self._look_ahead(commit), log_warnings[:]))
             log_warnings.clear()
-            self._look_ahead(commit)
             while len(queue) > READ_AHEAD:
-                yield self._release(*queue.popleft())
+                yield self._classify_commit(*queue.popleft())
         while queue:
-            yield self._release(*queue.popleft())
+            yield self._classify_commit(*queue.popleft())
         for record in log_warnings:
-            self._sink(record)
+            self.sink(record)
 
-    def _release(self, commit: CommitRecord, warnings: list[dict]) -> CommitRecord:
+    def _classify_commit(
+        self, commit: CommitRecord, looked_up: ClassifiedChanges, warnings: list[dict]
+    ) -> tuple[CommitRecord, ClassifiedChanges]:
         for record in warnings:
-            self._sink(record)
-        return commit
+            self.sink(record)
+        self.last_commit = commit.commit_id
+        return commit, [(change, self(commit, change, facts)) for change, facts in looked_up]
 
-    def _look_ahead(self, commit: CommitRecord) -> None:
+    def _look_ahead(self, commit: CommitRecord) -> ClassifiedChanges:
+        """commit's changes in fold order with their cached facts, None on a
+        miss; git is asked for the sides each miss will read."""
         predicted = self._predicted
+        looked_up = []
         for change in fold_order(commit.changes):
-            key = (commit.commit_id, change.effective_path)
-            facts = self._cache.get(*key)
-            self._lookups.append((key, facts))
+            facts = self.cache.get(commit.commit_id, change.effective_path)
+            looked_up.append((change, facts))
             held = predicted.pop(change.path_before, None) if change.path_before else None
             kept = change.new_blob
             if facts is None:  # _mine reads the new side, then the old, each unless held
                 if kept and kept != held:
-                    self._repo.ask(kept)
+                    self.repo.ask(kept)
                 if change.old_blob and change.old_blob not in (held, kept):
-                    self._repo.ask(change.old_blob)
+                    self.repo.ask(change.old_blob)
             elif held != kept:
                 kept = None
             if kept:
                 predicted[change.effective_path] = kept
+        return looked_up
 
-    def __call__(self, commit: CommitRecord, change: FileChange) -> Optional[ChangeFacts]:
+    def __call__(
+        self, commit: CommitRecord, change: FileChange, facts: Optional[ChangeFacts]
+    ) -> Optional[ChangeFacts]:
+        """The facts the fold takes for change, given its cached facts
+        (None on a miss); None for a change with a binary side."""
         self.counters.changes += 1
         held = self.live.pop(change.path_before, None) if change.path_before else None
         # a cache hit reads nothing, so it keeps only a held new side
         entry = held if held and held[0] == change.new_blob else None
-        key, facts = self._lookups.popleft()  # read_ahead's lookup of this change
         if facts is None:
             facts, entry = self._mine(change, held)
-            self._cache.put(key, facts)
+            self.cache.put((commit.commit_id, change.effective_path), facts)
         elif facts.binary_oid is None:
             self.counters.cache_hits += 1
         if entry is not None:
             self.live[change.effective_path] = entry
 
         if facts.binary_oid is not None:
-            self._sink({"kind": "binary_skipped", "commit": commit.commit_id,
-                        "path": change.effective_path})
+            self.sink({"kind": "binary_skipped", "commit": commit.commit_id,
+                       "path": change.effective_path})
             self.binary_oids.add(facts.binary_oid)
             return None
         # Every warning of a blob is reported once, where the blob first
@@ -286,8 +295,8 @@ class _PipelineClassifier:
         self._reported_oids.update(fresh)
         for oid, warning in dict.fromkeys(facts.scan_warnings):
             if oid in fresh:
-                self._sink(dict(warning._asdict(), kind=f"scan_{warning.kind}",
-                                commit=commit.commit_id, path=change.effective_path))
+                self.sink(dict(warning._asdict(), kind=f"scan_{warning.kind}",
+                               commit=commit.commit_id, path=change.effective_path))
         return facts
 
     def _mine(
@@ -297,21 +306,18 @@ class _PipelineClassifier:
         entry (None without a text new side).
 
         A side with the oid of held, the path's popped entry, is neither
-        read nor scanned. Reading starts at the new side and stops at the
-        first binary side, so of two binary sides the one a later tree
-        may still hold is reported. The new side's scan is the held one,
-        else the old side's for an unchanged blob, else the old one
-        patched through the hunks, else a full one.
+        read nor scanned. Every other side is read, new side first, so no
+        blob read_ahead asked for is left unread; of two binary sides the
+        new one, which a later tree may still hold, is reported. The new
+        side's scan is the held one, else the old side's for an unchanged
+        blob, else the old one patched through the hunks, else a full one.
         """
         old_oid, new_oid = change.old_blob, change.new_blob
         texts = {held[0]: held[1]} if held else {}
-        binary = None
         for oid in (new_oid, old_oid):
             if oid and oid not in texts:
-                texts[oid] = _read_text(self._repo, oid)
-                if texts[oid] is None:
-                    binary = oid
-                    break
+                texts[oid] = _read_text(self.repo, oid)
+        binary = next((oid for oid in (new_oid, old_oid) if oid and texts[oid] is None), None)
         new_text = texts.get(new_oid)
         old_text = texts.get(old_oid) if binary is None else None
         old_lines, new_lines = split_lines(old_text or ""), split_lines(new_text or "")
@@ -327,7 +333,7 @@ class _PipelineClassifier:
             elif new_oid == old_oid:
                 new_scan = old_scan
             elif old_scan is not None:
-                new_scan = patch_scan(old_scan, change.hunks, old_lines, new_lines, self._options)
+                new_scan = patch_scan(old_scan, change.hunks, old_lines, new_lines, self.options)
             new_scan = new_scan or self.scan_blob(new_oid, new_text)
         entry = None if new_scan is None else (new_oid, new_text, new_scan)
         if binary is not None:
@@ -379,48 +385,35 @@ def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
         )
         classifier = _PipelineClassifier(repo, config.analyzer_options(), cache, sink)
         log_warnings: list[dict] = []
-        last_commit: dict[str, Optional[str]] = {"id": None}
-
-        def tracked(stream):
-            for commit in stream:
-                last_commit["id"] = commit.commit_id
-                yield commit
-
-        ledger = build_contribution_ledger(
-            tracked(classifier.read_ahead(
-                repo.iter_commits(
-                    tip,
-                    since=config.since,
-                    until=config.until,
-                    extensions=config.extensions,
-                    warn=log_warnings.append,
-                ),
-                log_warnings,
-            )),
-            classify_fn=classifier,
-        )
-        classifier.counters.commits = ledger.commit_count
-        classifier.counters.merges = ledger.merge_count
-        if last_commit["id"] is None:
+        ledger = build_contribution_ledger(classifier.read_ahead(
+            repo.iter_commits(
+                tip,
+                since=config.since,
+                until=config.until,
+                extensions=config.extensions,
+                warn=log_warnings.append,
+            ),
+            log_warnings,
+        ))
+        counters = classifier.counters
+        counters.commits, counters.merges = ledger.commit_count, ledger.merge_count
+        last_commit = classifier.last_commit
+        if last_commit is None:
             raise NoEligibleFiles("no commits in the requested range")
-
-        snapshot_files, variability = _final_snapshot(
-            repo, last_commit["id"], config, classifier, cache, sink
-        )
+        snapshot_files, variability = _final_snapshot(classifier, last_commit, config.extensions)
         if not ledger.files and snapshot_files == 0:
             raise NoEligibleFiles("no source files in the history or the final tree")
         cache.flush()
-        counters = classifier.counters
         counters.blob_reads, counters.blob_asks_unread = repo.blob_counts()
 
     return AnalysisState(
         config=config,
         ledger=ledger,
         tip=tip,
-        last_commit=last_commit["id"] or tip,
+        last_commit=last_commit,
         snapshot_files=snapshot_files,
         variability=variability,
-        counters=classifier.counters,
+        counters=counters,
     ), sink
 
 
@@ -432,48 +425,42 @@ def run_analyze(config: RunConfig) -> AnalysisState:
 
 
 def _final_snapshot(
-    repo: GitRepo,
-    rev: str,
-    config: RunConfig,
-    classifier: _PipelineClassifier,
-    cache: ChangeCache,
-    sink: WarningSink,
+    classifier: _PipelineClassifier, rev: str, extensions: frozenset[str]
 ) -> tuple[int, VariabilityCount]:
     """Count source files and variability in the tree of the last commit.
 
-    Each tree blob's facts come from the fold (its live table, when the
-    path's entry holds that blob, and the binary sides it reported), else
-    from the cache; only the rest are read and scanned here, and git is
-    asked for all of them before the first is read. A binary blob is
-    reported unless the fold already reported it.
+    Each distinct tree blob's facts come from the fold (its live table,
+    when the path's entry holds that blob, and the binary sides it
+    reported), else from the cache; only the rest are read and scanned
+    here, once each, and git is asked for all of them before the first
+    is read. A binary blob is reported unless the fold already reported
+    it.
     """
-    entries = [
-        entry for entry in repo.ls_tree(rev)
-        if filter_source_files(entry.path, config.extensions)
-    ]
-    known: list[Optional[BlobFacts]] = []
-    seen: set[str] = set()  # with the cache on, a blob's first entry serves the others
+    repo, cache = classifier.repo, classifier.cache
+    entries = [entry for entry in repo.ls_tree(rev) if filter_source_files(entry.path, extensions)]
+    known: dict[str, Optional[BlobFacts]] = {}  # oid -> facts, None until read
     for entry in entries:
+        if entry.oid in known:
+            continue
         held = classifier.live.get(entry.path)
         if held is not None and held[0] == entry.oid:
-            facts = BlobFacts(entry.oid, held[2].blocks, held[2].macros)
+            known[entry.oid] = BlobFacts(entry.oid, held[2].blocks, held[2].macros)
         elif entry.oid in classifier.binary_oids:
-            facts = BlobFacts(entry.oid, binary=True)
+            known[entry.oid] = BlobFacts(entry.oid, binary=True)
         else:
-            facts = cache.blob(entry.oid)
-            if facts is None and not (cache.enabled and entry.oid in seen):
+            known[entry.oid] = cache.blob(entry.oid)
+            if known[entry.oid] is None:
                 repo.ask(entry.oid)
-        seen.add(entry.oid)
-        known.append(facts)
     blocks = 0
     macros: set[str] = set()
-    for entry, facts in zip(entries, known):
+    for entry in entries:
+        facts = known[entry.oid]
         if facts is None:
-            facts = cache.blob(entry.oid) or _read_blob_facts(repo, entry.oid, config)
+            facts = known[entry.oid] = _read_blob_facts(repo, entry.oid, classifier.options)
         cache.put(entry.oid, facts)
         if facts.binary:
             if entry.oid not in classifier.binary_oids:
-                sink({"kind": "binary_skipped", "commit": rev, "path": entry.path})
+                classifier.sink({"kind": "binary_skipped", "commit": rev, "path": entry.path})
             continue
         blocks += facts.blocks
         macros |= facts.macros
@@ -486,11 +473,11 @@ def _read_text(repo: GitRepo, oid: str) -> Optional[str]:
     return None if looks_binary(payload) else payload.decode("utf-8", errors="replace")
 
 
-def _read_blob_facts(repo: GitRepo, oid: str, config: RunConfig) -> BlobFacts:
+def _read_blob_facts(repo: GitRepo, oid: str, options: AnalyzerOptions) -> BlobFacts:
     text = _read_text(repo, oid)
     if text is None:
         return BlobFacts(oid, binary=True)
-    result = scan_text(text, config.analyzer_options())
+    result = scan_text(text, options)
     return BlobFacts(oid, result.blocks, result.macros)
 
 

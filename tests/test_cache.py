@@ -423,6 +423,24 @@ def test_binary_tree_blob_is_reported_once(repo_builder, tmp_path, since, snapsh
     assert outputs[1] == outputs[0]
 
 
+def test_snapshot_reads_each_tree_blob_once(repo_builder, tmp_path):
+    # three identical files added before the window, so the fold never
+    # reads them: the final-tree snapshot reads their one blob once,
+    # whether or not a cache is there to remember it
+    for name in ("a.c", "b.c", "c.c"):
+        repo_builder.write(name, "#ifdef X\nint x;\n#endif\n")
+    repo_builder.commit("same", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    repo_builder.write("d.c", "int d;\n")
+    repo_builder.commit("d", "Bob", "bob@example.com", "2020-03-01T00:00:00 +0000")
+    config = RunConfig(repo_path=repo_builder.path, since=1580515200)
+    for name, cache_dir in (("plain", None), ("cached", str(tmp_path / "cache"))):
+        state = run_analyze(config._replace(output_dir=str(tmp_path / name), cache_dir=cache_dir))
+        assert state.counters.blob_reads == 2  # d.c in the fold, the shared blob here
+        assert (state.snapshot_files, state.variability.blocks) == (4, 3)
+    for name in ("scores.csv", "ledger.json", "warnings.jsonl", "run_meta.json"):
+        assert read(tmp_path / "plain" / name) == read(tmp_path / "cached" / name), name
+
+
 # ----------------------------------------------------------------------
 # append, and the rewrite of a damaged file
 # ----------------------------------------------------------------------

@@ -253,33 +253,39 @@ def test_name_reuse_chain_as_git_reports_it(repo_builder):
 
 def test_synthetic_rename_ordering_is_harmless():
     # streams handed to the fold directly may list a rename onto a path
-    # before the rename that frees it; pops happen before assigns
+    # before the rename that frees it; pops happen before assigns, so the
+    # order of a commit's pairs does not change the ledger
     from varxpert.history import CommitRecord, resolve_identity
 
     dev = resolve_identity("Alice", "alice@example.com")
 
     def added(path):
-        return FileChange(kind=ChangeKind.ADDED, path_before=None, path_after=path)
+        # an addition of mandatory lines
+        return (FileChange(kind=ChangeKind.ADDED, path_before=None, path_after=path),
+                ChangeFacts(touched_mandatory=True))
 
     def moved(old, new):
-        return FileChange(kind=ChangeKind.RENAMED, path_before=old, path_after=new)
+        # a rename that moves no line
+        return FileChange(kind=ChangeKind.RENAMED, path_before=old, path_after=new), ChangeFacts()
 
-    def classify(commit, change):
-        # an addition of mandatory lines; a rename that moves no line
-        return ChangeFacts(touched_mandatory=change.kind is ChangeKind.ADDED)
+    def commit(sha, timestamp, *pairs):
+        changes = tuple(change for change, _ in pairs)
+        return CommitRecord(sha * 40, dev, timestamp, False, changes), list(pairs)
 
     commits = [
-        CommitRecord("a" * 40, dev, 1577836800, False, (added("a.c"), added("b.c"))),
-        CommitRecord("b" * 40, dev, 1580515200, False,
-                     (moved("a.c", "b.c"), moved("b.c", "c.c"))),
+        commit("a", 1577836800, added("a.c"), added("b.c")),
+        commit("b", 1580515200, moved("a.c", "b.c"), moved("b.c", "c.c")),
     ]
-    ledger = build_contribution_ledger(iter(commits), classify_fn=classify)
+    ledger = build_contribution_ledger(iter(commits))
     assert len(ledger.files) == 2
     by_created = {r.created_path: r for r in ledger.files.values()}
     assert by_created["a.c"].current_path == "b.c"
     assert by_created["b.c"].current_path == "c.c"
     assert all(r.alive for r in ledger.files.values())
     assert all(r.total_events == 1 for r in ledger.files.values())
+    reversed_pairs = build_contribution_ledger(
+        (record, pairs[::-1]) for record, pairs in commits)
+    assert ledger_to_dict(reversed_pairs) == ledger_to_dict(ledger)
 
 
 def test_merge_commits_count_but_record_nothing(repo_builder):

@@ -56,13 +56,25 @@ def test_writer_writes_the_mined_ledger(fixture, request, tmp_path):
         sink.records
 
 
-def test_every_blob_asked_for_ahead_is_read(history_paths):
-    # read_ahead predicts the sides each change reads; on the fixtures and
-    # the generated histories it asks for exactly those
-    for path in history_paths:
-        counters = mine(RunConfig(repo_path=path))[0].counters
+def test_every_blob_asked_for_ahead_is_read(history_paths, repo_builder):
+    # read_ahead predicts the sides each change reads; on the fixtures,
+    # the generated histories and files that turn binary inside a --since
+    # window (read_ahead asks for both sides, not knowing the new one is
+    # binary) every blob it asks for is read
+    repo = repo_builder
+    for i in range(3):
+        repo.write(f"f{i}.c", f"#ifdef F{i}\nint f{i};\n#endif\n")
+    repo.commit("text", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    for i in range(3):
+        repo.write_bytes(f"f{i}.c", b"\x00 table " + bytes([i]))
+    repo.commit("binary", "Bob", "bob@example.com", "2020-03-01T00:00:00 +0000")
+    repo.write("main.c", "int main;\n")
+    repo.commit("text again", "Carol", "carol@example.com", "2020-04-01T00:00:00 +0000")
+    configs = [RunConfig(repo_path=path) for path in history_paths]
+    for config in configs + [RunConfig(repo_path=repo.path, since=1580515200)]:
+        counters = mine(config)[0].counters
         assert counters.blob_reads > 0
-        assert counters.blob_asks_unread == 0, path
+        assert counters.blob_asks_unread == 0, config.repo_path
 
 
 def test_read_ahead_keeps_the_warnings_in_stream_order(repo_builder, tmp_path, monkeypatch):
