@@ -26,15 +26,11 @@ reads only the repository, so the stream does not depend on the day it
 is mined.
 
 Blobs are asked for ahead of their reads. GitRepo.ask queues a blob id
-and blob_bytes reads one; the cat-file child gets requests while fewer
-than _BlobReader.WINDOW blobs are requested or held unread, so git
-reads and inflates the next blobs on its own process while Python diffs
-and scans. Replies come back in request order, and one that arrives
-before its blob is read is held until it is. The window keeps the pipe
-from deadlocking: git stops reading requests while nobody drains its
-replies, but the requests it has not read never fill a pipe page, so
-writing one never waits for git. A blob read without an ask is
-requested there and then.
+and blob_bytes reads the oldest one not yet read, so git reads and
+inflates the next blobs on its own process while Python diffs and scans.
+Replies are read in the order they were asked for; reading any other
+blob is a RuntimeError. _BlobReader's window keeps the pipe from
+deadlocking.
 
 A failing git is never read as empty content. A blob that `git
 cat-file` cannot produce or sends cut short, a tree `git ls-tree`
@@ -56,7 +52,7 @@ import subprocess
 import tempfile
 from collections import deque
 from enum import Enum
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from varxpert.errors import BranchNotFound, CorruptRepo, EmptyIdentity, RepoNotFound
 
@@ -269,21 +265,21 @@ def looks_binary(blob: bytes) -> bool:
 class _BlobReader:
     """A persistent `git cat-file --batch` child that works ahead.
 
-    ask queues a blob id; requests go to git while fewer than WINDOW
-    blobs are requested or held unread, so git reads the next blobs on
-    its own process while the caller works. read takes replies off the
-    pipe in request order and holds the ones that came before the blob
-    it wants until they are read, so blobs may be read in any order, and
-    one never asked for is requested there and then.
+    ask queues a blob id; requests go to git while fewer than WINDOW are
+    outstanding, so git reads the next blobs on its own process while the
+    caller works. read takes the reply to the oldest outstanding request,
+    so blobs are read in the order they were asked for; reading any other
+    blob raises RuntimeError before a reply is taken, since that reply
+    holds another blob's bytes. A read while nothing is outstanding
+    requests its blob there and then.
 
-    The window bounds memory and cannot deadlock. At most WINDOW + 1
-    blobs are requested or held unread at any time (the one more is a
-    read that was not asked for). git stops reading requests while its
-    reply pipe is full and nobody reads it, but WINDOW + 1 request lines
-    of 65 bytes (a SHA-256 id) fit in one 4,096-byte pipe page, the least
-    a pipe holds, so writing a request never waits for git. A reply that
-    names no blob, or is cut short, is kept as the CorruptRepo of its id
-    and raised only when that blob is read.
+    The window bounds memory and cannot deadlock. At most WINDOW requests
+    are outstanding at any time. git stops reading requests while its
+    reply pipe is full and nobody reads it, but WINDOW request lines of
+    65 bytes (a SHA-256 id) fit in one 4,096-byte pipe page, the least a
+    pipe holds, so writing a request never waits for git. A reply that
+    names no blob, or is cut short, is raised as the CorruptRepo of its
+    id when that blob is read.
     """
 
     WINDOW = 48
@@ -292,43 +288,31 @@ class _BlobReader:
         self._proc = proc  # a `git cat-file --batch` child with piped stdin and stdout
         self._queued: deque[str] = deque()  # asked, not yet requested
         self._requested: deque[str] = deque()  # requested, reply still in the pipe
-        self._early: dict[str, Union[bytes, CorruptRepo]] = {}  # replies taken ahead of their read
-        self._doubles = 0  # replies taken while one for the same id was held
         self.reads = 0
 
     @property
     def asks_unread(self) -> int:
         """Blobs asked for that no read has taken (yet)."""
-        return len(self._queued) + len(self._requested) + len(self._early) + self._doubles
+        return len(self._queued) + len(self._requested)
 
     def ask(self, oid: str) -> None:
         self._queued.append(oid)
         self._feed()
 
     def read(self, oid: str) -> bytes:
+        if not self._requested:  # nothing outstanding: _feed leaves no ask queued
+            self._send([oid])
+        if self._requested[0] != oid:
+            raise RuntimeError(f"blob {oid} read before {self._requested[0]}, "
+                               f"which was asked for first")
         self.reads += 1
-        reply = self._early.pop(oid, None)
-        if reply is None:
-            if oid not in self._requested:
-                try:
-                    self._queued.remove(oid)
-                except ValueError:
-                    pass  # never asked for
-                self._send([oid])
-            while True:
-                head = self._requested.popleft()
-                reply = self._reply(head)
-                if head == oid:
-                    break
-                self._doubles += head in self._early
-                self._early[head] = reply
-        self._feed()
-        if isinstance(reply, CorruptRepo):
-            raise reply
-        return reply
+        try:
+            return self._reply(self._requested.popleft())
+        finally:
+            self._feed()
 
     def _feed(self) -> None:
-        room = self.WINDOW - len(self._requested) - len(self._early)
+        room = self.WINDOW - len(self._requested)
         if room > 0 and self._queued:
             self._send([self._queued.popleft() for _ in range(min(room, len(self._queued)))])
 
@@ -341,18 +325,18 @@ class _BlobReader:
         except BrokenPipeError:
             pass  # git has exited: reading these blobs finds no reply and raises
 
-    def _reply(self, oid: str) -> Union[bytes, CorruptRepo]:
+    def _reply(self, oid: str) -> bytes:
         """The next reply on the pipe, the one to the request for oid."""
         assert self._proc.stdout is not None
         header = self._proc.stdout.readline().decode("ascii", errors="replace").split()
         if len(header) < 3 or header[1] != "blob":
             reply = " ".join(header[1:]) or "nothing"
-            return CorruptRepo(f"cannot read blob {oid}: git cat-file replied {reply!r}")
+            raise CorruptRepo(f"cannot read blob {oid}: git cat-file replied {reply!r}")
         size = int(header[2])
         payload = self._proc.stdout.read(size)
         # a child that dies mid-blob leaves a short payload or no newline
         if len(payload) != size or self._proc.stdout.read(1) != b"\n":
-            return CorruptRepo(
+            raise CorruptRepo(
                 f"cannot read blob {oid}: git cat-file's reply was cut short "
                 f"({len(payload)} of {size} bytes)"
             )

@@ -191,7 +191,7 @@ def build_contribution_ledger(
             ledger.last_month = month
 
     def start_lineage(
-        path: str, commit: CommitRecord, *, map_path: Optional[str], alive: bool = True
+        path: str, commit: CommitRecord, *, map_path: Optional[str], alive: bool
     ) -> FileRecord:
         lid = _lineage_id(path, commit.commit_id)
         record = FileRecord(
@@ -249,44 +249,20 @@ def build_contribution_ledger(
         for (change, facts), lid in zip(changes, resolved):
             if facts is None:
                 continue  # binary side; bookkeeping already done
-            empty = facts.is_empty
-            first_author = False
-
-            if change.kind is ChangeKind.ADDED:
-                if empty:
-                    continue  # zero-line additions start no lineage
-                assert change.path_after is not None
-                record = start_lineage(change.path_after, commit, map_path=change.path_after)
-                first_author = True
-            elif change.kind is ChangeKind.DELETED:
-                if lid is None:
-                    if empty:
-                        continue
-                    assert change.path_before is not None
-                    record = start_lineage(change.path_before, commit, map_path=None, alive=False)
-                else:
-                    record = ledger.files[lid]
-            elif change.kind is ChangeKind.RENAMED:
-                if lid is None:
-                    if empty:
-                        continue
-                    assert change.path_before is not None and change.path_after is not None
-                    record = start_lineage(change.path_before, commit, map_path=change.path_after)
-                else:
-                    record = ledger.files[lid]
-            else:
+            if change.kind is ChangeKind.MODIFIED:
                 lid = path_map.get(change.effective_path)
-                if lid is None:
-                    if empty:
-                        continue
-                    record = start_lineage(
-                        change.effective_path, commit, map_path=change.effective_path)
-                else:
-                    record = ledger.files[lid]
-
+            if lid is not None:
+                record = ledger.files[lid]
+            elif facts.is_empty:
+                continue  # an empty change starts no lineage
+            else:
+                record = start_lineage(
+                    change.path_before or change.effective_path, commit,
+                    map_path=change.path_after, alive=change.kind is not ChangeKind.DELETED,
+                )
             record.has_variable_code_ever |= facts.saw_variable
-            if not empty:
-                record_event(record, commit, facts, first_author=first_author)
+            if not facts.is_empty:
+                record_event(record, commit, facts, first_author=change.kind is ChangeKind.ADDED)
 
     return ledger.finalize()
 

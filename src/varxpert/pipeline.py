@@ -160,6 +160,29 @@ class Counters:
         self.blob_asks_unread = blob_asks_unread  # blobs asked for ahead and never read
 
 
+class _LiveEntry:
+    """A path's current version: its blob id, and once _mine has read it,
+    its text and ScanResult (both None for a binary blob)."""
+
+    __slots__ = ("oid", "text", "scan")
+
+    def __init__(self, oid: str):
+        self.oid = oid
+        self.text: Optional[str] = None
+        self.scan: Optional[ScanResult] = None
+
+
+# a change, its cached facts, the live entry it pops and the one it puts back
+_LookedUp = tuple[FileChange, Optional[ChangeFacts], Optional[_LiveEntry], Optional[_LiveEntry]]
+
+
+def _sides_to_read(change: FileChange, held: Optional[_LiveEntry]) -> list[str]:
+    """The blobs a cache miss reads, in order: the new side, then the old
+    side, each unless held, the path's live entry, holds it."""
+    return list(dict.fromkeys(oid for oid in (change.new_blob, change.old_blob)
+                              if oid and not (held and held.oid == oid)))
+
+
 class _PipelineClassifier:
     """The per-change step of the fold: the one code that turns a
     (commit, FileChange) into ChangeFacts.
@@ -171,30 +194,28 @@ class _PipelineClassifier:
     scan warnings of each blob this run has not reported yet. Changes
     are classified in fold order, so the lines land in it.
 
-    live maps each path to (oid, text, ScanResult) of its current
-    version, so a blob is read once, as a new side, and reused as the
-    next change's old side: its text for diff_hunks, its directive list
-    for preproc.patch_scan. So scan_blob, the one full scan, lexes a path
-    only at first sight or where a backslash continuation meets a hunk
-    edge. Every change to a path pops its entry, a cache hit included,
-    and puts back the new side it read (or kept, on a pure rename) under
-    its new path; a delete leaves none. So the table holds one version
-    per path, not one per version in the history. A path that leaves the
-    stream without a change the fold sees (renamed outside the extension
-    filter, or changed by a merge) keeps its stale entry until a later
-    change to it; an entry is only used for a side with its oid, so a
-    stale one is never misread. binary_oids holds the binary sides the
-    run reported. The final-tree snapshot reuses both.
-
     read_ahead runs the log stream READ_AHEAD commits ahead of the fold.
-    As a commit leaves the stream it looks up each change, in fold
-    order, in the cache, and on a miss asks git for the sides _mine will
-    read; the queue keeps those (change, cached facts) pairs with the
-    commit until the commit is classified. The sides come from
-    _predicted, the live table as the fold will have it, oids only. It
-    cannot know that a new side is binary (live keeps no entry for one),
-    so a later change to the path may read a side it did not ask for,
-    only without git having started on it.
+    As a commit leaves the stream, _look_ahead, the one writer of live,
+    looks up each change in the cache in fold order, moves the path's
+    live entry, and on a miss asks git for the blobs _sides_to_read
+    names. _mine reads those same blobs, and the fold keeps that order,
+    so blobs are read in the order they were asked for.
+
+    live maps each path to the _LiveEntry of its current version, so a
+    blob is read once, as a new side, and reused as the next change's
+    old side: its text for diff_hunks, its directive list for
+    preproc.patch_scan. So scan_blob, the one full scan, lexes a path
+    only at first sight or where a backslash continuation meets a hunk
+    edge. Each change pops its old path's entry; a miss puts back its
+    new side's under the new path, a hit only a popped entry that holds
+    its new side, a delete nothing. So the table holds one version per
+    path, not one per version in the history. _mine fills a new entry
+    before any later change uses it; a binary version keeps an entry
+    without text, so it is never read again. A path that leaves the
+    stream unseen by the fold (renamed outside the extension filter, or
+    changed by a merge) keeps a stale entry, but an entry only serves a
+    side with its oid. binary_oids holds the binary sides the run
+    reported. The final-tree snapshot reuses both.
     """
 
     def __init__(
@@ -205,11 +226,10 @@ class _PipelineClassifier:
         self.cache = cache
         self.sink = sink
         self.counters = Counters()
-        self.live: dict[str, tuple[str, str, ScanResult]] = {}
+        self.live: dict[str, _LiveEntry] = {}
         self.binary_oids: set[str] = set()
         self.last_commit: Optional[str] = None  # the last commit read_ahead handed over
         self._reported_oids: set[str] = set()  # blobs whose scan warnings are out
-        self._predicted: dict[str, str] = {}  # path -> oid of live once the fold gets here
 
     def scan_blob(self, oid: str, text: str) -> ScanResult:
         """The one full scan of a side; oid names it for a wrapper's record."""
@@ -226,7 +246,7 @@ class _PipelineClassifier:
         those after the last commit at the end, so they land where a fold
         reading the stream itself would put them.
         """
-        queue: deque[tuple[CommitRecord, ClassifiedChanges, list[dict]]] = deque()
+        queue: deque[tuple[CommitRecord, list[_LookedUp], list[dict]]] = deque()
         for commit in commits:
             queue.append((commit, self._look_ahead(commit), log_warnings[:]))
             log_warnings.clear()
@@ -238,50 +258,44 @@ class _PipelineClassifier:
             self.sink(record)
 
     def _classify_commit(
-        self, commit: CommitRecord, looked_up: ClassifiedChanges, warnings: list[dict]
+        self, commit: CommitRecord, looked_up: list[_LookedUp], warnings: list[dict]
     ) -> tuple[CommitRecord, ClassifiedChanges]:
         for record in warnings:
             self.sink(record)
         self.last_commit = commit.commit_id
-        return commit, [(change, self(commit, change, facts)) for change, facts in looked_up]
+        return commit, [(change, self(commit, change, facts, held, new))
+                        for change, facts, held, new in looked_up]
 
-    def _look_ahead(self, commit: CommitRecord) -> ClassifiedChanges:
-        """commit's changes in fold order with their cached facts, None on a
-        miss; git is asked for the sides each miss will read."""
-        predicted = self._predicted
+    def _look_ahead(self, commit: CommitRecord) -> list[_LookedUp]:
+        """commit's changes in fold order, each with its cached facts (None
+        on a miss) and live entries; git is asked for each miss's sides."""
+        live = self.live
         looked_up = []
         for change in fold_order(commit.changes):
             facts = self.cache.get(commit.commit_id, change.effective_path)
-            looked_up.append((change, facts))
-            held = predicted.pop(change.path_before, None) if change.path_before else None
-            kept = change.new_blob
-            if facts is None:  # _mine reads the new side, then the old, each unless held
-                if kept and kept != held:
-                    self.repo.ask(kept)
-                if change.old_blob and change.old_blob not in (held, kept):
-                    self.repo.ask(change.old_blob)
-            elif held != kept:
-                kept = None
-            if kept:
-                predicted[change.effective_path] = kept
+            held = live.pop(change.path_before, None) if change.path_before else None
+            new = held if held is not None and held.oid == change.new_blob else None
+            if facts is None:
+                for oid in _sides_to_read(change, held):
+                    self.repo.ask(oid)
+                if new is None and change.new_blob:
+                    new = _LiveEntry(change.new_blob)
+            if new is not None:
+                live[change.effective_path] = new
+            looked_up.append((change, facts, held, new))
         return looked_up
 
-    def __call__(
-        self, commit: CommitRecord, change: FileChange, facts: Optional[ChangeFacts]
-    ) -> Optional[ChangeFacts]:
+    def __call__(self, commit: CommitRecord, change: FileChange, facts: Optional[ChangeFacts],
+                 held: Optional[_LiveEntry], new: Optional[_LiveEntry]) -> Optional[ChangeFacts]:
         """The facts the fold takes for change, given its cached facts
-        (None on a miss); None for a change with a binary side."""
+        (None on a miss) and its live entries; None for a change with a
+        binary side."""
         self.counters.changes += 1
-        held = self.live.pop(change.path_before, None) if change.path_before else None
-        # a cache hit reads nothing, so it keeps only a held new side
-        entry = held if held and held[0] == change.new_blob else None
         if facts is None:
-            facts, entry = self._mine(change, held)
+            facts = self._mine(change, held, new)
             self.cache.put((commit.commit_id, change.effective_path), facts)
         elif facts.binary_oid is None:
             self.counters.cache_hits += 1
-        if entry is not None:
-            self.live[change.effective_path] = entry
 
         if facts.binary_oid is not None:
             self.sink({"kind": "binary_skipped", "commit": commit.commit_id,
@@ -300,23 +314,22 @@ class _PipelineClassifier:
         return facts
 
     def _mine(
-        self, change: FileChange, held: Optional[tuple[str, str, ScanResult]]
-    ) -> tuple[ChangeFacts, Optional[tuple[str, str, ScanResult]]]:
-        """The facts of a change the cache misses, and its new side's live
-        entry (None without a text new side).
+        self, change: FileChange, held: Optional[_LiveEntry], new: Optional[_LiveEntry]
+    ) -> ChangeFacts:
+        """The facts of a change the cache misses; new, its new side's live
+        entry, gets that side's text and scan.
 
         A side with the oid of held, the path's popped entry, is neither
-        read nor scanned. Every other side is read, new side first, so no
-        blob read_ahead asked for is left unread; of two binary sides the
-        new one, which a later tree may still hold, is reported. The new
-        side's scan is the held one, else the old side's for an unchanged
-        blob, else the old one patched through the hunks, else a full one.
+        read nor scanned; the others are read as _sides_to_read orders
+        them. Of two binary sides the new one, which a later tree may
+        still hold, is reported. The new side's scan is the held one,
+        else the old side's for an unchanged blob, else the old one
+        patched through the hunks, else a full one.
         """
         old_oid, new_oid = change.old_blob, change.new_blob
-        texts = {held[0]: held[1]} if held else {}
-        for oid in (new_oid, old_oid):
-            if oid and oid not in texts:
-                texts[oid] = _read_text(self.repo, oid)
+        texts = {held.oid: held.text} if held is not None else {}
+        for oid in _sides_to_read(change, held):
+            texts[oid] = _read_text(self.repo, oid)
         binary = next((oid for oid in (new_oid, old_oid) if oid and texts[oid] is None), None)
         new_text = texts.get(new_oid)
         old_text = texts.get(old_oid) if binary is None else None
@@ -326,18 +339,20 @@ class _PipelineClassifier:
             change = change._replace(hunks=history.diff_hunks(old_lines, new_lines))
         old_scan = new_scan = None
         if old_text is not None:
-            old_scan = held[2] if held and held[0] == old_oid else self.scan_blob(old_oid, old_text)
+            old_scan = (held.scan if held and held.oid == old_oid
+                        else self.scan_blob(old_oid, old_text))
         if new_text is not None:
-            if held and held[0] == new_oid:
-                new_scan = held[2]
+            if held and held.oid == new_oid:
+                new_scan = held.scan
             elif new_oid == old_oid:
                 new_scan = old_scan
             elif old_scan is not None:
                 new_scan = patch_scan(old_scan, change.hunks, old_lines, new_lines, self.options)
             new_scan = new_scan or self.scan_blob(new_oid, new_text)
-        entry = None if new_scan is None else (new_oid, new_text, new_scan)
+        if new is not None:
+            new.text, new.scan = new_text, new_scan
         if binary is not None:
-            return ChangeFacts(binary_oid=binary), entry
+            return ChangeFacts(binary_oid=binary)
 
         warnings = []
         for side, oid, scan, lines in (("old", old_oid, old_scan, old_lines),
@@ -355,7 +370,7 @@ class _PipelineClassifier:
         return classify_change(change, *bitmaps)._replace(
             saw_variable=any(bitmap and 1 in bitmap for bitmap in bitmaps),
             scan_warnings=tuple(warnings),
-        ), entry
+        )
 
 
 class AnalysisState(NamedTuple):
@@ -443,8 +458,8 @@ def _final_snapshot(
         if entry.oid in known:
             continue
         held = classifier.live.get(entry.path)
-        if held is not None and held[0] == entry.oid:
-            known[entry.oid] = BlobFacts(entry.oid, held[2].blocks, held[2].macros)
+        if held is not None and held.oid == entry.oid and held.scan is not None:
+            known[entry.oid] = BlobFacts(entry.oid, held.scan.blocks, held.scan.macros)
         elif entry.oid in classifier.binary_oids:
             known[entry.oid] = BlobFacts(entry.oid, binary=True)
         else:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import threading
 import time
+from collections import deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -456,11 +457,19 @@ def _history_blobs(path):
 
 @settings(max_examples=150, deadline=None)
 @given(window=st.sampled_from([1, 2, 3, _BlobReader.WINDOW]),
-       steps=st.lists(st.tuples(st.sampled_from(["ask", "read"]), st.integers(0, 99)),
+       steps=st.lists(st.tuples(st.sampled_from(["ask", "read", "read out of order"]),
+                                st.integers(0, 99)),
                       max_size=40))
+@example(window=1, steps=[("ask", 0), ("ask", 1), ("read out of order", 1), ("read", 0),
+                          ("read", 0)])
 def test_any_interleaving_of_asks_and_reads_gives_gits_bytes(multifile_repo, window, steps):
+    # a read takes the oldest blob asked for and not yet read, or with
+    # nothing asked for, any blob; a read of any other blob raises and
+    # takes no reply, so the reads after it still get their own bytes
     blobs = _history_blobs(multifile_repo[0])
     oids = sorted(blobs) + [_ABSENT]
+    asked = deque()
+    reads = 0
     with GitRepo(multifile_repo[0]) as repo:
         reader = repo._reader()
         reader.WINDOW = window
@@ -468,22 +477,30 @@ def test_any_interleaving_of_asks_and_reads_gives_gits_bytes(multifile_repo, win
             oid = oids[index % len(oids)]
             if verb == "ask":
                 repo.ask(oid)
-            elif oid == _ABSENT:
-                with pytest.raises(CorruptRepo, match=f"cannot read blob {oid}: .*'missing'"):
-                    repo.blob_bytes(oid)
+                asked.append(oid)
+            elif verb == "read out of order":
+                if asked and oid != asked[0]:
+                    with pytest.raises(RuntimeError, match=f"blob {oid} read before {asked[0]}"):
+                        repo.blob_bytes(oid)
             else:
-                assert repo.blob_bytes(oid) == blobs[oid]
-            # requests in git's stdin, and replies held, stay within the window
-            assert len(reader._requested) + len(reader._early) <= window
-        assert repo.blob_counts()[0] == sum(verb == "read" for verb, _ in steps)
+                oid = asked.popleft() if asked else oid
+                reads += 1
+                if oid == _ABSENT:
+                    with pytest.raises(CorruptRepo, match=f"cannot read blob {oid}: .*'missing'"):
+                        repo.blob_bytes(oid)
+                else:
+                    assert repo.blob_bytes(oid) == blobs[oid]
+            # requests in git's stdin stay within the window
+            assert len(reader._requested) <= window
+        assert repo.blob_counts() == (reads, len(asked))
 
 
-def test_reading_against_the_ask_order_cannot_deadlock(repo_builder):
+def test_asking_far_ahead_of_the_reads_cannot_deadlock(repo_builder):
     # 64 blobs of 200 KB, each larger than a pipe holds. Asked 50 times
     # over, they make 131 KB of requests, more than git's stdin pipe and
     # its input buffer hold while git waits on a full stdout pipe, unless
-    # the window keeps them back; reading them last to first drains
-    # replies out of order.
+    # the window keeps them back. The first 64 asks are read, and the
+    # reader closes with 3,136 asks and a full reply pipe left over.
     bodies = {f"f{index:02d}.c": f"int v{index:02d};\n".encode("ascii") * 20000
               for index in range(64)}
     for name, body in bodies.items():
@@ -493,16 +510,17 @@ def test_reading_against_the_ask_order_cannot_deadlock(repo_builder):
         entries = repo.ls_tree("HEAD")
     outcome = {}
 
-    def ask_then_read_backwards():
+    def ask_far_ahead_then_read():
         with GitRepo(repo_builder.path) as repo:
             outcome["reader"] = repo._reader()
             for _ in range(50):
                 for entry in entries:
                     repo.ask(entry.oid)
-            outcome["read"] = {entry.path: repo.blob_bytes(entry.oid)
-                               for entry in reversed(entries)}
+            outcome["read"] = {entry.path: repo.blob_bytes(entry.oid) for entry in entries}
+            outcome["unread"] = repo.blob_counts()[1]
+        outcome["closed"] = True
 
-    worker = threading.Thread(target=ask_then_read_backwards, daemon=True)
+    worker = threading.Thread(target=ask_far_ahead_then_read, daemon=True)
     worker.start()
     worker.join(timeout=60)
     if worker.is_alive():
@@ -510,6 +528,8 @@ def test_reading_against_the_ask_order_cannot_deadlock(repo_builder):
         worker.join(timeout=10)
         pytest.fail("asking for and reading blobs deadlocked")
     assert outcome["read"] == bodies
+    assert outcome["unread"] == 50 * 64 - 64
+    assert outcome.get("closed")
 
 
 def test_ls_tree_lists_blobs(basic_repo):

@@ -9,6 +9,7 @@ neither crash a run nor make two runs differ.
 
 import json
 import os
+import subprocess
 import tempfile
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from conftest import RepoBuilder
 from fixture_repos import BASIC, IDENTITY, MULTIFILE, RENAME
 from varxpert.errors import NoEligibleFiles
+from varxpert.history import GitRepo
 from varxpert.ledger import ledger_to_dict
 from varxpert import pipeline
 from varxpert.pipeline import RunConfig, mine, run_analyze, run_report
@@ -75,6 +77,53 @@ def test_every_blob_asked_for_ahead_is_read(history_paths, repo_builder):
         counters = mine(config)[0].counters
         assert counters.blob_reads > 0
         assert counters.blob_asks_unread == 0, config.repo_path
+
+
+def _record_blob_traffic(monkeypatch):
+    """The oids mine asks git for and the oids it reads, each in order."""
+    asks, reads = [], []
+    ask, blob_bytes = GitRepo.ask, GitRepo.blob_bytes
+
+    def recording_ask(self, oid):
+        asks.append(oid)
+        return ask(self, oid)
+
+    def recording_blob_bytes(self, oid):
+        reads.append(oid)
+        return blob_bytes(self, oid)
+
+    monkeypatch.setattr(GitRepo, "ask", recording_ask)
+    monkeypatch.setattr(GitRepo, "blob_bytes", recording_blob_bytes)
+    return asks, reads
+
+
+def _middle_timestamp(repo_path):
+    stamps = subprocess.run(["git", "-C", repo_path, "log", "--first-parent", "--format=%at"],
+                            capture_output=True, text=True, check=True).stdout.split()
+    return int(sorted(stamps, key=int)[len(stamps) // 2])
+
+
+def test_the_reads_are_the_asks(history_paths, repo_builder, monkeypatch):
+    # every blob mine reads was asked for, in the order of the asks, and
+    # every blob asked for is read: on the fixtures, the generated
+    # histories and a file edited while binary (c.c), with and without a
+    # --since window that starts halfway through the history
+    repo = repo_builder
+    repo.write("c.c", "#ifdef C\nint c;\n#endif\n")
+    repo.commit("text", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    for version in range(3):
+        repo.write_bytes("c.c", b"\x00 table " + bytes([version]))
+        repo.commit(f"binary {version}", "Bob", "bob@example.com",
+                    f"2020-0{version + 2}-01T00:00:00 +0000")
+    repo.write("main.c", "int main;\n")
+    repo.commit("text again", "Carol", "carol@example.com", "2020-06-01T00:00:00 +0000")
+    asks, reads = _record_blob_traffic(monkeypatch)
+    for repo_path in history_paths + [repo.path]:
+        for since in (None, _middle_timestamp(repo_path)):
+            del asks[:], reads[:]
+            mine(RunConfig(repo_path=repo_path, since=since))
+            assert reads, repo_path
+            assert reads == asks, (repo_path, since)
 
 
 def test_read_ahead_keeps_the_warnings_in_stream_order(repo_builder, tmp_path, monkeypatch):
