@@ -25,6 +25,8 @@ from varxpert.metrics import DEFAULT_DOA_THRESHOLD, DEFAULT_OWNERSHIP_THRESHOLD
 from varxpert.pipeline import (
     OUTPUT_FORMATS,
     RunConfig,
+    ensure_analysis,
+    monthly_snapshots,
     run_analyze,
     run_evaluate,
     run_report,
@@ -143,11 +145,7 @@ def _dispatch(verb: str, config: RunConfig) -> None:
         report = run_report(config)
         print(report.render(config.output_format), end="")
     elif verb == "plot-data":
-        from varxpert.pipeline import ensure_analysis
-        from varxpert.timeline import monthly_snapshots
-
-        state = ensure_analysis(config)
-        print(timeline_csv_text(monthly_snapshots(state.ledger)), end="")
+        print(timeline_csv_text(monthly_snapshots(ensure_analysis(config).ledger)), end="")
     else:  # pragma: no cover - argparse rejects unknown verbs first
         raise VarxpertError(f"unknown verb {verb!r}")
 

@@ -4,9 +4,10 @@ For each file that ever contained variable code, the developers the
 metric recommends are compared with the developers who actually changed
 variable lines in that file. Precision is undefined when nothing was
 recommended and recall is undefined when nobody relevant exists; both
-stay None rather than being forced to a number. The default pooling is
-a micro average over all (file, developer) pairs; a macro average over
-per-file values is available for sensitivity checks.
+stay None rather than being forced to a number. Each metric is pooled
+both ways in one pass: a micro average over all (file, developer)
+pairs, the report's default, and a macro average over per-file values
+for sensitivity checks.
 """
 
 from __future__ import annotations
@@ -34,14 +35,16 @@ def variable_changers(record: FileRecord) -> set[str]:
     }
 
 
+def _ratio(part: float, whole: int) -> Optional[float]:
+    return part / whole if whole else None
+
+
 def precision_recall(
     recommended: set[str], relevant: set[str]
 ) -> tuple[Optional[float], Optional[float]]:
     """(precision, recall); None where the denominator set is empty."""
     hits = len(recommended & relevant)
-    precision = hits / len(recommended) if recommended else None
-    recall = hits / len(relevant) if relevant else None
-    return precision, recall
+    return _ratio(hits, len(recommended)), _ratio(hits, len(relevant))
 
 
 class EvaluationResult(NamedTuple):
@@ -59,12 +62,14 @@ def project_evaluation(
     ledger: ContributionLedger,
     scores: Iterable[ExpertiseScore],
     metric: str,
-    *,
-    aggregation: str = MICRO,
-) -> EvaluationResult:
-    """Pool one metric's recommendations over all eligible files."""
-    if aggregation not in (MICRO, MACRO):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
+) -> tuple[EvaluationResult, EvaluationResult]:
+    """Pool one metric's recommendations over all eligible files.
+
+    Returns the (micro, macro) pair of results. The micro row pools the
+    (file, developer) pairs of every file; the macro row averages the
+    per-file precision and recall that are defined. Both rows share the
+    recommended-developer share, the file count and the pair counts.
+    """
     eligible = {
         lineage_id: record
         for lineage_id, record in ledger.files.items()
@@ -78,8 +83,7 @@ def project_evaluation(
     pairs_recommended = 0
     pairs_relevant = 0
     recommended_devs: set[str] = set()
-    file_precisions: list[float] = []
-    file_recalls: list[float] = []
+    per_file: list[tuple[Optional[float], Optional[float]]] = []  # (precision, recall)
 
     for lineage_id in sorted(eligible):
         record = eligible[lineage_id]
@@ -89,32 +93,18 @@ def project_evaluation(
         pairs_recommended += len(recommended)
         pairs_relevant += len(relevant)
         recommended_devs.update(recommended)
-        precision, recall = precision_recall(recommended, relevant)
-        if precision is not None:
-            file_precisions.append(precision)
-        if recall is not None:
-            file_recalls.append(recall)
-
-    if aggregation == MICRO:
-        precision = pooled_hits / pairs_recommended if pairs_recommended else None
-        recall = pooled_hits / pairs_relevant if pairs_relevant else None
-    else:
-        precision = (
-            sum(file_precisions) / len(file_precisions) if file_precisions else None
-        )
-        recall = sum(file_recalls) / len(file_recalls) if file_recalls else None
+        per_file.append(precision_recall(recommended, relevant))
 
     total_devs = len(ledger.developers)
     recommended_dev_pct = (
         100.0 * len(recommended_devs) / total_devs if total_devs else 0.0
     )
-    return EvaluationResult(
-        metric=metric,
-        aggregation=aggregation,
-        precision=precision,
-        recall=recall,
-        recommended_dev_pct=recommended_dev_pct,
-        files_evaluated=len(eligible),
-        pairs_recommended=pairs_recommended,
-        pairs_relevant=pairs_relevant,
+    precisions = [precision for precision, _ in per_file if precision is not None]
+    recalls = [recall for _, recall in per_file if recall is not None]
+    shared = (recommended_dev_pct, len(eligible), pairs_recommended, pairs_relevant)
+    return (
+        EvaluationResult(metric, MICRO, _ratio(pooled_hits, pairs_recommended),
+                         _ratio(pooled_hits, pairs_relevant), *shared),
+        EvaluationResult(metric, MACRO, _ratio(sum(precisions), len(precisions)),
+                         _ratio(sum(recalls), len(recalls)), *shared),
     )

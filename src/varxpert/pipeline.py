@@ -14,7 +14,6 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from collections import Counter, deque
@@ -59,7 +58,7 @@ from varxpert.timeline import (
     monthly_snapshots,
     specialization_summary,
 )
-from varxpert.util import csv_bool, csv_float, split_lines, stable_json
+from varxpert.util import csv_text, split_lines, stable_json
 
 SCORES_CSV = "scores.csv"
 TIMELINE_CSV = "timeline.csv"
@@ -500,72 +499,10 @@ def _read_blob_facts(repo: GitRepo, oid: str, options: AnalyzerOptions) -> BlobF
 # Artifact writers
 # ----------------------------------------------------------------------
 
-def scores_csv_text(scores: list[ExpertiseScore]) -> str:
-    out = io.StringIO()
-    out.write(
-        "file,developer_key,fa,dl,ac,doa_abs,doa_norm,ownership,is_author,is_major\n"
-    )
-    for score in sorted(scores, key=lambda s: (s.file, s.developer_key)):
-        out.write(
-            ",".join(
-                [
-                    _csv_field(score.file),
-                    _csv_field(score.developer_key),
-                    str(score.fa),
-                    str(score.dl),
-                    str(score.ac),
-                    csv_float(score.doa_abs),
-                    csv_float(score.doa_norm),
-                    csv_float(score.ownership),
-                    csv_bool(score.is_author),
-                    csv_bool(score.is_major),
-                ]
-            )
-            + "\n"
-        )
-    return out.getvalue()
-
-
 def timeline_csv_text(snapshots: list[TimelineSnapshot]) -> str:
-    out = io.StringIO()
-    out.write("year_month,generalist,specialist,mixed,total\n")
-    for snap in snapshots:
-        out.write(
-            f"{snap.year_month},{snap.generalist},{snap.specialist},"
-            f"{snap.mixed},{snap.total}\n"
-        )
-    return out.getvalue()
-
-
-def evaluation_csv_text(results: list[EvaluationResult]) -> str:
-    out = io.StringIO()
-    out.write(
-        "metric,aggregation,precision,recall,recommended_dev_pct,"
-        "files_evaluated,pairs_recommended,pairs_relevant\n"
-    )
-    for result in results:
-        out.write(
-            ",".join(
-                [
-                    result.metric,
-                    result.aggregation,
-                    csv_float(result.precision),
-                    csv_float(result.recall),
-                    csv_float(result.recommended_dev_pct),
-                    str(result.files_evaluated),
-                    str(result.pairs_recommended),
-                    str(result.pairs_relevant),
-                ]
-            )
-            + "\n"
-        )
-    return out.getvalue()
-
-
-def _csv_field(value: str) -> str:
-    if any(ch in value for ch in ",\"\n"):
-        return '"' + value.replace('"', '""') + '"'
-    return value
+    """timeline.csv: each month's split and its total."""
+    rows = [(*snap, snap.total) for snap in snapshots]
+    return csv_text(TimelineSnapshot._fields + ("total",), rows)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -573,16 +510,23 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_analysis_artifacts(state: AnalysisState, sink: WarningSink) -> None:
-    config = state.config
-    os.makedirs(config.output_dir, exist_ok=True)
+def _write_scores(config: RunConfig, ledger: ContributionLedger) -> list[ExpertiseScore]:
+    """Score every (file, developer) pair under the run's thresholds and write scores.csv."""
     scores = compute_scores(
-        state.ledger,
+        ledger,
         doa_threshold=config.doa_threshold,
         ownership_threshold=config.ownership_threshold,
         doa_abs_floor=config.doa_abs_floor,
     )
-    _write_text(os.path.join(config.output_dir, SCORES_CSV), scores_csv_text(scores))
+    # compute_scores returns the rows sorted by file, then developer
+    _write_text(os.path.join(config.output_dir, SCORES_CSV), csv_text(ExpertiseScore._fields, scores))
+    return scores
+
+
+def _write_analysis_artifacts(state: AnalysisState, sink: WarningSink) -> None:
+    config = state.config
+    os.makedirs(config.output_dir, exist_ok=True)
+    _write_scores(config, state.ledger)
     _write_text(
         os.path.join(config.output_dir, LEDGER_JSON),
         stable_json(ledger_to_dict(state.ledger)),
@@ -676,20 +620,15 @@ def run_evaluate(
     config: RunConfig, state: Optional[AnalysisState] = None
 ) -> list[EvaluationResult]:
     state = state or ensure_analysis(config)
-    scores = compute_scores(
-        state.ledger,
-        doa_threshold=config.doa_threshold,
-        ownership_threshold=config.ownership_threshold,
-        doa_abs_floor=config.doa_abs_floor,
-    )
-    _write_text(os.path.join(config.output_dir, SCORES_CSV), scores_csv_text(scores))
+    scores = _write_scores(config, state.ledger)
     results = [
-        project_evaluation(state.ledger, scores, metric, aggregation=aggregation)
+        result
         for metric in (METRIC_DOA, METRIC_OWNERSHIP)
-        for aggregation in (MICRO, MACRO)
+        for result in project_evaluation(state.ledger, scores, metric)
     ]
     _write_text(
-        os.path.join(config.output_dir, EVALUATION_CSV), evaluation_csv_text(results)
+        os.path.join(config.output_dir, EVALUATION_CSV),
+        csv_text(EvaluationResult._fields, results),
     )
     return results
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from varxpert.util import csv_bool, csv_float, stable_json
+from varxpert.util import csv_text, stable_json
 
 
 class ProjectReport(NamedTuple):
@@ -26,13 +26,7 @@ class ProjectReport(NamedTuple):
     meets_min_devs: bool  # more than 30 developers, informational only
 
     def to_csv(self) -> str:
-        row = [
-            csv_bool(value) if isinstance(value, bool)
-            else csv_float(value) if value is None or isinstance(value, float)
-            else str(value)
-            for value in self
-        ]
-        return ",".join(self._fields) + "\n" + ",".join(row) + "\n"
+        return csv_text(self._fields, [self])
 
     def to_json(self) -> str:
         return stable_json(self._asdict())
@@ -51,8 +45,9 @@ class ProjectReport(NamedTuple):
             "| Ownership (% of devs) | Ownership P / R |"
         )
         divider = "|" + " --- |" * 10
+        project = self.project.replace("|", "\\|")  # a bare | would split the cell
         row = (
-            f"| {self.project} | {self.files} | {self.variability_blocks} "
+            f"| {project} | {self.files} | {self.variability_blocks} "
             f"| {self.commits} | {self.devs} "
             f"| {pct(self.generalist_pct)} / {pct(self.specialist_pct)} / {pct(self.mixed_pct)} "
             f"| {pct(self.doa_dev_pct)} | {ratio(self.doa_precision)} / {ratio(self.doa_recall)} "

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Iterable, Optional
 
 
 def split_lines(text: str) -> list[str]:
@@ -64,12 +65,29 @@ def stable_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def csv_bool(flag: bool) -> str:
-    return "true" if flag else "false"
+_NEEDS_QUOTES = re.compile('[,"\n\r]').search
 
 
-def csv_float(value: float | None) -> str:
-    """Render a float with shortest round-trip precision; empty when absent."""
+def _csv_cell(value: object) -> str:
     if value is None:
         return ""
-    return repr(float(value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, str):
+        if _NEEDS_QUOTES(value):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    return str(value)
+
+
+def csv_text(header: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
+    """The CSV text of a header and its rows, each record ended by "\n".
+
+    Every cell, the header's too, follows one rule: None is empty, a bool
+    is true/false, a float its repr, a string holding a comma, a quote,
+    LF or CR is quoted with its quotes doubled, anything else is str().
+    """
+    lines = [header, *rows]
+    return "".join(",".join([_csv_cell(value) for value in line]) + "\n" for line in lines)

@@ -4,13 +4,16 @@ thread-count invariance, warm-cache behavior, option handling."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
-from fixture_repos import GUARD, MULTIFILE
+from conftest import RepoBuilder
+from fixture_repos import GUARD, MULTIFILE, build_basic
 from varxpert.cli import main
+from varxpert.util import csv_text
 
 ARTIFACTS = ("scores.csv", "ledger.json", "warnings.jsonl", "run_meta.json")
 REPORT_ARTIFACTS = ARTIFACTS + ("timeline.csv", "evaluation.csv",
@@ -505,3 +508,62 @@ def test_report_csv_row_values(identity_repo, tmp_path):
     assert row["devs"] == "2"
     assert row["doa_precision"] == "1.0"
     assert row["meets_min_devs"] == "false"
+
+
+# ----------------------------------------------------------------------
+# CSV and markdown cells
+# ----------------------------------------------------------------------
+
+def test_csv_text_states_one_cell_rule():
+    header = ("none", "yes", "no", "int", "sum", "tiny", "plain",
+              "comma", "quote", "lf", "cr")
+    row = (None, True, False, 7, 0.1 + 0.2, 1e-07, "plain",
+           "a,b", 'say "hi"', "two\nlines", "cr\rhere")
+    text = csv_text(header, [row])
+    assert text == (
+        "none,yes,no,int,sum,tiny,plain,comma,quote,lf,cr\n"
+        ',true,false,7,0.30000000000000004,1e-07,plain,"a,b","say ""hi""",'
+        '"two\nlines","cr\rhere"\n'
+    )
+    assert list(csv.reader(text.splitlines(keepends=True))) == [
+        list(header),
+        ["", "true", "false", "7", "0.30000000000000004", "1e-07", "plain",
+         "a,b", 'say "hi"', "two\nlines", "cr\rhere"],
+    ]
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+@pytest.mark.parametrize("project", ['a,"b"', "a|b", 'a,"b"|c'])
+def test_report_keeps_an_awkward_project_name_in_one_cell(tmp_path, capsys, project):
+    repo = RepoBuilder(tmp_path / project)
+    build_basic(repo)
+    out = str(tmp_path / "out")
+    assert run_cli("report", repo.path, "--out", out) == 0
+    header, row = read_rows(os.path.join(out, "report.csv"))
+    assert len(header) == len(row) == 16
+    assert dict(zip(header, row))["project"] == project
+    assert capsys.readouterr().out == read(os.path.join(out, "report.csv")).decode()
+    with open(os.path.join(out, "report.md"), encoding="utf-8") as handle:
+        table_row = handle.read().splitlines()[2]
+    # a cell ends at a | that no backslash escapes
+    cells = re.split(r"(?<!\\)\|", table_row)[1:-1]
+    assert len(cells) == 10
+    assert cells[0].strip().replace("\\|", "|") == project
+
+
+def test_a_carriage_return_in_a_path_stays_in_its_scores_cell(repo_builder, tmp_path):
+    repo = repo_builder
+    repo.write("odd\rname.c", "#ifdef X\nint a;\n#endif\n")
+    repo.write("plain.c", "#ifdef Y\nint b;\n#endif\n")
+    repo.commit("two files", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    repo.write("odd\rname.c", "#ifdef X\nint a2;\n#endif\n")
+    repo.commit("edit", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    out = str(tmp_path / "out")
+    assert run_cli("analyze", repo.path, "--out", out) == 0
+    rows = read_rows(os.path.join(out, "scores.csv"))
+    assert [len(row) for row in rows] == [10] * 4
+    assert sorted(row[0].split("@")[0] for row in rows[1:]) == ["odd\rname.c"] * 2 + ["plain.c"]

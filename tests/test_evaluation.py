@@ -22,7 +22,9 @@ from varxpert.metrics import METRIC_DOA, METRIC_OWNERSHIP, compute_scores
 def evaluate(path, metric, aggregation=MICRO):
     ledger = mined_ledger(path)
     scores = compute_scores(ledger)
-    return project_evaluation(ledger, scores, metric, aggregation=aggregation)
+    (result,) = [result for result in project_evaluation(ledger, scores, metric)
+                 if result.aggregation == aggregation]
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -167,6 +169,16 @@ def test_multifile_micro_and_macro(multifile_repo):
     assert own_micro.pairs_recommended == 4
     assert abs(doa_micro.recommended_dev_pct
                - MULTIFILE["doa_micro"]["dev_pct"]) < 1e-9
+
+
+@pytest.mark.parametrize("metric", [METRIC_DOA, METRIC_OWNERSHIP])
+def test_micro_and_macro_rows_share_everything_but_the_pooling(multifile_repo, metric):
+    ledger = mined_ledger(multifile_repo[0])
+    micro, macro = project_evaluation(ledger, compute_scores(ledger), metric)
+    assert (micro.metric, micro.aggregation) == (metric, MICRO)
+    assert (macro.metric, macro.aggregation) == (metric, MACRO)
+    shared = ("recommended_dev_pct", "files_evaluated", "pairs_recommended", "pairs_relevant")
+    assert [getattr(micro, name) for name in shared] == [getattr(macro, name) for name in shared]
 
 
 def test_dev_percentage_counts_all_ledger_developers(identity_repo):
