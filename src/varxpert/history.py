@@ -62,7 +62,9 @@ DEFAULT_EXTENSIONS = frozenset({".c", ".h"})
 # committer clock, are treated as misconfigured.
 _EPOCH_FLOOR = 631152000  # 1990-01-01T00:00:00Z
 _CLOCK_SKEW = 86400
-_GITLINK_MODE = "160000"
+# A gitlink (submodule) names a commit of another repository and a
+# symlink a path, not lines of code: neither side is read.
+_UNREAD_MODES = frozenset({"160000", "120000"})
 
 WarningSinkFn = Callable[[dict], None]
 
@@ -443,7 +445,7 @@ class GitRepo:
                 continue
             meta, _, path = record.partition("\t")
             parts = meta.split()
-            if len(parts) >= 3 and parts[1] == "blob":
+            if len(parts) >= 3 and parts[1] == "blob" and parts[0] not in _UNREAD_MODES:
                 entries.append(TreeEntry(oid=parts[2], path=path))
         return entries
 
@@ -577,10 +579,8 @@ def _parse_raw_change(raw: str) -> Optional[FileChange]:
     if len(parts) < 5 or not paths:
         return None
     old_mode, new_mode, old_oid, new_oid, status_field = parts[:5]
-    # A gitlink (submodule) side names a commit of another repository,
-    # not a blob, so it has no lines to read: the side is absent.
-    old_blob = None if old_mode == _GITLINK_MODE else old_oid
-    new_blob = None if new_mode == _GITLINK_MODE else new_oid
+    old_blob = None if old_mode in _UNREAD_MODES else old_oid
+    new_blob = None if new_mode in _UNREAD_MODES else new_oid
     match = _RAW_STATUS_RE.match(status_field)
     if not match:
         return None

@@ -58,7 +58,7 @@ from varxpert.timeline import (
     monthly_snapshots,
     specialization_summary,
 )
-from varxpert.util import csv_text, split_lines, stable_json
+from varxpert.util import compact_json, csv_text, split_lines, stable_json
 
 SCORES_CSV = "scores.csv"
 TIMELINE_CSV = "timeline.csv"
@@ -202,7 +202,7 @@ class _PipelineClassifier:
 
     live maps each path to the _LiveEntry of its current version, so a
     blob is read once, as a new side, and reused as the next change's
-    old side: its text for diff_hunks, its directive list for
+    old side: its text for diff_hunks, its ScanResult for
     preproc.patch_scan. So scan_blob, the one full scan, lexes a path
     only at first sight or where a backslash continuation meets a hunk
     edge. Each change pops its old path's entry; a miss puts back its
@@ -527,10 +527,7 @@ def _write_analysis_artifacts(state: AnalysisState, sink: WarningSink) -> None:
     config = state.config
     os.makedirs(config.output_dir, exist_ok=True)
     _write_scores(config, state.ledger)
-    _write_text(
-        os.path.join(config.output_dir, LEDGER_JSON),
-        stable_json(ledger_to_dict(state.ledger)),
-    )
+    _write_text(os.path.join(config.output_dir, LEDGER_JSON), compact_json(ledger_to_dict(state.ledger)))
     sink.write(os.path.join(config.output_dir, WARNINGS_JSONL))
     meta = {
         "format": RUN_FORMAT,

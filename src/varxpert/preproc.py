@@ -5,28 +5,37 @@ A line is variable when it is a conditional-compilation directive
 open conditional block; every other line, including non-conditional
 directives such as #define or #include at the top level, is mandatory.
 
-scan_text makes one pass over the text in two parts. The lexer
-(_directives) lists the directives: a multiline regex jumps from one
-directive line (blank space, then `#`) to the next, following backslash
-continuations. The resolver (_resolve) turns that list and the line
-count into the result, with a stack of open blocks that decides each
-directive; the lines between two directives keep the state the first
-one left. The result is a bitmap with one byte per physical line (1 =
-variable), the scan warnings, the number of conditional blocks and the
-distinct macros they name, which the final-tree snapshot adds up, and
-the directive list itself. A block names the first identifier of an
-#ifdef/#ifndef, every identifier but `defined` of an #if/#elif
-expression, and, once it has an #elif or #else branch, every identifier
-of its opening expression.
+scan_text makes one pass over the text's lines in two parts. The lexer
+(_directives) lists the directives: of the lines holding a `#`, those
+with only blank space before it, each with the lines its backslash
+continuations take in. The resolver (_resolve) turns that list and the
+line count into the result, with a stack of open blocks that decides
+each directive; the lines between two directives keep the state the
+first one left. The result is a bitmap with one byte per physical line
+(1 = variable), the scan warnings, the number of conditional blocks and
+the distinct macros they name, which the final-tree snapshot adds up,
+the directive list itself and one byte per directive, 1 when a block
+other than a transparent guard is open after it. A block names the
+first identifier of an #ifdef/#ifndef, every identifier but `defined`
+of an #if/#elif expression, and, once it has an #elif or #else branch,
+every identifier of its opening expression.
 
-patch_scan gives scan_text's result for a file's next version without
-lexing it again. The lexer is line-local except for continuations, so
-the new list is the old one shifted through the change's hunks, minus
-the directives that start in deleted ranges, plus the lexed added
-lines; the same resolver then runs on it. When a line ending in a
-backslash sits at a hunk edge (the line before a hunk, or a hunk's last
-old or new line), a continuation may cross the edge, and patch_scan
-returns None so that the caller scans the new side in full.
+patch_scan gives scan_text's result for a file's next version from the
+old one's and the change's hunks, in time that follows the change. The
+lexer is line-local except for continuations, so the new list is the
+old one shifted through the hunks, minus the directives that start in
+deleted ranges, plus those of the added lines, lexed in place. When no
+hunk deletes or adds a directive, every directive keeps its state, and
+the result is spliced: the old bitmap outside the hunks, each hunk's
+added lines in the state after the last directive before it, the
+warnings moved with their lines, the blocks and macros as they were.
+Otherwise the resolver runs on the new list, as it does for the guard
+trap: a hunk between an #ifndef and the #define right after it can make
+or break an include guard by the blank lines it adds or deletes. When a
+line ending in a backslash sits at a hunk edge (the line before a hunk,
+or a hunk's last old or new line), a continuation may cross the edge,
+and patch_scan returns None so that the caller scans the new side in
+full.
 
 The scanner is purely syntactic: expressions are neither evaluated nor
 satisfiability-checked. Comments and string literals are not stripped
@@ -50,6 +59,8 @@ import bisect
 import functools
 import re
 from typing import Iterable, NamedTuple, Optional
+
+from varxpert.util import split_lines
 
 
 class VariabilityCount(NamedTuple):
@@ -80,10 +91,10 @@ class ScanResult(NamedTuple):
     blocks: int  # conditional blocks, not counting a transparent include guard
     macros: frozenset[str]
     directives: list[Directive]  # what scan_text's resolver read, for patch_scan
+    open_after: bytearray  # per directive: 1 when a non-guard block is open after it
 
 
-_DIRECTIVE_RE = re.compile(r"^[^\S\n]*#", re.MULTILINE)
-_HEAD_RE = re.compile(r"^\s*#\s*([A-Za-z_][A-Za-z0-9_]*)?\s*(.*?)\s*$")
+_HEAD_RE = re.compile(r"\s*#\s*([A-Za-z_][A-Za-z0-9_]*)?\s*(.*)")  # rest keeps trailing blanks
 _IDENT_RE = re.compile(r"(?<![0-9A-Za-z_])[A-Za-z_][0-9A-Za-z_]*")
 _OPENING = frozenset({"if", "ifdef", "ifndef"})
 _BRANCHING = frozenset({"elif", "else"})
@@ -122,38 +133,32 @@ def _opener_macros(keyword: str, expression: str) -> frozenset[str]:
     return frozenset({first}) if first else frozenset()
 
 
-def _directives(content: str) -> list[Directive]:
-    """(first line, last line, keyword, rest) of every directive, with
-    0-based physical lines; a backslash continues a directive onto the
-    next line unless it is the last line."""
+def _directives(lines: list[str], offset: int = 0) -> list[Directive]:
+    """(first line, last line, keyword, rest) of every directive of these
+    lines, numbered from offset; a backslash continues a directive onto
+    the next line unless it is the last line."""
     found = []
-    size = len(content)
-    line = 0
-    counted = 0  # offset up to which newlines are counted into `line`
-    search = _DIRECTIVE_RE.search
-    match = search(content)
-    while match is not None:
-        start = match.start()
-        line += content.count("\n", counted, start)
-        first = line
-        eol = content.find("\n", start)
-        text = content[start:eol if eol != -1 else size]
-        parts = []
-        while eol != -1 and eol + 1 < size and text.rstrip().endswith("\\"):
-            parts.append(text.rstrip()[:-1])
-            start = eol + 1
-            eol = content.find("\n", start)
-            text = content[start:eol if eol != -1 else size]
-            line += 1
-        parts.append(text)
-        head = _HEAD_RE.match("".join(parts))
-        assert head is not None  # every directive text starts with blank space and `#`
-        found.append((first, line, head.group(1), head.group(2)))
-        if eol == -1:
-            break
-        counted = eol + 1
-        line += 1
-        match = search(content, counted)
+    after = 0  # first line past the directives found so far
+    for first in [index for index, line in enumerate(lines) if "#" in line]:
+        if first < after:
+            continue  # a continuation line
+        text = lines[first]
+        head = _HEAD_RE.match(text)
+        if head is None:
+            continue
+        last = first
+        if "\\" in text:  # a cheap test first: few directives are continued
+            parts = []
+            while last + 1 < len(lines) and _continued(text):
+                parts.append(text.rstrip()[:-1])
+                last += 1
+                text = lines[last]
+            if parts:
+                head = _HEAD_RE.match("".join(parts) + text)
+                assert head is not None  # the first part starts with blank space and `#`
+        keyword, rest = head.groups()
+        found.append((first + offset, last + offset, keyword, rest.rstrip()))
+        after = last + 1
     return found
 
 
@@ -193,8 +198,8 @@ def _include_guard(directives: list[Directive]) -> Optional[int]:
 
 def scan_text(content: str, options: AnalyzerOptions = DEFAULT_OPTIONS) -> ScanResult:
     """Classify every physical line in one pass; never raises on any text."""
-    total = content.count("\n") + (0 if not content or content.endswith("\n") else 1)
-    return _resolve(_directives(content), total, options)
+    lines = split_lines(content)
+    return _resolve(_directives(lines), len(lines), options)
 
 
 def _continued(line: str) -> bool:
@@ -222,7 +227,9 @@ def patch_scan(
     """
     kept = old.directives
     directives: list[Directive] = []
-    pos = shift = 0
+    bitmap: Optional[bytearray] = bytearray()  # the splice, None once it cannot be
+    ends, shifts = [0], [0]  # each hunk's old end and the shift of the lines from there
+    pos = 0
     for old_start, old_count, new_start, new_count in hunks:
         start, end = old_start - 1, old_start - 1 + old_count
         added = new_lines[new_start - 1:new_start - 1 + new_count]
@@ -231,13 +238,27 @@ def patch_scan(
                 or (added and _continued(added[-1]))):
             return None
         cut = bisect.bisect_left(kept, (start,), pos)
-        directives += _shifted(kept[pos:cut], shift)
+        directives += _shifted(kept[pos:cut], shifts[-1])
         pos = bisect.bisect_left(kept, (end,), cut)  # drop those starting in the deleted range
-        if added:
-            directives += _shifted(_directives("\n".join(added) + "\n"), new_start - 1)
-        shift = new_start - 1 + new_count - end
-    directives += _shifted(kept[pos:], shift)
-    return _resolve(directives, len(new_lines), options)
+        lexed = _directives(added, new_start - 1) if added else []
+        directives += lexed
+        if bitmap is not None:
+            if lexed or pos > cut or (0 < cut < len(kept) and kept[cut - 1][2] == "ifndef"
+                                      and kept[cut][2] == "define"):
+                bitmap = None  # a directive comes or goes, or a guard may
+            else:
+                bitmap += old.annotations[ends[-1]:start]
+                bitmap += b"\x01" * new_count if cut and old.open_after[cut - 1] else bytes(new_count)
+        ends.append(end)
+        shifts.append(new_start - 1 + new_count - end)
+    directives += _shifted(kept[pos:], shifts[-1])
+    if bitmap is None:
+        return _resolve(directives, len(new_lines), options)
+    bitmap += old.annotations[ends[-1]:]
+    warnings = tuple(warning._replace(
+        line_no=warning.line_no + shifts[bisect.bisect_right(ends, warning.line_no - 1) - 1]
+    ) for warning in old.warnings)
+    return ScanResult(bitmap, warnings, old.blocks, old.macros, directives, old.open_after)
 
 
 def _resolve(directives: list[Directive], total: int, options: AnalyzerOptions) -> ScanResult:
@@ -251,17 +272,18 @@ def _resolve(directives: list[Directive], total: int, options: AnalyzerOptions) 
     blocks = 0
     macros: set[str] = set()
     cursor = 0  # first line not yet classified
+    open_after = bytearray()
     for index, (first, last, keyword, rest) in enumerate(directives):
-        if live and first > cursor:
-            bitmap[cursor:first] = b"\x01" * (first - cursor)
-        variable = live > 0
+        if live:  # the lines since the last directive, and this one, are variable
+            bitmap[cursor:last + 1] = b"\x01" * (last + 1 - cursor)
+        variable = False  # the directive alone is variable, no block being open before it
         if keyword in _OPENING:
             transparent = index == guard
             stack.append((first + 1, rest, transparent))
             if not transparent:
+                variable = not live
                 live += 1
                 blocks += 1
-                variable = True
                 macros |= _opener_macros(keyword, rest)
         elif keyword in _BRANCHING or keyword == "endif":
             if not stack:
@@ -273,17 +295,18 @@ def _resolve(directives: list[Directive], total: int, options: AnalyzerOptions) 
                 if not stack.pop()[2]:
                     live -= 1
             else:
-                variable = True
+                variable = not live
                 macros |= extract_macro_identifiers(stack[-1][1])
                 if keyword == "elif":
                     macros |= extract_macro_identifiers(rest)
         if variable:
             bitmap[first:last + 1] = b"\x01" * (last + 1 - first)
         cursor = last + 1
+        open_after.append(live > 0)
     if live and total > cursor:
         bitmap[cursor:] = b"\x01" * (total - cursor)
     for opened_line, _rest, _transparent in stack:
         warnings.append(ScanWarning(
             "unterminated_block", opened_line, "conditional block still open at end of file"
         ))
-    return ScanResult(bitmap, tuple(warnings), blocks, frozenset(macros), directives)
+    return ScanResult(bitmap, tuple(warnings), blocks, frozenset(macros), directives, open_after)

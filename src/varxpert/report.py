@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple, Optional
 
 from varxpert.util import csv_text, stable_json
@@ -45,7 +46,8 @@ class ProjectReport(NamedTuple):
             "| Ownership (% of devs) | Ownership P / R |"
         )
         divider = "|" + " --- |" * 10
-        project = self.project.replace("|", "\\|")  # a bare | would split the cell
+        # a bare | would split the cell, and CR or LF the row
+        project = re.sub("[\r\n]", "<br>", self.project.replace("|", "\\|"))
         row = (
             f"| {project} | {self.files} | {self.variability_blocks} "
             f"| {self.commits} | {self.devs} "

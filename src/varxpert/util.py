@@ -65,6 +65,11 @@ def stable_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def compact_json(obj: object) -> str:
+    """stable_json without the indentation, which json's C encoder cannot write."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 _NEEDS_QUOTES = re.compile('[,"\n\r]').search
 
 

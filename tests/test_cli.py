@@ -374,6 +374,17 @@ def test_submodule_named_like_a_source_file_is_no_missing_blob(repo_builder, tmp
     assert run_cli("analyze", repo.path, "--out", str(tmp_path / "out")) == 0
 
 
+def test_symlink_named_like_a_source_file_is_not_mined(repo_builder, tmp_path):
+    # the link's blob holds the path it points to, not lines of code
+    repo = repo_builder
+    repo.write("real.c", "#ifdef X\nint a;\n#endif\n")
+    os.symlink("real.c", os.path.join(repo.path, "link.c"))
+    repo.commit("add", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    assert run_cli("report", repo.path, "--out", str(tmp_path / "out")) == 0
+    report = json.loads(read(os.path.join(str(tmp_path / "out"), "report.json")))
+    assert (report["files"], report["specialist_pct"], report["mixed_pct"]) == (1, 100.0, 0.0)
+
+
 @pytest.mark.parametrize("missing", [
     ("rev-list", "--max-parents=0", "HEAD"),
     # git log cannot diff the middle commit against its neighbours
@@ -537,7 +548,7 @@ def read_rows(path):
         return list(csv.reader(handle))
 
 
-@pytest.mark.parametrize("project", ['a,"b"', "a|b", 'a,"b"|c'])
+@pytest.mark.parametrize("project", ['a,"b"', "a|b", 'a,"b"|c', "a\nb", "a\r\nb|c"])
 def test_report_keeps_an_awkward_project_name_in_one_cell(tmp_path, capsys, project):
     repo = RepoBuilder(tmp_path / project)
     build_basic(repo)
@@ -547,12 +558,13 @@ def test_report_keeps_an_awkward_project_name_in_one_cell(tmp_path, capsys, proj
     assert len(header) == len(row) == 16
     assert dict(zip(header, row))["project"] == project
     assert capsys.readouterr().out == read(os.path.join(out, "report.csv")).decode()
-    with open(os.path.join(out, "report.md"), encoding="utf-8") as handle:
-        table_row = handle.read().splitlines()[2]
+    with open(os.path.join(out, "report.md"), encoding="utf-8", newline="") as handle:
+        _header, _divider, table_row, end = handle.read().split("\n")
+    assert not end and "\r" not in table_row
     # a cell ends at a | that no backslash escapes
     cells = re.split(r"(?<!\\)\|", table_row)[1:-1]
     assert len(cells) == 10
-    assert cells[0].strip().replace("\\|", "|") == project
+    assert cells[0].strip().replace("\\|", "|") == re.sub("[\r\n]", "<br>", project)
 
 
 def test_a_carriage_return_in_a_path_stays_in_its_scores_cell(repo_builder, tmp_path):

@@ -23,7 +23,7 @@ from varxpert.history import GitRepo
 from varxpert.ledger import ledger_to_dict
 from varxpert import pipeline
 from varxpert.pipeline import RunConfig, mine, run_analyze, run_report
-from varxpert.util import stable_json
+from varxpert.util import compact_json
 
 
 def read(path):
@@ -53,7 +53,7 @@ def test_writer_writes_the_mined_ledger(fixture, request, tmp_path):
         contributors = by_created[path].contributors
         assert {key: (s.fa, s.dl, s.ac) for key, s in contributors.items()} == expected
     run_analyze(config)
-    assert read(out / "ledger.json").decode("utf-8") == stable_json(ledger_to_dict(state.ledger))
+    assert read(out / "ledger.json").decode("utf-8") == compact_json(ledger_to_dict(state.ledger))
     assert [json.loads(line) for line in read(out / "warnings.jsonl").splitlines()] == \
         sink.records
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import hydrate
+from varxpert import preproc
 from varxpert.history import GitRepo, diff_hunks
 from varxpert.preproc import AnalyzerOptions, extract_macro_identifiers, patch_scan, scan_text
 from varxpert.util import split_lines
@@ -65,6 +66,46 @@ def naive_variable(lines, query):
 def naive_flags(content):
     lines = split_lines(content)
     return [naive_variable(lines, index) for index in range(len(lines))]
+
+
+# ----------------------------------------------------------------------
+# text oracle for the line lexer: the scanner's former lexer, which
+# searched the whole text for directive lines
+# ----------------------------------------------------------------------
+
+_TEXT_DIRECTIVE_RE = re.compile(r"^[^\S\n]*#", re.MULTILINE)
+_TEXT_HEAD_RE = re.compile(r"^\s*#\s*([A-Za-z_][A-Za-z0-9_]*)?\s*(.*?)\s*$")
+
+
+def text_directives(content):
+    """(first line, last line, keyword, rest) of every directive of a text."""
+    found = []
+    size = len(content)
+    line = 0
+    counted = 0  # offset up to which newlines are counted into `line`
+    match = _TEXT_DIRECTIVE_RE.search(content)
+    while match is not None:
+        start = match.start()
+        line += content.count("\n", counted, start)
+        first = line
+        eol = content.find("\n", start)
+        text = content[start:eol if eol != -1 else size]
+        parts = []
+        while eol != -1 and eol + 1 < size and text.rstrip().endswith("\\"):
+            parts.append(text.rstrip()[:-1])
+            start = eol + 1
+            eol = content.find("\n", start)
+            text = content[start:eol if eol != -1 else size]
+            line += 1
+        parts.append(text)
+        head = _TEXT_HEAD_RE.match("".join(parts))
+        found.append((first, line, head.group(1), head.group(2)))
+        if eol == -1:
+            break
+        counted = eol + 1
+        line += 1
+        match = _TEXT_DIRECTIVE_RE.search(content, counted)
+    return found
 
 
 _CODE_MENU = (
@@ -291,6 +332,29 @@ def test_continuation_rules(content, spans):
     assert [(first, last) for first, last, _, _ in scan_text(content).directives] == spans
 
 
+_LEX_PIECE = st.sampled_from((
+    "#", " ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\\", " \\", "\\ \t",
+    "if", "ifdef M1", "endif", "define X(a)", "elif A", "else", " # x", "a", "x = 1;", "/* # */",
+))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(_LEX_PIECE, max_size=5).map("".join), max_size=12),
+       st.booleans())
+def test_line_lexer_agrees_with_the_text_lexer(lines, final_newline):
+    # a backslash on the last line continues nothing, with or without the
+    # final newline; only LF ends a line, other line breaks stay in it
+    text = "\n".join(lines) + ("\n" if final_newline and lines else "")
+    assert preproc._directives(split_lines(text)) == text_directives(text)
+
+
+@pytest.mark.parametrize("offset", [0, 7])
+def test_line_lexer_numbers_from_the_offset(offset):
+    lines = ["int a;", "#if A \\", "  && B", "#endif"]
+    assert preproc._directives(lines, offset) == [
+        (1 + offset, 2 + offset, "if", "A   && B"), (3 + offset, 3 + offset, "endif", "")]
+
+
 def test_expression_comments_ignored_for_macros():
     assert extract_macro_identifiers("FOO /* BAR */ && BAZ") == {"FOO", "BAZ"}
     assert extract_macro_identifiers("defined(X) // Y") == {"X"}
@@ -417,12 +481,26 @@ def test_patch_falls_back_at_a_continuation_edge(old, new):
     assert patched(old, new) is None
 
 
-def test_patched_scans_equal_full_scans_on_histories(history_paths):
+def _count_resolves(monkeypatch):
+    """A list that gets one item per preproc._resolve call from now on."""
+    calls = []
+    resolve = preproc._resolve
+
+    def counted(*args):
+        calls.append(None)
+        return resolve(*args)
+
+    monkeypatch.setattr(preproc, "_resolve", counted)
+    return calls
+
+
+def test_patched_scans_equal_full_scans_on_histories(history_paths, monkeypatch):
     # every text-to-text change, its new side patched from the old side's
     # scan, which is itself a patched one when the history gave it one:
     # the chain the pipeline's live table follows
     scans = {}
-    compared = fallbacks = 0
+    compared = fallbacks = spliced = 0
+    resolves = _count_resolves(monkeypatch)
     for path in history_paths:
         with GitRepo(path) as repo:
             for commit in repo.iter_commits(repo.resolve_tip("HEAD")):
@@ -432,7 +510,9 @@ def test_patched_scans_equal_full_scans_on_histories(history_paths):
                         continue
                     change, old_text, new_text, old_lines, new_lines = hydrated
                     base = scans.get(change.old_blob) or scan_text(old_text)
+                    before = len(resolves)
                     result = patch_scan(base, change.hunks, old_lines, new_lines)
+                    spliced += len(resolves) == before
                     full = scan_text(new_text)
                     if result is None:
                         fallbacks += 1
@@ -440,8 +520,10 @@ def test_patched_scans_equal_full_scans_on_histories(history_paths):
                         assert result == full, (path, commit.commit_id, change.effective_path)
                         compared += 1
                     scans[change.new_blob] = full if result is None else result
-    # no change of these histories has a continuation at a hunk edge
+    # no change of these histories has a continuation at a hunk edge, and
+    # most leave every directive line alone, so the bitmap is spliced
     assert compared > 1500 and fallbacks == 0
+    assert spliced > compared * 0.7, (spliced, compared)
 
 
 _EDIT_LINE = st.builds(
@@ -455,9 +537,11 @@ _EDIT_LINE = st.builds(
 )
 
 
-def _file(lines, guarded, final_newline):
-    if guarded:
-        lines = ["#ifndef G", "#define G"] + lines + ["#endif"]
+def _file(lines, guard, final_newline):
+    # guard 1 wraps the lines in an include guard, 2 in one broken by a
+    # blank line between its #ifndef and its #define
+    if guard:
+        lines = ["#ifndef G"] + [""] * (guard - 1) + ["#define G"] + lines + ["#endif"]
     text = "\n".join(lines)
     return text + "\n" if final_newline and lines else text
 
@@ -467,13 +551,14 @@ def _file(lines, guarded, final_newline):
     body=st.lists(_EDIT_LINE, max_size=24),
     edits=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 4),
                              st.lists(_EDIT_LINE, max_size=4)), max_size=4),
-    guarded=st.tuples(st.booleans(), st.booleans()),
+    guarded=st.tuples(st.integers(0, 2), st.integers(0, 2)),
     final_newline=st.tuples(st.booleans(), st.booleans()),
     fold_guards=st.booleans(),
 )
 def test_patch_scan_is_none_or_scan_text(body, edits, guarded, final_newline, fold_guards):
     # each edit replaces, inserts or deletes a range; the guard and the
-    # final newline may come or go
+    # final newline may come or go, and a blank line may come or go
+    # between the guard's #ifndef and its #define
     options = AnalyzerOptions(exclude_include_guards=fold_guards)
     edited = list(body)
     for at, deleted, inserted in edits:
@@ -481,3 +566,26 @@ def test_patch_scan_is_none_or_scan_text(body, edits, guarded, final_newline, fo
     new_text = _file(edited, guarded[1], final_newline[1])
     result = patched(_file(body, guarded[0], final_newline[0]), new_text, options)
     assert result is None or result == scan_text(new_text, options)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("#ifndef G\n#define G\nint x;\n#endif\n", "#ifndef G\n\n#define G\nint x;\n#endif\n"),
+    ("#ifndef G\n\n#define G\nint x;\n#endif\n", "#ifndef G\n#define G\nint x;\n#endif\n"),
+], ids=["blank_line_breaks_the_guard", "deleted_blank_line_makes_a_guard"])
+def test_patch_resolves_an_edit_between_a_guard_ifndef_and_define(old, new):
+    assert patched(old, new) == scan_text(new)
+    assert scan_text(old).annotations != scan_text(new).annotations
+
+
+def test_splice_shifts_warning_lines(monkeypatch):
+    # no directive line comes or goes, so the bitmap is spliced without
+    # resolving, and the stray #endif's warning moves down with its line
+    old = "int a;\n#endif\nint b;\n#ifdef A\nint c;\n"
+    new = "int z;\nint a;\n#endif\nint b;\n#ifdef A\nint c;\nint d;\n"
+    expected = scan_text(new)
+    resolves = _count_resolves(monkeypatch)
+    result = patched(old, new)
+    assert result == expected and len(resolves) == 1  # patched's scan of the old side
+    assert [(w.kind, w.line_no) for w in result.warnings] == [
+        ("stray_directive", 3), ("unterminated_block", 5)]
+    assert list(result.annotations) == [0, 0, 0, 0, 1, 1, 1]
