@@ -14,6 +14,7 @@ branch tip and configuration match, and re-run the mining otherwise.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from typing import Optional
 
@@ -151,6 +152,10 @@ def _dispatch(verb: str, config: RunConfig) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # names that are not UTF-8 print as the bytes git stores, whatever the
+    # locale; a stand-in such as StringIO holds str and encodes nothing
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="surrogateescape")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

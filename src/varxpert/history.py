@@ -1,8 +1,12 @@
 """Extract a first-parent change stream from a local git repository.
 
-Everything goes through the git CLI: one `git log --raw` stream for
+Everything goes through the git CLI: one `git log -z --raw` stream for
 commit metadata plus per-file change records, and a persistent
-`git cat-file --batch` child for blob contents. Merge commits are
+`git cat-file --batch` child for blob contents. Under -z git writes
+every name as it stores it, never quoted, and each record ends in a
+NUL; records are decoded as UTF-8 with surrogateescape, so a name that
+is not UTF-8 keeps its bytes (os.fsencode gives them back) and two
+names that differ in any byte stay two names. Merge commits are
 yielded with is_merge set and an empty change list so downstream
 attribution only ever sees work against the first-parent line. Renames
 are detected at a 50 percent similarity threshold; anything below that
@@ -45,6 +49,8 @@ another repository; their sides carry no blob and are parsed as absent.
 
 from __future__ import annotations
 
+import io
+import itertools
 import operator
 import os
 import re
@@ -224,40 +230,6 @@ def _longest_match(a, b, alo, ahi, blo, bhi) -> tuple[int, int, int]:
             if k > bestsize or (k == bestsize and (i0, j0) < (besti, bestj)):
                 besti, bestj, bestsize = i0, j0, k
     return besti, bestj, bestsize
-
-
-_QUOTED_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r",
-                   "a": "\a", "b": "\b", "f": "\f", "v": "\v"}
-
-
-def unquote_git_path(raw: str) -> str:
-    """Undo git's C-style path quoting ("\303\251" octal escapes and friends)."""
-    if not (raw.startswith('"') and raw.endswith('"') and len(raw) >= 2):
-        return raw
-    body = raw[1:-1]
-    out = bytearray()
-    index = 0
-    while index < len(body):
-        char = body[index]
-        if char != "\\":
-            out.extend(char.encode("utf-8"))
-            index += 1
-            continue
-        index += 1
-        if index >= len(body):
-            break
-        esc = body[index]
-        if esc in _QUOTED_ESCAPES:
-            out.extend(_QUOTED_ESCAPES[esc].encode("utf-8"))
-            index += 1
-        elif esc.isdigit():
-            octal = body[index:index + 3]
-            out.append(int(octal, 8) & 0xFF)
-            index += 3
-        else:
-            out.extend(esc.encode("utf-8"))
-            index += 1
-    return out.decode("utf-8", errors="replace")
 
 
 def looks_binary(blob: bytes) -> bool:
@@ -440,7 +412,7 @@ class GitRepo:
             message = result.stderr.decode("utf-8", errors="replace").strip()
             raise CorruptRepo(f"cannot read the tree of {rev}: git ls-tree failed: {message}")
         entries = []
-        for record in result.stdout.decode("utf-8", errors="replace").split("\0"):
+        for record in result.stdout.decode("utf-8", errors="surrogateescape").split("\0"):
             if not record:
                 continue
             meta, _, path = record.partition("\t")
@@ -472,9 +444,8 @@ class GitRepo:
             log = subprocess.Popen(
                 [
                     "git", "-C", self.path,
-                    "-c", "core.quotepath=false",
                     "-c", "diff.renameLimit=10000",
-                    "log", "--first-parent", "--reverse", "--raw", "--no-abbrev",
+                    "log", "-z", "--first-parent", "--reverse", "--raw", "--no-abbrev",
                     "--diff-merges=off", "--find-renames=50%",
                     # pin what log.showRoot, diff.relative, diff.orderFile and
                     # i18n.logOutputEncoding change
@@ -486,26 +457,27 @@ class GitRepo:
                 stderr=errors,
             )
             assert log.stdout is not None
-            chunk_lines: list[str] = []
             try:
-                for raw_line in log.stdout:
-                    line = raw_line.decode("utf-8", errors="replace").rstrip("\n")
-                    if line.startswith("\x01"):
-                        if chunk_lines:
-                            record = self._parse_chunk(
-                                chunk_lines, since, until, extensions, emit
+                # A commit is its header record (\x01...), then per change a
+                # raw head (":modes oids status", the first one after a
+                # "\n") and its paths: two for a rename or copy, else one.
+                # Paths are taken by count, so no name is read as a head.
+                # The sentinel header ends the last commit.
+                records = itertools.chain(_nul_records(log.stdout), ["\x01"])
+                header, raw_changes = None, []
+                for record in records:
+                    if record.startswith("\x01"):
+                        if header is not None:
+                            commit = self._parse_commit(
+                                header, raw_changes, since, until, extensions, emit
                             )
-                            if record is not None:
-                                yield record
-                        chunk_lines = [line[1:]]
-                    elif chunk_lines:
-                        chunk_lines.append(line)
-                if chunk_lines:
-                    record = self._parse_chunk(
-                        chunk_lines, since, until, extensions, emit
-                    )
-                    if record is not None:
-                        yield record
+                            if commit is not None:
+                                yield commit
+                        header, raw_changes = record[1:], []
+                        continue
+                    head = record.lstrip("\n")
+                    count = 2 if head.rpartition(" ")[2][:1] in ("R", "C") else 1
+                    raw_changes.append((head, [next(records, "") for _ in range(count)]))
             finally:
                 log.stdout.close()
                 log.wait()
@@ -516,22 +488,23 @@ class GitRepo:
                 message = errors.read().decode("utf-8", errors="replace").strip()
                 raise CorruptRepo(f"git log failed (exit {log.returncode}): {message}")
 
-    def _parse_chunk(
+    def _parse_commit(
         self,
-        chunk_lines: list[str],
+        header: str,
+        raw_changes: list[tuple[str, list[str]]],
         since: Optional[int],
         until: Optional[int],
         extensions: frozenset[str],
         emit: WarningSinkFn,
     ) -> Optional[CommitRecord]:
         try:
-            fields = chunk_lines[0].split("\x1f")
+            fields = header.split("\x1f")
             commit_id, parents, name, email, author_ts, committer_ts = fields
             timestamp = int(author_ts)
             committer = int(committer_ts)
             author = resolve_identity(name, email)
         except EmptyIdentity:
-            emit({"kind": "empty_identity", "commit": chunk_lines[0][:40]})
+            emit({"kind": "empty_identity", "commit": header[:40]})
             return None
         except (ValueError, IndexError) as exc:
             emit({"kind": "corrupt_commit", "detail": str(exc)})
@@ -553,17 +526,14 @@ class GitRepo:
         is_merge = len(parents.split()) >= 2
         changes: list[FileChange] = []
         if not is_merge:
-            for raw in chunk_lines[1:]:
-                if not raw.startswith(":") or raw.startswith("::"):
-                    continue
-                change = _parse_raw_change(raw)
+            for head, paths in raw_changes:
+                change = _parse_raw_change(head, paths)
                 if change is None:
-                    emit({"kind": "corrupt_commit", "commit": commit_id, "detail": raw})
+                    emit({"kind": "corrupt_commit", "commit": commit_id,
+                          "detail": "\t".join([head, *paths])})
                     continue
-                keep_path = change.path_after if change.path_after is not None else change.path_before
-                if keep_path is None or not filter_source_files(keep_path, extensions):
-                    continue
-                changes.append(change)
+                if filter_source_files(change.effective_path, extensions):
+                    changes.append(change)
         return CommitRecord(
             commit_id=commit_id,
             author=author,
@@ -573,10 +543,23 @@ class GitRepo:
         )
 
 
-def _parse_raw_change(raw: str) -> Optional[FileChange]:
-    head, *paths = raw.split("\t")
+def _nul_records(stream: io.BufferedReader) -> Iterator[str]:
+    """The NUL-ended records of a byte stream, read as it arrives in chunks
+    of up to 64 KiB and decoded with surrogateescape; bytes after the last
+    NUL are dropped."""
+    rest = b""
+    while chunk := stream.read1(1 << 16):
+        rest += chunk
+        end = rest.rfind(b"\0") + 1
+        if end:
+            # a NUL is never inside a UTF-8 sequence, so each run decodes whole
+            yield from rest[:end - 1].decode("utf-8", errors="surrogateescape").split("\0")
+            rest = rest[end:]
+
+
+def _parse_raw_change(head: str, paths: list[str]) -> Optional[FileChange]:
     parts = head[1:].split(" ")
-    if len(parts) < 5 or not paths:
+    if not head.startswith(":") or len(parts) < 5 or not all(paths):
         return None
     old_mode, new_mode, old_oid, new_oid, status_field = parts[:5]
     old_blob = None if old_mode in _UNREAD_MODES else old_oid
@@ -585,16 +568,13 @@ def _parse_raw_change(raw: str) -> Optional[FileChange]:
     if not match:
         return None
     status = match.group(1)
-    decoded = [unquote_git_path(path) for path in paths]
     if status == "A" or status == "C":
-        return FileChange(ChangeKind.ADDED, None, decoded[-1], new_blob=new_blob)
+        return FileChange(ChangeKind.ADDED, None, paths[-1], new_blob=new_blob)
     if status == "D":
-        return FileChange(ChangeKind.DELETED, decoded[0], None, old_blob=old_blob)
+        return FileChange(ChangeKind.DELETED, paths[0], None, old_blob=old_blob)
     if status == "R":
-        if len(decoded) < 2:
-            return None
         return FileChange(
-            ChangeKind.RENAMED, decoded[0], decoded[1], old_blob=old_blob, new_blob=new_blob
+            ChangeKind.RENAMED, paths[0], paths[1], old_blob=old_blob, new_blob=new_blob
         )
     # M plus oddballs such as typechanges behave like in-place edits.
-    return FileChange(ChangeKind.MODIFIED, decoded[0], decoded[0], old_blob=old_blob, new_blob=new_blob)
+    return FileChange(ChangeKind.MODIFIED, paths[0], paths[0], old_blob=old_blob, new_blob=new_blob)

@@ -66,7 +66,7 @@ EVALUATION_CSV = "evaluation.csv"
 LEDGER_JSON = "ledger.json"
 WARNINGS_JSONL = "warnings.jsonl"
 RUN_META_JSON = "run_meta.json"
-RUN_FORMAT = "varxpert-run/2"
+RUN_FORMAT = "varxpert-run/3"
 REPORT_BASENAME = "report"
 READ_AHEAD = 16  # commits the fold trails the log stream by
 
@@ -506,7 +506,8 @@ def timeline_csv_text(snapshots: list[TimelineSnapshot]) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    # a name that is not UTF-8 is written with the bytes git stores for it
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="\n") as handle:
         handle.write(text)
 
 

@@ -18,23 +18,12 @@ is variable less mixed, generalist is mandatory less mixed.
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from varxpert.errors import NoEligibleFiles, VarxpertError
 from varxpert.ledger import ContributionLedger
 from varxpert.util import earliest_month, month_number, month_range
-
-
-class DeveloperCategory(Enum):
-    GENERALIST = "generalist"
-    SPECIALIST = "specialist"
-    MIXED = "mixed"
-
-
-class NeverActive(VarxpertError):
-    """The developer has no change event at or before the asked month."""
 
 
 class TimelineSnapshot(NamedTuple):
@@ -61,23 +50,6 @@ def developer_first_months(
                 earliest_month(mandatory, stats.first_mandatory_month),
             )
     return merged
-
-
-def classify_developer(
-    first_variable: Optional[str],
-    first_mandatory: Optional[str],
-    as_of: Optional[str] = None,
-) -> DeveloperCategory:
-    """Cumulative category using only activity at or before as_of."""
-    variable = first_variable is not None and (as_of is None or first_variable <= as_of)
-    mandatory = first_mandatory is not None and (as_of is None or first_mandatory <= as_of)
-    if variable and mandatory:
-        return DeveloperCategory.MIXED
-    if variable:
-        return DeveloperCategory.SPECIALIST
-    if mandatory:
-        return DeveloperCategory.GENERALIST
-    raise NeverActive("developer has no change events in the asked window")
 
 
 def monthly_snapshots(ledger: ContributionLedger) -> list[TimelineSnapshot]:

@@ -567,6 +567,25 @@ def test_report_keeps_an_awkward_project_name_in_one_cell(tmp_path, capsys, proj
     assert cells[0].strip().replace("\\|", "|") == re.sub("[\r\n]", "<br>", project)
 
 
+def test_report_prints_a_name_that_is_not_utf8_whatever_the_locale(tmp_path):
+    # a strict stdout is what an en_US.UTF-8 locale gives; the project
+    # name, from a directory named with byte 0xff, keeps that byte in
+    # report.csv and on stdout alike
+    repo = RepoBuilder(tmp_path / os.fsdecode(b"proj\xff"))
+    build_basic(repo)
+    out = tmp_path / "out"
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict", PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "varxpert", "report", repo.path, "--out", str(out)],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == read(out / "report.csv")
+    assert proc.stdout.splitlines()[1].startswith(b"proj\xff,")
+
+
 def test_a_carriage_return_in_a_path_stays_in_its_scores_cell(repo_builder, tmp_path):
     repo = repo_builder
     repo.write("odd\rname.c", "#ifdef X\nint a;\n#endif\n")

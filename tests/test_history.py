@@ -25,7 +25,6 @@ from varxpert.history import (
     filter_source_files,
     looks_binary,
     resolve_identity,
-    unquote_git_path,
 )
 from conftest import hydrate
 from varxpert.ledger import classify_change
@@ -89,14 +88,6 @@ def test_filter_source_files_case_insensitive():
     assert not filter_source_files("notes.txt")
     assert not filter_source_files("c")
     assert filter_source_files("a.cc", frozenset({".cc"}))
-
-
-def test_unquote_git_path():
-    assert unquote_git_path("plain.c") == "plain.c"
-    assert unquote_git_path('"\\303\\244.c"') == "ä.c"
-    assert unquote_git_path('"a\\tb.c"') == "a\tb.c"
-    assert unquote_git_path('"q\\"uote.c"') == 'q"uote.c'
-    assert unquote_git_path('"back\\\\slash.c"') == "back\\slash.c"
 
 
 def test_looks_binary():

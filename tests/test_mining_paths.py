@@ -3,10 +3,11 @@
 mine folds the history and writes nothing; run_analyze is mine followed
 by the writer, so the ledger.json it writes is the ledger mine folded.
 Also here: binary sides keep their path bookkeeping, warnings.jsonl
-follows fold order, and random small histories (ROADMAP item 2's gate)
-neither crash a run nor make two runs differ.
+follows fold order, file names keep the bytes git stores, and random
+small histories neither crash a run nor make two runs differ.
 """
 
+import csv
 import json
 import os
 import subprocess
@@ -209,10 +210,69 @@ def test_warnings_follow_fold_order(repo_builder, tmp_path):
 
 
 # ----------------------------------------------------------------------
+# names as git stores them
+# ----------------------------------------------------------------------
+
+# names git would quote (non-ASCII, tab, quote, backslash, LF), one that
+# opens like a raw head, and two told apart only by a byte that is not UTF-8
+_AWKWARD_NAMES = ("ä.c".encode(), b"a\tb.c", b'q"uote.c', b"back\\slash.c", b"a\nb.c",
+                  b":colon.c", b"d\xff.c", b"d\xfe.c")
+
+
+def test_names_keep_their_bytes_through_mine(repo_builder, tmp_path):
+    # the renamed file's new name opens like a commit header and then like
+    # the first raw head of a commit, so only paths taken by count read it
+    repo = repo_builder
+    for number, name in enumerate(_AWKWARD_NAMES):
+        repo.write(os.fsdecode(name), f"#ifdef F{number}\nint f{number};\n#endif\n")
+    repo.commit("awkward names", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    renamed = b"\x01\n:moved\xfd.c"
+    repo.move(os.fsdecode(b"d\xff.c"), os.fsdecode(renamed))
+    repo.commit("rename", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    out = tmp_path / "out"
+    run_analyze(RunConfig(repo_path=repo.path, output_dir=str(out)))
+    with open(out / "ledger.json", encoding="utf-8") as handle:
+        files = json.load(handle)["files"]
+    current = {name: renamed if name == b"d\xff.c" else name for name in _AWKWARD_NAMES}
+    assert sorted((f["created_path"], f["current_path"]) for f in files.values()) == \
+        sorted((os.fsdecode(created), os.fsdecode(now)) for created, now in current.items())
+    on_disk = set(os.listdir(os.fsencode(repo.path))) - {b".git"}
+    assert {os.fsencode(f["current_path"]) for f in files.values()} == on_disk
+    # scores.csv holds the same bytes, and reads back with surrogateescape
+    with open(out / "scores.csv", encoding="utf-8", errors="surrogateescape",
+              newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert {row[0] for row in rows[1:]} == set(files)
+
+
+def test_names_told_apart_only_by_bytes_that_are_not_utf8_are_two_files(repo_builder,
+                                                                          tmp_path):
+    # A adds a variable a\xff.c and a mandatory a\xfe.c, and B edits the
+    # mandatory one: A touched both kinds of code and B only mandatory code
+    repo = repo_builder
+    variable, mandatory = os.fsdecode(b"a\xff.c"), os.fsdecode(b"a\xfe.c")
+    repo.write(variable, "#ifdef X\nint x;\n#endif\n")
+    repo.write(mandatory, "int y;\n")
+    repo.commit("both kinds", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    repo.write(mandatory, "int y;\nint z;\n")
+    repo.commit("mandatory edit", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    config = RunConfig(repo_path=repo.path, output_dir=str(tmp_path / "out"))
+    report = run_report(config)
+    files = mine(config)[0].ledger.files.values()
+    assert sorted((f.current_path, f.total_events, sorted(f.contributors)) for f in files) == [
+        (mandatory, 2, ["alice@example.com", "bob@example.com"]),
+        (variable, 1, ["alice@example.com"]),
+    ]
+    assert (report.files, report.generalist_pct, report.specialist_pct, report.mixed_pct) == \
+        (2, 50.0, 0.0, 50.0)
+
+
+# ----------------------------------------------------------------------
 # random histories
 # ----------------------------------------------------------------------
 
-_NAMES = ("a.c", "b.h", "sub/c.c", "d\udcff.c", "E.C", "notes.txt")
+# d\udcff.c and d\udcfe.c are one name when bytes that are not UTF-8 are replaced
+_NAMES = ("a.c", "b.h", "sub/c.c", "d\udcff.c", "d\udcfe.c", "E.C", "notes.txt")
 _LINES = ("int x;", "#ifdef A", "#if defined(B) && C", "#elif D", "#else", "#endif",
           "#ifndef G_H", "#define G_H", "#include <x.h>", "  return 0;", "")
 _AUTHORS = (("Alice", "alice@example.com"), ("Alice", "ALICE@example.com"),
@@ -228,7 +288,7 @@ _contents = st.one_of(
     st.just(b"\x00\x01\x02 table\n"),
 )
 _operations = st.tuples(
-    st.sampled_from(("write", "write", "rename", "delete")),
+    st.sampled_from(("write", "write", "rename", "delete", "symlink")),
     st.integers(0, len(_NAMES) - 1),
     st.integers(0, len(_NAMES) - 1),
     _contents,
@@ -246,11 +306,19 @@ def _build_history(root, commits, start=0, present=None):
     for month, operations in enumerate(commits, start):
         for verb, first, second, content in operations:
             name, target = _NAMES[first], _NAMES[second]
+            full = os.path.join(repo.path, name)
             if verb == "write":
-                full = os.path.join(repo.path, name)
                 os.makedirs(os.path.dirname(full), exist_ok=True)
+                if os.path.islink(full):
+                    os.remove(full)  # write a file in the link's place, not through it
                 with open(full, "wb") as handle:
                     handle.write(content)
+                present.add(name)
+            elif verb == "symlink":
+                os.makedirs(os.path.dirname(full), exist_ok=True)
+                if name in present:
+                    os.remove(full)
+                os.symlink(target, full)
                 present.add(name)
             elif verb == "rename" and name in present and target not in present:
                 os.makedirs(os.path.dirname(os.path.join(repo.path, target)), exist_ok=True)
@@ -312,9 +380,10 @@ _ADVANCED = ("scores.csv", "ledger.json", "warnings.jsonl", "timeline.csv",
 @given(st.lists(st.lists(_operations, min_size=1, max_size=4), min_size=2, max_size=6),
        st.data())
 def test_advanced_cache_gives_the_cold_artifacts(commits, data):
-    # ROADMAP item 5's gate: mine at commit k into a cache, extend the
-    # history to n, mine again on that cache; the result is the cold run's
-    # at n, and every change up to k came from the old tip's records
+    # the gate a resumable fold must pass (ROADMAP item 4): mine at commit
+    # k into a cache, extend the history to n, mine again on that cache;
+    # the result is the cold run's at n, and every change up to k came
+    # from the old tip's records
     k = data.draw(st.integers(1, len(commits) - 1), label="k")
     with tempfile.TemporaryDirectory() as scratch:
         root, cache_dir = os.path.join(scratch, "repo"), os.path.join(scratch, "cache")

@@ -8,6 +8,9 @@ import pytest
 from conftest import mined_ledger
 from fixture_repos import BASIC, IDENTITY, MULTIFILE, RENAME
 from timeline_reference import (
+    DeveloperCategory,
+    NeverActive,
+    classify_developer,
     fold_with_month_sets,
     ledger_from_month_sets,
     reference_category,
@@ -15,9 +18,6 @@ from timeline_reference import (
     snapshot_rows,
 )
 from varxpert.timeline import (
-    DeveloperCategory,
-    NeverActive,
-    classify_developer,
     developer_first_months,
     monthly_snapshots,
     specialization_summary,

@@ -6,11 +6,18 @@ in which they touched mandatory code, and each month's category comes
 from filtering both sets to that month. It costs
 O(months x devs x months) and is only meant for checking the fast
 version on small and medium inputs.
+
+classify_developer, one developer's cumulative category from their
+first variable and first mandatory month, is the same rule read the
+other way, and checks the transitions monthly_snapshots implies.
 """
 
 import json
 import os
+from enum import Enum
+from typing import Optional
 
+from varxpert.errors import VarxpertError
 from varxpert.history import GitRepo
 from varxpert.ledger import (
     ContributionLedger,
@@ -19,8 +26,34 @@ from varxpert.ledger import (
     FileRecord,
 )
 from varxpert.pipeline import RunConfig, mine
-from varxpert.timeline import DeveloperCategory
 from varxpert.util import month_of, month_range
+
+
+class DeveloperCategory(Enum):
+    GENERALIST = "generalist"
+    SPECIALIST = "specialist"
+    MIXED = "mixed"
+
+
+class NeverActive(VarxpertError):
+    """The developer has no change event at or before the asked month."""
+
+
+def classify_developer(
+    first_variable: Optional[str],
+    first_mandatory: Optional[str],
+    as_of: Optional[str] = None,
+) -> DeveloperCategory:
+    """Cumulative category using only activity at or before as_of."""
+    variable = first_variable is not None and (as_of is None or first_variable <= as_of)
+    mandatory = first_mandatory is not None and (as_of is None or first_mandatory <= as_of)
+    if variable and mandatory:
+        return DeveloperCategory.MIXED
+    if variable:
+        return DeveloperCategory.SPECIALIST
+    if mandatory:
+        return DeveloperCategory.GENERALIST
+    raise NeverActive("developer has no change events in the asked window")
 
 
 def reference_category(variable, mandatory, as_of):
