@@ -2,11 +2,13 @@
 
 A cache file lives in --cache-dir and is named changes-{digest}.jsonl,
 where digest hashes the analyzer options (extensions, include-guard
-handling) and the format string, varxpert-change-cache/7. The tip is not
+handling) and the format string, varxpert-change-cache/8. The tip is not
 part of the key: one file serves every run with those options, so after
 a new commit only that commit's changes are mined. Files of other
-options or formats (/6 and older, or the tip-named files
-changes-{tip}-{digest}.jsonl) are ignored, never migrated.
+options or formats (/7 and older, or the tip-named files
+changes-{tip}-{digest}.jsonl) are ignored, never migrated: /7 holds
+facts mined from blobs decoded with errors="replace", which merges
+lines that differ only in bytes that are not UTF-8.
 
 Two record kinds, one JSON object per line, written by one serializer:
 
@@ -46,7 +48,7 @@ from typing import NamedTuple, Optional, Union
 from varxpert.ledger import ChangeFacts
 from varxpert.preproc import ScanWarning
 
-_FORMAT = "varxpert-change-cache/7"
+_FORMAT = "varxpert-change-cache/8"
 
 
 def analyzer_config_hash(extensions: frozenset[str], exclude_include_guards: bool) -> str:

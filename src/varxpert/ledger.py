@@ -43,7 +43,8 @@ class ChangeFacts(NamedTuple):
     classify_change); saw_variable says whether either side had a
     variable line; scan_warnings holds every warning of the scanned
     sides with its blob oid. A change stopped at a binary side has
-    only that side's oid, binary_oid, and folds no event.
+    only that side's oid, binary_oid: its facts are empty, so it folds
+    no event.
     """
 
     touched_variable: bool = False
@@ -57,8 +58,8 @@ class ChangeFacts(NamedTuple):
         return not (self.touched_variable or self.touched_mandatory)
 
 
-# a commit's changes in fold order, each with its facts (None: a binary side)
-ClassifiedChanges = list[tuple[FileChange, Optional[ChangeFacts]]]
+# a commit's changes in fold order, each with its facts
+ClassifiedChanges = list[tuple[FileChange, ChangeFacts]]
 
 
 def classify_change(
@@ -69,19 +70,16 @@ def classify_change(
     """Decide whether a change touched variable code, mandatory code, or both.
 
     Each bitmap holds one byte per physical line of its side's content,
-    1 for a variable line (see preproc.scan_text).
+    1 for a variable line (see preproc.scan_text); the change's hunks
+    name the lines it touched, so an added or deleted file is one hunk
+    over all of its lines.
     """
     old_bitmap = old_bitmap or bytearray()
     new_bitmap = new_bitmap or bytearray()
-    if change.kind is ChangeKind.ADDED:
-        touched = [new_bitmap]
-    elif change.kind is ChangeKind.DELETED:
-        touched = [old_bitmap]
-    else:
-        touched = []
-        for hunk in change.hunks:
-            touched.append(old_bitmap[hunk.old_start - 1:hunk.old_start - 1 + hunk.old_count])
-            touched.append(new_bitmap[hunk.new_start - 1:hunk.new_start - 1 + hunk.new_count])
+    touched = []
+    for hunk in change.hunks:
+        touched.append(old_bitmap[hunk.old_start - 1:hunk.old_start - 1 + hunk.old_count])
+        touched.append(new_bitmap[hunk.new_start - 1:hunk.new_start - 1 + hunk.new_count])
     return ChangeFacts(
         touched_variable=any(1 in lines for lines in touched),
         touched_mandatory=any(0 in lines for lines in touched),
@@ -107,38 +105,25 @@ class ContributionStats:
         self.first_variable_month = first_variable_month
         self.first_mandatory_month = first_mandatory_month
 
-    @property
-    def commit_count(self) -> int:
-        return self.dl
-
 
 class FileRecord:
-    """One file lineage across renames."""
+    """One file lineage across renames; the ledger keys it by its lineage id."""
 
     def __init__(
         self,
         *,
-        lineage_id: str,
         created_path: str,
         current_path: str,
         alive: bool = True,
-        fa_key: Optional[str] = None,
         has_variable_code_ever: bool = False,
         total_events: int = 0,
     ):
-        self.lineage_id = lineage_id
         self.created_path = created_path
         self.current_path = current_path
         self.alive = alive
-        self.fa_key = fa_key
         self.has_variable_code_ever = has_variable_code_ever
         self.total_events = total_events
         self.contributors: dict[str, ContributionStats] = {}
-
-
-class DeveloperProfile(NamedTuple):
-    canonical_key: str
-    display_name: str
 
 
 class ContributionLedger:
@@ -151,7 +136,7 @@ class ContributionLedger:
         merge_count: int = 0,
     ):
         self.files: dict[str, FileRecord] = {}
-        self.developers: dict[str, DeveloperProfile] = {}
+        self.developers: dict[str, str] = {}  # canonical key -> display name
         self.first_month = first_month
         self.last_month = last_month
         self.commit_count = commit_count  # non-merge commits inside the analysis window
@@ -175,8 +160,8 @@ def build_contribution_ledger(
     """Sequential fold of classified commits into a ContributionLedger.
 
     Each commit comes with its changes in fold order (see fold_order),
-    each paired with its facts; None facts mark a change with a binary
-    side, which folds no event but keeps its path bookkeeping. The fold
+    each paired with its facts. A change with a binary side has empty
+    facts, so it keeps its path bookkeeping and folds no event. The fold
     calls nothing: whatever produced the facts has already reported its
     warnings.
     """
@@ -194,9 +179,7 @@ def build_contribution_ledger(
         path: str, commit: CommitRecord, *, map_path: Optional[str], alive: bool
     ) -> FileRecord:
         lid = _lineage_id(path, commit.commit_id)
-        record = FileRecord(
-            lineage_id=lid, created_path=path, current_path=map_path or path, alive=alive
-        )
+        record = FileRecord(created_path=path, current_path=map_path or path, alive=alive)
         ledger.files[lid] = record
         if map_path is not None:
             path_map[map_path] = lid
@@ -208,7 +191,6 @@ def build_contribution_ledger(
         key = commit.author.canonical_key
         stats = record.contributors.setdefault(key, ContributionStats())
         if first_author:
-            record.fa_key = key
             stats.fa = 1
         stats.dl += 1
         month = month_of(commit.timestamp)
@@ -217,8 +199,7 @@ def build_contribution_ledger(
         if facts.touched_mandatory:
             stats.first_mandatory_month = earliest_month(stats.first_mandatory_month, month)
         record.total_events += 1
-        if key not in ledger.developers:
-            ledger.developers[key] = DeveloperProfile(key, commit.author.display_name)
+        ledger.developers.setdefault(key, commit.author.display_name)
 
     for commit, changes in commits:
         touch_months(commit)
@@ -247,8 +228,6 @@ def build_contribution_ledger(
                 ledger.files[lid].current_path = change.path_after
 
         for (change, facts), lid in zip(changes, resolved):
-            if facts is None:
-                continue  # binary side; bookkeeping already done
             if change.kind is ChangeKind.MODIFIED:
                 lid = path_map.get(change.effective_path)
             if lid is not None:
@@ -280,7 +259,7 @@ def fold_order(changes: tuple[FileChange, ...]) -> list[FileChange]:
 # Serialization, so later verbs can reuse an analysis without re-mining.
 # ----------------------------------------------------------------------
 
-LEDGER_FORMAT = "varxpert-ledger/2"
+LEDGER_FORMAT = "varxpert-ledger/3"
 
 
 def ledger_to_dict(ledger: ContributionLedger) -> dict:
@@ -290,15 +269,12 @@ def ledger_to_dict(ledger: ContributionLedger) -> dict:
         "last_month": ledger.last_month,
         "commit_count": ledger.commit_count,
         "merge_count": ledger.merge_count,
-        "developers": {
-            key: profile.display_name for key, profile in ledger.developers.items()
-        },
+        "developers": ledger.developers,
         "files": {
             lineage_id: {
                 "created_path": record.created_path,
                 "current_path": record.current_path,
                 "alive": record.alive,
-                "fa_key": record.fa_key,
                 "has_variable_code_ever": record.has_variable_code_ever,
                 "total_events": record.total_events,
                 "contributors": {
@@ -324,15 +300,12 @@ def ledger_from_dict(data: dict) -> ContributionLedger:
         commit_count=int(data["commit_count"]),
         merge_count=int(data["merge_count"]),
     )
-    for key, display_name in data["developers"].items():
-        ledger.developers[key] = DeveloperProfile(key, display_name)
+    ledger.developers.update(data["developers"].items())
     for lineage_id, raw in data["files"].items():
         record = FileRecord(
-            lineage_id=lineage_id,
             created_path=raw["created_path"],
             current_path=raw["current_path"],
             alive=bool(raw["alive"]),
-            fa_key=raw["fa_key"],
             has_variable_code_ever=bool(raw["has_variable_code_ever"]),
             total_events=int(raw["total_events"]),
         )

@@ -64,11 +64,11 @@ def doa_normalized(stats_by_dev: Mapping[str, ContributionStats]) -> dict[str, f
 
 
 def ownership_shares(stats_by_dev: Mapping[str, ContributionStats]) -> dict[str, float]:
-    """Per-developer share of the file's commits; shares sum to 1."""
-    total = sum(stats.commit_count for stats in stats_by_dev.values())
+    """Per-developer share of the file's commits (its DL); shares sum to 1."""
+    total = sum(stats.dl for stats in stats_by_dev.values())
     if total == 0:
         raise EmptyHistory("file has no recorded change events")
-    return {key: stats.commit_count / total for key, stats in stats_by_dev.items()}
+    return {key: stats.dl / total for key, stats in stats_by_dev.items()}
 
 
 class ExpertiseScore(NamedTuple):

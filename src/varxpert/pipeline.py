@@ -50,7 +50,7 @@ from varxpert.metrics import (
     ExpertiseScore,
     compute_scores,
 )
-from varxpert.preproc import AnalyzerOptions, ScanResult, VariabilityCount, patch_scan, scan_text
+from varxpert.preproc import ScanResult, VariabilityCount, patch_scan, scan_text
 from varxpert.report import ProjectReport
 from varxpert.timeline import (
     SpecializationSummary,
@@ -105,9 +105,6 @@ class RunConfig(NamedTuple):
             if path is not None and os.path.exists(path) and not os.path.isdir(path):
                 raise InvalidConfig(f"{name} directory {path!r} exists and is not a directory")
 
-    def analyzer_options(self) -> AnalyzerOptions:
-        return AnalyzerOptions(exclude_include_guards=self.exclude_include_guards)
-
     def ledger_key(self) -> str:
         import hashlib
 
@@ -121,21 +118,6 @@ class RunConfig(NamedTuple):
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-class WarningSink:
-    """Ordered collector for structured warnings; one JSON object per line."""
-
-    def __init__(self) -> None:
-        self.records: list[dict] = []
-
-    def __call__(self, record: dict) -> None:
-        self.records.append(record)
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            for record in self.records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 class Counters:
@@ -188,10 +170,11 @@ class _PipelineClassifier:
 
     The facts come from the cache, or on a miss from _mine, which reads
     the sides, computes the hunks, scans and classifies; a miss is put
-    into the cache. Then the change is reported to the sink: a change
-    with a binary side as one binary_skipped line, any other with the
-    scan warnings of each blob this run has not reported yet. Changes
-    are classified in fold order, so the lines land in it.
+    into the cache. Then the change's warnings are appended to warnings,
+    the run's warnings.jsonl records: a change with a binary side gives
+    one binary_skipped record and hands the fold its empty facts, any
+    other the scan warnings of each blob this run has not reported yet.
+    Changes are classified in fold order, so the records land in it.
 
     read_ahead runs the log stream READ_AHEAD commits ahead of the fold.
     As a commit leaves the stream, _look_ahead, the one writer of live,
@@ -217,13 +200,11 @@ class _PipelineClassifier:
     reported. The final-tree snapshot reuses both.
     """
 
-    def __init__(
-        self, repo: GitRepo, options: AnalyzerOptions, cache: ChangeCache, sink: WarningSink
-    ):
+    def __init__(self, repo: GitRepo, exclude_include_guards: bool, cache: ChangeCache):
         self.repo = repo
-        self.options = options
+        self.exclude_include_guards = exclude_include_guards
         self.cache = cache
-        self.sink = sink
+        self.warnings: list[dict] = []
         self.counters = Counters()
         self.live: dict[str, _LiveEntry] = {}
         self.binary_oids: set[str] = set()
@@ -232,7 +213,7 @@ class _PipelineClassifier:
 
     def scan_blob(self, oid: str, text: str) -> ScanResult:
         """The one full scan of a side; oid names it for a wrapper's record."""
-        return scan_text(text, self.options)
+        return scan_text(text, self.exclude_include_guards)
 
     def read_ahead(
         self, commits: Iterable[CommitRecord], log_warnings: list[dict]
@@ -241,7 +222,7 @@ class _PipelineClassifier:
         classified READ_AHEAD commits after it leaves the stream.
 
         The warnings the stream put in log_warnings while it produced a
-        commit go to the sink just before that commit is classified, and
+        commit go to warnings just before that commit is classified, and
         those after the last commit at the end, so they land where a fold
         reading the stream itself would put them.
         """
@@ -253,14 +234,12 @@ class _PipelineClassifier:
                 yield self._classify_commit(*queue.popleft())
         while queue:
             yield self._classify_commit(*queue.popleft())
-        for record in log_warnings:
-            self.sink(record)
+        self.warnings.extend(log_warnings)
 
     def _classify_commit(
         self, commit: CommitRecord, looked_up: list[_LookedUp], warnings: list[dict]
     ) -> tuple[CommitRecord, ClassifiedChanges]:
-        for record in warnings:
-            self.sink(record)
+        self.warnings.extend(warnings)
         self.last_commit = commit.commit_id
         return commit, [(change, self(commit, change, facts, held, new))
                         for change, facts, held, new in looked_up]
@@ -285,10 +264,9 @@ class _PipelineClassifier:
         return looked_up
 
     def __call__(self, commit: CommitRecord, change: FileChange, facts: Optional[ChangeFacts],
-                 held: Optional[_LiveEntry], new: Optional[_LiveEntry]) -> Optional[ChangeFacts]:
+                 held: Optional[_LiveEntry], new: Optional[_LiveEntry]) -> ChangeFacts:
         """The facts the fold takes for change, given its cached facts
-        (None on a miss) and its live entries; None for a change with a
-        binary side."""
+        (None on a miss) and its live entries."""
         self.counters.changes += 1
         if facts is None:
             facts = self._mine(change, held, new)
@@ -297,10 +275,9 @@ class _PipelineClassifier:
             self.counters.cache_hits += 1
 
         if facts.binary_oid is not None:
-            self.sink({"kind": "binary_skipped", "commit": commit.commit_id,
-                       "path": change.effective_path})
+            self.warnings.append({"kind": "binary_skipped", "commit": commit.commit_id,
+                                  "path": change.effective_path})
             self.binary_oids.add(facts.binary_oid)
-            return None
         # Every warning of a blob is reported once, where the blob first
         # appears in this run; dict.fromkeys, because a rename that keeps
         # its blob lists it on both sides.
@@ -308,8 +285,8 @@ class _PipelineClassifier:
         self._reported_oids.update(fresh)
         for oid, warning in dict.fromkeys(facts.scan_warnings):
             if oid in fresh:
-                self.sink(dict(warning._asdict(), kind=f"scan_{warning.kind}",
-                               commit=commit.commit_id, path=change.effective_path))
+                self.warnings.append(dict(warning._asdict(), kind=f"scan_{warning.kind}",
+                                          commit=commit.commit_id, path=change.effective_path))
         return facts
 
     def _mine(
@@ -346,7 +323,8 @@ class _PipelineClassifier:
             elif new_oid == old_oid:
                 new_scan = old_scan
             elif old_scan is not None:
-                new_scan = patch_scan(old_scan, change.hunks, old_lines, new_lines, self.options)
+                new_scan = patch_scan(old_scan, change.hunks, old_lines, new_lines,
+                                      self.exclude_include_guards)
             new_scan = new_scan or self.scan_blob(new_oid, new_text)
         if new is not None:
             new.text, new.scan = new_text, new_scan
@@ -382,13 +360,12 @@ class AnalysisState(NamedTuple):
     counters: Counters
 
 
-def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
-    """Mine the repository into an analysis and its warnings.
+def mine(config: RunConfig) -> tuple[AnalysisState, list[dict]]:
+    """Mine the repository into an analysis and its warnings.jsonl records.
 
     Nothing is written except the change cache under config.cache_dir.
     """
     config.validate()
-    sink = WarningSink()
 
     with GitRepo(config.repo_path) as repo:
         tip = repo.resolve_tip(config.branch)
@@ -397,7 +374,7 @@ def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
         cache = ChangeCache.open(
             config.cache_dir, config.extensions, config.exclude_include_guards
         )
-        classifier = _PipelineClassifier(repo, config.analyzer_options(), cache, sink)
+        classifier = _PipelineClassifier(repo, config.exclude_include_guards, cache)
         log_warnings: list[dict] = []
         ledger = build_contribution_ledger(classifier.read_ahead(
             repo.iter_commits(
@@ -428,13 +405,13 @@ def mine(config: RunConfig) -> tuple[AnalysisState, WarningSink]:
         snapshot_files=snapshot_files,
         variability=variability,
         counters=counters,
-    ), sink
+    ), classifier.warnings
 
 
 def run_analyze(config: RunConfig) -> AnalysisState:
     """Mine the repository and write the analysis artifacts."""
-    state, sink = mine(config)
-    _write_analysis_artifacts(state, sink)
+    state, warnings = mine(config)
+    _write_analysis_artifacts(state, warnings)
     return state
 
 
@@ -470,11 +447,13 @@ def _final_snapshot(
     for entry in entries:
         facts = known[entry.oid]
         if facts is None:
-            facts = known[entry.oid] = _read_blob_facts(repo, entry.oid, classifier.options)
+            facts = known[entry.oid] = _read_blob_facts(
+                repo, entry.oid, classifier.exclude_include_guards)
         cache.put(entry.oid, facts)
         if facts.binary:
             if entry.oid not in classifier.binary_oids:
-                classifier.sink({"kind": "binary_skipped", "commit": rev, "path": entry.path})
+                classifier.warnings.append(
+                    {"kind": "binary_skipped", "commit": rev, "path": entry.path})
             continue
         blocks += facts.blocks
         macros |= facts.macros
@@ -482,16 +461,18 @@ def _final_snapshot(
 
 
 def _read_text(repo: GitRepo, oid: str) -> Optional[str]:
-    """A blob's text; None when it looks binary."""
+    """A blob's text; None when it looks binary. A byte that is not UTF-8
+    decodes to a lone surrogate of its own, so lines that differ only in
+    such bytes stay apart."""
     payload = repo.blob_bytes(oid)
-    return None if looks_binary(payload) else payload.decode("utf-8", errors="replace")
+    return None if looks_binary(payload) else payload.decode("utf-8", errors="surrogateescape")
 
 
-def _read_blob_facts(repo: GitRepo, oid: str, options: AnalyzerOptions) -> BlobFacts:
+def _read_blob_facts(repo: GitRepo, oid: str, exclude_include_guards: bool) -> BlobFacts:
     text = _read_text(repo, oid)
     if text is None:
         return BlobFacts(oid, binary=True)
-    result = scan_text(text, options)
+    result = scan_text(text, exclude_include_guards)
     return BlobFacts(oid, result.blocks, result.macros)
 
 
@@ -524,12 +505,13 @@ def _write_scores(config: RunConfig, ledger: ContributionLedger) -> list[Experti
     return scores
 
 
-def _write_analysis_artifacts(state: AnalysisState, sink: WarningSink) -> None:
+def _write_analysis_artifacts(state: AnalysisState, warnings: list[dict]) -> None:
     config = state.config
     os.makedirs(config.output_dir, exist_ok=True)
     _write_scores(config, state.ledger)
     _write_text(os.path.join(config.output_dir, LEDGER_JSON), compact_json(ledger_to_dict(state.ledger)))
-    sink.write(os.path.join(config.output_dir, WARNINGS_JSONL))
+    _write_text(os.path.join(config.output_dir, WARNINGS_JSONL),
+                "".join(json.dumps(record, sort_keys=True) + "\n" for record in warnings))
     meta = {
         "format": RUN_FORMAT,
         "tip": state.tip,
@@ -541,7 +523,7 @@ def _write_analysis_artifacts(state: AnalysisState, sink: WarningSink) -> None:
             "distinct_macros": state.variability.distinct_macros,
         },
         "counters": vars(state.counters),
-        "warnings_by_kind": dict(Counter(record["kind"] for record in sink.records)),
+        "warnings_by_kind": dict(Counter(record["kind"] for record in warnings)),
     }
     _write_text(os.path.join(config.output_dir, RUN_META_JSON), stable_json(meta))
 
@@ -573,18 +555,18 @@ def load_analysis(config: RunConfig) -> AnalysisState:
         if meta.get("ledger_key") != config.ledger_key():
             raise MissingAnalysis("stored analysis used a different configuration")
         ledger = ledger_from_dict(_load_json(ledger_path, LEDGER_FORMAT))
-        snapshot = meta.get("snapshot", {})
+        snapshot = meta["snapshot"]
         return AnalysisState(
             config=config,
             ledger=ledger,
             tip=tip,
-            last_commit=meta.get("last_commit", tip),
-            snapshot_files=int(snapshot.get("files", 0)),
+            last_commit=meta["last_commit"],
+            snapshot_files=int(snapshot["files"]),
             variability=VariabilityCount(
-                blocks=int(snapshot.get("variability_blocks", 0)),
-                distinct_macros=int(snapshot.get("distinct_macros", 0)),
+                blocks=int(snapshot["variability_blocks"]),
+                distinct_macros=int(snapshot["distinct_macros"]),
             ),
-            counters=Counters(**meta.get("counters", {})),
+            counters=Counters(**meta["counters"]),
         )
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         # json.JSONDecodeError and UnicodeDecodeError are ValueErrors.

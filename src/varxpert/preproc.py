@@ -48,8 +48,8 @@ with a warning.
 Classic include guards (#ifndef X directly followed by #define X, with
 the matching #endif as the last directive of the file and no #elif or
 #else at guard level) wrap a whole header without expressing product
-variability. With AnalyzerOptions.exclude_include_guards (the default) a
-detected guard is transparent: it makes no line variable and counts as
+variability. With exclude_include_guards (the default) a detected
+guard is transparent: it makes no line variable and counts as
 neither a block nor a macro.
 """
 
@@ -66,13 +66,6 @@ from varxpert.util import split_lines
 class VariabilityCount(NamedTuple):
     blocks: int
     distinct_macros: int
-
-
-class AnalyzerOptions(NamedTuple):
-    exclude_include_guards: bool = True
-
-
-DEFAULT_OPTIONS = AnalyzerOptions()
 
 
 class ScanWarning(NamedTuple):
@@ -196,10 +189,10 @@ def _include_guard(directives: list[Directive]) -> Optional[int]:
     return None
 
 
-def scan_text(content: str, options: AnalyzerOptions = DEFAULT_OPTIONS) -> ScanResult:
+def scan_text(content: str, exclude_include_guards: bool = True) -> ScanResult:
     """Classify every physical line in one pass; never raises on any text."""
     lines = split_lines(content)
-    return _resolve(_directives(lines), len(lines), options)
+    return _resolve(_directives(lines), len(lines), exclude_include_guards)
 
 
 def _continued(line: str) -> bool:
@@ -216,7 +209,7 @@ def patch_scan(
     hunks: Iterable[tuple[int, int, int, int]],
     old_lines: list[str],
     new_lines: list[str],
-    options: AnalyzerOptions = DEFAULT_OPTIONS,
+    exclude_include_guards: bool = True,
 ) -> Optional[ScanResult]:
     """scan_text of the new side, from the old side's scan and the hunks.
 
@@ -253,7 +246,7 @@ def patch_scan(
         shifts.append(new_start - 1 + new_count - end)
     directives += _shifted(kept[pos:], shifts[-1])
     if bitmap is None:
-        return _resolve(directives, len(new_lines), options)
+        return _resolve(directives, len(new_lines), exclude_include_guards)
     bitmap += old.annotations[ends[-1]:]
     warnings = tuple(warning._replace(
         line_no=warning.line_no + shifts[bisect.bisect_right(ends, warning.line_no - 1) - 1]
@@ -261,11 +254,11 @@ def patch_scan(
     return ScanResult(bitmap, warnings, old.blocks, old.macros, directives, old.open_after)
 
 
-def _resolve(directives: list[Directive], total: int, options: AnalyzerOptions) -> ScanResult:
+def _resolve(directives: list[Directive], total: int, exclude_include_guards: bool) -> ScanResult:
     """The bitmap, warnings, blocks and macros of a text of `total` lines
     with these directives."""
     bitmap = bytearray(total)
-    guard = _include_guard(directives) if options.exclude_include_guards else None
+    guard = _include_guard(directives) if exclude_include_guards else None
     warnings: list[ScanWarning] = []
     stack: list[tuple[int, str, bool]] = []  # (opening line, expression, transparent)
     live = 0  # open blocks that are not a transparent guard

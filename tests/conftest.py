@@ -34,7 +34,7 @@ def hydrate(repo, change):
         payload = repo.blob_bytes(oid) if oid else None
         if payload is not None and looks_binary(payload):
             return None
-        texts.append(None if payload is None else payload.decode("utf-8", errors="replace"))
+        texts.append(None if payload is None else payload.decode("utf-8", errors="surrogateescape"))
     old_text, new_text = texts
     old_lines, new_lines = split_lines(old_text or ""), split_lines(new_text or "")
     return (change._replace(hunks=diff_hunks(old_lines, new_lines)),

@@ -299,6 +299,17 @@ def _run_meta_at_format_1(out):
         json.dump(meta, handle)
 
 
+def _drop_run_meta_key(key):
+    def damage(out):
+        path = os.path.join(out, "run_meta.json")
+        meta = json.loads(read(path))
+        del meta[key]
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(meta, handle)
+    damage.__name__ = f"_run_meta_without_{key}"
+    return damage
+
+
 V1_LEDGER = os.path.join(os.path.dirname(__file__), "data", "multifile_ledger_v1.json")
 
 
@@ -309,10 +320,24 @@ def _ledger_at_format_1(out):
         target.write(source.read())
 
 
+def _ledger_at_format_2(out):
+    # ledger.json as the varxpert-ledger/2 writer left it: each file
+    # also names its first author
+    path = os.path.join(out, "ledger.json")
+    ledger = json.loads(read(path))
+    ledger["format"] = "varxpert-ledger/2"
+    for record in ledger["files"].values():
+        record["fa_key"] = next(
+            (key for key, stats in record["contributors"].items() if stats["fa"] == 1), None)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(ledger, handle)
+
+
 @pytest.mark.parametrize(
     "damage",
     [_truncate_ledger, _add_unknown_counter, _foreign_ledger_format, _ledger_at_format_1,
-     _run_meta_at_format_1],
+     _ledger_at_format_2, _run_meta_at_format_1, _drop_run_meta_key("snapshot"),
+     _drop_run_meta_key("last_commit")],
 )
 def test_damaged_stored_analysis_is_mined_again(multifile_repo, tmp_path, damage):
     path, _ = multifile_repo
@@ -598,3 +623,18 @@ def test_a_carriage_return_in_a_path_stays_in_its_scores_cell(repo_builder, tmp_
     rows = read_rows(os.path.join(out, "scores.csv"))
     assert [len(row) for row in rows] == [10] * 4
     assert sorted(row[0].split("@")[0] for row in rows[1:]) == ["odd\rname.c"] * 2 + ["plain.c"]
+
+
+def test_an_edit_of_bytes_that_are_not_utf8_is_an_event(repo_builder, tmp_path):
+    # the two versions differ only in a byte that is not UTF-8; decoded
+    # with errors="replace" both lines would read U+FFFD and compare equal
+    repo = repo_builder
+    repo.write_bytes("f.c", b"#ifdef X\nint a; /* caf\xe9 */\n#endif\n")
+    repo.commit("add", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    repo.write_bytes("f.c", b"#ifdef X\nint a; /* caf\xe8 */\n#endif\n")
+    repo.commit("recode", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    out = str(tmp_path / "out")
+    assert run_cli("analyze", repo.path, "--out", out) == 0
+    rows = read_csv(os.path.join(out, "scores.csv"))
+    assert {row["developer_key"]: row["dl"] for row in rows} == \
+        {"alice@example.com": "1", "bob@example.com": "1"}

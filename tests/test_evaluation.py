@@ -82,7 +82,7 @@ def test_growing_recommended_never_lowers_recall(recommended, extra, relevant):
 # ----------------------------------------------------------------------
 
 def test_variable_changers_requires_variable_history():
-    record = FileRecord(lineage_id="f@0", created_path="f", current_path="f")
+    record = FileRecord(created_path="f", current_path="f")
     record.contributors["a"] = ContributionStats(dl=1)
     with pytest.raises(NoVariableCode):
         variable_changers(record)

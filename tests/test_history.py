@@ -29,7 +29,7 @@ from varxpert.history import (
 from conftest import hydrate
 from varxpert.ledger import classify_change
 from varxpert.pipeline import RunConfig, mine, run_analyze
-from varxpert.preproc import AnalyzerOptions, scan_text
+from varxpert.preproc import scan_text
 from varxpert.util import split_lines
 
 
@@ -186,14 +186,13 @@ def test_diff_hunks_are_difflibs_on_long_repeats(old, new):
 def test_diff_engine_matches_difflib_on_histories(history_paths):
     # every change of the fixtures and of two generated histories: deep-ifdef
     # (900-line files) and team-churn seed 4, where git's own hunks flip a flag
-    options = AnalyzerOptions()
     scans = {}
 
     def bitmap(oid, text):
         if text is None:
             return None
         if oid not in scans:
-            scans[oid] = scan_text(text, options).annotations
+            scans[oid] = scan_text(text).annotations
         return scans[oid]
 
     compared = 0
@@ -391,9 +390,9 @@ def test_binary_change_skipped_with_warning(repo_builder):
     repo.write("ok.c", "int a;\n")
     repo.commit("binary and text", "Alice", "alice@example.com",
                 "2020-01-01T00:00:00 +0000")
-    state, sink = mine(RunConfig(repo_path=repo.path))
+    state, warnings = mine(RunConfig(repo_path=repo.path))
     assert [r.current_path for r in state.ledger.files.values()] == ["ok.c"]
-    assert [(w["kind"], w["path"]) for w in sink.records] == [("binary_skipped", "blob.c")]
+    assert [(w["kind"], w["path"]) for w in warnings] == [("binary_skipped", "blob.c")]
 
 
 class _CannedCatFile:

@@ -16,12 +16,12 @@ from varxpert.ledger import (
     ledger_to_dict,
 )
 from varxpert.pipeline import RunConfig, mine
-from varxpert.preproc import DEFAULT_OPTIONS, scan_text
+from varxpert.preproc import scan_text
 from varxpert.util import split_lines
 
 
 def bitmap(content):
-    return scan_text(content, DEFAULT_OPTIONS).annotations
+    return scan_text(content).annotations
 
 
 def first(months):
@@ -30,8 +30,9 @@ def first(months):
 
 
 def only_file(ledger):
+    """The ledger's one (lineage id, FileRecord)."""
     assert len(ledger.files) == 1
-    return next(iter(ledger.files.values()))
+    return next(iter(ledger.files.items()))
 
 
 # ----------------------------------------------------------------------
@@ -45,18 +46,33 @@ def modify(old, new):
     )
 
 
+def add(new):
+    return FileChange(kind=ChangeKind.ADDED, path_before=None, path_after="f.c",
+                      hunks=diff_hunks([], split_lines(new)))
+
+
 def test_classify_added_variable_lines():
     new = "#ifdef A\nint x;\n#endif\n"
-    change = FileChange(kind=ChangeKind.ADDED, path_before=None, path_after="f.c")
-    got = classify_change(change, None, bitmap(new))
+    got = classify_change(add(new), None, bitmap(new))
     assert got.touched_variable and not got.touched_mandatory
 
 
 def test_classify_mixed_addition():
     new = "int a;\n#ifdef A\nint x;\n#endif\n"
-    change = FileChange(kind=ChangeKind.ADDED, path_before=None, path_after="f.c")
-    got = classify_change(change, None, bitmap(new))
+    got = classify_change(add(new), None, bitmap(new))
     assert got.touched_variable and got.touched_mandatory
+
+
+@pytest.mark.parametrize("old, variable, mandatory", [
+    ("#ifdef A\nint x;\n#endif\n", True, False),
+    ("int a;\n", False, True),
+    ("", False, False),
+], ids=["variable_file", "mandatory_file", "empty_file"])
+def test_classify_deleted_file(old, variable, mandatory):
+    change = FileChange(kind=ChangeKind.DELETED, path_before="f.c", path_after=None,
+                        hunks=diff_hunks(split_lines(old), []))
+    got = classify_change(change, bitmap(old), None)
+    assert (got.touched_variable, got.touched_mandatory) == (variable, mandatory)
 
 
 def test_classify_deletion_only_variable():
@@ -92,8 +108,8 @@ def test_classify_zero_line_change_is_empty():
 def test_annotation_count_must_match_content(repo_builder, monkeypatch):
     repo_builder.write("f.c", "int a;\nint b;\n")
     repo_builder.commit("add", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
-    short = scan_text("int a;\n", DEFAULT_OPTIONS)  # one flag for the two lines
-    monkeypatch.setattr(pipeline, "scan_text", lambda text, options: short)
+    short = scan_text("int a;\n")  # one flag for the two lines
+    monkeypatch.setattr(pipeline, "scan_text", lambda text, exclude_include_guards: short)
     with pytest.raises(AnnotationMismatch, match="new side of f.c: 1 line flags for 2 lines"):
         mine(RunConfig(repo_path=repo_builder.path))
 
@@ -105,24 +121,24 @@ def test_annotation_count_must_match_content(repo_builder, monkeypatch):
 def test_basic_ledger_stats(basic_repo):
     path, shas = basic_repo
     ledger = mined_ledger(path)
-    record = only_file(ledger)
-    assert record.lineage_id == f"f.c@{shas['c1'][:12]}"
+    lineage_id, record = only_file(ledger)
+    assert lineage_id == f"f.c@{shas['c1'][:12]}"
     assert record.created_path == "f.c"
     assert record.current_path == "f.c"
     assert record.alive
     assert record.has_variable_code_ever
-    assert record.fa_key == BASIC["alice"]
+    assert record.contributors[BASIC["alice"]].fa == 1
     assert record.total_events == 4
     for key, (fa, dl, ac) in BASIC["fa_dl_ac"].items():
         stats = record.contributors[key]
         assert (stats.fa, stats.dl, stats.ac) == (fa, dl, ac)
-        assert stats.commit_count == dl
     alice = record.contributors[BASIC["alice"]]
     bob = record.contributors[BASIC["bob"]]
     assert alice.first_variable_month == first(BASIC["alice_variable_months"])
     assert alice.first_mandatory_month == first(BASIC["alice_mandatory_months"])
     assert bob.first_variable_month is None
     assert bob.first_mandatory_month == first(BASIC["bob_mandatory_months"])
+    assert ledger.developers == {BASIC["alice"]: "Alice", BASIC["bob"]: "Bob"}
     assert ledger.commit_count == 4
     assert ledger.merge_count == 0
     assert (ledger.first_month, ledger.last_month) == ("2020-01", "2020-04")
@@ -139,8 +155,8 @@ def test_acceptances_complement_deliveries(basic_repo, rename_repo, multifile_re
 def test_rename_keeps_one_lineage(rename_repo):
     path, shas = rename_repo
     ledger = mined_ledger(path)
-    record = only_file(ledger)
-    assert record.lineage_id == f"a.c@{shas['c1'][:12]}"
+    lineage_id, record = only_file(ledger)
+    assert lineage_id == f"a.c@{shas['c1'][:12]}"
     assert record.created_path == "a.c"
     assert record.current_path == "b.c"
     assert record.alive
@@ -153,7 +169,7 @@ def test_rename_keeps_one_lineage(rename_repo):
 def test_deletion_only_variable_change_counts(rename_repo):
     path, _ = rename_repo
     ledger = mined_ledger(path)
-    record = only_file(ledger)
+    _, record = only_file(ledger)
     bob = record.contributors["bob@example.com"]
     assert bob.first_variable_month == first(RENAME["bob_variable_months"])
     assert bob.first_mandatory_month is None
@@ -182,9 +198,9 @@ def test_file_created_before_window_has_no_first_author(basic_repo):
     path, shas = basic_repo
     # window opens after c1, so f.c looks pre-existing
     ledger = mined_ledger(path, since=1580515200)
-    record = only_file(ledger)
-    assert record.fa_key is None
-    assert record.lineage_id == f"f.c@{shas['c2'][:12]}"
+    lineage_id, record = only_file(ledger)
+    assert not any(stats.fa == 1 for stats in record.contributors.values())
+    assert lineage_id == f"f.c@{shas['c2'][:12]}"
     alice = record.contributors["alice@example.com"]
     assert alice.fa == 0
     assert alice.dl == 2
@@ -201,8 +217,8 @@ def test_pure_rename_records_no_event(repo_builder):
     repo.commit("just move", "Bob", "bob@example.com",
                 "2020-02-01T00:00:00 +0000")
     ledger = mined_ledger(repo.path)
-    record = only_file(ledger)
-    assert record.lineage_id == f"r.c@{c1[:12]}"
+    lineage_id, record = only_file(ledger)
+    assert lineage_id == f"r.c@{c1[:12]}"
     assert record.current_path == "s.c"
     assert record.total_events == 1
     assert "bob@example.com" not in record.contributors
@@ -220,12 +236,12 @@ def test_empty_added_file_starts_no_lineage(repo_builder):
     c2 = repo.commit("fill in", "Bob", "bob@example.com",
                      "2020-02-01T00:00:00 +0000")
     ledger = mined_ledger(repo.path)
-    by_path = {r.created_path: r for r in ledger.files.values()}
+    by_path = {r.created_path: (lid, r) for lid, r in ledger.files.items()}
     assert set(by_path) == {"real.c", "e.c"}
     # e.c only gained a lineage when content appeared, with no first author
-    record = by_path["e.c"]
-    assert record.lineage_id == f"e.c@{c2[:12]}"
-    assert record.fa_key is None
+    lineage_id, record = by_path["e.c"]
+    assert lineage_id == f"e.c@{c2[:12]}"
+    assert not any(stats.fa == 1 for stats in record.contributors.values())
     assert record.contributors["bob@example.com"].fa == 0
 
 
@@ -322,7 +338,7 @@ def test_first_months_are_minima_not_first_seen(repo_builder):
         content += f"#ifdef X{n}\nint x{n};\n#endif\nint y{n};\n"
         repo.write("f.c", content)
         repo.commit(f"c{n}", "Alice", "alice@example.com", author_date, commit_date)
-    stats = only_file(mined_ledger(repo.path)).contributors["alice@example.com"]
+    stats = only_file(mined_ledger(repo.path))[1].contributors["alice@example.com"]
     assert stats.dl == 3
     assert (stats.first_variable_month, stats.first_mandatory_month) == \
         ("2020-02", "2020-02")

@@ -47,7 +47,7 @@ def test_writer_writes_the_mined_ledger(fixture, request, tmp_path):
     repo_path, _ = request.getfixturevalue(fixture)
     out = tmp_path / "out"
     config = RunConfig(repo_path=repo_path, output_dir=str(out))
-    state, sink = mine(config)
+    state, warnings = mine(config)
     assert not out.exists()
     by_created = {r.created_path: r for r in state.ledger.files.values()}
     for path, expected in _FA_DL_AC[fixture].items():
@@ -56,7 +56,7 @@ def test_writer_writes_the_mined_ledger(fixture, request, tmp_path):
     run_analyze(config)
     assert read(out / "ledger.json").decode("utf-8") == compact_json(ledger_to_dict(state.ledger))
     assert [json.loads(line) for line in read(out / "warnings.jsonl").splitlines()] == \
-        sink.records
+        warnings
 
 
 def test_every_blob_asked_for_ahead_is_read(history_paths, repo_builder):

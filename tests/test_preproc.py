@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from conftest import hydrate
 from varxpert import preproc
 from varxpert.history import GitRepo, diff_hunks
-from varxpert.preproc import AnalyzerOptions, extract_macro_identifiers, patch_scan, scan_text
+from varxpert.preproc import extract_macro_identifiers, patch_scan, scan_text
 from varxpert.util import split_lines
-
-NO_GUARD_FOLDING = AnalyzerOptions(exclude_include_guards=False)
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +157,7 @@ def run_oracle_comparison(count, seed, balanced=True):
     checked = 0
     for _ in range(count):
         content = random_directive_file(rng, balanced=balanced)
-        got = flags(content, NO_GUARD_FOLDING)
+        got = flags(content, exclude_include_guards=False)
         expected = naive_flags(content)
         assert len(got) == len(expected)
         for line_no, (flag, want) in enumerate(zip(got, expected), start=1):
@@ -168,9 +166,9 @@ def run_oracle_comparison(count, seed, balanced=True):
     return checked
 
 
-def flags(content, options=AnalyzerOptions()):
+def flags(content, exclude_include_guards=True):
     """The scanner's per-line classification as booleans (True = variable)."""
-    return [bool(byte) for byte in scan_text(content, options).annotations]
+    return [bool(byte) for byte in scan_text(content, exclude_include_guards).annotations]
 
 
 V, M = True, False
@@ -253,8 +251,8 @@ def test_include_guard_folded_by_default():
 
 
 def test_include_guard_counted_when_asked():
-    result = scan_text(GUARDED, NO_GUARD_FOLDING)
-    assert flags(GUARDED, NO_GUARD_FOLDING) == [V] * 4
+    result = scan_text(GUARDED, exclude_include_guards=False)
+    assert flags(GUARDED, exclude_include_guards=False) == [V] * 4
     assert result.blocks == 1
     assert result.macros == {"H_H"}
 
@@ -402,8 +400,8 @@ def test_count_variabilities_blocks_and_macros():
 
 def test_count_variabilities_guard_handling():
     assert scan_text(GUARDED).blocks == 0
-    assert scan_text(GUARDED, NO_GUARD_FOLDING).blocks == 1
-    assert len(scan_text(GUARDED, NO_GUARD_FOLDING).macros) == 1
+    assert scan_text(GUARDED, exclude_include_guards=False).blocks == 1
+    assert len(scan_text(GUARDED, exclude_include_guards=False).macros) == 1
 
 
 def test_macro_union_deduplicates():
@@ -436,30 +434,31 @@ _LINE_MENU = st.sampled_from(
 @given(st.lists(_LINE_MENU, min_size=0, max_size=60))
 def test_scan_totality_and_idempotence(lines):
     content = "".join(line + "\n" for line in lines)
-    first = scan_text(content, NO_GUARD_FOLDING)
+    first = scan_text(content, exclude_include_guards=False)
     assert len(first.annotations) == len(lines)
     assert set(first.annotations) <= {0, 1}
     openers = sum(1 for line in lines if line.startswith("#if"))
     assert first.blocks == openers
-    assert scan_text(content, NO_GUARD_FOLDING) == first
+    assert scan_text(content, exclude_include_guards=False) == first
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_LINE_MENU, min_size=1, max_size=60))
 def test_scan_agrees_with_oracle(lines):
     content = "".join(line + "\n" for line in lines)
-    assert flags(content, NO_GUARD_FOLDING) == naive_flags(content)
+    assert flags(content, exclude_include_guards=False) == naive_flags(content)
 
 
 # ----------------------------------------------------------------------
 # patching a scan through a change's hunks
 # ----------------------------------------------------------------------
 
-def patched(old_text, new_text, options=AnalyzerOptions()):
+def patched(old_text, new_text, exclude_include_guards=True):
     """patch_scan of new_text from old_text's scan and the diff_hunks between them."""
     old_lines, new_lines = split_lines(old_text), split_lines(new_text)
-    return patch_scan(scan_text(old_text, options), diff_hunks(old_lines, new_lines),
-                      old_lines, new_lines, options)
+    old = scan_text(old_text, exclude_include_guards)
+    return patch_scan(old, diff_hunks(old_lines, new_lines), old_lines, new_lines,
+                      exclude_include_guards)
 
 
 def test_patch_continues_onto_an_empty_added_line():
@@ -559,13 +558,12 @@ def test_patch_scan_is_none_or_scan_text(body, edits, guarded, final_newline, fo
     # each edit replaces, inserts or deletes a range; the guard and the
     # final newline may come or go, and a blank line may come or go
     # between the guard's #ifndef and its #define
-    options = AnalyzerOptions(exclude_include_guards=fold_guards)
     edited = list(body)
     for at, deleted, inserted in edits:
         edited[at:at + deleted] = inserted
     new_text = _file(edited, guarded[1], final_newline[1])
-    result = patched(_file(body, guarded[0], final_newline[0]), new_text, options)
-    assert result is None or result == scan_text(new_text, options)
+    result = patched(_file(body, guarded[0], final_newline[0]), new_text, fold_guards)
+    assert result is None or result == scan_text(new_text, fold_guards)
 
 
 @pytest.mark.parametrize("old, new", [

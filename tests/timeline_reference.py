@@ -22,7 +22,6 @@ from varxpert.history import GitRepo
 from varxpert.ledger import (
     ContributionLedger,
     ContributionStats,
-    DeveloperProfile,
     FileRecord,
 )
 from varxpert.pipeline import RunConfig, mine
@@ -129,10 +128,10 @@ def ledger_from_month_sets(file_month_sets):
     seen = []
     for path, developers in file_month_sets.items():
         lineage = f"{path}@000000000000"
-        record = FileRecord(lineage_id=lineage, created_path=path, current_path=path)
+        record = FileRecord(created_path=path, current_path=path)
         ledger.files[lineage] = record
         for key, (variable, mandatory) in developers.items():
-            ledger.developers.setdefault(key, DeveloperProfile(key, key))
+            ledger.developers.setdefault(key, key)
             record.contributors[key] = ContributionStats(
                 dl=1,
                 first_variable_month=min(variable, default=None),
