@@ -20,9 +20,9 @@ Two record kinds, one JSON object per line, written by one serializer:
   fold and warnings.jsonl need, so a hit skips reading and scanning
   blobs. A change stopped at a binary side holds that side's oid,
   binary_oid, so a hit reports the binary side without reading it.
-- a blob record, keyed by its oid field: the blob's conditional blocks
-  and macros, or that it is binary. That is all the final-tree snapshot
-  needs.
+- a blob record, under its key, the field oid: the blob's conditional
+  blocks and macros, or that it is binary. That is all the final-tree
+  snapshot needs.
 
 Records are context-free: a change record depends only on its commit's
 first-parent diff, the blobs and the options; a blob record only on the
@@ -66,7 +66,6 @@ def analyzer_config_hash(extensions: frozenset[str], exclude_include_guards: boo
 class BlobFacts(NamedTuple):
     """What the final-tree snapshot needs of one blob."""
 
-    oid: str
     blocks: int = 0
     macros: frozenset[str] = frozenset()
     binary: bool = False
@@ -80,6 +79,8 @@ def _line(key: Key, entry: Entry) -> str:
     fields = entry._asdict()
     if isinstance(entry, ChangeFacts):
         fields["commit"], fields["path"] = key
+    else:
+        fields["oid"] = key
     # default=sorted writes a blob's macros as a sorted list
     return json.dumps(fields, sort_keys=True, default=sorted) + "\n"
 
@@ -87,7 +88,7 @@ def _line(key: Key, entry: Entry) -> str:
 def _parse(line: str) -> tuple[Key, Entry]:
     raw = json.loads(line)
     if "oid" in raw:
-        return raw["oid"], BlobFacts(**dict(raw, macros=frozenset(raw["macros"])))
+        return raw.pop("oid"), BlobFacts(**dict(raw, macros=frozenset(raw["macros"])))
     key = (raw.pop("commit"), raw.pop("path"))
     warnings = tuple((oid, ScanWarning(*warning)) for oid, warning in raw.pop("scan_warnings"))
     return key, ChangeFacts(**raw, scan_warnings=warnings)

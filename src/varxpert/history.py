@@ -82,27 +82,17 @@ class ChangeKind(Enum):
     RENAMED = "renamed"
 
 
-class DeveloperId(NamedTuple):
-    canonical_key: str
-    display_name: str
-
-
-def resolve_identity(name: str, email: str) -> DeveloperId:
-    """Fold an author signature into a canonical identity.
+def resolve_identity(name: str, email: str) -> str:
+    """Fold an author signature into its canonical key.
 
     The key is the lowercased, trimmed email; when the email is blank
     the lowercased name stands in. Blank name and email together have
     no identity at all.
     """
-    name = (name or "").strip()
-    email = (email or "").strip()
-    if email:
-        key = email.lower()
-    elif name:
-        key = name.lower()
-    else:
+    key = (email or "").strip() or (name or "").strip()
+    if not key:
         raise EmptyIdentity("author has neither name nor email")
-    return DeveloperId(canonical_key=key, display_name=name if name else email)
+    return key.lower()
 
 
 def filter_source_files(path: str, extensions: frozenset[str] = DEFAULT_EXTENSIONS) -> bool:
@@ -124,7 +114,6 @@ class FileChange(NamedTuple):
     path_after: Optional[str]
     old_blob: Optional[str] = None
     new_blob: Optional[str] = None
-    hunks: tuple[Hunk, ...] = ()
 
     @property
     def effective_path(self) -> str:
@@ -135,7 +124,7 @@ class FileChange(NamedTuple):
 
 class CommitRecord(NamedTuple):
     commit_id: str
-    author: DeveloperId
+    author: str  # canonical key, see resolve_identity
     timestamp: int  # effective author time, UTC epoch seconds
     is_merge: bool
     changes: tuple[FileChange, ...]

@@ -18,19 +18,21 @@ new image or any deleted line is variable in the old image; deleting a
 whole conditional block therefore counts as variable work even though
 the resulting file has none left.
 
-Per (file, developer) the ledger stores the DOA tallies FA, DL and AC
-and two months, each None until such a change exists: the earliest with
-a variable-touching change and the earliest with a mandatory-touching
+Per (file, developer) the ledger stores the DOA tallies FA and DL and
+two months, each None until such a change exists: the earliest with a
+variable-touching change and the earliest with a mandatory-touching
 one. Timeline categories are cumulative, so those two months decide the
 developer's category in every month. The fold keeps the minimum, since
-the first-parent stream is not in author-date order.
+the first-parent stream is not in author-date order. AC, everyone
+else's events on the file, is derived at scoring (metrics.acceptances).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+import re
+from typing import Any, Iterable, NamedTuple, Optional
 
-from varxpert.history import ChangeKind, CommitRecord, FileChange
+from varxpert.history import ChangeKind, CommitRecord, FileChange, Hunk
 from varxpert.preproc import ScanWarning
 from varxpert.util import earliest_month, month_of
 
@@ -63,7 +65,7 @@ ClassifiedChanges = list[tuple[FileChange, ChangeFacts]]
 
 
 def classify_change(
-    change: FileChange,
+    hunks: Iterable[Hunk],
     old_bitmap: Optional[bytearray],
     new_bitmap: Optional[bytearray],
 ) -> ChangeFacts:
@@ -71,13 +73,13 @@ def classify_change(
 
     Each bitmap holds one byte per physical line of its side's content,
     1 for a variable line (see preproc.scan_text); the change's hunks
-    name the lines it touched, so an added or deleted file is one hunk
-    over all of its lines.
+    (history.diff_hunks of its two sides) name the lines it touched, so
+    an added or deleted file is one hunk over all of its lines.
     """
     old_bitmap = old_bitmap or bytearray()
     new_bitmap = new_bitmap or bytearray()
     touched = []
-    for hunk in change.hunks:
+    for hunk in hunks:
         touched.append(old_bitmap[hunk.old_start - 1:hunk.old_start - 1 + hunk.old_count])
         touched.append(new_bitmap[hunk.new_start - 1:hunk.new_start - 1 + hunk.new_count])
     return ChangeFacts(
@@ -94,13 +96,11 @@ class ContributionStats:
         *,
         fa: int = 0,
         dl: int = 0,
-        ac: int = 0,
         first_variable_month: Optional[str] = None,
         first_mandatory_month: Optional[str] = None,
     ):
         self.fa = fa  # 1 when this developer authored the change that created the file
         self.dl = dl  # deliveries: commits by this developer touching the file
-        self.ac = ac  # acceptances: commits by everyone else, filled at finalize time
         # earliest 'YYYY-MM' of a change touching variable, and mandatory, code
         self.first_variable_month = first_variable_month
         self.first_mandatory_month = first_mandatory_month
@@ -116,14 +116,16 @@ class FileRecord:
         current_path: str,
         alive: bool = True,
         has_variable_code_ever: bool = False,
-        total_events: int = 0,
     ):
         self.created_path = created_path
         self.current_path = current_path
         self.alive = alive
         self.has_variable_code_ever = has_variable_code_ever
-        self.total_events = total_events
         self.contributors: dict[str, ContributionStats] = {}
+
+    @property
+    def total_events(self) -> int:  # each event is one contributor's delivery
+        return sum(stats.dl for stats in self.contributors.values())
 
 
 class ContributionLedger:
@@ -136,18 +138,14 @@ class ContributionLedger:
         merge_count: int = 0,
     ):
         self.files: dict[str, FileRecord] = {}
-        self.developers: dict[str, str] = {}  # canonical key -> display name
         self.first_month = first_month
         self.last_month = last_month
         self.commit_count = commit_count  # non-merge commits inside the analysis window
         self.merge_count = merge_count
 
-    def finalize(self) -> "ContributionLedger":
-        """Fill acceptance counts: everyone else's events on the file."""
-        for record in self.files.values():
-            for stats in record.contributors.values():
-                stats.ac = record.total_events - stats.dl
-        return self
+    @property
+    def developers(self) -> set[str]:  # everyone with an event on some file
+        return set().union(*(record.contributors for record in self.files.values()))
 
 
 def _lineage_id(path: str, commit_id: str) -> str:
@@ -188,8 +186,7 @@ def build_contribution_ledger(
     def record_event(
         record: FileRecord, commit: CommitRecord, facts: ChangeFacts, *, first_author: bool
     ) -> None:
-        key = commit.author.canonical_key
-        stats = record.contributors.setdefault(key, ContributionStats())
+        stats = record.contributors.setdefault(commit.author, ContributionStats())
         if first_author:
             stats.fa = 1
         stats.dl += 1
@@ -198,8 +195,6 @@ def build_contribution_ledger(
             stats.first_variable_month = earliest_month(stats.first_variable_month, month)
         if facts.touched_mandatory:
             stats.first_mandatory_month = earliest_month(stats.first_mandatory_month, month)
-        record.total_events += 1
-        ledger.developers.setdefault(key, commit.author.display_name)
 
     for commit, changes in commits:
         touch_months(commit)
@@ -243,7 +238,7 @@ def build_contribution_ledger(
             if not facts.is_empty:
                 record_event(record, commit, facts, first_author=change.kind is ChangeKind.ADDED)
 
-    return ledger.finalize()
+    return ledger
 
 
 _FOLD_RANK = {ChangeKind.DELETED: 0, ChangeKind.RENAMED: 1}
@@ -259,7 +254,7 @@ def fold_order(changes: tuple[FileChange, ...]) -> list[FileChange]:
 # Serialization, so later verbs can reuse an analysis without re-mining.
 # ----------------------------------------------------------------------
 
-LEDGER_FORMAT = "varxpert-ledger/3"
+LEDGER_FORMAT = "varxpert-ledger/4"
 
 
 def ledger_to_dict(ledger: ContributionLedger) -> dict:
@@ -269,19 +264,16 @@ def ledger_to_dict(ledger: ContributionLedger) -> dict:
         "last_month": ledger.last_month,
         "commit_count": ledger.commit_count,
         "merge_count": ledger.merge_count,
-        "developers": ledger.developers,
         "files": {
             lineage_id: {
                 "created_path": record.created_path,
                 "current_path": record.current_path,
                 "alive": record.alive,
                 "has_variable_code_ever": record.has_variable_code_ever,
-                "total_events": record.total_events,
                 "contributors": {
                     key: {
                         "fa": stats.fa,
                         "dl": stats.dl,
-                        "ac": stats.ac,
                         "first_variable_month": stats.first_variable_month,
                         "first_mandatory_month": stats.first_mandatory_month,
                     }
@@ -293,29 +285,38 @@ def ledger_to_dict(ledger: ContributionLedger) -> dict:
     }
 
 
+_IS_MONTH = re.compile("[0-9]{4}-(0[1-9]|1[0-2])").fullmatch
+
+
+def _month(value: Any, *, optional: bool = True) -> Optional[str]:
+    if (value is None and optional) or (isinstance(value, str) and _IS_MONTH(value)):
+        return value
+    raise ValueError(f"{value!r} is not a YYYY-MM month")
+
+
 def ledger_from_dict(data: dict) -> ContributionLedger:
+    # ValueError on a value the fold cannot write (a DL also feeds the file's other ACs)
     ledger = ContributionLedger(
-        first_month=data["first_month"],
-        last_month=data["last_month"],
+        first_month=_month(data["first_month"], optional=False),
+        last_month=_month(data["last_month"], optional=False),
         commit_count=int(data["commit_count"]),
         merge_count=int(data["merge_count"]),
     )
-    ledger.developers.update(data["developers"].items())
     for lineage_id, raw in data["files"].items():
         record = FileRecord(
             created_path=raw["created_path"],
             current_path=raw["current_path"],
             alive=bool(raw["alive"]),
             has_variable_code_ever=bool(raw["has_variable_code_ever"]),
-            total_events=int(raw["total_events"]),
         )
         for dev_key, stats_raw in raw["contributors"].items():
-            record.contributors[dev_key] = ContributionStats(
+            stats = record.contributors[dev_key] = ContributionStats(
                 fa=int(stats_raw["fa"]),
                 dl=int(stats_raw["dl"]),
-                ac=int(stats_raw["ac"]),
-                first_variable_month=stats_raw["first_variable_month"],
-                first_mandatory_month=stats_raw["first_mandatory_month"],
+                first_variable_month=_month(stats_raw["first_variable_month"]),
+                first_mandatory_month=_month(stats_raw["first_mandatory_month"]),
             )
+            if stats.fa not in (0, 1) or stats.dl < 1:
+                raise ValueError(f"{dev_key} on {lineage_id} has fa {stats.fa} and dl {stats.dl}")
         ledger.files[lineage_id] = record
     return ledger

@@ -1,7 +1,8 @@
 """File-level expertise metrics: degree of authorship and ownership.
 
 Degree of authorship blends file creation, own deliveries, and
-acceptances of other people's changes:
+acceptances of other people's changes: FA and DL as the ledger stores
+them, and AC derived from the file's DLs (see acceptances):
 
     doa_abs = 3.293 + 1.098 * FA + 0.164 * DL - 0.321 * ln(1 + AC)
 
@@ -46,6 +47,12 @@ def doa_absolute(fa: int, dl: int, ac: int) -> float:
     )
 
 
+def acceptances(stats_by_dev: Mapping[str, ContributionStats]) -> dict[str, int]:
+    """Per-developer AC on one file: everyone else's DL, summed."""
+    total = sum(stats.dl for stats in stats_by_dev.values())
+    return {key: total - stats.dl for key, stats in stats_by_dev.items()}
+
+
 def doa_normalized(stats_by_dev: Mapping[str, ContributionStats]) -> dict[str, float]:
     """Per-developer doa_abs divided by the file maximum.
 
@@ -53,8 +60,9 @@ def doa_normalized(stats_by_dev: Mapping[str, ContributionStats]) -> dict[str, f
     """
     if not stats_by_dev:
         raise EmptyHistory("file has no recorded change events")
+    ac = acceptances(stats_by_dev)
     absolute = {
-        key: doa_absolute(stats.fa, stats.dl, stats.ac)
+        key: doa_absolute(stats.fa, stats.dl, ac[key])
         for key, stats in stats_by_dev.items()
     }
     top = max(absolute.values())
@@ -94,10 +102,11 @@ def score_file(
 ) -> list[ExpertiseScore]:
     normalized = doa_normalized(stats_by_dev)
     shares = ownership_shares(stats_by_dev)
+    ac = acceptances(stats_by_dev)
     scores = []
     for key in sorted(stats_by_dev):
         stats = stats_by_dev[key]
-        absolute = doa_absolute(stats.fa, stats.dl, stats.ac)
+        absolute = doa_absolute(stats.fa, stats.dl, ac[key])
         is_author = normalized[key] >= doa_threshold
         if doa_abs_floor is not None:
             is_author = is_author and absolute >= doa_abs_floor
@@ -107,7 +116,7 @@ def score_file(
                 developer_key=key,
                 fa=stats.fa,
                 dl=stats.dl,
-                ac=stats.ac,
+                ac=ac[key],
                 doa_abs=absolute,
                 doa_norm=normalized[key],
                 ownership=shares[key],

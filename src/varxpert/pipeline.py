@@ -310,9 +310,8 @@ class _PipelineClassifier:
         new_text = texts.get(new_oid)
         old_text = texts.get(old_oid) if binary is None else None
         old_lines, new_lines = split_lines(old_text or ""), split_lines(new_text or "")
-        if binary is None:
-            # through the module, so a wrapper set on history.diff_hunks sees the call
-            change = change._replace(hunks=history.diff_hunks(old_lines, new_lines))
+        # through the module, so a wrapper set on history.diff_hunks sees the call
+        hunks = history.diff_hunks(old_lines, new_lines) if binary is None else ()
         old_scan = new_scan = None
         if old_text is not None:
             old_scan = (held.scan if held and held.oid == old_oid
@@ -323,7 +322,7 @@ class _PipelineClassifier:
             elif new_oid == old_oid:
                 new_scan = old_scan
             elif old_scan is not None:
-                new_scan = patch_scan(old_scan, change.hunks, old_lines, new_lines,
+                new_scan = patch_scan(old_scan, hunks, old_lines, new_lines,
                                       self.exclude_include_guards)
             new_scan = new_scan or self.scan_blob(new_oid, new_text)
         if new is not None:
@@ -344,7 +343,7 @@ class _PipelineClassifier:
             warnings.extend((oid, warning) for warning in scan.warnings)
         self.counters.annotated_sides += (old_scan is not None) + (new_scan is not None)
         bitmaps = [scan and scan.annotations for scan in (old_scan, new_scan)]
-        return classify_change(change, *bitmaps)._replace(
+        return classify_change(hunks, *bitmaps)._replace(
             saw_variable=any(bitmap and 1 in bitmap for bitmap in bitmaps),
             scan_warnings=tuple(warnings),
         )
@@ -435,9 +434,9 @@ def _final_snapshot(
             continue
         held = classifier.live.get(entry.path)
         if held is not None and held.oid == entry.oid and held.scan is not None:
-            known[entry.oid] = BlobFacts(entry.oid, held.scan.blocks, held.scan.macros)
+            known[entry.oid] = BlobFacts(held.scan.blocks, held.scan.macros)
         elif entry.oid in classifier.binary_oids:
-            known[entry.oid] = BlobFacts(entry.oid, binary=True)
+            known[entry.oid] = BlobFacts(binary=True)
         else:
             known[entry.oid] = cache.blob(entry.oid)
             if known[entry.oid] is None:
@@ -471,9 +470,9 @@ def _read_text(repo: GitRepo, oid: str) -> Optional[str]:
 def _read_blob_facts(repo: GitRepo, oid: str, exclude_include_guards: bool) -> BlobFacts:
     text = _read_text(repo, oid)
     if text is None:
-        return BlobFacts(oid, binary=True)
+        return BlobFacts(binary=True)
     result = scan_text(text, exclude_include_guards)
-    return BlobFacts(oid, result.blocks, result.macros)
+    return BlobFacts(result.blocks, result.macros)
 
 
 # ----------------------------------------------------------------------

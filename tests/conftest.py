@@ -25,7 +25,7 @@ def mined_ledger(repo_path, **options):
 
 
 def hydrate(repo, change):
-    """(change with its hunks, old text, new text, old lines, new lines),
+    """(the change's hunks, old text, new text, old lines, new lines),
     both sides read straight from the repository; None when a side is
     binary. An absent side has no text and no lines. This is the input
     of the per-change step, for differentials that run an engine on it."""
@@ -37,8 +37,7 @@ def hydrate(repo, change):
         texts.append(None if payload is None else payload.decode("utf-8", errors="surrogateescape"))
     old_text, new_text = texts
     old_lines, new_lines = split_lines(old_text or ""), split_lines(new_text or "")
-    return (change._replace(hunks=diff_hunks(old_lines, new_lines)),
-            old_text, new_text, old_lines, new_lines)
+    return diff_hunks(old_lines, new_lines), old_text, new_text, old_lines, new_lines
 
 
 class RepoBuilder:

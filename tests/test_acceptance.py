@@ -236,7 +236,7 @@ def test_criterion_3_metric_properties():
 
         for _ in range(500):
             people = {
-                f"d{i}": ContributionStats(fa=0, dl=rng.randint(1, 40), ac=0)
+                f"d{i}": ContributionStats(fa=0, dl=rng.randint(1, 40))
                 for i in range(rng.randint(1, 15))
             }
             total = sum(s.dl for s in people.values())
@@ -247,7 +247,7 @@ def test_criterion_3_metric_properties():
 
         # inclusive thresholds at exact boundary values:
         # a one-twentieth share is the float 0.05 itself
-        twenty = {f"d{i:02d}": ContributionStats(dl=1, ac=19) for i in range(20)}
+        twenty = {f"d{i:02d}": ContributionStats(dl=1) for i in range(20)}
         assert 1 / 20 == 0.05
         scored = score_file("f", twenty, doa_threshold=0.75,
                             ownership_threshold=0.05)
@@ -257,8 +257,8 @@ def test_criterion_3_metric_properties():
         # at a threshold of exactly 1.0
         scored = score_file(
             "g",
-            {"a": ContributionStats(fa=1, dl=3, ac=1),
-             "b": ContributionStats(dl=1, ac=3)},
+            {"a": ContributionStats(fa=1, dl=3),
+             "b": ContributionStats(dl=1)},
             doa_threshold=1.0, ownership_threshold=0.05,
         )
         flags = {s.developer_key: (s.doa_norm, s.is_author) for s in scored}
@@ -268,8 +268,8 @@ def test_criterion_3_metric_properties():
         # integer tallies never normalize to the float 0.75 exactly, so
         # the boundary is pinned bit-for-bit: a threshold equal to an
         # achieved norm recommends, the next float above it does not
-        people = {"top": ContributionStats(fa=1, dl=3, ac=1),
-                  "edge": ContributionStats(dl=1, ac=3)}
+        people = {"top": ContributionStats(fa=1, dl=3),
+                  "edge": ContributionStats(dl=1)}
         edge_norm = doa_normalized(people)["edge"]
         at = score_file("h", people, doa_threshold=edge_norm,
                         ownership_threshold=0.05)

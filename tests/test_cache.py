@@ -243,10 +243,10 @@ def test_since_run_on_a_shared_cache_keeps_its_warnings(repo_builder, tmp_path):
 
 def test_blob_facts_survive_a_reopen(tmp_path):
     cache = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
-    text = BlobFacts("a" * 40, blocks=3, macros=frozenset({"X", "Y"}))
-    binary = BlobFacts("b" * 40, binary=True)
-    cache.put(text.oid, text)
-    cache.put(binary.oid, binary)
+    text = BlobFacts(blocks=3, macros=frozenset({"X", "Y"}))
+    binary = BlobFacts(binary=True)
+    cache.put("a" * 40, text)
+    cache.put("b" * 40, binary)
     cache.put(KEY, FACTS)
     cache.flush()
     again = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)

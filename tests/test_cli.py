@@ -13,7 +13,7 @@ import pytest
 from conftest import RepoBuilder
 from fixture_repos import GUARD, MULTIFILE, build_basic
 from varxpert.cli import main
-from varxpert.util import csv_text
+from varxpert.util import compact_json, csv_text
 
 ARTIFACTS = ("scores.csv", "ledger.json", "warnings.jsonl", "run_meta.json")
 REPORT_ARTIFACTS = ARTIFACTS + ("timeline.csv", "evaluation.csv",
@@ -280,12 +280,20 @@ def _add_unknown_counter(out):
         json.dump(meta, handle)
 
 
-def _foreign_ledger_format(out):
-    path = os.path.join(out, "ledger.json")
-    ledger = json.loads(read(path))
+def _edit_ledger(edit):
+    def damage(out):
+        path = os.path.join(out, "ledger.json")
+        ledger = json.loads(read(path))
+        edit(ledger)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(compact_json(ledger))  # as the writer writes it
+    damage.__name__ = edit.__name__
+    return damage
+
+
+@_edit_ledger
+def _foreign_ledger_format(ledger):
     ledger["format"] = "varxpert-ledger/999"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(ledger, handle)
 
 
 def _run_meta_at_format_1(out):
@@ -320,24 +328,59 @@ def _ledger_at_format_1(out):
         target.write(source.read())
 
 
-def _ledger_at_format_2(out):
-    # ledger.json as the varxpert-ledger/2 writer left it: each file
-    # also names its first author
-    path = os.path.join(out, "ledger.json")
-    ledger = json.loads(read(path))
+def _as_format_3(ledger):
+    # ledger.json as the varxpert-ledger/3 writer left it: it also maps
+    # each developer to a display name (this fixture's authors are named
+    # for their email's local part), and stores each file's events and
+    # each contributor's AC
+    ledger["format"] = "varxpert-ledger/3"
+    ledger["developers"] = {}
+    for record in ledger["files"].values():
+        record["total_events"] = sum(stats["dl"] for stats in record["contributors"].values())
+        for key, stats in record["contributors"].items():
+            stats["ac"] = record["total_events"] - stats["dl"]
+            ledger["developers"][key] = key.split("@")[0].title()
+
+
+@_edit_ledger
+def _ledger_at_format_3(ledger):
+    _as_format_3(ledger)
+
+
+@_edit_ledger
+def _ledger_at_format_2(ledger):
+    # the /3 shape, and each file also names its first author
+    _as_format_3(ledger)
     ledger["format"] = "varxpert-ledger/2"
     for record in ledger["files"].values():
         record["fa_key"] = next(
             (key for key, stats in record["contributors"].items() if stats["fa"] == 1), None)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(ledger, handle)
+
+
+def _first_contributor_with(**values):
+    def edit(ledger):
+        record = next(iter(ledger["files"].values()))
+        next(iter(record["contributors"].values())).update(values)
+    edit.__name__ = "_first_contributor_with_" + "_".join(
+        f"{key}_{value}" for key, value in values.items())
+    return _edit_ledger(edit)
+
+
+@_edit_ledger
+def _ledger_without_first_month(ledger):
+    ledger["first_month"] = None
 
 
 @pytest.mark.parametrize(
     "damage",
     [_truncate_ledger, _add_unknown_counter, _foreign_ledger_format, _ledger_at_format_1,
-     _ledger_at_format_2, _run_meta_at_format_1, _drop_run_meta_key("snapshot"),
-     _drop_run_meta_key("last_commit")],
+     _ledger_at_format_2, _ledger_at_format_3, _run_meta_at_format_1,
+     _drop_run_meta_key("snapshot"), _drop_run_meta_key("last_commit"),
+     # values the fold cannot write; each one feeds a score or a timeline
+     _first_contributor_with(fa=2), _first_contributor_with(dl=-1),
+     _first_contributor_with(dl=0), _first_contributor_with(first_variable_month=5),
+     _first_contributor_with(first_mandatory_month="2020-13"),
+     _ledger_without_first_month],
 )
 def test_damaged_stored_analysis_is_mined_again(multifile_repo, tmp_path, damage):
     path, _ = multifile_repo

@@ -1,6 +1,10 @@
 """Ledger fold tests: per developer-file tallies, lineage tracking
 across renames and deletions, change classification, month bookkeeping."""
 
+import collections
+import csv
+import os
+
 import pytest
 
 from conftest import mined_ledger
@@ -15,7 +19,8 @@ from varxpert.ledger import (
     ledger_from_dict,
     ledger_to_dict,
 )
-from varxpert.pipeline import RunConfig, mine
+from varxpert.metrics import acceptances
+from varxpert.pipeline import RunConfig, mine, run_analyze
 from varxpert.preproc import scan_text
 from varxpert.util import split_lines
 
@@ -40,15 +45,13 @@ def only_file(ledger):
 # ----------------------------------------------------------------------
 
 def modify(old, new):
-    return FileChange(
-        kind=ChangeKind.MODIFIED, path_before="f.c", path_after="f.c",
-        hunks=diff_hunks(split_lines(old), split_lines(new)),
-    )
+    """The hunks of an edit from old to new."""
+    return diff_hunks(split_lines(old), split_lines(new))
 
 
 def add(new):
-    return FileChange(kind=ChangeKind.ADDED, path_before=None, path_after="f.c",
-                      hunks=diff_hunks([], split_lines(new)))
+    """The hunks of an added file."""
+    return diff_hunks([], split_lines(new))
 
 
 def test_classify_added_variable_lines():
@@ -69,9 +72,7 @@ def test_classify_mixed_addition():
     ("", False, False),
 ], ids=["variable_file", "mandatory_file", "empty_file"])
 def test_classify_deleted_file(old, variable, mandatory):
-    change = FileChange(kind=ChangeKind.DELETED, path_before="f.c", path_after=None,
-                        hunks=diff_hunks(split_lines(old), []))
-    got = classify_change(change, bitmap(old), None)
+    got = classify_change(diff_hunks(split_lines(old), []), bitmap(old), None)
     assert (got.touched_variable, got.touched_mandatory) == (variable, mandatory)
 
 
@@ -129,27 +130,34 @@ def test_basic_ledger_stats(basic_repo):
     assert record.has_variable_code_ever
     assert record.contributors[BASIC["alice"]].fa == 1
     assert record.total_events == 4
+    derived = acceptances(record.contributors)
     for key, (fa, dl, ac) in BASIC["fa_dl_ac"].items():
         stats = record.contributors[key]
-        assert (stats.fa, stats.dl, stats.ac) == (fa, dl, ac)
+        assert (stats.fa, stats.dl, derived[key]) == (fa, dl, ac)
     alice = record.contributors[BASIC["alice"]]
     bob = record.contributors[BASIC["bob"]]
     assert alice.first_variable_month == first(BASIC["alice_variable_months"])
     assert alice.first_mandatory_month == first(BASIC["alice_mandatory_months"])
     assert bob.first_variable_month is None
     assert bob.first_mandatory_month == first(BASIC["bob_mandatory_months"])
-    assert ledger.developers == {BASIC["alice"]: "Alice", BASIC["bob"]: "Bob"}
+    assert ledger.developers == {BASIC["alice"], BASIC["bob"]}
     assert ledger.commit_count == 4
     assert ledger.merge_count == 0
     assert (ledger.first_month, ledger.last_month) == ("2020-01", "2020-04")
 
 
-def test_acceptances_complement_deliveries(basic_repo, rename_repo, multifile_repo):
+def test_acceptances_complement_deliveries(basic_repo, rename_repo, multifile_repo, tmp_path):
     for path, _ in (basic_repo, rename_repo, multifile_repo):
-        ledger = mined_ledger(path)
-        for record in ledger.files.values():
-            for stats in record.contributors.values():
-                assert stats.ac == record.total_events - stats.dl
+        out = tmp_path / os.path.basename(path)
+        run_analyze(RunConfig(repo_path=path, output_dir=str(out)))
+        with open(out / "scores.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        events = collections.Counter()
+        for row in rows:
+            events[row["file"]] += int(row["dl"])
+        assert rows
+        for row in rows:
+            assert int(row["ac"]) == events[row["file"]] - int(row["dl"]), row
 
 
 def test_rename_keeps_one_lineage(rename_repo):
@@ -161,9 +169,10 @@ def test_rename_keeps_one_lineage(rename_repo):
     assert record.current_path == "b.c"
     assert record.alive
     assert record.total_events == 5
+    derived = acceptances(record.contributors)
     for key, (fa, dl, ac) in RENAME["fa_dl_ac"].items():
         stats = record.contributors[key]
-        assert (stats.fa, stats.dl, stats.ac) == (fa, dl, ac)
+        assert (stats.fa, stats.dl, derived[key]) == (fa, dl, ac)
 
 
 def test_deletion_only_variable_change_counts(rename_repo):
@@ -188,7 +197,8 @@ def test_identity_folding_and_dead_lineage(identity_repo):
     assert by_path["m.c"].alive is True
 
     stats = by_path["m.c"].contributors[IDENTITY["ivy_key"]]
-    assert (stats.fa, stats.dl, stats.ac) == IDENTITY["m_fa_dl_ac"][IDENTITY["ivy_key"]]
+    ac = acceptances(by_path["m.c"].contributors)[IDENTITY["ivy_key"]]
+    assert (stats.fa, stats.dl, ac) == IDENTITY["m_fa_dl_ac"][IDENTITY["ivy_key"]]
     # the lying author clock lands in the committer's month
     assert stats.first_mandatory_month == first(IDENTITY["ivy_months"]["mandatory"])
     assert stats.first_variable_month == first(IDENTITY["ivy_months"]["variable"])
@@ -356,6 +366,6 @@ def test_ledger_serialization_round_trip(multifile_repo):
         assert twin.has_variable_code_ever == record.has_variable_code_ever
         for key, stats in record.contributors.items():
             other = twin.contributors[key]
-            assert (other.fa, other.dl, other.ac) == (stats.fa, stats.dl, stats.ac)
+            assert (other.fa, other.dl) == (stats.fa, stats.dl)
             assert other.first_variable_month == stats.first_variable_month
             assert other.first_mandatory_month == stats.first_mandatory_month

@@ -22,8 +22,8 @@ from varxpert.metrics import (
 )
 
 
-def stats(fa, dl, ac):
-    return ContributionStats(fa=fa, dl=dl, ac=ac)
+def stats(fa, dl):
+    return ContributionStats(fa=fa, dl=dl)
 
 
 # ----------------------------------------------------------------------
@@ -75,9 +75,9 @@ def test_negative_counts_rejected():
 
 def test_normalized_max_is_exactly_one():
     scores = doa_normalized({
-        "a": stats(1, 3, 1),
-        "b": stats(0, 1, 3),
-        "c": stats(0, 2, 2),
+        "a": stats(1, 3),
+        "b": stats(0, 1),
+        "c": stats(0, 2),
     })
     assert max(scores.values()) == 1.0
     assert all(0.0 < value <= 1.0 for value in scores.values())
@@ -91,16 +91,21 @@ def test_normalized_empty_history():
 
 
 def test_degenerate_when_best_score_not_positive():
-    # enough acceptances push the absolute score below zero
+    # enough acceptances push the absolute score below zero: with n
+    # developers of one delivery each, every score is
+    # 3.293 + 0.164 - 0.321 * ln(n), which n = 47,547 first takes to 0 or less
+    people = {f"dev{i}": stats(0, 1) for i in range(47_547)}
     with pytest.raises(DegenerateFile):
-        doa_normalized({"a": stats(0, 0, 50000)})
+        doa_normalized(people)
+    del people["dev0"]
+    assert max(doa_normalized(people).values()) == 1.0
 
 
 def test_ownership_sums_to_one():
     rng = random.Random(99)
     for _ in range(200):
         people = {
-            f"dev{i}": stats(0, rng.randint(1, 50), 0)
+            f"dev{i}": stats(0, rng.randint(1, 50))
             for i in range(rng.randint(1, 12))
         }
         shares = ownership_shares(people)
@@ -110,7 +115,7 @@ def test_ownership_sums_to_one():
 
 def test_ownership_zero_total_rejected():
     with pytest.raises(EmptyHistory):
-        ownership_shares({"a": stats(0, 0, 0)})
+        ownership_shares({"a": stats(0, 0)})
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +123,7 @@ def test_ownership_zero_total_rejected():
 # ----------------------------------------------------------------------
 
 def test_doa_threshold_inclusive_at_exact_boundary():
-    people = {"top": stats(1, 3, 1), "other": stats(0, 1, 3)}
+    people = {"top": stats(1, 3), "other": stats(0, 1)}
     boundary = doa_normalized(people)["other"]
     at = score_file("f", people, doa_threshold=boundary, ownership_threshold=0.05)
     above = score_file("f", people, doa_threshold=boundary + 1e-12,
@@ -131,7 +136,7 @@ def test_doa_threshold_inclusive_at_exact_boundary():
 
 def test_ownership_threshold_inclusive_at_exact_boundary():
     # twenty developers, one commit each: every share is exactly 0.05
-    people = {f"dev{i:02d}": stats(0, 1, 19) for i in range(20)}
+    people = {f"dev{i:02d}": stats(0, 1) for i in range(20)}
     scored = score_file("f", people, doa_threshold=0.75, ownership_threshold=0.05)
     assert all(s.is_major for s in scored)
     assert all(abs(s.ownership - 0.05) < 1e-15 for s in scored)
@@ -140,7 +145,7 @@ def test_ownership_threshold_inclusive_at_exact_boundary():
 def test_thirty_equal_contributors():
     # a file that predates the window: nobody holds first authorship,
     # every score normalizes to 1, but each commit share is 1/30
-    people = {f"dev{i:02d}": stats(0, 1, 29) for i in range(30)}
+    people = {f"dev{i:02d}": stats(0, 1) for i in range(30)}
     scored = score_file("f", people, doa_threshold=0.75, ownership_threshold=0.05)
     assert all(s.doa_norm == 1.0 for s in scored)
     assert all(s.is_author for s in scored)
@@ -148,7 +153,7 @@ def test_thirty_equal_contributors():
 
 
 def test_absolute_floor_filters_authors():
-    people = {f"dev{i:02d}": stats(0, 1, 29) for i in range(30)}
+    people = {f"dev{i:02d}": stats(0, 1) for i in range(30)}
     scored = score_file("f", people, doa_threshold=0.75,
                         ownership_threshold=0.05, doa_abs_floor=3.5)
     # every absolute score is 3.293 + 0.164 - 0.321*ln(30) < 3.5
@@ -215,7 +220,7 @@ def test_multifile_fixture_scores(multifile_repo):
 
 
 def test_recommended_sets_cover_every_scored_file():
-    people = {"solo": stats(0, 1, 40)}
+    people = {"solo": stats(0, 1)}
     scored = score_file("lonely", people, doa_threshold=0.75,
                         ownership_threshold=0.05, doa_abs_floor=5.0)
     doa_sets = recommended_sets(scored, METRIC_DOA)
@@ -227,13 +232,13 @@ def test_recommended_sets_cover_every_scored_file():
 def test_doubling_preserves_top_scorer_on_fixture_profiles():
     # holds for these profiles, not in general
     for people in (
-        {"a": stats(1, 3, 1), "b": stats(0, 1, 3)},
-        {"a": stats(1, 2, 3), "b": stats(0, 2, 3), "c": stats(0, 1, 4)},
+        {"a": stats(1, 3), "b": stats(0, 1)},
+        {"a": stats(1, 2), "b": stats(0, 2), "c": stats(0, 1)},
     ):
         before = doa_normalized(people)
         top = max(before, key=before.get)
         doubled = {
-            key: stats(s.fa, s.dl * 2, s.ac * 2) for key, s in people.items()
+            key: stats(s.fa, s.dl * 2) for key, s in people.items()
         }
         after = doa_normalized(doubled)
         assert max(after, key=after.get) == top

@@ -22,6 +22,7 @@ from fixture_repos import BASIC, IDENTITY, MULTIFILE, RENAME
 from varxpert.errors import NoEligibleFiles
 from varxpert.history import GitRepo
 from varxpert.ledger import ledger_to_dict
+from varxpert.metrics import acceptances
 from varxpert import pipeline
 from varxpert.pipeline import RunConfig, mine, run_analyze, run_report
 from varxpert.util import compact_json
@@ -52,7 +53,8 @@ def test_writer_writes_the_mined_ledger(fixture, request, tmp_path):
     by_created = {r.created_path: r for r in state.ledger.files.values()}
     for path, expected in _FA_DL_AC[fixture].items():
         contributors = by_created[path].contributors
-        assert {key: (s.fa, s.dl, s.ac) for key, s in contributors.items()} == expected
+        ac = acceptances(contributors)
+        assert {key: (s.fa, s.dl, ac[key]) for key, s in contributors.items()} == expected
     run_analyze(config)
     assert read(out / "ledger.json").decode("utf-8") == compact_json(ledger_to_dict(state.ledger))
     assert [json.loads(line) for line in read(out / "warnings.jsonl").splitlines()] == \

@@ -507,10 +507,10 @@ def test_patched_scans_equal_full_scans_on_histories(history_paths, monkeypatch)
                     hydrated = hydrate(repo, change)
                     if hydrated is None or None in hydrated[1:3]:
                         continue
-                    change, old_text, new_text, old_lines, new_lines = hydrated
+                    hunks, old_text, new_text, old_lines, new_lines = hydrated
                     base = scans.get(change.old_blob) or scan_text(old_text)
                     before = len(resolves)
-                    result = patch_scan(base, change.hunks, old_lines, new_lines)
+                    result = patch_scan(base, hunks, old_lines, new_lines)
                     spliced += len(resolves) == before
                     full = scan_text(new_text)
                     if result is None:

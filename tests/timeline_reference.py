@@ -110,7 +110,7 @@ def fold_with_month_sets(repo_path, cache_dir):
                 continue  # a blob record
             commit = commits[record["commit"]]
             variable, mandatory = month_sets.setdefault(
-                commit.author.canonical_key, (set(), set()))
+                commit.author, (set(), set()))
             month = month_of(commit.timestamp)
             if record["touched_variable"]:
                 variable.add(month)
@@ -131,7 +131,6 @@ def ledger_from_month_sets(file_month_sets):
         record = FileRecord(created_path=path, current_path=path)
         ledger.files[lineage] = record
         for key, (variable, mandatory) in developers.items():
-            ledger.developers.setdefault(key, key)
             record.contributors[key] = ContributionStats(
                 dl=1,
                 first_variable_month=min(variable, default=None),
