@@ -39,7 +39,6 @@ renames it into place, so the damage is gone after one run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -52,6 +51,8 @@ _FORMAT = "varxpert-change-cache/8"
 
 
 def analyzer_config_hash(extensions: frozenset[str], exclude_include_guards: bool) -> str:
+    import hashlib  # here, so that a run without --cache-dir never loads it
+
     payload = json.dumps(
         {
             "format": _FORMAT,
@@ -85,13 +86,29 @@ def _line(key: Key, entry: Entry) -> str:
     return json.dumps(fields, sort_keys=True, default=sorted) + "\n"
 
 
+# a change record's fields, in the order ChangeFacts takes its own
+_CHANGE_FIELDS = ("commit", "path", "touched_variable", "touched_mandatory", "saw_variable",
+                  "scan_warnings", "binary_oid")
+
+
 def _parse(line: str) -> tuple[Key, Entry]:
+    """A line's key and record; ValueError unless a change record holds
+    exactly the fields _line writes, each of the JSON type it writes."""
     raw = json.loads(line)
     if "oid" in raw:
         return raw.pop("oid"), BlobFacts(**dict(raw, macros=frozenset(raw["macros"])))
-    key = (raw.pop("commit"), raw.pop("path"))
-    warnings = tuple((oid, ScanWarning(*warning)) for oid, warning in raw.pop("scan_warnings"))
-    return key, ChangeFacts(**raw, scan_warnings=warnings)
+    if raw.keys() != set(_CHANGE_FIELDS):
+        raise ValueError("not the fields of a change record")
+    commit, path, *flags, warnings, binary_oid = map(raw.get, _CHANGE_FIELDS)
+    warnings = tuple((oid, ScanWarning(*warning)) for oid, warning in warnings)
+    typed = (type(commit) is type(path) is str
+             and all(type(flag) is bool for flag in flags)
+             and (binary_oid is None or type(binary_oid) is str)
+             and all(type(oid) is type(kind) is type(detail) is str and type(line_no) is int
+                     for oid, (kind, line_no, detail) in warnings))
+    if not typed:
+        raise ValueError("a change record field of the wrong type")
+    return (commit, path), ChangeFacts(*flags, warnings, binary_oid)
 
 
 class ChangeCache:

@@ -326,15 +326,13 @@ _RAW_STATUS_RE = re.compile(r"^([A-Z])(\d*)$")
 
 
 class GitRepo:
-    """Read-only view of a local repository for history mining."""
+    """Read-only view of a local repository for history mining;
+    resolve_tip checks that the path is one."""
 
     def __init__(self, path: str):
         self.path = os.fspath(path)
         if not os.path.isdir(self.path):
             raise RepoNotFound(f"not a directory: {self.path}")
-        probe = self._run("rev-parse", "--git-dir")
-        if probe.returncode != 0:
-            raise RepoNotFound(f"not a git repository: {self.path}")
         self._blobs: Optional[_BlobReader] = None
 
     def __enter__(self) -> "GitRepo":
@@ -356,10 +354,14 @@ class GitRepo:
         )
 
     def resolve_tip(self, branch: str = "HEAD") -> Optional[str]:
-        """Commit id for a branch name or revision; None for an empty repo."""
-        result = self._run("rev-parse", "--verify", "--quiet", f"{branch}^{{commit}}")
+        """Commit id for a branch name or revision; None for an empty repo.
+        git prints the git directory first, and nothing outside a repository."""
+        result = self._run("rev-parse", "--git-dir", "--verify", "--quiet", f"{branch}^{{commit}}")
+        lines = result.stdout.splitlines()
+        if not lines:
+            raise RepoNotFound(f"not a git repository: {self.path}")
         if result.returncode == 0:
-            return result.stdout.decode("ascii").strip()
+            return lines[-1].decode("ascii")
         probe = self._run("rev-list", "-n", "1", "--all")
         if probe.returncode != 0:
             message = probe.stderr.decode("utf-8", errors="replace").strip()

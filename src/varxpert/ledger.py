@@ -294,29 +294,38 @@ def _month(value: Any, *, optional: bool = True) -> Optional[str]:
     raise ValueError(f"{value!r} is not a YYYY-MM month")
 
 
+def _typed(value: Any, kind: type) -> Any:
+    # exact types: JSON's true is not an int here, nor 2.5 or "2"
+    if type(value) is not kind:
+        raise ValueError(f"{value!r} is not a {kind.__name__}")
+    return value
+
+
 def ledger_from_dict(data: dict) -> ContributionLedger:
-    # ValueError on a value the fold cannot write (a DL also feeds the file's other ACs)
+    # ValueError on a value the fold cannot write: another JSON type, or a
+    # value out of range (a DL also feeds the file's other ACs)
     ledger = ContributionLedger(
         first_month=_month(data["first_month"], optional=False),
         last_month=_month(data["last_month"], optional=False),
-        commit_count=int(data["commit_count"]),
-        merge_count=int(data["merge_count"]),
+        commit_count=_typed(data["commit_count"], int),
+        merge_count=_typed(data["merge_count"], int),
     )
+    checked = {None}  # each distinct month string is checked once
     for lineage_id, raw in data["files"].items():
         record = FileRecord(
             created_path=raw["created_path"],
             current_path=raw["current_path"],
-            alive=bool(raw["alive"]),
-            has_variable_code_ever=bool(raw["has_variable_code_ever"]),
+            alive=_typed(raw["alive"], bool),
+            has_variable_code_ever=_typed(raw["has_variable_code_ever"], bool),
         )
         for dev_key, stats_raw in raw["contributors"].items():
-            stats = record.contributors[dev_key] = ContributionStats(
-                fa=int(stats_raw["fa"]),
-                dl=int(stats_raw["dl"]),
-                first_variable_month=_month(stats_raw["first_variable_month"]),
-                first_mandatory_month=_month(stats_raw["first_mandatory_month"]),
-            )
-            if stats.fa not in (0, 1) or stats.dl < 1:
-                raise ValueError(f"{dev_key} on {lineage_id} has fa {stats.fa} and dl {stats.dl}")
+            fa, dl = stats_raw["fa"], stats_raw["dl"]
+            months = stats_raw["first_variable_month"], stats_raw["first_mandatory_month"]
+            if not (type(fa) is type(dl) is int and fa in (0, 1) and dl >= 1):
+                raise ValueError(f"{dev_key} on {lineage_id} has fa {fa!r} and dl {dl!r}")
+            if not checked.issuperset(months):
+                checked.update(map(_month, months))
+            record.contributors[dev_key] = ContributionStats(
+                fa=fa, dl=dl, first_variable_month=months[0], first_mandatory_month=months[1])
         ledger.files[lineage_id] = record
     return ledger

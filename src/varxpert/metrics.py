@@ -100,30 +100,27 @@ def score_file(
     ownership_threshold: float = DEFAULT_OWNERSHIP_THRESHOLD,
     doa_abs_floor: Optional[float] = None,
 ) -> list[ExpertiseScore]:
-    normalized = doa_normalized(stats_by_dev)
-    shares = ownership_shares(stats_by_dev)
-    ac = acceptances(stats_by_dev)
-    scores = []
+    """One file's rows, sorted by developer: doa_normalized, ownership_shares
+    and acceptances in one pass, each developer's doa_absolute taken once."""
+    if not stats_by_dev:
+        raise EmptyHistory("file has no recorded change events")
+    total = sum(stats.dl for stats in stats_by_dev.values())
+    rows = []
     for key in sorted(stats_by_dev):
         stats = stats_by_dev[key]
-        absolute = doa_absolute(stats.fa, stats.dl, ac[key])
-        is_author = normalized[key] >= doa_threshold
-        if doa_abs_floor is not None:
-            is_author = is_author and absolute >= doa_abs_floor
-        scores.append(
-            ExpertiseScore(
-                file=lineage_id,
-                developer_key=key,
-                fa=stats.fa,
-                dl=stats.dl,
-                ac=ac[key],
-                doa_abs=absolute,
-                doa_norm=normalized[key],
-                ownership=shares[key],
-                is_author=is_author,
-                is_major=shares[key] >= ownership_threshold,
-            )
-        )
+        ac = total - stats.dl
+        rows.append((key, stats.fa, stats.dl, ac, doa_absolute(stats.fa, stats.dl, ac)))
+    top = max(row[4] for row in rows)
+    if top <= 0:
+        raise DegenerateFile("no positive degree-of-authorship value on this file")
+    if total == 0:
+        raise EmptyHistory("file has no recorded change events")
+    scores = []
+    for key, fa, dl, ac, absolute in rows:
+        normalized, share = absolute / top, dl / total
+        is_author = normalized >= doa_threshold and (doa_abs_floor is None or absolute >= doa_abs_floor)
+        scores.append(ExpertiseScore(lineage_id, key, fa, dl, ac, absolute, normalized, share,
+                                     is_author, share >= ownership_threshold))
     return scores
 
 
@@ -136,19 +133,15 @@ def compute_scores(
 ) -> list[ExpertiseScore]:
     """Scores for every (file, developer) pair, sorted for stable output."""
     scores: list[ExpertiseScore] = []
-    for lineage_id in sorted(ledger.files):
-        record = ledger.files[lineage_id]
-        if not record.contributors:
-            continue
-        scores.extend(
-            score_file(
+    for lineage_id, record in sorted(ledger.files.items()):
+        if record.contributors:
+            scores.extend(score_file(
                 lineage_id,
                 record.contributors,
                 doa_threshold=doa_threshold,
                 ownership_threshold=ownership_threshold,
                 doa_abs_floor=doa_abs_floor,
-            )
-        )
+            ))
     return scores
 
 

@@ -66,7 +66,7 @@ EVALUATION_CSV = "evaluation.csv"
 LEDGER_JSON = "ledger.json"
 WARNINGS_JSONL = "warnings.jsonl"
 RUN_META_JSON = "run_meta.json"
-RUN_FORMAT = "varxpert-run/3"
+RUN_FORMAT = "varxpert-run/4"
 REPORT_BASENAME = "report"
 READ_AHEAD = 16  # commits the fold trails the log stream by
 
@@ -106,9 +106,8 @@ class RunConfig(NamedTuple):
                 raise InvalidConfig(f"{name} directory {path!r} exists and is not a directory")
 
     def ledger_key(self) -> str:
-        import hashlib
-
-        payload = json.dumps(
+        """The options a stored ledger depends on, as canonical JSON."""
+        return json.dumps(
             {
                 "since": self.since,
                 "until": self.until,
@@ -117,7 +116,6 @@ class RunConfig(NamedTuple):
             },
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 class Counters:

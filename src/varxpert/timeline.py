@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 from varxpert.errors import NoEligibleFiles, VarxpertError
 from varxpert.ledger import ContributionLedger
-from varxpert.util import earliest_month, month_number, month_range
+from varxpert.util import month_range
 
 
 class TimelineSnapshot(NamedTuple):
@@ -44,11 +44,14 @@ def developer_first_months(
     merged: dict[str, tuple[Optional[str], Optional[str]]] = {}
     for record in ledger.files.values():
         for key, stats in record.contributors.items():
-            variable, mandatory = merged.get(key, (None, None))
-            merged[key] = (
-                earliest_month(variable, stats.first_variable_month),
-                earliest_month(mandatory, stats.first_mandatory_month),
-            )
+            variable, mandatory = stats.first_variable_month, stats.first_mandatory_month
+            if key in merged:  # the minima, None standing for no month
+                earlier_variable, earlier_mandatory = merged[key]
+                if variable is None or (earlier_variable or variable) < variable:
+                    variable = earlier_variable
+                if mandatory is None or (earlier_mandatory or mandatory) < mandatory:
+                    mandatory = earlier_mandatory
+            merged[key] = (variable, mandatory)
     return merged
 
 
@@ -57,22 +60,16 @@ def monthly_snapshots(ledger: ContributionLedger) -> list[TimelineSnapshot]:
     if ledger.first_month is None or ledger.last_month is None:
         raise VarxpertError("ledger covers no commits")
     months = month_range(ledger.first_month, ledger.last_month)
-    origin = month_number(ledger.first_month)
+    # work before the window counts from its first month; after it, in a
+    # last slot that no snapshot reads
+    slot = {month: index for index, month in enumerate(months)}
     # developers whose variable work, mandatory work, or both had begun, by month
-    started = [[0] * len(months) for _ in range(3)]
-
-    def begin(kind: int, month: Optional[str]) -> None:
-        if month is not None:
-            # work before the window counts from its first month; after it, never
-            index = max(month_number(month) - origin, 0)
-            if index < len(months):
-                started[kind][index] += 1
-
-    for variable, mandatory in developer_first_months(ledger).values():
-        begin(0, variable)
-        begin(1, mandatory)
-        if variable is not None and mandatory is not None:
-            begin(2, max(variable, mandatory))
+    started = [[0] * (len(months) + 1) for _ in range(3)]
+    for firsts in developer_first_months(ledger).values():
+        both = max(firsts) if None not in firsts else None
+        for counts, month in zip(started, (*firsts, both)):
+            if month is not None:
+                counts[slot.get(month, 0 if month < ledger.first_month else -1)] += 1
     variable, mandatory, both = (list(accumulate(counts)) for counts in started)
     return [
         TimelineSnapshot(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import re
-from datetime import datetime, timezone
+import time
 from typing import Iterable, Optional
 
 
@@ -23,14 +23,11 @@ def split_lines(text: str) -> list[str]:
 
 
 def month_of(timestamp: int) -> str:
-    """UTC calendar month of a unix timestamp, as 'YYYY-MM'."""
-    dt = datetime.fromtimestamp(timestamp, tz=timezone.utc)
-    return f"{dt.year:04d}-{dt.month:02d}"
-
-
-def month_number(month: str) -> int:
-    """Months since year 0 of a 'YYYY-MM' string, for month arithmetic."""
-    return int(month[:4]) * 12 + int(month[5:7])
+    """UTC calendar month of a unix timestamp, as 'YYYY-MM' (years 1 to 9999)."""
+    year, month = time.gmtime(timestamp)[:2]
+    if not 1 <= year <= 9999:
+        raise ValueError(f"year {year} is out of range")
+    return f"{year:04d}-{month:02d}"
 
 
 def earliest_month(*months: Optional[str]) -> Optional[str]:
@@ -40,20 +37,14 @@ def earliest_month(*months: Optional[str]) -> Optional[str]:
 
 def month_range(first: str, last: str) -> list[str]:
     """Inclusive list of 'YYYY-MM' months from first to last."""
-    fy, fm = (int(part) for part in first.split("-"))
-    ly, lm = (int(part) for part in last.split("-"))
-    months = []
-    year, month = fy, fm
-    while (year, month) <= (ly, lm):
-        months.append(f"{year:04d}-{month:02d}")
-        month += 1
-        if month > 12:
-            year, month = year + 1, 1
-    return months
+    start, end = (int(month[:4]) * 12 + int(month[5:7]) - 1 for month in (first, last))
+    return [f"{number // 12:04d}-{number % 12 + 1:02d}" for number in range(start, end + 1)]
 
 
 def parse_instant(text: str) -> int:
     """Parse an ISO date or datetime into epoch seconds, assuming UTC when naive."""
+    from datetime import datetime, timezone  # only --since and --until need it
+
     value = datetime.fromisoformat(text)
     if value.tzinfo is None:
         value = value.replace(tzinfo=timezone.utc)
@@ -94,5 +85,18 @@ def csv_text(header: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
     is true/false, a float its repr, a string holding a comma, a quote,
     LF or CR is quoted with its quotes doubled, anything else is str().
     """
-    lines = [header, *rows]
-    return "".join(",".join([_csv_cell(value) for value in line]) + "\n" for line in lines)
+    text = []
+    for line in (header, *rows):
+        cells = []
+        for value in line:
+            kind = type(value)  # exact types here; subclasses take _csv_cell's chain
+            if kind is float or kind is int:
+                cells.append(repr(value))
+            elif kind is str and not _NEEDS_QUOTES(value):
+                cells.append(value)
+            elif kind is bool:
+                cells.append("true" if value else "false")
+            else:
+                cells.append(_csv_cell(value))
+        text.append(",".join(cells) + "\n")
+    return "".join(text)

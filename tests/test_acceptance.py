@@ -17,13 +17,13 @@ from contextlib import contextmanager, redirect_stdout
 
 import pytest
 
-from conftest import RepoBuilder
 from fixture_repos import (
     BASIC,
     GUARD,
     IDENTITY,
     MULTIFILE,
     RENAME,
+    RepoBuilder,
     build_basic,
     build_guard,
     build_identity,

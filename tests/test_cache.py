@@ -484,8 +484,32 @@ def _blank_and_foreign(lines):
     return "\n".join(["", '{"commit": "only one field"}'] + lines)
 
 
-@pytest.mark.parametrize("damage", [_torn_tail, _no_final_newline, _duplicated,
-                                    _blank_and_foreign])
+def _first_change_record_with(field, value):
+    """The first change record whose field differs from value in truth gets
+    value, a JSON type the cache never writes there; any other field a record
+    has not is added."""
+    def damage(lines):
+        for index, line in enumerate(lines[:-1]):
+            record = json.loads(line)
+            if "commit" in record and bool(record.get(field)) != bool(value):
+                record[field] = value
+                lines = lines[:index] + [json.dumps(record, sort_keys=True)] + lines[index + 1:]
+                return "\n".join(lines)
+        raise AssertionError(f"no change record to give {field} {value!r}")
+    damage.__name__ = f"_first_change_record_with_{field}_{type(value).__name__}"
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    _torn_tail, _no_final_newline, _duplicated, _blank_and_foreign,
+    # a JSON string true by Python's reading: the change would fold as variable work
+    _first_change_record_with("touched_variable", "false"),
+    _first_change_record_with("saw_variable", 1),
+    _first_change_record_with("binary_oid", 5),
+    _first_change_record_with("scan_warnings", [["b" * 40, ["stray_directive", "2", "#x"]]]),
+    _first_change_record_with("scan_warnings", {"b": "c"}),
+    _first_change_record_with("author", "frank@example.com"),
+])
 def test_damaged_file_gives_cold_artifacts_and_is_rewritten(multifile_repo, tmp_path, damage):
     repo_path, _ = multifile_repo
     cache_dir = str(tmp_path / "cache")

@@ -9,11 +9,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import RepoBuilder
-from fixture_repos import GUARD, MULTIFILE, build_basic
+from fixture_repos import GUARD, MULTIFILE, RepoBuilder, build_basic
+from varxpert import pipeline
 from varxpert.cli import main
-from varxpert.util import compact_json, csv_text
+from varxpert.history import GitRepo
+from varxpert.pipeline import RunConfig
+from varxpert.util import _csv_cell, compact_json, csv_text
 
 ARTIFACTS = ("scores.csv", "ledger.json", "warnings.jsonl", "run_meta.json")
 REPORT_ARTIFACTS = ARTIFACTS + ("timeline.csv", "evaluation.csv",
@@ -366,9 +370,21 @@ def _first_contributor_with(**values):
     return _edit_ledger(edit)
 
 
+def _first_file_with(**values):
+    def edit(ledger):
+        next(iter(ledger["files"].values())).update(values)
+    edit.__name__ = "_first_file_with_" + "_".join(f"{key}_{value}" for key, value in values.items())
+    return _edit_ledger(edit)
+
+
 @_edit_ledger
 def _ledger_without_first_month(ledger):
     ledger["first_month"] = None
+
+
+@_edit_ledger
+def _commit_count_as_string(ledger):
+    ledger["commit_count"] = str(ledger["commit_count"])
 
 
 @pytest.mark.parametrize(
@@ -380,10 +396,17 @@ def _ledger_without_first_month(ledger):
      _first_contributor_with(fa=2), _first_contributor_with(dl=-1),
      _first_contributor_with(dl=0), _first_contributor_with(first_variable_month=5),
      _first_contributor_with(first_mandatory_month="2020-13"),
-     _ledger_without_first_month],
+     _ledger_without_first_month,
+     # JSON types the fold does not write: int() and bool() would read them
+     _first_contributor_with(dl=2.5), _first_contributor_with(dl="2"),
+     _first_contributor_with(fa=True), _commit_count_as_string,
+     _first_file_with(has_variable_code_ever="false"), _first_file_with(alive="false")],
 )
 def test_damaged_stored_analysis_is_mined_again(multifile_repo, tmp_path, damage):
-    path, _ = multifile_repo
+    assert_mined_again(multifile_repo[0], tmp_path, damage)
+
+
+def assert_mined_again(path, tmp_path, damage):
     clean, damaged = str(tmp_path / "clean"), str(tmp_path / "damaged")
     assert run_cli("report", path, "--out", clean) == 0
     assert run_cli("analyze", path, "--out", damaged) == 0
@@ -394,6 +417,57 @@ def test_damaged_stored_analysis_is_mined_again(multifile_repo, tmp_path, damage
     assert read(os.path.join(clean, "ledger.json")) == read(os.path.join(damaged, "ledger.json"))
     assert read(os.path.join(clean, "run_meta.json")) == \
         read(os.path.join(damaged, "run_meta.json"))
+
+
+@_edit_ledger
+def _deleted_file_keeps_variable_code_as_string(ledger):
+    [record] = [record for lineage_id, record in ledger["files"].items()
+                if lineage_id.startswith("tmp.c@")]
+    assert record["has_variable_code_ever"] is False
+    record["has_variable_code_ever"] = "false"
+
+
+def test_string_false_in_a_stored_ledger_is_mined_again(identity_repo, tmp_path):
+    # read with bool(), "false" made tmp.c an eligible file: DOA and
+    # ownership precision read 0.5 with every developer recommended
+    assert_mined_again(identity_repo[0], tmp_path, _deleted_file_keeps_variable_code_as_string)
+
+
+# ----------------------------------------------------------------------
+# the fixed cost of a process
+# ----------------------------------------------------------------------
+
+def test_cli_import_loads_neither_hashlib_nor_datetime():
+    # -S: the site's .pth files may load anything; this checks varxpert's own imports
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, varxpert.cli; print(sorted({'hashlib', 'datetime'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert probe.stdout == "[]\n"
+
+
+def test_loading_an_analysis_starts_one_git_process(multifile_repo, tmp_path, monkeypatch):
+    path, _ = multifile_repo
+    out = str(tmp_path / "out")
+    assert run_cli("analyze", path, "--out", out) == 0
+    spawned, runs = [], []
+    real_popen, real_run = subprocess.Popen, GitRepo._run
+
+    def popen(args, *rest, **kwargs):
+        spawned.append(args)
+        return real_popen(args, *rest, **kwargs)
+
+    def run(repo, *args):
+        runs.append(args)
+        return real_run(repo, *args)
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    monkeypatch.setattr(GitRepo, "_run", run)
+    state = pipeline.load_analysis(RunConfig(repo_path=path, output_dir=out))
+    assert state.ledger.commit_count == MULTIFILE["report"]["commits"]
+    assert [args[0] for args in runs] == ["rev-parse"]
+    assert len(spawned) == 1
 
 
 # ----------------------------------------------------------------------
@@ -609,6 +683,38 @@ def test_csv_text_states_one_cell_rule():
         ["", "true", "false", "7", "0.30000000000000004", "1e-07", "plain",
          "a,b", 'say "hi"', "two\nlines", "cr\rhere"],
     ]
+
+
+class Count(int):
+    def __repr__(self):
+        return f"Count({int(self)})"
+
+
+class Name(str):
+    pass
+
+
+class Ratio(float):
+    def __repr__(self):
+        return "Ratio"
+
+
+CELLS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0]),
+    # the characters the rule quotes for, and lone surrogates (undecodable name bytes)
+    st.text(st.sampled_from(',"\r\nab\udc80\ud800') | st.characters(), max_size=6),
+    st.integers().map(Count), st.text(max_size=4).map(Name), st.floats().map(Ratio),
+)
+
+
+@given(header=st.lists(CELLS, max_size=5), rows=st.lists(st.lists(CELLS, max_size=5), max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_csv_text_matches_the_per_cell_rule(header, rows):
+    # the reference formats every cell through _csv_cell's one chain
+    expected = "".join(",".join([_csv_cell(value) for value in line]) + "\n"
+                       for line in [header, *rows])
+    assert csv_text(header, rows) == expected
 
 
 def read_rows(path):

@@ -233,6 +233,19 @@ def test_missing_branch_in_nonempty_repo(basic_repo):
         stream(path, branch="does-not-exist")
 
 
+def test_directory_outside_a_repository_rejected(tmp_path):
+    with pytest.raises(RepoNotFound), GitRepo(str(tmp_path)) as repo:
+        repo.resolve_tip("HEAD")
+
+
+@pytest.mark.parametrize("branch", ["@{upstream}", "--git-dir"])
+def test_rev_that_git_rejects_is_no_missing_repository(basic_repo, branch):
+    # "@{upstream}" without one makes rev-parse exit 128, as outside a
+    # repository, but after it printed the git directory
+    with GitRepo(basic_repo[0]) as repo, pytest.raises(BranchNotFound):
+        repo.resolve_tip(branch)
+
+
 def test_basic_repo_stream(basic_repo):
     path, shas = basic_repo
     commits = stream(path)

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mined_ledger
 from fixture_repos import BASIC, MULTIFILE, RENAME
@@ -13,6 +15,8 @@ from varxpert.ledger import ContributionStats
 from varxpert.metrics import (
     METRIC_DOA,
     METRIC_OWNERSHIP,
+    ExpertiseScore,
+    acceptances,
     compute_scores,
     doa_absolute,
     doa_normalized,
@@ -97,6 +101,8 @@ def test_degenerate_when_best_score_not_positive():
     people = {f"dev{i}": stats(0, 1) for i in range(47_547)}
     with pytest.raises(DegenerateFile):
         doa_normalized(people)
+    with pytest.raises(DegenerateFile):
+        score_file("f", people)
     del people["dev0"]
     assert max(doa_normalized(people).values()) == 1.0
 
@@ -242,3 +248,48 @@ def test_doubling_preserves_top_scorer_on_fixture_profiles():
         }
         after = doa_normalized(doubled)
         assert max(after, key=after.get) == top
+
+
+# ----------------------------------------------------------------------
+# score_file against the per-metric helpers
+# ----------------------------------------------------------------------
+
+def reference_rows(lineage_id, people, doa_threshold, ownership_threshold, doa_abs_floor):
+    """score_file's rows built from the helpers, one metric at a time."""
+    normalized, shares, ac = doa_normalized(people), ownership_shares(people), acceptances(people)
+    rows = []
+    for key in sorted(people):
+        absolute = doa_absolute(people[key].fa, people[key].dl, ac[key])
+        is_author = normalized[key] >= doa_threshold
+        if doa_abs_floor is not None:
+            is_author = is_author and absolute >= doa_abs_floor
+        rows.append(ExpertiseScore(lineage_id, key, people[key].fa, people[key].dl, ac[key],
+                                   absolute, normalized[key], shares[key], is_author,
+                                   shares[key] >= ownership_threshold))
+    return rows
+
+
+@given(
+    raw=st.dictionaries(st.text(max_size=3), st.tuples(st.integers(0, 1), st.integers(0, 60)),
+                        max_size=9),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_score_file_matches_the_helpers(raw, data):
+    people = {key: stats(fa, dl) for key, (fa, dl) in raw.items()}
+    try:
+        norms, shares = doa_normalized(people), ownership_shares(people)
+    except (EmptyHistory, DegenerateFile) as exc:  # no contributor, or no DL at all
+        with pytest.raises(type(exc)):
+            score_file("f", people)
+        return
+    absolutes = [doa_absolute(s.fa, s.dl, ac) for s, ac in
+                 zip(people.values(), acceptances(people).values())]
+    # thresholds at a row's own value too, where >= and > part
+    options = dict(
+        doa_threshold=data.draw(st.floats(0.01, 1.0) | st.sampled_from(list(norms.values()))),
+        ownership_threshold=data.draw(st.floats(0.01, 1.0) | st.sampled_from(list(shares.values()))),
+        doa_abs_floor=data.draw(st.none() | st.floats(0.0, 15.0) | st.sampled_from(absolutes)),
+    )
+    # repr tells every float bit apart (-0.0 from 0.0 too), and bools from ints
+    assert repr(score_file("f", people, **options)) == repr(reference_rows("f", people, **options))

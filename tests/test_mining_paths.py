@@ -17,8 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RepoBuilder
-from fixture_repos import BASIC, IDENTITY, MULTIFILE, RENAME
+from fixture_repos import BASIC, IDENTITY, MULTIFILE, RENAME, RepoBuilder
 from varxpert.errors import NoEligibleFiles
 from varxpert.history import GitRepo
 from varxpert.ledger import ledger_to_dict

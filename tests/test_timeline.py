@@ -2,8 +2,11 @@
 transitions, partition and carry-forward behavior."""
 
 import random
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import mined_ledger
 from fixture_repos import BASIC, IDENTITY, MULTIFILE, RENAME
@@ -22,7 +25,7 @@ from varxpert.timeline import (
     monthly_snapshots,
     specialization_summary,
 )
-from varxpert.util import month_range
+from varxpert.util import month_of, month_range
 
 
 # ----------------------------------------------------------------------
@@ -216,3 +219,29 @@ def test_snapshots_match_month_set_reference_on_a_large_ledger():
     assert snapshot_rows(monthly_snapshots(ledger)) == reference_snapshots(
         month_sets, ledger.first_month, ledger.last_month
     )
+
+
+# ----------------------------------------------------------------------
+# month_of against datetime
+# ----------------------------------------------------------------------
+
+FIRST_INSTANT, LAST_INSTANT = -62135596800, 253402300799  # 0001-01-01, 9999-12-31T23:59:59
+
+
+@given(st.integers(FIRST_INSTANT, LAST_INSTANT))
+@example(FIRST_INSTANT)
+@example(LAST_INSTANT)
+@example(-1)
+@example(0)
+@example(951782400)  # 2000-02-29
+def test_month_of_matches_datetime(timestamp):
+    instant = datetime.fromtimestamp(timestamp, tz=timezone.utc)
+    assert month_of(timestamp) == f"{instant.year:04d}-{instant.month:02d}"
+
+
+@pytest.mark.parametrize("timestamp", [FIRST_INSTANT - 1, LAST_INSTANT + 1])
+def test_month_of_rejects_years_datetime_cannot_hold(timestamp):
+    with pytest.raises(ValueError):
+        datetime.fromtimestamp(timestamp, tz=timezone.utc)
+    with pytest.raises(ValueError):
+        month_of(timestamp)
