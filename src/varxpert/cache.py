@@ -2,27 +2,29 @@
 
 A cache file lives in --cache-dir and is named changes-{digest}.jsonl,
 where digest hashes the analyzer options (extensions, include-guard
-handling) and the format string, varxpert-change-cache/8. The tip is not
+handling) and the format string, varxpert-change-cache/9. The tip is not
 part of the key: one file serves every run with those options, so after
 a new commit only that commit's changes are mined. Files of other
-options or formats (/7 and older, or the tip-named files
-changes-{tip}-{digest}.jsonl) are ignored, never migrated: /7 holds
-facts mined from blobs decoded with errors="replace", which merges
-lines that differ only in bytes that are not UTF-8.
+options or formats (/8 and older, or the tip-named files
+changes-{tip}-{digest}.jsonl) are ignored, never migrated: /8 named
+every field, twice the bytes to read, and /7 holds facts mined from
+blobs decoded with errors="replace", which merges lines that differ
+only in bytes that are not UTF-8.
 
-Two record kinds, one JSON object per line, written by one serializer:
+Two record kinds, one JSON array per line, written by one encoder:
 
-- a change record: the change's ledger.ChangeFacts under its key, the
-  fields commit and path. Those facts are the touched_variable and
-  touched_mandatory flags, saw_variable (whether either side had a
-  variable line) and every scan warning of the change's scanned sides
-  as [blob oid, [kind, line_no, detail]]. That is everything the ledger
-  fold and warnings.jsonl need, so a hit skips reading and scanning
-  blobs. A change stopped at a binary side holds that side's oid,
-  binary_oid, so a hit reports the binary side without reading it.
-- a blob record, under its key, the field oid: the blob's conditional
-  blocks and macros, or that it is binary. That is all the final-tree
-  snapshot needs.
+- a change record, [commit, path, touched_variable, touched_mandatory,
+  saw_variable, [[blob oid, [kind, line_no, detail]], ...], binary_oid]:
+  the change's ledger.ChangeFacts under its key. The flags say whether
+  the change touched variable and mandatory code and whether either
+  side had a variable line; the warnings are all of its scanned sides'.
+  That is everything the ledger fold and warnings.jsonl need, so a hit
+  skips reading and scanning blobs. A change stopped at a binary side
+  holds that side's oid, binary_oid (else null), so a hit reports the
+  binary side without reading it.
+- a blob record, [oid, blocks, [sorted macros], binary]: all the
+  final-tree snapshot needs. A line of another length, or with a field
+  of another JSON type than the one written there, is damaged.
 
 Records are context-free: a change record depends only on its commit's
 first-parent diff, the blobs and the options; a blob record only on the
@@ -47,7 +49,7 @@ from typing import NamedTuple, Optional, Union
 from varxpert.ledger import ChangeFacts
 from varxpert.preproc import ScanWarning
 
-_FORMAT = "varxpert-change-cache/8"
+_FORMAT = "varxpert-change-cache/9"
 
 
 def analyzer_config_hash(extensions: frozenset[str], exclude_include_guards: bool) -> str:
@@ -76,39 +78,39 @@ Key = Union[tuple[str, str], str]  # (commit, path) of a change, or a blob oid
 Entry = Union[ChangeFacts, BlobFacts]
 
 
+# compact; ensure_ascii keeps a name's lone surrogates as \u escapes, and
+# default=sorted writes a blob's macros as a sorted list
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=sorted)
+_DECODER = json.JSONDecoder()  # raw_decode skips json.loads' per-call set-up
+
+
 def _line(key: Key, entry: Entry) -> str:
-    fields = entry._asdict()
-    if isinstance(entry, ChangeFacts):
-        fields["commit"], fields["path"] = key
-    else:
-        fields["oid"] = key
-    # default=sorted writes a blob's macros as a sorted list
-    return json.dumps(fields, sort_keys=True, default=sorted) + "\n"
-
-
-# a change record's fields, in the order ChangeFacts takes its own
-_CHANGE_FIELDS = ("commit", "path", "touched_variable", "touched_mandatory", "saw_variable",
-                  "scan_warnings", "binary_oid")
+    record = [*key, *entry] if isinstance(entry, ChangeFacts) else [key, *entry]
+    return _ENCODER.encode(record) + "\n"
 
 
 def _parse(line: str) -> tuple[Key, Entry]:
-    """A line's key and record; ValueError unless a change record holds
-    exactly the fields _line writes, each of the JSON type it writes."""
-    raw = json.loads(line)
-    if "oid" in raw:
-        return raw.pop("oid"), BlobFacts(**dict(raw, macros=frozenset(raw["macros"])))
-    if raw.keys() != set(_CHANGE_FIELDS):
-        raise ValueError("not the fields of a change record")
-    commit, path, *flags, warnings, binary_oid = map(raw.get, _CHANGE_FIELDS)
-    warnings = tuple((oid, ScanWarning(*warning)) for oid, warning in warnings)
-    typed = (type(commit) is type(path) is str
-             and all(type(flag) is bool for flag in flags)
+    """A line's key and record; ValueError unless it is an array as long
+    as _line writes one kind, each field of the JSON type _line writes."""
+    record, end = _DECODER.raw_decode(line)
+    if type(record) is not list or end != len(line) or len(record) not in (4, 7):
+        raise ValueError("neither a change nor a blob record")
+    if len(record) == 4:
+        oid, blocks, macros, binary = record
+        if not (type(oid) is str and type(blocks) is int and type(macros) is list
+                and all(type(macro) is str for macro in macros) and type(binary) is bool):
+            raise ValueError("a blob record field of the wrong type")
+        return oid, BlobFacts(blocks, frozenset(macros), binary)
+    commit, path, variable, mandatory, saw_variable, listed, binary_oid = record
+    warnings = tuple((oid, ScanWarning(*warning)) for oid, warning in listed)
+    typed = (type(commit) is type(path) is str and type(listed) is list
+             and type(variable) is type(mandatory) is type(saw_variable) is bool
              and (binary_oid is None or type(binary_oid) is str)
              and all(type(oid) is type(kind) is type(detail) is str and type(line_no) is int
                      for oid, (kind, line_no, detail) in warnings))
     if not typed:
         raise ValueError("a change record field of the wrong type")
-    return (commit, path), ChangeFacts(*flags, warnings, binary_oid)
+    return (commit, path), ChangeFacts(variable, mandatory, saw_variable, warnings, binary_oid)
 
 
 class ChangeCache:
@@ -140,7 +142,7 @@ class ChangeCache:
             for line in lines:
                 try:
                     key, entry = _parse(line)
-                except (ValueError, KeyError, TypeError, AttributeError):
+                except (ValueError, TypeError):
                     cache._damaged = True  # a damaged line costs a recomputation
                     continue
                 if key in cache._entries:

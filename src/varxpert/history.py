@@ -29,6 +29,10 @@ committer time instead, with a clamped_timestamp warning. The rule
 reads only the repository, so the stream does not depend on the day it
 is mined.
 
+git log starts when iter_commits is called, so it walks the history
+while the caller gets ready; the GitRepo owns that child, and close()
+kills and reaps one still running and closes its stderr file.
+
 Blobs are asked for ahead of their reads. GitRepo.ask queues a blob id
 and blob_bytes reads the oldest one not yet read, so git reads and
 inflates the next blobs on its own process while Python diffs and scans.
@@ -334,6 +338,7 @@ class GitRepo:
         if not os.path.isdir(self.path):
             raise RepoNotFound(f"not a directory: {self.path}")
         self._blobs: Optional[_BlobReader] = None
+        self._streams: list[Iterator] = []  # iter_commits' streams; each owns a git log
 
     def __enter__(self) -> "GitRepo":
         return self
@@ -345,6 +350,8 @@ class GitRepo:
         if self._blobs is not None:
             self._blobs.close()
             self._blobs = None
+        for stream in self._streams:
+            stream.close()  # ends a git log still running
 
     def _run(self, *args: str) -> subprocess.CompletedProcess:
         return subprocess.run(
@@ -427,9 +434,15 @@ class GitRepo:
     ) -> Iterator[CommitRecord]:
         """First-parent commits, oldest first, with filtered file changes.
 
-        Changes carry blob ids but no hunks.
+        Changes carry blob ids but no hunks. git log starts at this call.
         """
-        emit = warn or (lambda record: None)
+        stream = self._commits(tip, since, until, extensions, warn or (lambda record: None))
+        next(stream)  # runs up to the first yield, just after git log starts
+        self._streams.append(stream)
+        return stream
+
+    def _commits(self, tip: str, since: Optional[int], until: Optional[int],
+                 extensions: frozenset[str], emit: WarningSinkFn) -> Iterator:
         # stderr goes to a file: a pipe nobody drains could block git.
         with tempfile.TemporaryFile() as errors:
             log = subprocess.Popen(
@@ -449,6 +462,7 @@ class GitRepo:
             )
             assert log.stdout is not None
             try:
+                yield None
                 # A commit is its header record (\x01...), then per change a
                 # raw head (":modes oids status", the first one after a
                 # "\n") and its paths: two for a rename or copy, else one.
@@ -469,15 +483,17 @@ class GitRepo:
                     head = record.lstrip("\n")
                     count = 2 if head.rpartition(" ")[2][:1] in ("R", "C") else 1
                     raw_changes.append((head, [next(records, "") for _ in range(count)]))
+                # Reached only when the stream ran to its end, never when the
+                # consumer or close() ended the generator early.
+                if log.wait() != 0:
+                    errors.seek(0)
+                    message = errors.read().decode("utf-8", errors="replace").strip()
+                    raise CorruptRepo(f"git log failed (exit {log.returncode}): {message}")
             finally:
+                if log.poll() is None:
+                    log.kill()
                 log.stdout.close()
                 log.wait()
-            # Reached only when the stream ran to its end, never when the
-            # consumer closed the generator early.
-            if log.returncode != 0:
-                errors.seek(0)
-                message = errors.read().decode("utf-8", errors="replace").strip()
-                raise CorruptRepo(f"git log failed (exit {log.returncode}): {message}")
 
     def _parse_commit(
         self,

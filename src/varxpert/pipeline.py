@@ -368,21 +368,15 @@ def mine(config: RunConfig) -> tuple[AnalysisState, list[dict]]:
         tip = repo.resolve_tip(config.branch)
         if tip is None:
             raise NoEligibleFiles("repository has no commits")
+        log_warnings: list[dict] = []
+        # git walks the log while the cache is read
+        commits = repo.iter_commits(tip, since=config.since, until=config.until,
+                                    extensions=config.extensions, warn=log_warnings.append)
         cache = ChangeCache.open(
             config.cache_dir, config.extensions, config.exclude_include_guards
         )
         classifier = _PipelineClassifier(repo, config.exclude_include_guards, cache)
-        log_warnings: list[dict] = []
-        ledger = build_contribution_ledger(classifier.read_ahead(
-            repo.iter_commits(
-                tip,
-                since=config.since,
-                until=config.until,
-                extensions=config.extensions,
-                warn=log_warnings.append,
-            ),
-            log_warnings,
-        ))
+        ledger = build_contribution_ledger(classifier.read_ahead(commits, log_warnings))
         counters = classifier.counters
         counters.commits, counters.merges = ledger.commit_count, ledger.merge_count
         last_commit = classifier.last_commit
@@ -553,16 +547,18 @@ def load_analysis(config: RunConfig) -> AnalysisState:
             raise MissingAnalysis("stored analysis used a different configuration")
         ledger = ledger_from_dict(_load_json(ledger_path, LEDGER_FORMAT))
         snapshot = meta["snapshot"]
+        files, blocks, macros = (snapshot[key] for key in
+                                 ("files", "variability_blocks", "distinct_macros"))
+        # the exact JSON type written: int() would read "7" or 2.5, bool true
+        if not all(type(count) is int and count >= 0 for count in (files, blocks, macros)):
+            raise MissingAnalysis("stored analysis has a snapshot count that is not a count")
         return AnalysisState(
             config=config,
             ledger=ledger,
             tip=tip,
             last_commit=meta["last_commit"],
-            snapshot_files=int(snapshot["files"]),
-            variability=VariabilityCount(
-                blocks=int(snapshot["variability_blocks"]),
-                distinct_macros=int(snapshot["distinct_macros"]),
-            ),
+            snapshot_files=files,
+            variability=VariabilityCount(blocks=blocks, distinct_macros=macros),
             counters=Counters(**meta["counters"]),
         )
     except (ValueError, KeyError, TypeError, AttributeError) as exc:

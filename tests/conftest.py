@@ -26,6 +26,21 @@ def mined_ledger(repo_path, **options):
     return mine(RunConfig(repo_path=repo_path, **options))[0].ledger
 
 
+def three_commit_repo(builder):
+    builder.write("a.c", "int a;\n")
+    builder.write("b.c", "int b;\n")
+    builder.commit("one", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    builder.write("a.c", "#ifdef X\nint a;\n#endif\n")
+    builder.commit("two", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    builder.write("a.c", "#ifdef X\nint a2;\n#endif\n")
+    builder.commit("three", "Alice", "alice@example.com", "2020-03-01T00:00:00 +0000")
+    return builder
+
+
+def remove_loose_object(builder, oid):
+    os.remove(os.path.join(builder.path, ".git", "objects", oid[:2], oid[2:]))
+
+
 def hydrate(repo, change):
     """(the change's hunks, old text, new text, old lines, new lines),
     both sides read straight from the repository; None when a side is

@@ -480,35 +480,95 @@ def _no_final_newline(lines):
     return "\n".join(lines[:-1])
 
 
+def _two_records_on_one_line(lines):
+    # sound records, but a reader that stops after the first would keep it
+    return "\n".join(lines[:-3] + [lines[-3] + lines[-2]]) + "\n"
+
+
 def _blank_and_foreign(lines):
     return "\n".join(["", '{"commit": "only one field"}'] + lines)
+
+
+CHANGE_FIELDS = ("commit", "path", "touched_variable", "touched_mandatory", "saw_variable",
+                 "scan_warnings", "binary_oid")
+BLOB_FIELDS = ("oid", "blocks", "macros", "binary")
+
+
+def _first_record(fields, edit, name):
+    """A damage that applies edit to the first record as long as fields
+    for which edit returns true, and writes that record back."""
+    def damage(lines):
+        for index, line in enumerate(lines[:-1]):
+            record = json.loads(line)
+            if len(record) == len(fields) and edit(record):
+                return "\n".join(lines[:index] + [json.dumps(record)] + lines[index + 1:])
+        raise AssertionError(f"no record for {name}")
+    damage.__name__ = name
+    return damage
+
+
+def _set_or_append(fields, field, value):
+    """An edit that sets field to value, or appends value for a field the
+    record has not."""
+    def edit(record):
+        if field in fields:
+            record[fields.index(field)] = value
+        else:
+            record.append(value)
+        return True
+    return edit
 
 
 def _first_change_record_with(field, value):
     """The first change record whose field differs from value in truth gets
     value, a JSON type the cache never writes there; any other field a record
     has not is added."""
-    def damage(lines):
-        for index, line in enumerate(lines[:-1]):
-            record = json.loads(line)
-            if "commit" in record and bool(record.get(field)) != bool(value):
-                record[field] = value
-                lines = lines[:index] + [json.dumps(record, sort_keys=True)] + lines[index + 1:]
-                return "\n".join(lines)
-        raise AssertionError(f"no change record to give {field} {value!r}")
-    damage.__name__ = f"_first_change_record_with_{field}_{type(value).__name__}"
-    return damage
+    set_it = _set_or_append(CHANGE_FIELDS, field, value)
+
+    def edit(record):
+        differs = field not in CHANGE_FIELDS or \
+            bool(record[CHANGE_FIELDS.index(field)]) != bool(value)
+        return differs and set_it(record)
+    return _first_record(CHANGE_FIELDS, edit,
+                         f"_first_change_record_with_{field}_{type(value).__name__}")
+
+
+def _first_blob_record_with(field, value):
+    """The first blob record gets value in field, a JSON type the cache
+    never writes there; any other field a record has not is added."""
+    return _first_record(BLOB_FIELDS, _set_or_append(BLOB_FIELDS, field, value),
+                         f"_first_blob_record_with_{field}_{type(value).__name__}")
+
+
+def _drop_last_field(record):
+    del record[-1]
+    return True
+
+
+_first_blob_record_without_binary = _first_record(
+    BLOB_FIELDS, _drop_last_field, "_first_blob_record_without_binary")
 
 
 @pytest.mark.parametrize("damage", [
-    _torn_tail, _no_final_newline, _duplicated, _blank_and_foreign,
+    _torn_tail, _no_final_newline, _duplicated, _blank_and_foreign, _two_records_on_one_line,
     # a JSON string true by Python's reading: the change would fold as variable work
     _first_change_record_with("touched_variable", "false"),
     _first_change_record_with("saw_variable", 1),
     _first_change_record_with("binary_oid", 5),
     _first_change_record_with("scan_warnings", [["b" * 40, ["stray_directive", "2", "#x"]]]),
     _first_change_record_with("scan_warnings", {"b": "c"}),
+    # no warnings, but not as the array written
+    _first_record(CHANGE_FIELDS, _set_or_append(CHANGE_FIELDS, "scan_warnings", ""),
+                  "_first_change_record_with_scan_warnings_empty_str"),
+    # an 8-element array
     _first_change_record_with("author", "frank@example.com"),
+    # read as a binary blob, its blocks and macros would drop out of the count
+    _first_blob_record_with("binary", "false"),
+    _first_blob_record_with("blocks", "2"),
+    _first_blob_record_with("macros", [1]),
+    # 3- and 5-element arrays
+    _first_blob_record_without_binary,
+    _first_blob_record_with("extra", 0),
 ])
 def test_damaged_file_gives_cold_artifacts_and_is_rewritten(multifile_repo, tmp_path, damage):
     repo_path, _ = multifile_repo

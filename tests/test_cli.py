@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import remove_loose_object, three_commit_repo
 from fixture_repos import GUARD, MULTIFILE, RepoBuilder, build_basic
 from varxpert import pipeline
 from varxpert.cli import main
@@ -322,6 +323,17 @@ def _drop_run_meta_key(key):
     return damage
 
 
+def _run_meta_snapshot_with(key, value):
+    def damage(out):
+        path = os.path.join(out, "run_meta.json")
+        meta = json.loads(read(path))
+        meta["snapshot"][key] = value
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(meta, handle)
+    damage.__name__ = f"_run_meta_snapshot_with_{key}_{type(value).__name__}"
+    return damage
+
+
 V1_LEDGER = os.path.join(os.path.dirname(__file__), "data", "multifile_ledger_v1.json")
 
 
@@ -400,7 +412,10 @@ def _commit_count_as_string(ledger):
      # JSON types the fold does not write: int() and bool() would read them
      _first_contributor_with(dl=2.5), _first_contributor_with(dl="2"),
      _first_contributor_with(fa=True), _commit_count_as_string,
-     _first_file_with(has_variable_code_ever="false"), _first_file_with(alive="false")],
+     _first_file_with(has_variable_code_ever="false"), _first_file_with(alive="false"),
+     # the snapshot counts are printed and reported as stored
+     _run_meta_snapshot_with("variability_blocks", "7"), _run_meta_snapshot_with("files", 2.5),
+     _run_meta_snapshot_with("distinct_macros", True)],
 )
 def test_damaged_stored_analysis_is_mined_again(multifile_repo, tmp_path, damage):
     assert_mined_again(multifile_repo[0], tmp_path, damage)
@@ -473,21 +488,6 @@ def test_loading_an_analysis_starts_one_git_process(multifile_repo, tmp_path, mo
 # ----------------------------------------------------------------------
 # damaged repositories
 # ----------------------------------------------------------------------
-
-def three_commit_repo(builder):
-    builder.write("a.c", "int a;\n")
-    builder.write("b.c", "int b;\n")
-    builder.commit("one", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
-    builder.write("a.c", "#ifdef X\nint a;\n#endif\n")
-    builder.commit("two", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
-    builder.write("a.c", "#ifdef X\nint a2;\n#endif\n")
-    builder.commit("three", "Alice", "alice@example.com", "2020-03-01T00:00:00 +0000")
-    return builder
-
-
-def remove_loose_object(builder, oid):
-    os.remove(os.path.join(builder.path, ".git", "objects", oid[:2], oid[2:]))
-
 
 @pytest.mark.parametrize("rev, args", [
     ("HEAD~2:a.c", ()),  # read by the history fold

@@ -3,6 +3,7 @@ binary detection, identity folding, timestamp clamping, hunk fidelity."""
 
 import difflib
 import functools
+import gc
 import io
 import os
 import subprocess
@@ -27,7 +28,8 @@ from varxpert.history import (
     looks_binary,
     resolve_identity,
 )
-from conftest import hydrate
+from conftest import hydrate, remove_loose_object, three_commit_repo
+from varxpert.cache import ChangeCache
 from varxpert.ledger import classify_change
 from varxpert.pipeline import RunConfig, mine, run_analyze
 from varxpert.preproc import scan_text
@@ -367,12 +369,65 @@ def test_clamping_ignores_the_wall_clock(identity_repo, monkeypatch):
     assert seen[0] == seen[1]
 
 
-def test_closing_the_stream_early_raises_nothing(basic_repo):
+@pytest.fixture
+def children(monkeypatch):
+    """Every subprocess.Popen started while the test runs, git's included."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+def reaped(children):
+    return bool(children) and all(child.returncode is not None for child in children)
+
+
+def test_closing_the_stream_early_raises_nothing(basic_repo, children):
+    # closed after its first commit, or left to the repository's close,
+    # a stream leaves no git running
     path, _ = basic_repo
     with GitRepo(path) as repo:
         commits = repo.iter_commits(repo.resolve_tip("HEAD"))
         next(commits)
         commits.close()
+        assert reaped(children)
+        left = repo.iter_commits(repo.resolve_tip("HEAD"))
+        next(left)
+    assert reaped(children)
+    left.close()
+
+
+def test_an_error_before_the_first_commit_reaps_git_log(basic_repo, children, monkeypatch):
+    # mine starts git log before it opens the change cache, so an error
+    # there leaves a running log child for the repository's close to end
+    def failing_open(cls, *args):
+        assert [child for child in children if "log" in child.args]
+        raise OSError("cache unreadable")
+
+    monkeypatch.setattr(ChangeCache, "open", classmethod(failing_open))
+    with pytest.raises(OSError, match="cache unreadable"):
+        mine(RunConfig(repo_path=basic_repo[0]))
+    assert reaped(children)
+    gc.collect()  # an unclosed stderr file would warn here, failing the test
+
+
+def test_failing_git_log_raises_at_the_end_of_the_stream(repo_builder, children):
+    repo = three_commit_repo(repo_builder)
+    first = repo.git("rev-list", "--max-parents=0", "HEAD").strip()
+    # git log cannot diff the middle commit against its neighbours
+    remove_loose_object(repo, repo.git("rev-parse", "HEAD~1^{tree}").strip())
+    seen = []
+    with GitRepo(repo.path) as git:
+        with pytest.raises(CorruptRepo, match=r"git log failed \(exit 128\)"):
+            for commit in git.iter_commits(git.resolve_tip("HEAD")):
+                seen.append(commit.commit_id)
+    assert seen == [first]
+    assert reaped(children)
 
 
 def test_since_until_filtering(basic_repo):

@@ -368,8 +368,8 @@ def _change_records(cache_dir):
     for name in os.listdir(cache_dir):
         with open(os.path.join(cache_dir, name), encoding="utf-8") as handle:
             records = [json.loads(line) for line in handle]
-        count += sum("commit" in record and record["binary_oid"] is None
-                     for record in records)
+        # a change record is 7 fields long and ends in binary_oid
+        count += sum(len(record) == 7 and record[-1] is None for record in records)
     return count
 
 

@@ -106,15 +106,16 @@ def fold_with_month_sets(repo_path, cache_dir):
         with open(os.path.join(cache_dir, name), encoding="utf-8") as handle:
             records = [json.loads(line) for line in handle]
         for record in records:
-            if "commit" not in record:
-                continue  # a blob record
-            commit = commits[record["commit"]]
+            if len(record) != 7:
+                continue  # a blob record, [oid, blocks, macros, binary]
+            commit_id, _, touched_variable, touched_mandatory = record[:4]
+            commit = commits[commit_id]
             variable, mandatory = month_sets.setdefault(
                 commit.author, (set(), set()))
             month = month_of(commit.timestamp)
-            if record["touched_variable"]:
+            if touched_variable:
                 variable.add(month)
-            if record["touched_mandatory"]:
+            if touched_mandatory:
                 mandatory.add(month)
     return ledger, month_sets
 
