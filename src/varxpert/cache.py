@@ -23,8 +23,9 @@ Two record kinds, one JSON array per line, written by one encoder:
   holds that side's oid, binary_oid (else null), so a hit reports the
   binary side without reading it.
 - a blob record, [oid, blocks, [sorted macros], binary]: all the
-  final-tree snapshot needs. A line of another length, or with a field
-  of another JSON type than the one written there, is damaged.
+  final-tree snapshot needs. A line of another length, with a field of
+  another JSON type than the one written there, or with a change that
+  touched variable code on sides that had none, is damaged.
 
 Records are context-free: a change record depends only on its commit's
 first-parent diff, the blobs and the options; a blob record only on the
@@ -91,7 +92,8 @@ def _line(key: Key, entry: Entry) -> str:
 
 def _parse(line: str) -> tuple[Key, Entry]:
     """A line's key and record; ValueError unless it is an array as long
-    as _line writes one kind, each field of the JSON type _line writes."""
+    as _line writes one kind, each field of the JSON type _line writes,
+    and, as the classifier writes, no variable change without saw_variable."""
     record, end = _DECODER.raw_decode(line)
     if type(record) is not list or end != len(line) or len(record) not in (4, 7):
         raise ValueError("neither a change nor a blob record")
@@ -110,6 +112,8 @@ def _parse(line: str) -> tuple[Key, Entry]:
                      for oid, (kind, line_no, detail) in warnings))
     if not typed:
         raise ValueError("a change record field of the wrong type")
+    if variable and not saw_variable:
+        raise ValueError("a change touching variable code on sides without any")
     return (commit, path), ChangeFacts(variable, mandatory, saw_variable, warnings, binary_oid)
 
 

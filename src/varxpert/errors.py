@@ -37,10 +37,6 @@ class EmptyHistory(VarxpertError):
     """A file has no recorded change events."""
 
 
-class NoVariableCode(VarxpertError):
-    """The file never contained a variable line, so there is no ground truth."""
-
-
 class NoEligibleFiles(VarxpertError):
     """Nothing survives filtering, so the requested computation is undefined."""
 
@@ -56,7 +52,6 @@ USER_ERRORS = (
     RepoNotFound,
     BranchNotFound,
     EmptyIdentity,
-    NoVariableCode,
     NoEligibleFiles,
     MissingAnalysis,
 )

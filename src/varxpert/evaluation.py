@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from varxpert.errors import NoEligibleFiles, NoVariableCode
+from varxpert.errors import NoEligibleFiles
 from varxpert.ledger import ContributionLedger, FileRecord
 from varxpert.metrics import ExpertiseScore, recommended_sets
 
@@ -24,10 +24,6 @@ MACRO = "macro"
 
 def variable_changers(record: FileRecord) -> set[str]:
     """Developers with at least one variable-touching change on the file."""
-    if not record.has_variable_code_ever:
-        raise NoVariableCode(
-            f"{record.current_path} never contained a variable line"
-        )
     return {
         key
         for key, stats in record.contributors.items()

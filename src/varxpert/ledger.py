@@ -107,19 +107,10 @@ class ContributionStats:
 
 
 class FileRecord:
-    """One file lineage across renames; the ledger keys it by its lineage id."""
+    """One file lineage across renames; the ledger keys it by its lineage id,
+    {the path that started it}@{that commit's id[:12]}."""
 
-    def __init__(
-        self,
-        *,
-        created_path: str,
-        current_path: str,
-        alive: bool = True,
-        has_variable_code_ever: bool = False,
-    ):
-        self.created_path = created_path
-        self.current_path = current_path
-        self.alive = alive
+    def __init__(self, *, has_variable_code_ever: bool = False):
         self.has_variable_code_ever = has_variable_code_ever
         self.contributors: dict[str, ContributionStats] = {}
 
@@ -137,7 +128,8 @@ class ContributionLedger:
         commit_count: int = 0,
         merge_count: int = 0,
     ):
-        self.files: dict[str, FileRecord] = {}
+        self.files: dict[str, FileRecord] = {}  # dead lineages too
+        self.paths: dict[str, str] = {}  # each live path's lineage id
         self.first_month = first_month
         self.last_month = last_month
         self.commit_count = commit_count  # non-merge commits inside the analysis window
@@ -161,10 +153,11 @@ def build_contribution_ledger(
     each paired with its facts. A change with a binary side has empty
     facts, so it keeps its path bookkeeping and folds no event. The fold
     calls nothing: whatever produced the facts has already reported its
-    warnings.
+    warnings. Its only path state is ledger.paths, each live path's
+    lineage id; a deleted lineage keeps its record but no path.
     """
     ledger = ContributionLedger()
-    path_map: dict[str, str] = {}
+    paths = ledger.paths
 
     def touch_months(commit: CommitRecord) -> None:
         month = month_of(commit.timestamp)
@@ -172,16 +165,6 @@ def build_contribution_ledger(
             ledger.first_month = month
         if ledger.last_month is None or month > ledger.last_month:
             ledger.last_month = month
-
-    def start_lineage(
-        path: str, commit: CommitRecord, *, map_path: Optional[str], alive: bool
-    ) -> FileRecord:
-        lid = _lineage_id(path, commit.commit_id)
-        record = FileRecord(created_path=path, current_path=map_path or path, alive=alive)
-        ledger.files[lid] = record
-        if map_path is not None:
-            path_map[map_path] = lid
-        return record
 
     def record_event(
         record: FileRecord, commit: CommitRecord, facts: ChangeFacts, *, first_author: bool
@@ -212,28 +195,25 @@ def build_contribution_ledger(
             lid = None
             if change.kind in (ChangeKind.DELETED, ChangeKind.RENAMED):
                 assert change.path_before is not None
-                lid = path_map.pop(change.path_before, None)
-                if change.kind is ChangeKind.DELETED and lid is not None:
-                    ledger.files[lid].alive = False
+                lid = paths.pop(change.path_before, None)
             resolved.append(lid)
         for (change, _), lid in zip(changes, resolved):
             if change.kind is ChangeKind.RENAMED and lid is not None:
                 assert change.path_after is not None
-                path_map[change.path_after] = lid
-                ledger.files[lid].current_path = change.path_after
+                paths[change.path_after] = lid
 
         for (change, facts), lid in zip(changes, resolved):
             if change.kind is ChangeKind.MODIFIED:
-                lid = path_map.get(change.effective_path)
+                lid = paths.get(change.effective_path)
             if lid is not None:
                 record = ledger.files[lid]
             elif facts.is_empty:
                 continue  # an empty change starts no lineage
             else:
-                record = start_lineage(
-                    change.path_before or change.effective_path, commit,
-                    map_path=change.path_after, alive=change.kind is not ChangeKind.DELETED,
-                )
+                lid = _lineage_id(change.path_before or change.effective_path, commit.commit_id)
+                record = ledger.files[lid] = FileRecord()
+                if change.path_after is not None:  # a deletion starts a dead lineage
+                    paths[change.path_after] = lid
             record.has_variable_code_ever |= facts.saw_variable
             if not facts.is_empty:
                 record_event(record, commit, facts, first_author=change.kind is ChangeKind.ADDED)
@@ -254,7 +234,7 @@ def fold_order(changes: tuple[FileChange, ...]) -> list[FileChange]:
 # Serialization, so later verbs can reuse an analysis without re-mining.
 # ----------------------------------------------------------------------
 
-LEDGER_FORMAT = "varxpert-ledger/4"
+LEDGER_FORMAT = "varxpert-ledger/5"
 
 
 def ledger_to_dict(ledger: ContributionLedger) -> dict:
@@ -264,11 +244,9 @@ def ledger_to_dict(ledger: ContributionLedger) -> dict:
         "last_month": ledger.last_month,
         "commit_count": ledger.commit_count,
         "merge_count": ledger.merge_count,
+        "paths": ledger.paths,
         "files": {
             lineage_id: {
-                "created_path": record.created_path,
-                "current_path": record.current_path,
-                "alive": record.alive,
                 "has_variable_code_ever": record.has_variable_code_ever,
                 "contributors": {
                     key: {
@@ -288,10 +266,10 @@ def ledger_to_dict(ledger: ContributionLedger) -> dict:
 _IS_MONTH = re.compile("[0-9]{4}-(0[1-9]|1[0-2])").fullmatch
 
 
-def _month(value: Any, *, optional: bool = True) -> Optional[str]:
-    if (value is None and optional) or (isinstance(value, str) and _IS_MONTH(value)):
+def _month(value: Any, first: str = "0000-01", last: str = "9999-12") -> str:
+    if isinstance(value, str) and _IS_MONTH(value) and first <= value <= last:
         return value
-    raise ValueError(f"{value!r} is not a YYYY-MM month")
+    raise ValueError(f"{value!r} is not a YYYY-MM month from {first} to {last}")
 
 
 def _typed(value: Any, kind: type) -> Any:
@@ -302,30 +280,41 @@ def _typed(value: Any, kind: type) -> Any:
 
 
 def ledger_from_dict(data: dict) -> ContributionLedger:
-    # ValueError on a value the fold cannot write: another JSON type, or a
-    # value out of range (a DL also feeds the file's other ACs)
+    # ValueError on a value the fold cannot write: another JSON type, a
+    # value out of range (a DL also feeds the file's other ACs), a month
+    # outside the ledger's, an event with no month, a variable month on a
+    # file without variable code, two first authors of one file, or a path
+    # naming no lineage
+    first = _month(data["first_month"])
+    last = _month(data["last_month"], first)
     ledger = ContributionLedger(
-        first_month=_month(data["first_month"], optional=False),
-        last_month=_month(data["last_month"], optional=False),
+        first_month=first,
+        last_month=last,
         commit_count=_typed(data["commit_count"], int),
         merge_count=_typed(data["merge_count"], int),
     )
+    if min(ledger.commit_count, ledger.merge_count) < 0:
+        raise ValueError("a negative commit count")
     checked = {None}  # each distinct month string is checked once
     for lineage_id, raw in data["files"].items():
-        record = FileRecord(
-            created_path=raw["created_path"],
-            current_path=raw["current_path"],
-            alive=_typed(raw["alive"], bool),
-            has_variable_code_ever=_typed(raw["has_variable_code_ever"], bool),
-        )
+        record = FileRecord(has_variable_code_ever=_typed(raw["has_variable_code_ever"], bool))
         for dev_key, stats_raw in raw["contributors"].items():
             fa, dl = stats_raw["fa"], stats_raw["dl"]
             months = stats_raw["first_variable_month"], stats_raw["first_mandatory_month"]
             if not (type(fa) is type(dl) is int and fa in (0, 1) and dl >= 1):
                 raise ValueError(f"{dev_key} on {lineage_id} has fa {fa!r} and dl {dl!r}")
             if not checked.issuperset(months):
-                checked.update(map(_month, months))
+                checked.update(_month(month, first, last) for month in set(months) - checked)
+            if months == (None, None) or (months[0] and not record.has_variable_code_ever):
+                raise ValueError(f"{dev_key} on {lineage_id} has first months {months!r}, and "
+                                 f"has_variable_code_ever is {record.has_variable_code_ever}")
             record.contributors[dev_key] = ContributionStats(
                 fa=fa, dl=dl, first_variable_month=months[0], first_mandatory_month=months[1])
+        if sum(stats.fa for stats in record.contributors.values()) > 1:
+            raise ValueError(f"{lineage_id} has more than one first author")
         ledger.files[lineage_id] = record
+    for path, lineage_id in _typed(data["paths"], dict).items():
+        if type(lineage_id) is not str or lineage_id not in ledger.files:
+            raise ValueError(f"{path} names {lineage_id!r}, which is no lineage")
+        ledger.paths[path] = lineage_id
     return ledger

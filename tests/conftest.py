@@ -26,6 +26,12 @@ def mined_ledger(repo_path, **options):
     return mine(RunConfig(repo_path=repo_path, **options))[0].ledger
 
 
+def by_created(lineage_ids):
+    """Lineage ids by the path that started each lineage: an id is
+    {that path}@{the starting commit's id[:12]}."""
+    return {lineage_id.rpartition("@")[0]: lineage_id for lineage_id in lineage_ids}
+
+
 def three_commit_repo(builder):
     builder.write("a.c", "int a;\n")
     builder.write("b.c", "int b;\n")

@@ -41,14 +41,15 @@ def test_disabled_cache_is_inert():
 
 
 def test_put_flush_reopen_get(tmp_path):
+    plain = ChangeFacts(touched_mandatory=True)  # neither side had a variable line
     cache = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
     cache.put(KEY, FACTS)
-    cache.put(("c" * 40, "g.c"), FACTS._replace(saw_variable=False))
+    cache.put(("c" * 40, "g.c"), plain)
     cache.flush()
 
     again = ChangeCache.open(str(tmp_path), DEFAULT_EXTENSIONS, True)
     assert again.get(*KEY) == FACTS
-    assert again.get("c" * 40, "g.c") == FACTS._replace(saw_variable=False)
+    assert again.get("c" * 40, "g.c") == plain
     assert again.get("c" * 40, "missing.c") is None
 
 
@@ -549,12 +550,28 @@ _first_blob_record_without_binary = _first_record(
     BLOB_FIELDS, _drop_last_field, "_first_blob_record_without_binary")
 
 
+def _x_c_variable_changes_saw_no_variable_code(lines):
+    # x.c's two variable changes say neither side had a variable line,
+    # which the classifier never writes; with its third change saying so
+    # too, x.c read as a file without variable code that has variable changers
+    saw_variable = CHANGE_FIELDS.index("saw_variable")
+    records = [json.loads(line) for line in lines[:-1]]
+    edited = [record for record in records
+              if len(record) == len(CHANGE_FIELDS) and record[1] == "x.c" and record[2]]
+    assert len(edited) == 2
+    for record in edited:
+        record[saw_variable] = False
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
 @pytest.mark.parametrize("damage", [
     _torn_tail, _no_final_newline, _duplicated, _blank_and_foreign, _two_records_on_one_line,
     # a JSON string true by Python's reading: the change would fold as variable work
     _first_change_record_with("touched_variable", "false"),
     _first_change_record_with("saw_variable", 1),
     _first_change_record_with("binary_oid", 5),
+    # JSON types as written, but facts the classifier cannot write
+    _x_c_variable_changes_saw_no_variable_code,
     _first_change_record_with("scan_warnings", [["b" * 40, ["stray_directive", "2", "#x"]]]),
     _first_change_record_with("scan_warnings", {"b": "c"}),
     # no warnings, but not as the array written

@@ -344,11 +344,27 @@ def _ledger_at_format_1(out):
         target.write(source.read())
 
 
+def _as_format_4(ledger):
+    # ledger.json as the varxpert-ledger/4 writer left it: no paths, and
+    # each lineage stores its first and current paths and whether it is
+    # alive (every lineage of this fixture is)
+    ledger["format"] = "varxpert-ledger/4"
+    current = {lineage_id: path for path, lineage_id in ledger.pop("paths").items()}
+    for lineage_id, record in ledger["files"].items():
+        record.update(created_path=lineage_id.rpartition("@")[0],
+                      current_path=current[lineage_id], alive=True)
+
+
+@_edit_ledger
+def _ledger_at_format_4(ledger):
+    _as_format_4(ledger)
+
+
 def _as_format_3(ledger):
-    # ledger.json as the varxpert-ledger/3 writer left it: it also maps
-    # each developer to a display name (this fixture's authors are named
-    # for their email's local part), and stores each file's events and
-    # each contributor's AC
+    # the /4 shape, and it also maps each developer to a display name
+    # (this fixture's authors are named for their email's local part),
+    # and stores each file's events and each contributor's AC
+    _as_format_4(ledger)
     ledger["format"] = "varxpert-ledger/3"
     ledger["developers"] = {}
     for record in ledger["files"].values():
@@ -395,24 +411,60 @@ def _ledger_without_first_month(ledger):
 
 
 @_edit_ledger
+def _first_month_after_the_last(ledger):
+    ledger["first_month"] = "2099-01"
+
+
+@_edit_ledger
+def _ledger_without_paths(ledger):
+    del ledger["paths"]
+
+
+def _path_naming(lineage_id):
+    def edit(ledger):
+        ledger["paths"]["z.c"] = lineage_id
+    edit.__name__ = f"_path_naming_{type(lineage_id).__name__}"
+    return _edit_ledger(edit)
+
+
+@_edit_ledger
 def _commit_count_as_string(ledger):
     ledger["commit_count"] = str(ledger["commit_count"])
+
+
+@_edit_ledger
+def _negative_commit_count(ledger):
+    ledger["commit_count"] = -1
+
+
+@_edit_ledger
+def _two_first_authors(ledger):
+    for stats in next(iter(ledger["files"].values()))["contributors"].values():
+        stats["fa"] = 1
 
 
 @pytest.mark.parametrize(
     "damage",
     [_truncate_ledger, _add_unknown_counter, _foreign_ledger_format, _ledger_at_format_1,
-     _ledger_at_format_2, _ledger_at_format_3, _run_meta_at_format_1,
+     _ledger_at_format_2, _ledger_at_format_3, _ledger_at_format_4, _run_meta_at_format_1,
      _drop_run_meta_key("snapshot"), _drop_run_meta_key("last_commit"),
      # values the fold cannot write; each one feeds a score or a timeline
-     _first_contributor_with(fa=2), _first_contributor_with(dl=-1),
+     _first_contributor_with(fa=2), _two_first_authors, _first_contributor_with(dl=-1),
      _first_contributor_with(dl=0), _first_contributor_with(first_variable_month=5),
      _first_contributor_with(first_mandatory_month="2020-13"),
-     _ledger_without_first_month,
+     _ledger_without_first_month, _negative_commit_count,
+     # every event touches variable or mandatory code, so it has a month
+     _first_contributor_with(first_variable_month=None, first_mandatory_month=None),
+     # months outside the ledger's: the split and the timeline read them
+     _first_month_after_the_last, _first_contributor_with(first_mandatory_month="2023-07"),
+     # a variable changer on a file without variable code is no ground truth
+     _first_file_with(has_variable_code_ever=False),
+     # paths hold a string naming a lineage the ledger holds
+     _ledger_without_paths, _path_naming("z.c@000000000000"), _path_naming(["x.c"]),
      # JSON types the fold does not write: int() and bool() would read them
      _first_contributor_with(dl=2.5), _first_contributor_with(dl="2"),
      _first_contributor_with(fa=True), _commit_count_as_string,
-     _first_file_with(has_variable_code_ever="false"), _first_file_with(alive="false"),
+     _first_file_with(has_variable_code_ever="false"),
      # the snapshot counts are printed and reported as stored
      _run_meta_snapshot_with("variability_blocks", "7"), _run_meta_snapshot_with("files", 2.5),
      _run_meta_snapshot_with("distinct_macros", True)],

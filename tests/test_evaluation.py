@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import mined_ledger
 from fixture_repos import BASIC, GUARD, IDENTITY, MULTIFILE, RENAME
-from varxpert.errors import NoEligibleFiles, NoVariableCode
+from varxpert.errors import NoEligibleFiles
 from varxpert.evaluation import (
     MACRO,
     MICRO,
@@ -15,7 +15,6 @@ from varxpert.evaluation import (
     project_evaluation,
     variable_changers,
 )
-from varxpert.ledger import ContributionStats, FileRecord
 from varxpert.metrics import METRIC_DOA, METRIC_OWNERSHIP, compute_scores
 
 
@@ -80,13 +79,6 @@ def test_growing_recommended_never_lowers_recall(recommended, extra, relevant):
 # ----------------------------------------------------------------------
 # eligibility
 # ----------------------------------------------------------------------
-
-def test_variable_changers_requires_variable_history():
-    record = FileRecord(created_path="f", current_path="f")
-    record.contributors["a"] = ContributionStats(dl=1)
-    with pytest.raises(NoVariableCode):
-        variable_changers(record)
-
 
 def test_variable_changers_lists_variable_touchers(basic_repo):
     path, _ = basic_repo

@@ -456,7 +456,8 @@ def test_binary_change_skipped_with_warning(repo_builder):
     repo.commit("binary and text", "Alice", "alice@example.com",
                 "2020-01-01T00:00:00 +0000")
     state, warnings = mine(RunConfig(repo_path=repo.path))
-    assert [r.current_path for r in state.ledger.files.values()] == ["ok.c"]
+    [lineage_id] = state.ledger.files
+    assert state.ledger.paths == {"ok.c": lineage_id}
     assert [(w["kind"], w["path"]) for w in warnings] == [("binary_skipped", "blob.c")]
 
 

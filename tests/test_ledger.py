@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from conftest import mined_ledger
+from conftest import by_created, mined_ledger
 from fixture_repos import BASIC, IDENTITY, RENAME
 from varxpert import pipeline
 from varxpert.errors import AnnotationMismatch
@@ -124,9 +124,7 @@ def test_basic_ledger_stats(basic_repo):
     ledger = mined_ledger(path)
     lineage_id, record = only_file(ledger)
     assert lineage_id == f"f.c@{shas['c1'][:12]}"
-    assert record.created_path == "f.c"
-    assert record.current_path == "f.c"
-    assert record.alive
+    assert ledger.paths == {"f.c": lineage_id}
     assert record.has_variable_code_ever
     assert record.contributors[BASIC["alice"]].fa == 1
     assert record.total_events == 4
@@ -165,9 +163,7 @@ def test_rename_keeps_one_lineage(rename_repo):
     ledger = mined_ledger(path)
     lineage_id, record = only_file(ledger)
     assert lineage_id == f"a.c@{shas['c1'][:12]}"
-    assert record.created_path == "a.c"
-    assert record.current_path == "b.c"
-    assert record.alive
+    assert ledger.paths == {"b.c": lineage_id}
     assert record.total_events == 5
     derived = acceptances(record.contributors)
     for key, (fa, dl, ac) in RENAME["fa_dl_ac"].items():
@@ -191,13 +187,14 @@ def test_identity_folding_and_dead_lineage(identity_repo):
     ledger = mined_ledger(path)
     assert set(ledger.developers) == {IDENTITY["ivy_key"], IDENTITY["jack_key"]}
 
-    by_path = {r.created_path: r for r in ledger.files.values()}
-    assert by_path["tmp.c"].alive is False
-    assert by_path["tmp.c"].has_variable_code_ever is False
-    assert by_path["m.c"].alive is True
+    ids = by_created(ledger.files)
+    # tmp.c's lineage is dead: it keeps its record and holds no path
+    assert ledger.paths == {"m.c": ids["m.c"]}
+    assert ledger.files[ids["tmp.c"]].has_variable_code_ever is False
 
-    stats = by_path["m.c"].contributors[IDENTITY["ivy_key"]]
-    ac = acceptances(by_path["m.c"].contributors)[IDENTITY["ivy_key"]]
+    contributors = ledger.files[ids["m.c"]].contributors
+    stats = contributors[IDENTITY["ivy_key"]]
+    ac = acceptances(contributors)[IDENTITY["ivy_key"]]
     assert (stats.fa, stats.dl, ac) == IDENTITY["m_fa_dl_ac"][IDENTITY["ivy_key"]]
     # the lying author clock lands in the committer's month
     assert stats.first_mandatory_month == first(IDENTITY["ivy_months"]["mandatory"])
@@ -229,7 +226,7 @@ def test_pure_rename_records_no_event(repo_builder):
     ledger = mined_ledger(repo.path)
     lineage_id, record = only_file(ledger)
     assert lineage_id == f"r.c@{c1[:12]}"
-    assert record.current_path == "s.c"
+    assert ledger.paths == {"s.c": lineage_id}
     assert record.total_events == 1
     assert "bob@example.com" not in record.contributors
     # bob authored a commit but delivered no line changes anywhere
@@ -246,10 +243,11 @@ def test_empty_added_file_starts_no_lineage(repo_builder):
     c2 = repo.commit("fill in", "Bob", "bob@example.com",
                      "2020-02-01T00:00:00 +0000")
     ledger = mined_ledger(repo.path)
-    by_path = {r.created_path: (lid, r) for lid, r in ledger.files.items()}
-    assert set(by_path) == {"real.c", "e.c"}
+    ids = by_created(ledger.files)
+    assert set(ids) == {"real.c", "e.c"}
     # e.c only gained a lineage when content appeared, with no first author
-    lineage_id, record = by_path["e.c"]
+    lineage_id = ids["e.c"]
+    record = ledger.files[lineage_id]
     assert lineage_id == f"e.c@{c2[:12]}"
     assert not any(stats.fa == 1 for stats in record.contributors.values())
     assert record.contributors["bob@example.com"].fa == 0
@@ -269,12 +267,11 @@ def test_name_reuse_chain_as_git_reports_it(repo_builder):
     repo.commit("shift names", "Alice", "alice@example.com",
                 "2020-02-01T00:00:00 +0000")
     ledger = mined_ledger(repo.path)
-    by_created = {r.created_path: r for r in ledger.files.values()}
+    ids = by_created(ledger.files)
     assert len(ledger.files) == 3
-    assert by_created["a.c"].alive is False
-    assert by_created["b.c"].current_path == "b.c"
-    assert by_created["b.c"].alive
-    assert by_created["c.c"].alive
+    # a.c's lineage is dead; b.c's and c.c's sit at their first paths
+    assert ledger.paths == {"b.c": ids["b.c"], "c.c": ids["c.c"]}
+    assert "a.c" in ids
 
 
 def test_synthetic_rename_ordering_is_harmless():
@@ -304,10 +301,8 @@ def test_synthetic_rename_ordering_is_harmless():
     ]
     ledger = build_contribution_ledger(iter(commits))
     assert len(ledger.files) == 2
-    by_created = {r.created_path: r for r in ledger.files.values()}
-    assert by_created["a.c"].current_path == "b.c"
-    assert by_created["b.c"].current_path == "c.c"
-    assert all(r.alive for r in ledger.files.values())
+    ids = by_created(ledger.files)
+    assert ledger.paths == {"b.c": ids["a.c"], "c.c": ids["b.c"]}
     assert all(r.total_events == 1 for r in ledger.files.values())
     reversed_pairs = build_contribution_ledger(
         (record, pairs[::-1]) for record, pairs in commits)
@@ -359,10 +354,10 @@ def test_ledger_serialization_round_trip(multifile_repo):
     ledger = mined_ledger(path)
     rebuilt = ledger_from_dict(ledger_to_dict(ledger))
     assert ledger_to_dict(rebuilt) == ledger_to_dict(ledger)
+    assert rebuilt.paths == ledger.paths
     assert set(rebuilt.files) == set(ledger.files)
     for lineage_id, record in ledger.files.items():
         twin = rebuilt.files[lineage_id]
-        assert twin.current_path == record.current_path
         assert twin.has_variable_code_ever == record.has_variable_code_ever
         for key, stats in record.contributors.items():
             other = twin.contributors[key]

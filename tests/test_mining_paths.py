@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import by_created
 from fixture_repos import BASIC, IDENTITY, MULTIFILE, RENAME, RepoBuilder
 from varxpert.errors import NoEligibleFiles
 from varxpert.history import GitRepo
@@ -49,9 +50,9 @@ def test_writer_writes_the_mined_ledger(fixture, request, tmp_path):
     config = RunConfig(repo_path=repo_path, output_dir=str(out))
     state, warnings = mine(config)
     assert not out.exists()
-    by_created = {r.created_path: r for r in state.ledger.files.values()}
+    ids = by_created(state.ledger.files)
     for path, expected in _FA_DL_AC[fixture].items():
-        contributors = by_created[path].contributors
+        contributors = state.ledger.files[ids[path]].contributors
         ac = acceptances(contributors)
         assert {key: (s.fa, s.dl, ac[key]) for key, s in contributors.items()} == expected
     run_analyze(config)
@@ -174,11 +175,10 @@ def test_binary_deletion_and_rename_keep_their_bookkeeping(repo_builder):
     repo.commit("delete and rename", "Bob", "bob@example.com", "2020-03-01T00:00:00 +0000")
     repo.write("moved.c", "int b;\nint c;\n")
     repo.commit("text again", "Carol", "carol@example.com", "2020-04-01T00:00:00 +0000")
-    files = mine(RunConfig(repo_path=repo.path))[0].ledger.files
-    assert {lid: (f.alive, f.current_path) for lid, f in files.items()} == {
-        next(lid for lid in files if lid.startswith("a.c@")): (False, "a.c"),
-        next(lid for lid in files if lid.startswith("b.c@")): (True, "moved.c"),
-    }
+    ledger = mine(RunConfig(repo_path=repo.path))[0].ledger
+    ids = by_created(ledger.files)
+    assert set(ids) == {"a.c", "b.c"}
+    assert ledger.paths == {"moved.c": ids["b.c"]}
 
 
 def test_warnings_follow_fold_order(repo_builder, tmp_path):
@@ -233,12 +233,13 @@ def test_names_keep_their_bytes_through_mine(repo_builder, tmp_path):
     out = tmp_path / "out"
     run_analyze(RunConfig(repo_path=repo.path, output_dir=str(out)))
     with open(out / "ledger.json", encoding="utf-8") as handle:
-        files = json.load(handle)["files"]
+        stored = json.load(handle)
+    files, ids = stored["files"], by_created(stored["files"])
     current = {name: renamed if name == b"d\xff.c" else name for name in _AWKWARD_NAMES}
-    assert sorted((f["created_path"], f["current_path"]) for f in files.values()) == \
-        sorted((os.fsdecode(created), os.fsdecode(now)) for created, now in current.items())
+    assert stored["paths"] == \
+        {os.fsdecode(now): ids[os.fsdecode(created)] for created, now in current.items()}
     on_disk = set(os.listdir(os.fsencode(repo.path))) - {b".git"}
-    assert {os.fsencode(f["current_path"]) for f in files.values()} == on_disk
+    assert set(map(os.fsencode, stored["paths"])) == on_disk
     # scores.csv holds the same bytes, and reads back with surrogateescape
     with open(out / "scores.csv", encoding="utf-8", errors="surrogateescape",
               newline="") as handle:
@@ -259,8 +260,10 @@ def test_names_told_apart_only_by_bytes_that_are_not_utf8_are_two_files(repo_bui
     repo.commit("mandatory edit", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
     config = RunConfig(repo_path=repo.path, output_dir=str(tmp_path / "out"))
     report = run_report(config)
-    files = mine(config)[0].ledger.files.values()
-    assert sorted((f.current_path, f.total_events, sorted(f.contributors)) for f in files) == [
+    ledger = mine(config)[0].ledger
+    files = [(path, ledger.files[lineage_id]) for path, lineage_id in ledger.paths.items()]
+    assert len(files) == len(ledger.files)
+    assert sorted((path, f.total_events, sorted(f.contributors)) for path, f in files) == [
         (mandatory, 2, ["alice@example.com", "bob@example.com"]),
         (variable, 1, ["alice@example.com"]),
     ]

@@ -129,8 +129,7 @@ def ledger_from_month_sets(file_month_sets):
     seen = []
     for path, developers in file_month_sets.items():
         lineage = f"{path}@000000000000"
-        record = FileRecord(created_path=path, current_path=path)
-        ledger.files[lineage] = record
+        record = ledger.files[lineage] = FileRecord()
         for key, (variable, mandatory) in developers.items():
             record.contributors[key] = ContributionStats(
                 dl=1,
