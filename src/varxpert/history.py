@@ -100,9 +100,9 @@ def resolve_identity(name: str, email: str) -> str:
 
 
 def filter_source_files(path: str, extensions: frozenset[str] = DEFAULT_EXTENSIONS) -> bool:
-    """True when the path carries one of the wanted extensions, case-insensitively."""
+    """True when the path carries one of the wanted extensions, given in lower case."""
     _, ext = os.path.splitext(path)
-    return ext.lower() in {e.lower() for e in extensions}
+    return ext.lower() in extensions
 
 
 class Hunk(NamedTuple):
@@ -436,6 +436,7 @@ class GitRepo:
 
         Changes carry blob ids but no hunks. git log starts at this call.
         """
+        extensions = frozenset(e.lower() for e in extensions)  # once, not per change
         stream = self._commits(tip, since, until, extensions, warn or (lambda record: None))
         next(stream)  # runs up to the first yield, just after git log starts
         self._streams.append(stream)

@@ -159,28 +159,24 @@ def build_contribution_ledger(
     ledger = ContributionLedger()
     paths = ledger.paths
 
-    def touch_months(commit: CommitRecord) -> None:
-        month = month_of(commit.timestamp)
-        if ledger.first_month is None or month < ledger.first_month:
-            ledger.first_month = month
-        if ledger.last_month is None or month > ledger.last_month:
-            ledger.last_month = month
-
     def record_event(
-        record: FileRecord, commit: CommitRecord, facts: ChangeFacts, *, first_author: bool
+        record: FileRecord, author: str, month: str, facts: ChangeFacts, *, first_author: bool
     ) -> None:
-        stats = record.contributors.setdefault(commit.author, ContributionStats())
+        stats = record.contributors.setdefault(author, ContributionStats())
         if first_author:
             stats.fa = 1
         stats.dl += 1
-        month = month_of(commit.timestamp)
         if facts.touched_variable:
             stats.first_variable_month = earliest_month(stats.first_variable_month, month)
         if facts.touched_mandatory:
             stats.first_mandatory_month = earliest_month(stats.first_mandatory_month, month)
 
     for commit, changes in commits:
-        touch_months(commit)
+        month = month_of(commit.timestamp)
+        if ledger.first_month is None or month < ledger.first_month:
+            ledger.first_month = month
+        if ledger.last_month is None or month > ledger.last_month:
+            ledger.last_month = month
         if commit.is_merge:
             ledger.merge_count += 1
             continue
@@ -216,7 +212,8 @@ def build_contribution_ledger(
                     paths[change.path_after] = lid
             record.has_variable_code_ever |= facts.saw_variable
             if not facts.is_empty:
-                record_event(record, commit, facts, first_author=change.kind is ChangeKind.ADDED)
+                record_event(record, commit.author, month, facts,
+                             first_author=change.kind is ChangeKind.ADDED)
 
     return ledger
 

@@ -419,6 +419,7 @@ def _final_snapshot(
     it.
     """
     repo, cache = classifier.repo, classifier.cache
+    extensions = frozenset(e.lower() for e in extensions)
     entries = [entry for entry in repo.ls_tree(rev) if filter_source_files(entry.path, extensions)]
     known: dict[str, Optional[BlobFacts]] = {}  # oid -> facts, None until read
     for entry in entries:

@@ -1,5 +1,6 @@
 """tools/contract.py: compare lists every file two source trees write
-differently, and nothing when they write the same bytes."""
+differently, and nothing when they write the same bytes; a check passes on
+this tree and fails on one with the defect it is there to catch."""
 
 import os
 import shutil
@@ -13,6 +14,8 @@ import varxpert
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONTRACT = os.path.join(ROOT, "tools", "contract.py")
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(varxpert.__file__)))
+sys.path.insert(0, os.path.dirname(CONTRACT))
+import contract  # noqa: E402  (tools/ is a directory of scripts, not a package)
 
 
 def compare(parent, change, *only):
@@ -48,3 +51,28 @@ def test_an_unknown_input_is_refused(only):
     done = compare(SRC, SRC, only)
     assert done.returncode != 0
     assert f"no input named {only}" in done.stderr
+
+
+@pytest.fixture(scope="module")
+def checks(tmp_path_factory):
+    """The checks on this tree, their two workloads built once."""
+    with contract.workspace(str(tmp_path_factory.mktemp("contract"))) as (work, env):
+        yield contract.Checks.build(work, env, SRC)
+
+
+def test_csv_cells_check_passes(checks, tmp_path):
+    checks._replace(work=str(tmp_path)).csv_cells()
+
+
+def test_csv_cells_check_fails_on_an_unquoted_comma(checks, tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    util = changed / "varxpert" / "util.py"
+    text = util.read_text(encoding="utf-8")
+    quoted = "elif kind is str and not _NEEDS_QUOTES(value):"
+    assert quoted in text
+    util.write_text(text.replace(quoted, quoted.replace(
+        "not _NEEDS_QUOTES(value)", '(not _NEEDS_QUOTES(value) or "," in value)')), encoding="utf-8")
+    (tmp_path / "work").mkdir()
+    with pytest.raises(contract.CheckFailed, match=r'a,"b"\|c/report\.csv'):
+        checks._replace(src=str(changed), work=str(tmp_path / "work")).csv_cells()

@@ -30,7 +30,7 @@ from varxpert.history import (
 )
 from conftest import hydrate, remove_loose_object, three_commit_repo
 from varxpert.cache import ChangeCache
-from varxpert.ledger import classify_change
+from varxpert.ledger import classify_change, ledger_to_dict
 from varxpert.pipeline import RunConfig, mine, run_analyze
 from varxpert.preproc import scan_text
 from varxpert.util import split_lines
@@ -447,6 +447,21 @@ def test_extension_filter(repo_builder):
     commits = stream(repo.path)
     paths = sorted(change.effective_path for change in commits[0].changes)
     assert paths == ["a.c", "b.H"]
+
+
+def test_mixed_case_extensions_mine_like_the_defaults(repo_builder):
+    repo = repo_builder
+    repo.write("A.C", "#ifdef X\nint a;\n#endif\n")
+    repo.write("b.H", "int b;\n")
+    repo.commit("one", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    repo.write("b.H", "int b;\n#ifndef Y\nint y;\n#endif\n")
+    repo.commit("two", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    default = mine(RunConfig(repo_path=repo.path))[0]
+    mixed = mine(RunConfig(repo_path=repo.path, extensions=frozenset({".C", ".h"})))[0]
+    assert ledger_to_dict(mixed.ledger) == ledger_to_dict(default.ledger)
+    assert sorted(default.ledger.paths) == ["A.C", "b.H"]
+    assert (mixed.snapshot_files, mixed.variability) == (2, default.variability)
+    assert default.snapshot_files == 2
 
 
 def test_binary_change_skipped_with_warning(repo_builder):
