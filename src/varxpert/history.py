@@ -432,11 +432,11 @@ class GitRepo:
         extensions: frozenset[str] = DEFAULT_EXTENSIONS,
         warn: Optional[WarningSinkFn] = None,
     ) -> Iterator[CommitRecord]:
-        """First-parent commits, oldest first, with filtered file changes.
+        """First-parent commits, oldest first, with file changes filtered by
+        extensions, given in lower case.
 
         Changes carry blob ids but no hunks. git log starts at this call.
         """
-        extensions = frozenset(e.lower() for e in extensions)  # once, not per change
         stream = self._commits(tip, since, until, extensions, warn or (lambda record: None))
         next(stream)  # runs up to the first yield, just after git log starts
         self._streams.append(stream)

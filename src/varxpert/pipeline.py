@@ -369,9 +369,10 @@ def mine(config: RunConfig) -> tuple[AnalysisState, list[dict]]:
         if tip is None:
             raise NoEligibleFiles("repository has no commits")
         log_warnings: list[dict] = []
+        extensions = frozenset(e.lower() for e in config.extensions)  # once, not per path
         # git walks the log while the cache is read
         commits = repo.iter_commits(tip, since=config.since, until=config.until,
-                                    extensions=config.extensions, warn=log_warnings.append)
+                                    extensions=extensions, warn=log_warnings.append)
         cache = ChangeCache.open(
             config.cache_dir, config.extensions, config.exclude_include_guards
         )
@@ -382,7 +383,7 @@ def mine(config: RunConfig) -> tuple[AnalysisState, list[dict]]:
         last_commit = classifier.last_commit
         if last_commit is None:
             raise NoEligibleFiles("no commits in the requested range")
-        snapshot_files, variability = _final_snapshot(classifier, last_commit, config.extensions)
+        snapshot_files, variability = _final_snapshot(classifier, last_commit, extensions)
         if not ledger.files and snapshot_files == 0:
             raise NoEligibleFiles("no source files in the history or the final tree")
         cache.flush()
@@ -419,7 +420,6 @@ def _final_snapshot(
     it.
     """
     repo, cache = classifier.repo, classifier.cache
-    extensions = frozenset(e.lower() for e in extensions)
     entries = [entry for entry in repo.ls_tree(rev) if filter_source_files(entry.path, extensions)]
     known: dict[str, Optional[BlobFacts]] = {}  # oid -> facts, None until read
     for entry in entries:

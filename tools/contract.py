@@ -41,8 +41,11 @@ STEPS = (
     ("3-analyze-cache-again", ["analyze", "--out", "warm", "--cache-dir", "cache"]),
     ("4-report-reuse", ["report", "--out", "warm"]),
 )
-THRESHOLDS = ("--doa-threshold", "0.5", "--ownership-threshold", "0.1",
-              "--doa-abs-floor", "3.5", "--aggregation", "macro")
+THRESHOLDS = (  # non-default; with the floor, 0.5 and the default DOA threshold score alike
+    ("--doa-threshold", "0.5", "--ownership-threshold", "0.1", "--doa-abs-floor", "3.5",
+     "--aggregation", "macro"),
+    ("--doa-threshold", "0.5", "--ownership-threshold", "0.1", "--aggregation", "macro"),
+)
 
 
 def package_dir(path: str) -> str:
@@ -194,7 +197,9 @@ def stdout_of(done: subprocess.CompletedProcess) -> bytes:
 
 class Checks(NamedTuple):
     """The checks named in CHECKS, each a method that raises CheckFailed. They
-    run the CLI of the tree at src, with work as its working directory."""
+    run the CLI of the tree at src, with work as its working directory, each
+    run under a hash seed of its own choosing: two runs a check compares, and a
+    run and the one whose cache or analysis it reads, differ in seed."""
 
     src: str
     work: str
@@ -208,8 +213,9 @@ class Checks(NamedTuple):
             workload: synth.generate(workload, 0, os.path.join(work, "inputs", workload))["repo"]
             for workload in ("deep-ifdef", "team-churn")})
 
-    def cli(self, *args: str, **extra: str) -> bytes:
-        return stdout_of(run_cli(self.src, list(args), self.work, self.env, **extra))
+    def cli(self, seed: int, *args: str, **extra: str) -> bytes:
+        return stdout_of(run_cli(self.src, list(args), self.work, self.env,
+                                 PYTHONHASHSEED=str(seed), **extra))
 
     def same(self, first: str, second: str, *leave_out: str) -> None:
         """Two directories under work hold the same files, leave_out aside."""
@@ -234,9 +240,9 @@ class Checks(NamedTuple):
     def hash_seed(self) -> None:
         """report --cache-dir on team-churn writes the same files under PYTHONHASHSEED
         1 and 2 (the benchmark and the tests see only one hash order)."""
-        for seed in "12":
-            self.cli("report", self.repos["team-churn"], "--cache-dir", f"{seed}/cache",
-                     "--out", f"{seed}/out", PYTHONHASHSEED=seed)
+        for seed in (1, 2):
+            self.cli(seed, "report", self.repos["team-churn"], "--cache-dir", f"{seed}/cache",
+                     "--out", f"{seed}/out")
         self.same("1", "2")
 
     def benchmark(self) -> None:
@@ -248,8 +254,8 @@ class Checks(NamedTuple):
     def blob_asks(self) -> None:
         """analyze --since 1998-01-01 reads each blob it asks for: a read out of
         ask order fails the run, an ask never read counts in blob_asks_unread."""
-        for workload, repo in self.repos.items():
-            self.cli("analyze", repo, "--since", "1998-01-01", "--out", workload)
+        for seed, (workload, repo) in enumerate(self.repos.items(), 1):
+            self.cli(seed, "analyze", repo, "--since", "1998-01-01", "--out", workload)
             meta = pathlib.Path(self.work, workload, "run_meta.json").read_text(encoding="utf-8")
             if (counters := json.loads(meta)["counters"])["blob_asks_unread"] != 0:
                 raise CheckFailed(f"{workload}: {counters}")
@@ -257,10 +263,10 @@ class Checks(NamedTuple):
     def csv_cells(self) -> None:
         """Each row of the 16 CSV files report writes is as wide as its header, on
         both workloads and deep-ifdef named `a,"b"|c` and `deep\\xff` (strict stdout)."""
-        for name in (*self.repos, 'a,"b"|c', os.fsdecode(b"deep\xff")):
+        for seed, name in enumerate((*self.repos, 'a,"b"|c', os.fsdecode(b"deep\xff")), 1):
             repo = self.repos.get(name) or shutil.copytree(self.repos["deep-ifdef"],
                                                            os.path.join(self.work, name))
-            self.cli("report", repo, "--out", f"out/{name}", PYTHONIOENCODING="utf-8:strict")
+            self.cli(seed, "report", repo, "--out", f"out/{name}", PYTHONIOENCODING="utf-8:strict")
         paths, ragged = sorted(pathlib.Path(self.work, "out").glob("*/*.csv")), []
         for path in paths:
             with open(path, newline="", encoding="utf-8", errors="surrogateescape") as handle:
@@ -276,24 +282,26 @@ class Checks(NamedTuple):
         for workload, repo in self.repos.items():
             for since in ((), ("--since", "1998-01-01")):
                 run = workload + ("-since" if since else "")
-                for branch, cache, out in (("HEAD", "cache", "cold"), ("HEAD", "cache", "warm"),
-                                           ("HEAD~1", "advance", "prev"),
-                                           ("HEAD", "advance", "advanced")):
-                    self.cli("analyze", repo, *since, "--branch", branch,
+                for seed, branch, cache, out in ((1, "HEAD", "cache", "cold"),
+                                                 (2, "HEAD", "cache", "warm"),
+                                                 (1, "HEAD~1", "advance", "prev"),
+                                                 (2, "HEAD", "advance", "advanced")):
+                    self.cli(seed, "analyze", repo, *since, "--branch", branch,
                              "--cache-dir", f"{run}/{cache}", "--out", f"{run}/{out}")
                 self.same(f"{run}/cold", f"{run}/warm", "run_meta.json")
                 self.same(f"{run}/cold", f"{run}/advanced", "run_meta.json")
 
     def reuse_thresholds(self) -> None:
-        """Under non-default thresholds, which a stored analysis's key leaves out,
+        """Under each set of THRESHOLDS, which a stored analysis's key leaves out,
         a report reusing what analyze stored writes and prints a cold one's output."""
         for workload, repo in self.repos.items():
-            printed = self.cli("report", repo, *THRESHOLDS, "--out", f"{workload}-A")
-            self.cli("analyze", repo, "--out", f"{workload}-B")
-            if self.cli("report", repo, *THRESHOLDS, "--out", f"{workload}-B") != printed:
-                raise CheckFailed(f"{workload}: the two reports print different stdout")
-            self.same(f"{workload}-A", f"{workload}-B",
-                      "ledger.json", "run_meta.json", "warnings.jsonl")
+            for index, flags in enumerate(THRESHOLDS):
+                cold, reused = f"{workload}-{index}-cold", f"{workload}-{index}-reused"
+                printed = self.cli(1, "report", repo, *flags, "--out", cold)
+                self.cli(1, "analyze", repo, "--out", reused)
+                if self.cli(2, "report", repo, *flags, "--out", reused) != printed:
+                    raise CheckFailed(f"{workload} {flags}: the two reports print different stdout")
+                self.same(cold, reused, "ledger.json", "run_meta.json", "warnings.jsonl")
 
     def trace(self) -> None:
         """A traced perfbench round per workload is correct with each per-layer metric
