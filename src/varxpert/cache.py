@@ -5,11 +5,9 @@ where digest hashes the analyzer options (extensions, include-guard
 handling) and the format string, varxpert-change-cache/9. The tip is not
 part of the key: one file serves every run with those options, so after
 a new commit only that commit's changes are mined. Files of other
-options or formats (/8 and older, or the tip-named files
-changes-{tip}-{digest}.jsonl) are ignored, never migrated: /8 named
-every field, twice the bytes to read, and /7 holds facts mined from
-blobs decoded with errors="replace", which merges lines that differ
-only in bytes that are not UTF-8.
+options or formats (older formats, or the tip-named files
+changes-{tip}-{digest}.jsonl) are ignored, never migrated, and can be
+deleted.
 
 Two record kinds, one JSON array per line, written by one encoder:
 

@@ -37,17 +37,19 @@ Blobs are asked for ahead of their reads. GitRepo.ask queues a blob id
 and blob_bytes reads the oldest one not yet read, so git reads and
 inflates the next blobs on its own process while Python diffs and scans.
 Replies are read in the order they were asked for; reading any other
-blob is a RuntimeError. _BlobReader's window keeps the pipe from
-deadlocking.
+blob, or a blob nobody asked for, is a RuntimeError. _BlobReader's
+window keeps the pipe from deadlocking.
 
 A failing git is never read as empty content. A blob that `git
 cat-file` cannot produce or sends cut short, a tree `git ls-tree`
 cannot list, a `git log` that exits non-zero after its output ends, or
 a `git rev-list` that cannot list the commits (a damaged object
 database, for instance), raises CorruptRepo with the blob id, the
-commit, or git's own message. A bad reply to a blob asked for ahead is
-raised when that blob is read, never at the ask, so a blob the run
-never reads cannot fail it. Gitlink (submodule) entries name commits of
+commit, or git's own message. Each line a `git log` that exits 0 writes
+to stderr (past diff.renameLimit, say, where git stops looking for
+inexact renames) is a git_stderr warning after the last commit's. A bad
+reply to a blob asked for ahead is raised when that blob is read, never
+at the ask, so a blob the run never reads cannot fail it. Gitlink (submodule) entries name commits of
 another repository; their sides carry no blob and are parsed as absent.
 """
 
@@ -236,9 +238,9 @@ class _BlobReader:
     outstanding, so git reads the next blobs on its own process while the
     caller works. read takes the reply to the oldest outstanding request,
     so blobs are read in the order they were asked for; reading any other
-    blob raises RuntimeError before a reply is taken, since that reply
-    holds another blob's bytes. A read while nothing is outstanding
-    requests its blob there and then.
+    blob, or one nobody asked for, raises RuntimeError before a reply is
+    taken, since that reply holds another blob's bytes. So every read is
+    one that was asked for, and read writes no request of its own.
 
     The window bounds memory and cannot deadlock. At most WINDOW requests
     are outstanding at any time. git stops reading requests while its
@@ -268,7 +270,7 @@ class _BlobReader:
 
     def read(self, oid: str) -> bytes:
         if not self._requested:  # nothing outstanding: _feed leaves no ask queued
-            self._send([oid])
+            raise RuntimeError(f"blob {oid} read, but no blob was asked for")
         if self._requested[0] != oid:
             raise RuntimeError(f"blob {oid} read before {self._requested[0]}, "
                                f"which was asked for first")
@@ -486,10 +488,15 @@ class GitRepo:
                     raw_changes.append((head, [next(records, "") for _ in range(count)]))
                 # Reached only when the stream ran to its end, never when the
                 # consumer or close() ended the generator early.
-                if log.wait() != 0:
-                    errors.seek(0)
-                    message = errors.read().decode("utf-8", errors="replace").strip()
-                    raise CorruptRepo(f"git log failed (exit {log.returncode}): {message}")
+                returncode = log.wait()
+                errors.seek(0)
+                message = errors.read().decode("utf-8", errors="replace")
+                if returncode != 0:
+                    raise CorruptRepo(f"git log failed (exit {returncode}): {message.strip()}")
+                # what git says while exiting 0, such as a rename limit it hit
+                for line in message.splitlines():
+                    if line.strip():
+                        emit({"kind": "git_stderr", "detail": line})
             finally:
                 if log.poll() is None:
                     log.kill()

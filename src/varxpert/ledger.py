@@ -24,7 +24,7 @@ variable-touching change and the earliest with a mandatory-touching
 one. Timeline categories are cumulative, so those two months decide the
 developer's category in every month. The fold keeps the minimum, since
 the first-parent stream is not in author-date order. AC, everyone
-else's events on the file, is derived at scoring (metrics.acceptances).
+else's events on the file, is derived at scoring (metrics.score_file).
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Degree of authorship blends file creation, own deliveries, and
 acceptances of other people's changes: FA and DL as the ledger stores
-them, and AC derived from the file's DLs (see acceptances):
+them, and AC, everyone else's DL on the file, derived in score_file:
 
     doa_abs = 3.293 + 1.098 * FA + 0.164 * DL - 0.321 * ln(1 + AC)
 
@@ -47,38 +47,6 @@ def doa_absolute(fa: int, dl: int, ac: int) -> float:
     )
 
 
-def acceptances(stats_by_dev: Mapping[str, ContributionStats]) -> dict[str, int]:
-    """Per-developer AC on one file: everyone else's DL, summed."""
-    total = sum(stats.dl for stats in stats_by_dev.values())
-    return {key: total - stats.dl for key, stats in stats_by_dev.items()}
-
-
-def doa_normalized(stats_by_dev: Mapping[str, ContributionStats]) -> dict[str, float]:
-    """Per-developer doa_abs divided by the file maximum.
-
-    The maximum scores exactly 1.0; ties all score 1.0.
-    """
-    if not stats_by_dev:
-        raise EmptyHistory("file has no recorded change events")
-    ac = acceptances(stats_by_dev)
-    absolute = {
-        key: doa_absolute(stats.fa, stats.dl, ac[key])
-        for key, stats in stats_by_dev.items()
-    }
-    top = max(absolute.values())
-    if top <= 0:
-        raise DegenerateFile("no positive degree-of-authorship value on this file")
-    return {key: value / top for key, value in absolute.items()}
-
-
-def ownership_shares(stats_by_dev: Mapping[str, ContributionStats]) -> dict[str, float]:
-    """Per-developer share of the file's commits (its DL); shares sum to 1."""
-    total = sum(stats.dl for stats in stats_by_dev.values())
-    if total == 0:
-        raise EmptyHistory("file has no recorded change events")
-    return {key: stats.dl / total for key, stats in stats_by_dev.items()}
-
-
 class ExpertiseScore(NamedTuple):
     file: str  # lineage id
     developer_key: str
@@ -100,8 +68,9 @@ def score_file(
     ownership_threshold: float = DEFAULT_OWNERSHIP_THRESHOLD,
     doa_abs_floor: Optional[float] = None,
 ) -> list[ExpertiseScore]:
-    """One file's rows, sorted by developer: doa_normalized, ownership_shares
-    and acceptances in one pass, each developer's doa_absolute taken once."""
+    """One file's rows, sorted by developer, in one pass: each developer's
+    AC, doa_absolute (taken once), its share of the file maximum, and
+    ownership share."""
     if not stats_by_dev:
         raise EmptyHistory("file has no recorded change events")
     total = sum(stats.dl for stats in stats_by_dev.values())

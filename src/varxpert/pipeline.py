@@ -66,7 +66,7 @@ EVALUATION_CSV = "evaluation.csv"
 LEDGER_JSON = "ledger.json"
 WARNINGS_JSONL = "warnings.jsonl"
 RUN_META_JSON = "run_meta.json"
-RUN_FORMAT = "varxpert-run/4"
+RUN_FORMAT = "varxpert-run/5"
 REPORT_BASENAME = "report"
 READ_AHEAD = 16  # commits the fold trails the log stream by
 
@@ -122,16 +122,12 @@ class Counters:
     def __init__(
         self,
         *,
-        commits: int = 0,
-        merges: int = 0,
         changes: int = 0,
         cache_hits: int = 0,
         annotated_sides: int = 0,
         blob_reads: int = 0,
         blob_asks_unread: int = 0,
     ):
-        self.commits = commits
-        self.merges = merges
         self.changes = changes
         self.cache_hits = cache_hits
         self.annotated_sides = annotated_sides
@@ -379,7 +375,6 @@ def mine(config: RunConfig) -> tuple[AnalysisState, list[dict]]:
         classifier = _PipelineClassifier(repo, config.exclude_include_guards, cache)
         ledger = build_contribution_ledger(classifier.read_ahead(commits, log_warnings))
         counters = classifier.counters
-        counters.commits, counters.merges = ledger.commit_count, ledger.merge_count
         last_commit = classifier.last_commit
         if last_commit is None:
             raise NoEligibleFiles("no commits in the requested range")

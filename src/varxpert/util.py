@@ -64,39 +64,28 @@ def compact_json(obj: object) -> str:
 _NEEDS_QUOTES = re.compile('[,"\n\r]').search
 
 
-def _csv_cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, str):
-        if _NEEDS_QUOTES(value):
-            return '"' + value.replace('"', '""') + '"'
-        return value
-    return str(value)
-
-
 def csv_text(header: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
     """The CSV text of a header and its rows, each record ended by "\n".
 
-    Every cell, the header's too, follows one rule: None is empty, a bool
-    is true/false, a float its repr, a string holding a comma, a quote,
-    LF or CR is quoted with its quotes doubled, anything else is str().
+    Every cell, the header's too, is taken by its exact type: None is
+    empty, a bool is true/false, an int or float its repr, and a string
+    holding a comma, a quote, LF or CR is quoted with its quotes doubled.
+    Any other type, a subclass of these included, is a TypeError.
     """
     text = []
     for line in (header, *rows):
         cells = []
         for value in line:
-            kind = type(value)  # exact types here; subclasses take _csv_cell's chain
+            kind = type(value)
             if kind is float or kind is int:
                 cells.append(repr(value))
-            elif kind is str and not _NEEDS_QUOTES(value):
-                cells.append(value)
+            elif kind is str:
+                cells.append('"' + value.replace('"', '""') + '"' if _NEEDS_QUOTES(value) else value)
             elif kind is bool:
                 cells.append("true" if value else "false")
+            elif value is None:
+                cells.append("")
             else:
-                cells.append(_csv_cell(value))
+                raise TypeError(f"no CSV cell for a {kind.__name__}: {value!r}")
         text.append(",".join(cells) + "\n")
     return "".join(text)

@@ -54,6 +54,8 @@ def hydrate(repo, change):
     of the per-change step, for differentials that run an engine on it."""
     texts = []
     for oid in (change.old_blob, change.new_blob):
+        if oid:
+            repo.ask(oid)  # a read takes only a blob asked for
         payload = repo.blob_bytes(oid) if oid else None
         if payload is not None and looks_binary(payload):
             return None

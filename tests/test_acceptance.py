@@ -30,6 +30,7 @@ from fixture_repos import (
     build_multifile,
     build_rename,
 )
+from metric_reference import doa_normalized
 from test_preproc import run_oracle_comparison
 from test_timeline import run_transition_check
 from timeline_reference import (
@@ -40,7 +41,7 @@ from timeline_reference import (
 from varxpert.cli import main as cli_main
 from varxpert.evaluation import precision_recall
 from varxpert.ledger import ContributionStats
-from varxpert.metrics import doa_absolute, doa_normalized, score_file
+from varxpert.metrics import doa_absolute, score_file
 from varxpert.preproc import scan_text
 from varxpert.timeline import monthly_snapshots
 from varxpert.util import month_range, parse_instant

@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -18,7 +19,7 @@ from varxpert import pipeline
 from varxpert.cli import main
 from varxpert.history import GitRepo
 from varxpert.pipeline import RunConfig
-from varxpert.util import _csv_cell, compact_json, csv_text
+from varxpert.util import compact_json, csv_text
 
 ARTIFACTS = ("scores.csv", "ledger.json", "warnings.jsonl", "run_meta.json")
 REPORT_ARTIFACTS = ARTIFACTS + ("timeline.csv", "evaluation.csv",
@@ -616,6 +617,25 @@ def test_missing_tree_fails_the_run(repo_builder, tmp_path, capsys):
     assert f"cannot read the tree of {tip}: git ls-tree failed" in err
 
 
+def test_what_git_log_says_while_exiting_0_is_a_warning(repo_builder, tmp_path, monkeypatch):
+    # past diff.renameLimit git says so on stderr and exits 0; a wrapper
+    # git first on PATH says one such line for each git log it runs
+    repo = three_commit_repo(repo_builder)
+    said = "warning: inexact rename detection was skipped due to too many files."
+    wrapper = tmp_path / "bin" / "git"
+    wrapper.parent.mkdir()
+    wrapper.write_text(f'#!/bin/sh\nfor arg in "$@"; do [ "$arg" = log ] && echo "{said}" >&2 '
+                       f'&& break; done\nexec "{shutil.which("git")}" "$@"\n', encoding="utf-8")
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{wrapper.parent}{os.pathsep}{os.environ['PATH']}")
+    out = str(tmp_path / "out")
+    assert run_cli("analyze", repo.path, "--out", out) == 0
+    lines = read(os.path.join(out, "warnings.jsonl")).decode("utf-8").splitlines()
+    assert json.loads(lines[-1]) == {"kind": "git_stderr", "detail": said}
+    meta = json.loads(read(os.path.join(out, "run_meta.json")))
+    assert meta["warnings_by_kind"] == {"git_stderr": 1}
+
+
 # ----------------------------------------------------------------------
 # option behavior
 # ----------------------------------------------------------------------
@@ -697,8 +717,8 @@ def test_since_until_narrow_the_window(basic_repo, tmp_path):
     out = str(tmp_path / "out")
     assert run_cli("analyze", path, "--out", out,
                    "--since", "2020-02-01", "--until", "2020-03-31") == 0
-    meta = json.loads(read(os.path.join(out, "run_meta.json")))
-    assert meta["counters"]["commits"] == 2
+    ledger = json.loads(read(os.path.join(out, "ledger.json")))
+    assert ledger["commit_count"] == 2
 
 
 def test_report_csv_row_values(identity_repo, tmp_path):
@@ -756,8 +776,22 @@ CELLS = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0]),
     # the characters the rule quotes for, and lone surrogates (undecodable name bytes)
     st.text(st.sampled_from(',"\r\nab\udc80\ud800') | st.characters(), max_size=6),
-    st.integers().map(Count), st.text(max_size=4).map(Name), st.floats().map(Ratio),
 )
+
+
+def _csv_cell(value):
+    """The per-cell rule csv_text applies to the five types it takes."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, str):
+        if re.search('[,"\n\r]', value):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+    return str(value)
 
 
 @given(header=st.lists(CELLS, max_size=5), rows=st.lists(st.lists(CELLS, max_size=5), max_size=5))
@@ -767,6 +801,16 @@ def test_csv_text_matches_the_per_cell_rule(header, rows):
     expected = "".join(",".join([_csv_cell(value) for value in line]) + "\n"
                        for line in [header, *rows])
     assert csv_text(header, rows) == expected
+
+
+@pytest.mark.parametrize("cell", [Name("a"), Name("a,b"), Count(1), Ratio(0.5), b"a", ("a",)],
+                         ids=["str_subclass", "quoted_str_subclass", "int_subclass",
+                              "float_subclass", "bytes", "tuple"])
+def test_csv_text_refuses_a_type_outside_its_rule(cell):
+    # a subclass of a cell type too: its own __str__ or __repr__ is no cell
+    for header, rows in (([cell], []), (["x", "y"], [[None, "a"], [1.5, cell]])):
+        with pytest.raises(TypeError, match=type(cell).__name__):
+            csv_text(header, rows)
 
 
 def read_rows(path):

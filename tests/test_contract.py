@@ -69,10 +69,10 @@ def test_csv_cells_check_fails_on_an_unquoted_comma(checks, tmp_path):
     shutil.copytree(SRC, changed, ignore=shutil.ignore_patterns("__pycache__"))
     util = changed / "varxpert" / "util.py"
     text = util.read_text(encoding="utf-8")
-    quoted = "elif kind is str and not _NEEDS_QUOTES(value):"
+    quoted = "if _NEEDS_QUOTES(value) else value"
     assert quoted in text
     util.write_text(text.replace(quoted, quoted.replace(
-        "not _NEEDS_QUOTES(value)", '(not _NEEDS_QUOTES(value) or "," in value)')), encoding="utf-8")
+        "_NEEDS_QUOTES(value)", '_NEEDS_QUOTES(value) and "," not in value')), encoding="utf-8")
     (tmp_path / "work").mkdir()
     with pytest.raises(contract.CheckFailed, match=r'a,"b"\|c/report\.csv'):
         checks._replace(src=str(changed), work=str(tmp_path / "work")).csv_cells()

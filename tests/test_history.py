@@ -268,8 +268,10 @@ def test_basic_repo_stream(basic_repo):
     assert second.kind is ChangeKind.MODIFIED
     assert second.old_blob == first[0].new_blob
     with GitRepo(path) as repo:
+        repo.ask(first[0].new_blob)
         assert repo.blob_bytes(first[0].new_blob).startswith(b"#include")
         old_text, new_text = hydrate(repo, second)[1:3]
+        repo.ask(first[0].new_blob)
         assert old_text == repo.blob_bytes(first[0].new_blob).decode("utf-8")
         assert new_text is not None
 
@@ -500,6 +502,20 @@ def test_cut_short_blob_is_never_read_as_content(reply):
         cat_file_read(reply)
 
 
+def test_a_read_nobody_asked_for_raises_and_requests_nothing():
+    oid = "a" * 40
+    child = _CannedCatFile(f"{oid} blob 7\nint a;\n\n".encode("ascii"))
+    reader = _BlobReader(child)
+    with pytest.raises(RuntimeError, match=f"blob {oid} read, but no blob was asked for"):
+        reader.read(oid)
+    assert child.stdin.getvalue() == b"" and reader.reads == 0
+    reader.ask(oid)
+    assert reader.read(oid) == b"int a;\n"
+    with pytest.raises(RuntimeError, match=f"blob {oid} read, but no blob was asked for"):
+        reader.read(oid)  # each ask serves one read
+    assert child.stdin.getvalue() == f"{oid}\n".encode("ascii")
+
+
 def test_raw_stream_has_no_hunks(basic_repo):
     path, _ = basic_repo
     changes = [change for commit in stream(path) for change in commit.changes]
@@ -535,8 +551,8 @@ def _history_blobs(path):
 @example(window=1, steps=[("ask", 0), ("ask", 1), ("read out of order", 1), ("read", 0),
                           ("read", 0)])
 def test_any_interleaving_of_asks_and_reads_gives_gits_bytes(multifile_repo, window, steps):
-    # a read takes the oldest blob asked for and not yet read, or with
-    # nothing asked for, any blob; a read of any other blob raises and
+    # a read takes the oldest blob asked for and not yet read; a read of
+    # any other blob, or of any blob with nothing asked for, raises and
     # takes no reply, so the reads after it still get their own bytes
     blobs = _history_blobs(multifile_repo[0])
     oids = sorted(blobs) + [_ABSENT]
@@ -554,8 +570,11 @@ def test_any_interleaving_of_asks_and_reads_gives_gits_bytes(multifile_repo, win
                 if asked and oid != asked[0]:
                     with pytest.raises(RuntimeError, match=f"blob {oid} read before {asked[0]}"):
                         repo.blob_bytes(oid)
+            elif not asked:
+                with pytest.raises(RuntimeError, match=f"blob {oid} read, but no blob was asked"):
+                    repo.blob_bytes(oid)
             else:
-                oid = asked.popleft() if asked else oid
+                oid = asked.popleft()
                 reads += 1
                 if oid == _ABSENT:
                     with pytest.raises(CorruptRepo, match=f"cannot read blob {oid}: .*'missing'"):

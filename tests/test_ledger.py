@@ -9,6 +9,7 @@ import pytest
 
 from conftest import by_created, mined_ledger
 from fixture_repos import BASIC, IDENTITY, RENAME
+from metric_reference import acceptances
 from varxpert import pipeline
 from varxpert.errors import AnnotationMismatch
 from varxpert.history import ChangeKind, FileChange, diff_hunks
@@ -19,7 +20,6 @@ from varxpert.ledger import (
     ledger_from_dict,
     ledger_to_dict,
 )
-from varxpert.metrics import acceptances
 from varxpert.pipeline import RunConfig, mine, run_analyze
 from varxpert.preproc import scan_text
 from varxpert.util import split_lines

@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 
 from conftest import mined_ledger
 from fixture_repos import BASIC, MULTIFILE, RENAME
+from metric_reference import acceptances, doa_normalized, ownership_shares
 from varxpert.errors import DegenerateFile, EmptyHistory
 from varxpert.ledger import ContributionStats
 from varxpert.metrics import (
     METRIC_DOA,
     METRIC_OWNERSHIP,
     ExpertiseScore,
-    acceptances,
     compute_scores,
     doa_absolute,
-    doa_normalized,
-    ownership_shares,
     recommended_sets,
     score_file,
 )

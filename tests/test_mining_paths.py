@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 from conftest import by_created
 from fixture_repos import BASIC, IDENTITY, MULTIFILE, RENAME, RepoBuilder
+from metric_reference import acceptances
 from varxpert.errors import NoEligibleFiles
 from varxpert.history import GitRepo
 from varxpert.ledger import ledger_to_dict
-from varxpert.metrics import acceptances
 from varxpert import pipeline
 from varxpert.pipeline import RunConfig, mine, run_analyze, run_report
 from varxpert.util import compact_json

@@ -252,8 +252,9 @@ class Checks(NamedTuple):
             self.perfbench(workload, seed, 0)
 
     def blob_asks(self) -> None:
-        """analyze --since 1998-01-01 reads each blob it asks for: a read out of
-        ask order fails the run, an ask never read counts in blob_asks_unread."""
+        """analyze --since 1998-01-01 reads each blob it asks for, and only those:
+        a read out of ask order or of a blob nobody asked for fails the run,
+        an ask never read counts in blob_asks_unread."""
         for seed, (workload, repo) in enumerate(self.repos.items(), 1):
             self.cli(seed, "analyze", repo, "--since", "1998-01-01", "--out", workload)
             meta = pathlib.Path(self.work, workload, "run_meta.json").read_text(encoding="utf-8")
