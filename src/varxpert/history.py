@@ -29,6 +29,13 @@ committer time instead, with a clamped_timestamp warning. The rule
 reads only the repository, so the stream does not depend on the day it
 is mined.
 
+Every git child runs without the variables `git rev-parse
+--local-env-vars` lists (GIT_DIR, GIT_OBJECT_DIRECTORY, GIT_CONFIG_COUNT
+and the rest on git 2.39) and without any GIT_TRACE* variable, so a git
+hook's GIT_DIR cannot swap in another repository and a caller's trace
+cannot reach the warnings; the log pins --no-show-signature, so a
+log.showSignature setting writes nothing into the stream.
+
 git log starts when iter_commits is called, so it walks the history
 while the caller gets ready; the GitRepo owns that child, and close()
 kills and reaps one still running and closes its stderr file.
@@ -77,6 +84,14 @@ _CLOCK_SKEW = 86400
 # A gitlink (submodule) names a commit of another repository and a
 # symlink a path, not lines of code: neither side is read.
 _UNREAD_MODES = frozenset({"160000", "120000"})
+# `git rev-parse --local-env-vars` on git 2.39: no git child sees them
+_LOCAL_ENV_VARS = frozenset({
+    "GIT_ALTERNATE_OBJECT_DIRECTORIES", "GIT_CONFIG", "GIT_CONFIG_PARAMETERS",
+    "GIT_CONFIG_COUNT", "GIT_OBJECT_DIRECTORY", "GIT_DIR", "GIT_WORK_TREE",
+    "GIT_IMPLICIT_WORK_TREE", "GIT_GRAFT_FILE", "GIT_INDEX_FILE", "GIT_NO_REPLACE_OBJECTS",
+    "GIT_REPLACE_REF_BASE", "GIT_PREFIX", "GIT_INTERNAL_SUPER_PREFIX", "GIT_SHALLOW_FILE",
+    "GIT_COMMON_DIR",
+})
 
 WarningSinkFn = Callable[[dict], None]
 
@@ -341,6 +356,8 @@ class GitRepo:
             raise RepoNotFound(f"not a directory: {self.path}")
         self._blobs: Optional[_BlobReader] = None
         self._streams: list[Iterator] = []  # iter_commits' streams; each owns a git log
+        self._env = {name: value for name, value in os.environ.items()
+                     if name not in _LOCAL_ENV_VARS and not name.startswith("GIT_TRACE")}
 
     def __enter__(self) -> "GitRepo":
         return self
@@ -360,6 +377,7 @@ class GitRepo:
             ["git", "-C", self.path, *args],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
+            env=self._env,
         )
 
     def resolve_tip(self, branch: str = "HEAD") -> Optional[str]:
@@ -390,6 +408,7 @@ class GitRepo:
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
+                env=self._env,
             ))
         return self._blobs
 
@@ -454,14 +473,16 @@ class GitRepo:
                     "-c", "diff.renameLimit=10000",
                     "log", "-z", "--first-parent", "--reverse", "--raw", "--no-abbrev",
                     "--diff-merges=off", "--find-renames=50%",
-                    # pin what log.showRoot, diff.relative, diff.orderFile and
-                    # i18n.logOutputEncoding change
+                    # pin what log.showRoot, diff.relative, diff.orderFile,
+                    # i18n.logOutputEncoding and log.showSignature change
                     "--root", "--no-relative", f"-O{os.devnull}", "--encoding=UTF-8",
+                    "--no-show-signature",
                     "--format=%x01%H%x1f%P%x1f%an%x1f%ae%x1f%at%x1f%ct",
                     tip, "--",
                 ],
                 stdout=subprocess.PIPE,
                 stderr=errors,
+                env=self._env,
             )
             assert log.stdout is not None
             try:

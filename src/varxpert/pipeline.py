@@ -137,13 +137,13 @@ class Counters:
 
 class _LiveEntry:
     """A path's current version: its blob id, and once _mine has read it,
-    its text and ScanResult (both None for a binary blob)."""
+    its lines and ScanResult (both None for a binary blob)."""
 
-    __slots__ = ("oid", "text", "scan")
+    __slots__ = ("oid", "lines", "scan")
 
     def __init__(self, oid: str):
         self.oid = oid
-        self.text: Optional[str] = None
+        self.lines: Optional[list[str]] = None
         self.scan: Optional[ScanResult] = None
 
 
@@ -179,15 +179,16 @@ class _PipelineClassifier:
 
     live maps each path to the _LiveEntry of its current version, so a
     blob is read once, as a new side, and reused as the next change's
-    old side: its text for diff_hunks, its ScanResult for
+    old side: its lines for diff_hunks, its ScanResult for
     preproc.patch_scan. So scan_blob, the one full scan, lexes a path
-    only at first sight or where a backslash continuation meets a hunk
-    edge. Each change pops its old path's entry; a miss puts back its
+    only at first sight or where patch_scan gives up (a backslash
+    continuation at a hunk edge, a byte order mark at a hunk at the
+    top). Each change pops its old path's entry; a miss puts back its
     new side's under the new path, a hit only a popped entry that holds
     its new side, a delete nothing. So the table holds one version per
     path, not one per version in the history. _mine fills a new entry
     before any later change uses it; a binary version keeps an entry
-    without text, so it is never read again. A path that leaves the
+    without lines, so it is never read again. A path that leaves the
     stream unseen by the fold (renamed outside the extension filter, or
     changed by a merge) keeps a stale entry, but an entry only serves a
     side with its oid. binary_oids holds the binary sides the run
@@ -205,9 +206,9 @@ class _PipelineClassifier:
         self.last_commit: Optional[str] = None  # the last commit read_ahead handed over
         self._reported_oids: set[str] = set()  # blobs whose scan warnings are out
 
-    def scan_blob(self, oid: str, text: str) -> ScanResult:
+    def scan_blob(self, oid: str, lines: list[str]) -> ScanResult:
         """The one full scan of a side; oid names it for a wrapper's record."""
-        return scan_text(text, self.exclude_include_guards)
+        return scan_text(lines, self.exclude_include_guards)
 
     def read_ahead(
         self, commits: Iterable[CommitRecord], log_warnings: list[dict]
@@ -287,7 +288,7 @@ class _PipelineClassifier:
         self, change: FileChange, held: Optional[_LiveEntry], new: Optional[_LiveEntry]
     ) -> ChangeFacts:
         """The facts of a change the cache misses; new, its new side's live
-        entry, gets that side's text and scan.
+        entry, gets that side's lines and scan.
 
         A side with the oid of held, the path's popped entry, is neither
         read nor scanned; the others are read as _sides_to_read orders
@@ -297,20 +298,19 @@ class _PipelineClassifier:
         patched through the hunks, else a full one.
         """
         old_oid, new_oid = change.old_blob, change.new_blob
-        texts = {held.oid: held.text} if held is not None else {}
+        sides = {held.oid: held.lines} if held is not None else {}
         for oid in _sides_to_read(change, held):
-            texts[oid] = _read_text(self.repo, oid)
-        binary = next((oid for oid in (new_oid, old_oid) if oid and texts[oid] is None), None)
-        new_text = texts.get(new_oid)
-        old_text = texts.get(old_oid) if binary is None else None
-        old_lines, new_lines = split_lines(old_text or ""), split_lines(new_text or "")
+            sides[oid] = _read_lines(self.repo, oid)
+        binary = next((oid for oid in (new_oid, old_oid) if oid and sides[oid] is None), None)
+        new_lines = sides.get(new_oid)
+        old_lines = sides.get(old_oid) if binary is None else None
         # through the module, so a wrapper set on history.diff_hunks sees the call
-        hunks = history.diff_hunks(old_lines, new_lines) if binary is None else ()
+        hunks = history.diff_hunks(old_lines or [], new_lines or []) if binary is None else ()
         old_scan = new_scan = None
-        if old_text is not None:
+        if old_lines is not None:
             old_scan = (held.scan if held and held.oid == old_oid
-                        else self.scan_blob(old_oid, old_text))
-        if new_text is not None:
+                        else self.scan_blob(old_oid, old_lines))
+        if new_lines is not None:
             if held and held.oid == new_oid:
                 new_scan = held.scan
             elif new_oid == old_oid:
@@ -318,9 +318,9 @@ class _PipelineClassifier:
             elif old_scan is not None:
                 new_scan = patch_scan(old_scan, hunks, old_lines, new_lines,
                                       self.exclude_include_guards)
-            new_scan = new_scan or self.scan_blob(new_oid, new_text)
+            new_scan = new_scan or self.scan_blob(new_oid, new_lines)
         if new is not None:
-            new.text, new.scan = new_text, new_scan
+            new.lines, new.scan = new_lines, new_scan
         if binary is not None:
             return ChangeFacts(binary_oid=binary)
 
@@ -447,19 +447,20 @@ def _final_snapshot(
     return len(entries), VariabilityCount(blocks=blocks, distinct_macros=len(macros))
 
 
-def _read_text(repo: GitRepo, oid: str) -> Optional[str]:
-    """A blob's text; None when it looks binary. A byte that is not UTF-8
-    decodes to a lone surrogate of its own, so lines that differ only in
-    such bytes stay apart."""
+def _read_lines(repo: GitRepo, oid: str) -> Optional[list[str]]:
+    """A blob's lines, the one shape a file version takes; None when it
+    looks binary. A byte that is not UTF-8 decodes to a lone surrogate of
+    its own, so lines that differ only in such bytes stay apart."""
     payload = repo.blob_bytes(oid)
-    return None if looks_binary(payload) else payload.decode("utf-8", errors="surrogateescape")
+    return None if looks_binary(payload) else split_lines(
+        payload.decode("utf-8", errors="surrogateescape"))
 
 
 def _read_blob_facts(repo: GitRepo, oid: str, exclude_include_guards: bool) -> BlobFacts:
-    text = _read_text(repo, oid)
-    if text is None:
+    lines = _read_lines(repo, oid)
+    if lines is None:
         return BlobFacts(binary=True)
-    result = scan_text(text, exclude_include_guards)
+    result = scan_text(lines, exclude_include_guards)
     return BlobFacts(result.blocks, result.macros)
 
 

@@ -5,9 +5,9 @@ A line is variable when it is a conditional-compilation directive
 open conditional block; every other line, including non-conditional
 directives such as #define or #include at the top level, is mandatory.
 
-scan_text makes one pass over the text's lines in two parts. The lexer
-(_directives) lists the directives: of the lines holding a `#`, those
-with only blank space before it, each with the lines its backslash
+scan_text makes one pass over a file version's lines in two parts. The
+lexer (_directives) lists the directives: of the lines holding a `#`,
+those with only blank space before it, each with the lines its backslash
 continuations take in. The resolver (_resolve) turns that list and the
 line count into the result, with a stack of open blocks that decides
 each directive; the lines between two directives keep the state the
@@ -37,6 +37,10 @@ or a hunk's last old or new line), a continuation may cross the edge,
 and patch_scan returns None so that the caller scans the new side in
 full.
 
+As cpp does, the lexer skips a UTF-8 byte order mark (U+FEFF) at the
+start of the file's first line, so a directive there is read; anywhere
+else a byte order mark is text, and a line it starts is no directive.
+
 The scanner is purely syntactic: expressions are neither evaluated nor
 satisfiability-checked. Comments and string literals are not stripped
 before directive detection, so a directive spelled inside a block
@@ -59,8 +63,6 @@ import bisect
 import functools
 import re
 from typing import Iterable, NamedTuple, Optional
-
-from varxpert.util import split_lines
 
 
 class VariabilityCount(NamedTuple):
@@ -92,6 +94,7 @@ _IDENT_RE = re.compile(r"(?<![0-9A-Za-z_])[A-Za-z_][0-9A-Za-z_]*")
 _OPENING = frozenset({"if", "ifdef", "ifndef"})
 _BRANCHING = frozenset({"elif", "else"})
 _CONDITIONAL = _OPENING | _BRANCHING | {"endif"}
+_BOM = "\ufeff"  # skipped before the file's first directive only
 
 # Expressions repeat across the blobs of a history, so their identifiers
 # are computed once per distinct text; the bound keeps memory flat.
@@ -136,6 +139,8 @@ def _directives(lines: list[str], offset: int = 0) -> list[Directive]:
         if first < after:
             continue  # a continuation line
         text = lines[first]
+        if first + offset == 0 and text.startswith(_BOM):
+            text = text[1:]
         head = _HEAD_RE.match(text)
         if head is None:
             continue
@@ -189,9 +194,8 @@ def _include_guard(directives: list[Directive]) -> Optional[int]:
     return None
 
 
-def scan_text(content: str, exclude_include_guards: bool = True) -> ScanResult:
-    """Classify every physical line in one pass; never raises on any text."""
-    lines = split_lines(content)
+def scan_text(lines: list[str], exclude_include_guards: bool = True) -> ScanResult:
+    """Classify every physical line in one pass; never raises on any lines."""
     return _resolve(_directives(lines), len(lines), exclude_include_guards)
 
 
@@ -217,6 +221,9 @@ def patch_scan(
     order, with equal lines between them; the lines are split_lines of
     each side. None when a line ending in a backslash sits at a hunk
     edge: a continuation may then cross it, so the caller scans in full.
+    None too when a hunk at the top meets a first line that starts with
+    a byte order mark, since a kept line may then move into or out of
+    the first line, the one place the lexer skips the mark.
     """
     kept = old.directives
     directives: list[Directive] = []
@@ -228,7 +235,9 @@ def patch_scan(
         added = new_lines[new_start - 1:new_start - 1 + new_count]
         if ((new_start > 1 and _continued(new_lines[new_start - 2]))
                 or (old_count and _continued(old_lines[end - 1]))
-                or (added and _continued(added[-1]))):
+                or (added and _continued(added[-1]))
+                or (not start and any(side[0].startswith(_BOM)
+                                      for side in (old_lines, new_lines) if side))):
             return None
         cut = bisect.bisect_left(kept, (start,), pos)
         directives += _shifted(kept[pos:cut], shifts[-1])

@@ -16,8 +16,9 @@ from fixture_repos import (
     build_multifile,
     build_rename,
 )
-from varxpert.history import diff_hunks, looks_binary
-from varxpert.pipeline import RunConfig, mine
+from varxpert.history import diff_hunks
+from varxpert.pipeline import RunConfig, _read_lines, mine
+from varxpert.preproc import scan_text
 from varxpert.util import split_lines
 
 
@@ -47,22 +48,28 @@ def remove_loose_object(builder, oid):
     os.remove(os.path.join(builder.path, ".git", "objects", oid[:2], oid[2:]))
 
 
+def scan(text, exclude_include_guards=True):
+    """preproc.scan_text of a text, split into lines as the pipeline splits
+    a blob's text."""
+    return scan_text(split_lines(text), exclude_include_guards)
+
+
 def hydrate(repo, change):
-    """(the change's hunks, old text, new text, old lines, new lines),
-    both sides read straight from the repository; None when a side is
-    binary. An absent side has no text and no lines. This is the input
-    of the per-change step, for differentials that run an engine on it."""
-    texts = []
+    """(the change's hunks, old lines, new lines), both sides read the
+    pipeline's way (pipeline._read_lines); None when a side is binary.
+    An absent side's lines are None. This is the input of the per-change
+    step, for differentials that run an engine on it."""
+    sides = []
     for oid in (change.old_blob, change.new_blob):
         if oid:
             repo.ask(oid)  # a read takes only a blob asked for
-        payload = repo.blob_bytes(oid) if oid else None
-        if payload is not None and looks_binary(payload):
-            return None
-        texts.append(None if payload is None else payload.decode("utf-8", errors="surrogateescape"))
-    old_text, new_text = texts
-    old_lines, new_lines = split_lines(old_text or ""), split_lines(new_text or "")
-    return diff_hunks(old_lines, new_lines), old_text, new_text, old_lines, new_lines
+            if (lines := _read_lines(repo, oid)) is None:
+                return None
+            sides.append(lines)
+        else:
+            sides.append(None)
+    old_lines, new_lines = sides
+    return diff_hunks(old_lines or [], new_lines or []), old_lines, new_lines
 
 
 def _session_repo(tmp_path_factory, name, build):

@@ -17,6 +17,7 @@ from contextlib import contextmanager, redirect_stdout
 
 import pytest
 
+from conftest import scan
 from fixture_repos import (
     BASIC,
     GUARD,
@@ -42,7 +43,6 @@ from varxpert.cli import main as cli_main
 from varxpert.evaluation import precision_recall
 from varxpert.ledger import ContributionStats
 from varxpert.metrics import doa_absolute, score_file
-from varxpert.preproc import scan_text
 from varxpert.timeline import monthly_snapshots
 from varxpert.util import month_range, parse_instant
 
@@ -210,11 +210,11 @@ def test_criterion_2_parser_oracle():
         assert lines_checked > 0
 
         # documented recovery behavior
-        stray = scan_text("int a;\n#endif\nint b;\n")
+        stray = scan("int a;\n#endif\nint b;\n")
         assert list(stray.annotations) == [0, 0, 0]  # all mandatory
         assert [w.kind for w in stray.warnings] == ["stray_directive"]
 
-        dangling = scan_text("#ifdef FOO\nint a;\n")
+        dangling = scan("#ifdef FOO\nint a;\n")
         assert list(dangling.annotations) == [1, 1]  # all variable
         assert [w.kind for w in dangling.warnings] == ["unterminated_block"]
         assert dangling.blocks == 1

@@ -3,12 +3,13 @@ equivalence, tolerance for damaged lines."""
 
 import json
 import os
+import sys
 
 import pytest
 
-from varxpert import pipeline
+from varxpert import pipeline, util
 from varxpert.cache import BlobFacts, ChangeCache, analyzer_config_hash
-from varxpert.history import DEFAULT_EXTENSIONS, GitRepo
+from varxpert.history import DEFAULT_EXTENSIONS, GitRepo, looks_binary
 from varxpert.ledger import ChangeFacts
 from varxpert.pipeline import RunConfig, mine, run_analyze
 from varxpert.preproc import ScanWarning, patch_scan, scan_text
@@ -293,6 +294,29 @@ def test_cold_run_reads_each_blob_once(repo_builder, tmp_path, monkeypatch):
     assert sorted(reads) == sorted(blobs)
 
 
+def test_cold_mine_splits_each_text_blob_once(synth_histories, monkeypatch):
+    # a file version becomes lines once, where its bytes are read: the live
+    # table, diff_hunks and both scanners take those lines (deep-ifdef seed 1)
+    split_lines, blob_bytes = util.split_lines, GitRepo.blob_bytes
+    splits, texts = [], []
+
+    def splitting(text):
+        splits.append(None)
+        return split_lines(text)
+
+    def reading(repo, oid):
+        payload = blob_bytes(repo, oid)
+        texts.append(not looks_binary(payload))
+        return payload
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("varxpert") and vars(module).get("split_lines") is split_lines:
+            monkeypatch.setattr(module, "split_lines", splitting)
+    monkeypatch.setattr(GitRepo, "blob_bytes", reading)
+    mine(RunConfig(repo_path=synth_histories[0]))
+    assert len(splits) == sum(texts) > 0
+
+
 def test_cold_run_lexes_each_path_once(repo_builder, monkeypatch):
     # a path is lexed in full at first sight (a.c, b.h, d.c) and where a
     # continuation meets a hunk edge (c4); every other text side is patched
@@ -319,9 +343,9 @@ def test_cold_run_lexes_each_path_once(repo_builder, monkeypatch):
     repo.commit("c6", "Bob", "bob@example.com", "2020-06-01T00:00:00 +0000")
     full, patched = [], []
 
-    def counting_scan(text, options):
-        full.append(text)
-        return scan_text(text, options)
+    def counting_scan(lines, options):
+        full.append(lines)
+        return scan_text(lines, options)
 
     def counting_patch(*args):
         result = patch_scan(*args)

@@ -188,22 +188,35 @@ def test_benchmark_tracer_finds_its_targets(basic_repo, tmp_path):
     # interpreter. The one name expected missing is a tracer target the
     # program no longer has.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "perfbench", "trace_cli.py"), str(spans),
-         "analyze", basic_repo[0], "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    trace = json.loads(spans.read_text(encoding="utf-8"))
+
+    def traced(name, *args):
+        spans = tmp_path / f"{name}.json"
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "perfbench", "trace_cli.py"), str(spans),
+             "analyze", basic_repo[0], "--out", str(tmp_path / name), *args],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(spans.read_text(encoding="utf-8"))
+
+    trace = traced("cold")
     assert trace["missing"] == ["varxpert.ledger.scan_text"]
     recorded = {span[0] for span in trace["spans"]}
     for name in ("history.diff_hunks", "history.blob_bytes", "preproc.scan_text",
                  "pipeline.scan_blob", "ledger.classify_change", "pipeline.classify",
                  "ledger.fold", "pipeline.snapshot"):
         assert name in recorded, name
+    # perfbench/run.py takes cache.warm_hit_ratio and cache.miss_ratio from
+    # the counted ChangeCache.get calls, and a metric with no sample leaves
+    # the result line unreadable: a warm run and one advanced from HEAD~1
+    # must each look the cache up
+    cache = str(tmp_path / "cache")
+    traced("prev", "--branch", "HEAD~1", "--cache-dir", cache)
+    for name, branch in (("warm", "HEAD~1"), ("advanced", "HEAD")):
+        counts = traced(name, "--branch", branch, "--cache-dir", cache)["counts"]
+        assert counts["cache.get.calls"] >= 1, name
 
 
 # ----------------------------------------------------------------------
@@ -634,6 +647,59 @@ def test_what_git_log_says_while_exiting_0_is_a_warning(repo_builder, tmp_path, 
     assert json.loads(lines[-1]) == {"kind": "git_stderr", "detail": said}
     meta = json.loads(read(os.path.join(out, "run_meta.json")))
     assert meta["warnings_by_kind"] == {"git_stderr": 1}
+
+
+def _one_file_repo(path, name, config=()):
+    repo = RepoBuilder(path)
+    for key, value in config:
+        repo.git("config", key, value)
+    repo.write(name, "#ifdef X\nint a;\n#endif\n")
+    repo.commit("add", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    repo.write(name, "#ifdef X\nint a2;\n#endif\n")
+    repo.commit("edit", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    return repo
+
+
+def test_a_git_dir_in_the_environment_does_not_swap_the_repository(tmp_path, monkeypatch,
+                                                                    capsys):
+    # a git hook runs with GIT_DIR set, and every git child would read it
+    a = _one_file_repo(tmp_path / "a", "a.c")
+    b = _one_file_repo(tmp_path / "b", "b.c")
+    monkeypatch.setenv("GIT_DIR", os.path.join(b.path, ".git"))
+    out = str(tmp_path / "out")
+    assert run_cli("analyze", a.path, "--out", out) == 0
+    assert "2 commits" in capsys.readouterr().out
+    rows = read_csv(os.path.join(out, "scores.csv"))
+    assert {row["file"].partition("@")[0] for row in rows} == {"a.c"}
+
+
+def test_a_git_trace_in_the_environment_writes_no_warning(tmp_path, monkeypatch):
+    # a trace line carries the wall clock; git log would write it to stderr
+    repo = _one_file_repo(tmp_path / "a", "a.c")
+    monkeypatch.setenv("GIT_TRACE", "1")
+    out = str(tmp_path / "out")
+    assert run_cli("analyze", repo.path, "--out", out) == 0
+    assert read(os.path.join(out, "warnings.jsonl")) == b""
+
+
+@pytest.mark.skipif(shutil.which("ssh-keygen") is None, reason="needs ssh-keygen")
+def test_signed_commits_under_log_show_signature(tmp_path, monkeypatch):
+    # with log.showSignature set, git log writes "No signature" (it has no
+    # allowed signers to check against) before each commit's record
+    key = tmp_path / "key"
+    subprocess.run(["ssh-keygen", "-q", "-t", "ed25519", "-N", "", "-f", str(key)],
+                   check=True, capture_output=True)
+    repo = _one_file_repo(tmp_path / "repo", "a.c", [
+        ("gpg.format", "ssh"), ("user.signingkey", str(key)), ("commit.gpgsign", "true")])
+    plain = str(tmp_path / "plain")
+    assert run_cli("analyze", repo.path, "--out", plain) == 0
+    config = tmp_path / "gitconfig"
+    config.write_text("[log]\n\tshowSignature = true\n", encoding="utf-8")
+    monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(config))
+    assert "No signature" in repo.git("log", "-1")
+    shown = str(tmp_path / "shown")
+    assert run_cli("analyze", repo.path, "--out", shown) == 0
+    assert_same_artifacts(plain, shown, names=ARTIFACTS)
 
 
 # ----------------------------------------------------------------------

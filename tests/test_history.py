@@ -187,11 +187,11 @@ def test_diff_engine_matches_difflib_on_histories(history_paths):
     # (900-line files) and team-churn seed 4, where git's own hunks flip a flag
     scans = {}
 
-    def bitmap(oid, text):
-        if text is None:
+    def bitmap(oid, lines):
+        if lines is None:
             return None
         if oid not in scans:
-            scans[oid] = scan_text(text).annotations
+            scans[oid] = scan_text(lines).annotations
         return scans[oid]
 
     compared = 0
@@ -202,12 +202,11 @@ def test_diff_engine_matches_difflib_on_histories(history_paths):
                     hydrated = hydrate(repo, change)
                     if hydrated is None:
                         continue  # a binary side has no hunks
-                    hunks, old_text, new_text, old_lines, new_lines = hydrated
-                    oracle = difflib_hunks(split_lines(old_text or ""),
-                                           split_lines(new_text or ""))
+                    hunks, old_lines, new_lines = hydrated
+                    oracle = difflib_hunks(old_lines or [], new_lines or [])
                     assert hunks == oracle, (path, commit.commit_id, change)
-                    bitmaps = (bitmap(change.old_blob, old_text),
-                               bitmap(change.new_blob, new_text))
+                    bitmaps = (bitmap(change.old_blob, old_lines),
+                               bitmap(change.new_blob, new_lines))
                     facts = classify_change(hunks, *bitmaps)
                     expected = classify_change(oracle, *bitmaps)
                     assert facts == expected
@@ -270,10 +269,10 @@ def test_basic_repo_stream(basic_repo):
     with GitRepo(path) as repo:
         repo.ask(first[0].new_blob)
         assert repo.blob_bytes(first[0].new_blob).startswith(b"#include")
-        old_text, new_text = hydrate(repo, second)[1:3]
+        old_lines, new_lines = hydrate(repo, second)[1:]
         repo.ask(first[0].new_blob)
-        assert old_text == repo.blob_bytes(first[0].new_blob).decode("utf-8")
-        assert new_text is not None
+        assert old_lines == split_lines(repo.blob_bytes(first[0].new_blob).decode("utf-8"))
+        assert new_lines is not None
 
 
 def test_hunks_round_trip_over_fixtures(basic_repo, rename_repo, multifile_repo):
@@ -281,10 +280,14 @@ def test_hunks_round_trip_over_fixtures(basic_repo, rename_repo, multifile_repo)
         with GitRepo(path) as repo:
             for commit in repo.iter_commits(repo.resolve_tip("HEAD")):
                 for change in commit.changes:
-                    hunks, old_text, new_text, old, new = hydrate(repo, change)
-                    assert old == split_lines(old_text or "")
-                    assert new == split_lines(new_text or "")
-                    assert apply_hunks(old, new, hunks) == new
+                    hunks, old, new = hydrate(repo, change)
+                    for oid, lines in ((change.old_blob, old), (change.new_blob, new)):
+                        if oid:
+                            repo.ask(oid)
+                            assert lines == split_lines(repo.blob_bytes(oid).decode("utf-8"))
+                        else:
+                            assert lines is None
+                    assert apply_hunks(old or [], new or [], hunks) == (new or [])
 
 
 def test_rename_detected(rename_repo):
@@ -305,9 +308,9 @@ def test_deletion_carries_old_content(identity_repo):
     assert change.path_before == "tmp.c"
     assert change.new_blob is None
     with GitRepo(path) as repo:
-        old_text, new_text = hydrate(repo, change)[1:3]
-    assert new_text is None
-    assert "scratch" in old_text
+        old_lines, new_lines = hydrate(repo, change)[1:]
+    assert new_lines is None
+    assert any("scratch" in line for line in old_lines)
 
 
 def test_merge_commit_listed_without_changes(repo_builder):

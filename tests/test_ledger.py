@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from conftest import by_created, mined_ledger
+from conftest import by_created, mined_ledger, scan
 from fixture_repos import BASIC, IDENTITY, RENAME
 from metric_reference import acceptances
 from varxpert import pipeline
@@ -21,12 +21,11 @@ from varxpert.ledger import (
     ledger_to_dict,
 )
 from varxpert.pipeline import RunConfig, mine, run_analyze
-from varxpert.preproc import scan_text
 from varxpert.util import split_lines
 
 
 def bitmap(content):
-    return scan_text(content).annotations
+    return scan(content).annotations
 
 
 def first(months):
@@ -109,8 +108,8 @@ def test_classify_zero_line_change_is_empty():
 def test_annotation_count_must_match_content(repo_builder, monkeypatch):
     repo_builder.write("f.c", "int a;\nint b;\n")
     repo_builder.commit("add", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
-    short = scan_text("int a;\n")  # one flag for the two lines
-    monkeypatch.setattr(pipeline, "scan_text", lambda text, exclude_include_guards: short)
+    short = scan("int a;\n")  # one flag for the two lines
+    monkeypatch.setattr(pipeline, "scan_text", lambda lines, exclude_include_guards: short)
     with pytest.raises(AnnotationMismatch, match="new side of f.c: 1 line flags for 2 lines"):
         mine(RunConfig(repo_path=repo_builder.path))
 

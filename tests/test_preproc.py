@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import hydrate
+from conftest import hydrate, scan
 from varxpert import preproc
 from varxpert.history import GitRepo, diff_hunks
 from varxpert.preproc import extract_macro_identifiers, patch_scan, scan_text
@@ -168,7 +168,7 @@ def run_oracle_comparison(count, seed, balanced=True):
 
 def flags(content, exclude_include_guards=True):
     """The scanner's per-line classification as booleans (True = variable)."""
-    return [bool(byte) for byte in scan_text(content, exclude_include_guards).annotations]
+    return [bool(byte) for byte in scan(content, exclude_include_guards).annotations]
 
 
 V, M = True, False
@@ -186,7 +186,7 @@ def test_seven_line_example_classification():
 
 
 def test_seven_line_example_regions():
-    result = scan_text(SEVEN)
+    result = scan(SEVEN)
     # one block: the #else branch extends its opener's block
     assert result.blocks == 1
     assert result.macros == {"FOO"}
@@ -195,7 +195,7 @@ def test_seven_line_example_regions():
 
 def test_nested_conditions_and_depth():
     content = "#if A\n#if B\nint x;\n#endif\n#endif\n"
-    result = scan_text(content)
+    result = scan(content)
     # the outer #endif closes last and is still inside block A
     assert flags(content) == [V] * 5
     assert result.blocks == 2
@@ -204,7 +204,7 @@ def test_nested_conditions_and_depth():
 
 def test_elif_carries_negated_predecessors():
     content = "#if A\nint a;\n#elif B\nint b;\n#else\nint c;\n#endif\n"
-    result = scan_text(content)
+    result = scan(content)
     assert flags(content) == [V] * 7
     assert result.blocks == 1
     assert result.macros == {"A", "B"}
@@ -213,13 +213,13 @@ def test_elif_carries_negated_predecessors():
 def test_branches_name_every_identifier_of_an_ifdef_opener():
     # an #ifdef alone names its first identifier; its #else branch names
     # the opener's whole expression, as a negated predecessor
-    assert scan_text("#ifdef A B\nint a;\n#endif\n").macros == {"A"}
-    assert scan_text("#ifdef A B\nint a;\n#else\nint b;\n#endif\n").macros == {"A", "B"}
+    assert scan("#ifdef A B\nint a;\n#endif\n").macros == {"A"}
+    assert scan("#ifdef A B\nint a;\n#else\nint b;\n#endif\n").macros == {"A", "B"}
 
 
 def test_define_and_include_outside_blocks_are_mandatory():
     assert flags("#define K 1\n#include <k.h>\nint x;\n") == [M, M, M]
-    assert scan_text("#define K 1\n").blocks == 0
+    assert scan("#define K 1\n").blocks == 0
 
 
 def test_define_inside_block_is_variable():
@@ -228,7 +228,7 @@ def test_define_inside_block_is_variable():
 
 def test_line_count_follows_split_lines():
     for content in ("", "\n", "a", "a\n", "a\n\n", "#if A\nb", "#if A\r\nb\r\n"):
-        assert len(scan_text(content).annotations) == len(split_lines(content))
+        assert len(scan(content).annotations) == len(split_lines(content))
 
 
 def test_directive_needs_only_blank_space_before_the_hash():
@@ -244,14 +244,14 @@ GUARDED = "#ifndef H_H\n#define H_H\nint helper(int x);\n#endif\n"
 
 
 def test_include_guard_folded_by_default():
-    result = scan_text(GUARDED)
+    result = scan(GUARDED)
     assert flags(GUARDED) == [M] * 4
     assert result.blocks == 0
     assert result.macros == frozenset()
 
 
 def test_include_guard_counted_when_asked():
-    result = scan_text(GUARDED, exclude_include_guards=False)
+    result = scan(GUARDED, exclude_include_guards=False)
     assert flags(GUARDED, exclude_include_guards=False) == [V] * 4
     assert result.blocks == 1
     assert result.macros == {"H_H"}
@@ -260,7 +260,7 @@ def test_include_guard_counted_when_asked():
 def test_guard_interior_block_still_variable():
     content = ("#ifndef H_H\n#define H_H\n#ifdef DEBUG\nint d;\n#endif\n"
                "int helper(int x);\n#endif\n")
-    result = scan_text(content)
+    result = scan(content)
     assert flags(content) == [M, M, V, V, V, M, M]
     assert result.blocks == 1
     assert result.macros == {"DEBUG"}
@@ -269,32 +269,32 @@ def test_guard_interior_block_still_variable():
 def test_not_a_guard_when_define_mismatches():
     content = "#ifndef H_H\n#define OTHER\nint x;\n#endif\n"
     assert flags(content) == [V] * 4
-    assert scan_text(content).blocks == 1
+    assert scan(content).blocks == 1
 
 
 def test_not_a_guard_when_else_at_guard_depth():
     content = "#ifndef H_H\n#define H_H\nint x;\n#else\nint y;\n#endif\n"
     assert flags(content) == [V] * 6
-    assert scan_text(content).blocks == 1
+    assert scan(content).blocks == 1
 
 
 def test_not_a_guard_when_endif_is_not_last_directive():
     content = ("#ifndef H_H\n#define H_H\nint x;\n#endif\n"
                "#ifdef TAIL\nint y;\n#endif\n")
     assert flags(content)[0] is V
-    assert scan_text(content).blocks == 2
+    assert scan(content).blocks == 2
 
 
 def test_guard_define_must_be_next_physical_line():
     content = "#ifndef H_H\nint gap;\n#define H_H\n#endif\n"
     assert flags(content) == [V] * 4
-    assert scan_text(content).blocks == 1
+    assert scan(content).blocks == 1
 
 
 def test_trailing_code_after_guard_endif_is_fine():
     content = "#ifndef H_H\n#define H_H\nint x;\n#endif\nint tail;\n"
     assert flags(content) == [M] * 5
-    assert scan_text(content).blocks == 0
+    assert scan(content).blocks == 0
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +303,7 @@ def test_trailing_code_after_guard_endif_is_fine():
 
 def test_backslash_continuation_absorbed():
     content = "#if defined(FOO) && \\\n    defined(BAR)\nint x;\n#endif\n"
-    result = scan_text(content)
+    result = scan(content)
     assert flags(content) == [V] * 4
     assert result.blocks == 1
     assert result.macros == {"FOO", "BAR"}
@@ -313,7 +313,7 @@ def test_continuation_line_is_not_a_directive():
     # the second physical line continues the #define, so its `#endif`
     # text closes nothing; a backslash on the last line continues nothing
     content = "#ifdef A\n#define X \\\n#endif\nint a;\n#endif\nint b; \\"
-    result = scan_text(content)
+    result = scan(content)
     assert flags(content) == [V, V, V, V, V, M]
     assert not result.warnings
 
@@ -327,7 +327,7 @@ def test_continuation_line_is_not_a_directive():
 ], ids=["onto_an_empty_line", "crlf", "trailing_blanks", "last_line", "last_line_unterminated"])
 def test_continuation_rules(content, spans):
     # (first, last) physical lines of each directive, 0-based
-    assert [(first, last) for first, last, _, _ in scan_text(content).directives] == spans
+    assert [(first, last) for first, last, _, _ in scan(content).directives] == spans
 
 
 _LEX_PIECE = st.sampled_from((
@@ -360,11 +360,38 @@ def test_expression_comments_ignored_for_macros():
 
 
 # ----------------------------------------------------------------------
+# a UTF-8 byte order mark, as cpp reads it
+# ----------------------------------------------------------------------
+
+def test_a_byte_order_mark_before_the_first_directive_is_skipped():
+    # cpp -P skips the mark and drops int a; unless -DX is given
+    result = scan("\ufeff#ifdef X\nint a;\n#endif\n")
+    assert flags("\ufeff#ifdef X\nint a;\n#endif\n") == [V, V, V]
+    assert (result.blocks, result.macros, result.warnings) == (1, {"X"}, ())
+
+
+def test_a_byte_order_mark_on_a_later_line_is_text():
+    # cpp: "#endif without #if", the mark being text there
+    result = scan("int b;\n\ufeff#ifdef X\nint a;\n#endif\n")
+    assert list(result.annotations) == [0, 0, 0, 0]
+    assert [(w.kind, w.line_no) for w in result.warnings] == [("stray_directive", 4)]
+    assert result.blocks == 0
+
+
+@pytest.mark.parametrize("exclude_include_guards, blocks", [(True, 0), (False, 1)],
+                         ids=["guards_folded", "include_guards"])
+def test_a_byte_order_mark_before_an_include_guard(exclude_include_guards, blocks):
+    result = scan("\ufeff" + GUARDED, exclude_include_guards)
+    assert result.blocks == blocks
+    assert result == scan(GUARDED, exclude_include_guards)
+
+
+# ----------------------------------------------------------------------
 # recovery
 # ----------------------------------------------------------------------
 
 def test_stray_endif_is_mandatory_with_warning():
-    result = scan_text("int a;\n#endif\nint b;\n")
+    result = scan("int a;\n#endif\nint b;\n")
     assert list(result.annotations) == [0, 0, 0]
     assert [w.kind for w in result.warnings] == ["stray_directive"]
     assert result.warnings[0].line_no == 2
@@ -372,14 +399,14 @@ def test_stray_endif_is_mandatory_with_warning():
 
 
 def test_stray_else_is_mandatory_with_warning():
-    result = scan_text("#else\nint a;\n")
+    result = scan("#else\nint a;\n")
     assert list(result.annotations) == [0, 0]
     assert [w.kind for w in result.warnings] == ["stray_directive"]
 
 
 def test_unterminated_block_runs_to_eof_with_warning():
     content = "int a;\n#ifdef FOO\nint b;\nint c;\n"
-    result = scan_text(content)
+    result = scan(content)
     assert flags(content) == [M, V, V, V]
     assert [w.kind for w in result.warnings] == ["unterminated_block"]
     assert result.warnings[0].line_no == 2
@@ -391,22 +418,22 @@ def test_unterminated_block_runs_to_eof_with_warning():
 # ----------------------------------------------------------------------
 
 def test_count_variabilities_blocks_and_macros():
-    xc = scan_text("#ifdef X\nint a;\n#else\nint b;\n#endif\n")
-    yc = scan_text("#ifndef Y\nint c;\n#endif\n")
+    xc = scan("#ifdef X\nint a;\n#else\nint b;\n#endif\n")
+    yc = scan("#ifndef Y\nint c;\n#endif\n")
     # an #else branch extends its opener's block, it is not a new one
     assert xc.blocks + yc.blocks == 2
     assert len(xc.macros | yc.macros) == 2
 
 
 def test_count_variabilities_guard_handling():
-    assert scan_text(GUARDED).blocks == 0
-    assert scan_text(GUARDED, exclude_include_guards=False).blocks == 1
-    assert len(scan_text(GUARDED, exclude_include_guards=False).macros) == 1
+    assert scan(GUARDED).blocks == 0
+    assert scan(GUARDED, exclude_include_guards=False).blocks == 1
+    assert len(scan(GUARDED, exclude_include_guards=False).macros) == 1
 
 
 def test_macro_union_deduplicates():
-    first = scan_text("#ifdef X\nint a;\n#endif\n")
-    second = scan_text("#if defined(X) && defined(Z)\nint b;\n#endif\n")
+    first = scan("#ifdef X\nint a;\n#endif\n")
+    second = scan("#if defined(X) && defined(Z)\nint b;\n#endif\n")
     assert first.blocks + second.blocks == 2
     assert len(first.macros | second.macros) == 2
 
@@ -434,12 +461,12 @@ _LINE_MENU = st.sampled_from(
 @given(st.lists(_LINE_MENU, min_size=0, max_size=60))
 def test_scan_totality_and_idempotence(lines):
     content = "".join(line + "\n" for line in lines)
-    first = scan_text(content, exclude_include_guards=False)
+    first = scan(content, exclude_include_guards=False)
     assert len(first.annotations) == len(lines)
     assert set(first.annotations) <= {0, 1}
     openers = sum(1 for line in lines if line.startswith("#if"))
     assert first.blocks == openers
-    assert scan_text(content, exclude_include_guards=False) == first
+    assert scan(content, exclude_include_guards=False) == first
 
 
 @settings(max_examples=200, deadline=None)
@@ -456,7 +483,7 @@ def test_scan_agrees_with_oracle(lines):
 def patched(old_text, new_text, exclude_include_guards=True):
     """patch_scan of new_text from old_text's scan and the diff_hunks between them."""
     old_lines, new_lines = split_lines(old_text), split_lines(new_text)
-    old = scan_text(old_text, exclude_include_guards)
+    old = scan_text(old_lines, exclude_include_guards)
     return patch_scan(old, diff_hunks(old_lines, new_lines), old_lines, new_lines,
                       exclude_include_guards)
 
@@ -465,7 +492,7 @@ def test_patch_continues_onto_an_empty_added_line():
     # the added range ends on the empty line the backslash continues onto
     new = "a\n#define X \\\n\nb\nc\n"
     result = patched("a\nb\nc\n", new)
-    assert result == scan_text(new)
+    assert result == scan(new)
     assert result.directives == [(1, 2, "define", "X")]
 
 
@@ -478,6 +505,16 @@ def test_patch_continues_onto_an_empty_added_line():
         "line_before_an_append"])
 def test_patch_falls_back_at_a_continuation_edge(old, new):
     assert patched(old, new) is None
+
+
+@pytest.mark.parametrize("old, new", [
+    ("\ufeff#ifdef X\nint a;\n#endif\n", "int b;\n\ufeff#ifdef X\nint a;\n#endif\n"),
+    ("int b;\n\ufeff#ifdef X\nint a;\n#endif\n", "\ufeff#ifdef X\nint a;\n#endif\n"),
+], ids=["insert_above_a_marked_first_line", "delete_above_a_marked_line"])
+def test_patch_falls_back_when_a_marked_line_moves_at_the_top(old, new):
+    # the kept #ifdef is a directive on the first line only
+    assert patched(old, new) is None
+    assert scan(old).blocks != scan(new).blocks
 
 
 def _count_resolves(monkeypatch):
@@ -505,14 +542,14 @@ def test_patched_scans_equal_full_scans_on_histories(history_paths, monkeypatch)
             for commit in repo.iter_commits(repo.resolve_tip("HEAD")):
                 for change in commit.changes:
                     hydrated = hydrate(repo, change)
-                    if hydrated is None or None in hydrated[1:3]:
+                    if hydrated is None or None in hydrated[1:]:
                         continue
-                    hunks, old_text, new_text, old_lines, new_lines = hydrated
-                    base = scans.get(change.old_blob) or scan_text(old_text)
+                    hunks, old_lines, new_lines = hydrated
+                    base = scans.get(change.old_blob) or scan_text(old_lines)
                     before = len(resolves)
                     result = patch_scan(base, hunks, old_lines, new_lines)
                     spliced += len(resolves) == before
-                    full = scan_text(new_text)
+                    full = scan_text(new_lines)
                     if result is None:
                         fallbacks += 1
                     else:
@@ -531,6 +568,7 @@ _EDIT_LINE = st.builds(
         "int x = 1;", "", "  call(x);", "int y = \\", "#ifdef M1", "#if defined(M2) && \\",
         "    defined(M3)", "#elif M2", "#else", "#endif", "# endif", "#define K(x) \\",
         "#define E \\  ", "#endif \\", "#ifndef G", "#define G", "#define W 1 \\\t",
+        "\ufeff#ifdef M4",
     )),
     st.booleans(),
 )
@@ -563,7 +601,7 @@ def test_patch_scan_is_none_or_scan_text(body, edits, guarded, final_newline, fo
         edited[at:at + deleted] = inserted
     new_text = _file(edited, guarded[1], final_newline[1])
     result = patched(_file(body, guarded[0], final_newline[0]), new_text, fold_guards)
-    assert result is None or result == scan_text(new_text, fold_guards)
+    assert result is None or result == scan(new_text, fold_guards)
 
 
 @pytest.mark.parametrize("old, new", [
@@ -571,8 +609,8 @@ def test_patch_scan_is_none_or_scan_text(body, edits, guarded, final_newline, fo
     ("#ifndef G\n\n#define G\nint x;\n#endif\n", "#ifndef G\n#define G\nint x;\n#endif\n"),
 ], ids=["blank_line_breaks_the_guard", "deleted_blank_line_makes_a_guard"])
 def test_patch_resolves_an_edit_between_a_guard_ifndef_and_define(old, new):
-    assert patched(old, new) == scan_text(new)
-    assert scan_text(old).annotations != scan_text(new).annotations
+    assert patched(old, new) == scan(new)
+    assert scan(old).annotations != scan(new).annotations
 
 
 def test_splice_shifts_warning_lines(monkeypatch):
@@ -580,7 +618,7 @@ def test_splice_shifts_warning_lines(monkeypatch):
     # resolving, and the stray #endif's warning moves down with its line
     old = "int a;\n#endif\nint b;\n#ifdef A\nint c;\n"
     new = "int z;\nint a;\n#endif\nint b;\n#ifdef A\nint c;\nint d;\n"
-    expected = scan_text(new)
+    expected = scan(new)
     resolves = _count_resolves(monkeypatch)
     result = patched(old, new)
     assert result == expected and len(resolves) == 1  # patched's scan of the old side

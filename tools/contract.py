@@ -239,10 +239,13 @@ class Checks(NamedTuple):
 
     def hash_seed(self) -> None:
         """report --cache-dir on team-churn writes the same files under PYTHONHASHSEED
-        1 and 2 (the benchmark and the tests see only one hash order)."""
-        for seed in (1, 2):
+        1 and 2 (the benchmark and the tests see only one hash order). The second run
+        also has GIT_DIR naming the deep-ifdef repository and GIT_TRACE=1, as in a
+        git hook with tracing on, and must not mine deep-ifdef or warn of a trace."""
+        hostile = {"GIT_DIR": self.repos["deep-ifdef"], "GIT_TRACE": "1"}
+        for seed, extra in ((1, {}), (2, hostile)):
             self.cli(seed, "report", self.repos["team-churn"], "--cache-dir", f"{seed}/cache",
-                     "--out", f"{seed}/out")
+                     "--out", f"{seed}/out", **extra)
         self.same("1", "2")
 
     def benchmark(self) -> None:
