@@ -504,6 +504,8 @@ class GitRepo:
                                 yield commit
                         header, raw_changes = record[1:], []
                         continue
+                    if header is None:  # else the root commit's changes would be lost
+                        raise CorruptRepo(f"git log wrote {record[:60]!r} before its first commit")
                     head = record.lstrip("\n")
                     count = 2 if head.rpartition(" ")[2][:1] in ("R", "C") else 1
                     raw_changes.append((head, [next(records, "") for _ in range(count)]))

@@ -2,6 +2,7 @@
 thread-count invariance, warm-cache behavior, option handling."""
 
 import csv
+import gc
 import json
 import os
 import re
@@ -177,6 +178,45 @@ def test_cli_import_loads_no_dataclasses():
     added = json.loads(proc.stdout)
     assert "varxpert.cli" in added
     assert "dataclasses" not in added
+
+
+# The process entry freezes what its imports left alive, so that no collection
+# (the full one at shutdown included) walks it; cli.main, which tests and
+# perfbench/trace_cli.py call in-process, does not.
+
+def test_the_process_entry_freezes_its_start_up_objects(basic_repo, tmp_path):
+    probe = ("import atexit, gc, runpy, sys; "
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count())); "
+             f"sys.argv = ['varxpert', 'analyze', {basic_repo[0]!r}, '--out', {str(tmp_path)!r}]; "
+             "runpy.run_module('varxpert', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    label, count = proc.stdout.splitlines()[-1].split()
+    assert label == "frozen" and int(count) > 0
+
+
+def test_cli_main_freezes_nothing(basic_repo, tmp_path, capsys):
+    assert run_cli("analyze", basic_repo[0], "--out", str(tmp_path / "out")) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_the_console_script_goes_through_the_process_entry():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "r", encoding="utf-8") as handle:
+        text = handle.read()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        target = re.search(r'^varxpert = "([^"]+)"$', text, re.MULTILINE).group(1)
+    else:
+        target = tomllib.loads(text)["project"]["scripts"]["varxpert"]
+    module, _, attr = target.partition(":")
+    # what the generated script does before it calls the target
+    probe = (f"import gc, varxpert.cli; from {module} import {attr} as target; "
+             "print(gc.get_freeze_count() > 0, target is varxpert.cli.main)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"], target
 
 
 def test_benchmark_tracer_finds_its_targets(basic_repo, tmp_path):
@@ -630,23 +670,42 @@ def test_missing_tree_fails_the_run(repo_builder, tmp_path, capsys):
     assert f"cannot read the tree of {tip}: git ls-tree failed" in err
 
 
-def test_what_git_log_says_while_exiting_0_is_a_warning(repo_builder, tmp_path, monkeypatch):
-    # past diff.renameLimit git says so on stderr and exits 0; a wrapper
-    # git first on PATH says one such line for each git log it runs
-    repo = three_commit_repo(repo_builder)
-    said = "warning: inexact rename detection was skipped due to too many files."
+RENAME_LIMIT = "warning: inexact rename detection was skipped due to too many files."
+
+
+def _git_saying(tmp_path, monkeypatch, said, stream):
+    """A wrapper git first on PATH that says one line on stream ("stdout" or
+    "stderr") for each git log it runs, then runs git."""
     wrapper = tmp_path / "bin" / "git"
     wrapper.parent.mkdir()
-    wrapper.write_text(f'#!/bin/sh\nfor arg in "$@"; do [ "$arg" = log ] && echo "{said}" >&2 '
+    redirect = " >&2" if stream == "stderr" else ""
+    wrapper.write_text(f'#!/bin/sh\nfor arg in "$@"; do [ "$arg" = log ] && echo "{said}"{redirect} '
                        f'&& break; done\nexec "{shutil.which("git")}" "$@"\n', encoding="utf-8")
     wrapper.chmod(0o755)
     monkeypatch.setenv("PATH", f"{wrapper.parent}{os.pathsep}{os.environ['PATH']}")
+
+
+def test_what_git_log_says_while_exiting_0_is_a_warning(repo_builder, tmp_path, monkeypatch):
+    # past diff.renameLimit git says so on stderr and exits 0
+    repo = three_commit_repo(repo_builder)
+    _git_saying(tmp_path, monkeypatch, RENAME_LIMIT, "stderr")
     out = str(tmp_path / "out")
     assert run_cli("analyze", repo.path, "--out", out) == 0
     lines = read(os.path.join(out, "warnings.jsonl")).decode("utf-8").splitlines()
-    assert json.loads(lines[-1]) == {"kind": "git_stderr", "detail": said}
+    assert json.loads(lines[-1]) == {"kind": "git_stderr", "detail": RENAME_LIMIT}
     meta = json.loads(read(os.path.join(out, "run_meta.json")))
     assert meta["warnings_by_kind"] == {"git_stderr": 1}
+
+
+def test_what_git_log_prints_before_its_first_commit_fails_the_run(repo_builder, tmp_path,
+                                                                   monkeypatch, capsys):
+    # glued to the first commit's header, the line once hid the root commit's
+    # changes: the run exited 0 with fewer commits and developers
+    repo = three_commit_repo(repo_builder)
+    _git_saying(tmp_path, monkeypatch, RENAME_LIMIT, "stdout")
+    assert run_cli("analyze", repo.path, "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert f"git log wrote {RENAME_LIMIT[:60]!r} before its first commit" in err
 
 
 def _one_file_repo(path, name, config=()):

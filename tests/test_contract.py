@@ -76,3 +76,35 @@ def test_csv_cells_check_fails_on_an_unquoted_comma(checks, tmp_path):
     (tmp_path / "work").mkdir()
     with pytest.raises(contract.CheckFailed, match=r'a,"b"\|c/report\.csv'):
         checks._replace(src=str(changed), work=str(tmp_path / "work")).csv_cells()
+
+
+def test_same_names_the_two_runs_it_compares(tmp_path):
+    # the checks compare two runs of one tree, not a parent and a change
+    for run, text in (("1", "one\n"), ("2", "two\n")):
+        (tmp_path / run).mkdir()
+        (tmp_path / run / "a.txt").write_text(text, encoding="utf-8")
+    with pytest.raises(contract.CheckFailed, match=r"^1 and 2 differ: \['a.txt: bytes differ'\]$"):
+        contract.Checks(SRC, str(tmp_path), {}, {}).same("1", "2")
+
+
+TEN = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+
+
+@pytest.mark.parametrize("change, better, expected", [
+    # lower in 10 of 10, medians 0.5 apart, parent IQR 0.55 (exclusive quartiles)
+    ([value - 0.5 for value in TEN], "lower", "same"),
+    ([value - 0.6 for value in TEN], "lower", "better"),
+    ([value - 0.6 for value in TEN], "higher", "worse"),
+    ([value + 0.6 for value in TEN], "lower", "worse"),
+    ([value + 0.6 for value in TEN], "higher", "better"),
+    # 9 of 10 wins is enough, 8 of 10 is not
+    ([value - 0.6 for value in TEN[:9]] + [2.0], "lower", "better"),
+    ([value - 0.6 for value in TEN[:8]] + [2.0, 2.0], "lower", "same"),
+    # a tie counts for neither side
+    ([value - 0.6 for value in TEN[:9]] + [1.9], "lower", "better"),
+    ([value - 0.6 for value in TEN[:8]] + [1.8, 1.9], "lower", "same"),
+    # a tree against itself
+    (TEN, "lower", "same"),
+])
+def test_the_speed_rule(change, better, expected):
+    assert contract.verdict(TEN, change, better) == expected

@@ -2,13 +2,17 @@
 
     python3 tools/contract.py check [--work DIR]
     python3 tools/contract.py compare PARENT_SRC CHANGE_SRC [--work DIR] [--only NAME ...]
+    python3 tools/contract.py bench PARENT_SRC CHANGE_SRC [--pairs N] [--seconds S]
+                              [--workloads NAME ...] [--seeds N ...] [--out FILE] [--work DIR]
 
 check runs the Checks named in CHECKS on this tree; it prints a line per check
 (name, pass or fail, seconds, why it failed) and exits 1 if one fails. compare
 runs STEPS under two trees (see package_dir) on every input (see build_inputs)
 and prints each file the runs leave that differs (see compare); it exits 1 if
-one does. Both keep their files under --work, by default a temporary directory
-removed at the end.
+one does. bench times two trees in interleaved pairs of perfbench runs and
+gives each end-to-end metric a verdict (see bench and verdict); it writes the
+figures to --out and exits 1 if a run fails. All keep their files under --work,
+by default a temporary directory removed at the end.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ import csv
 import json
 import os
 import pathlib
+import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -46,6 +52,10 @@ THRESHOLDS = (  # non-default; with the floor, 0.5 and the default DOA threshold
      "--aggregation", "macro"),
     ("--doa-threshold", "0.5", "--ownership-threshold", "0.1", "--aggregation", "macro"),
 )
+
+
+def benchmark_spec() -> dict:
+    return json.loads(pathlib.Path(ROOT, "BENCHMARK.json").read_text(encoding="utf-8"))
 
 
 def package_dir(path: str) -> str:
@@ -222,7 +232,7 @@ class Checks(NamedTuple):
         _, lines = compare(os.path.join(self.work, first), os.path.join(self.work, second),
                            frozenset(leave_out))
         if lines:
-            raise CheckFailed(f"{first} (parent) and {second} (change) differ: {lines}")
+            raise CheckFailed(f"{first} and {second} differ: {lines}")
 
     def perfbench(self, workload: str, seed: int, trace: int) -> dict:
         """The result line of a one-second perfbench/run.py round, which must
@@ -311,8 +321,7 @@ class Checks(NamedTuple):
         """A traced perfbench round per workload is correct with each per-layer metric
         of BENCHMARK.json, no blob cache misses, at most one tracer target missing
         (ledger.scan_text, gone for good) and an advance's cache.miss_ratio < 0.1."""
-        benchmark = json.loads(pathlib.Path(ROOT, "BENCHMARK.json").read_text(encoding="utf-8"))
-        layers = [metric["name"] for metric in benchmark["per_layer"]]
+        layers = [metric["name"] for metric in benchmark_spec()["per_layer"]]
         for workload in self.repos:
             metrics = self.perfbench(workload, 0, 1)["metrics"]
             results = pathlib.Path(ROOT, ".perfbench_work/results", f"{workload}-seed0-trace1.json")
@@ -325,8 +334,19 @@ class Checks(NamedTuple):
                 raise CheckFailed(f"{workload}: {absent=} {misses=} {wrappers=} {miss_ratio=}")
 
 
+    def bench_self(self) -> None:
+        """This tree timed against itself, 10 pairs of one-second deep-ifdef runs
+        at seed 0, has no metric the rule calls better: the rule does not read
+        noise and the order of a pair as a gain."""
+        (case,) = bench({"parent": self.src, "change": self.src}, self.work, self.env,
+                        pairs=10, seconds=1, cases=[("deep-ifdef", 0)])["results"]
+        better = [name for name, entry in case["metrics"].items() if entry["verdict"] == "better"]
+        if any(case["failed_runs"].values()) or better:
+            raise CheckFailed(f"failed runs: {case['failed_runs']}; better: {better}")
+
+
 CHECKS = ("hash_seed", "benchmark", "blob_asks", "csv_cells", "warm_advance",
-          "reuse_thresholds", "trace")
+          "reuse_thresholds", "trace", "bench_self")
 
 
 def command_check(args: argparse.Namespace) -> int:
@@ -351,6 +371,164 @@ def command_check(args: argparse.Namespace) -> int:
         return 1 if failed else 0
 
 
+def wins(first: list[float], second: list[float], better: str) -> int:
+    """In how many pairs second's value beats first's, better being
+    BENCHMARK.json's "lower" or "higher"; a tie counts for neither."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (a - b) > 0 for a, b in zip(first, second))
+
+
+def verdict(parent: list[float], change: list[float], better: str) -> str:
+    """The speed rule, on one metric's values in paired runs (parent[i] and
+    change[i] ran as pair i), better being BENCHMARK.json's "lower" or "higher".
+
+    "better" when the change wins at least 9 of every 10 pairs (a tie counts
+    for neither side) and the two medians differ, in the change's favour, by
+    more than the parent's interquartile range (statistics.quantiles' default
+    method); "worse" when the same holds with the sides swapped; else "same".
+    """
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    gain = (statistics.median(parent) - statistics.median(change)) * (1 if better == "lower" else -1)
+    if abs(gain) <= q3 - q1:
+        return "same"
+    if gain > 0 and 10 * wins(parent, change, better) >= 9 * len(parent):
+        return "better"
+    if gain < 0 and 10 * wins(change, parent, better) >= 9 * len(parent):
+        return "worse"
+    return "same"
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def stage(work: str, side: str, src: str) -> str:
+    """A root for perfbench/run.py: the varxpert package at src under src/,
+    beside copies of this tree's perfbench/ and BENCHMARK.json."""
+    root = os.path.join(work, "stage", side)
+    skip = shutil.ignore_patterns("__pycache__")
+    shutil.copytree(os.path.join(src, "varxpert"), os.path.join(root, "src", "varxpert"),
+                    ignore=skip)
+    shutil.copytree(os.path.join(ROOT, "perfbench"), os.path.join(root, "perfbench"), ignore=skip)
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), root)
+    return root
+
+
+def tree_record(src: str) -> dict:
+    """Where the package at src came from: the commit checked out there, with
+    "+modified" when git sees the package changed since, or None outside git."""
+    def git(*args: str) -> str:
+        done = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
+        return done.stdout.strip() if done.returncode == 0 else ""
+
+    commit = git("rev-parse", "HEAD") or None
+    if commit and git("status", "--porcelain", "--", "varxpert"):
+        commit += "+modified"
+    return {"path": src, "commit": commit}
+
+
+def perfbench_result(root: str, workload: str, seed: int, seconds: int,
+                     env: dict) -> Optional[dict]:
+    """The result line of one perfbench/run.py under root, or None (with a note
+    printed) when the run exits non-zero or its last line is not a result."""
+    done = subprocess.run([sys.executable, os.path.join(root, "perfbench", "run.py"),
+                           "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "0"],
+                          cwd=root, env=env, capture_output=True)
+    try:
+        result = json.loads(done.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        result = None
+    if done.returncode != 0 or not isinstance(result, dict) or "metrics" not in result:
+        tail = done.stderr.decode(errors="replace").strip().splitlines()[-1:]
+        print(f"note: {root} {workload} {seed} exited {done.returncode}: {' '.join(tail)}")
+        return None
+    return result
+
+
+def bench(trees: dict[str, str], work: str, env: dict, pairs: int, seconds: int,
+          cases: list[tuple[str, int]]) -> dict:
+    """Per (workload, seed) in cases, pairs of `perfbench/run.py --seconds
+    seconds --trace 0` runs, one under each of trees["parent"] and
+    trees["change"] (package directories) staged under work; pair i runs the
+    parent first when i is even. Returns the record bench writes: the trees,
+    the machine, the protocol and, per case and end-to-end metric of
+    BENCHMARK.json, both sides' values, medians and quartiles, the change's
+    wins and losses and the verdict. A run that fails, or reads incorrect,
+    leaves its pair out of every metric and counts in failed_runs."""
+    stages = {side: stage(work, side, src) for side, src in trees.items()}
+    sources = {side: tree_record(src) for side, src in trees.items()}
+    benchmark = benchmark_spec()
+    git = subprocess.run(["git", "--version"], capture_output=True, text=True).stdout.strip()
+    results = []
+    for workload, seed in cases:
+        runs: dict[str, list] = {"parent": [], "change": []}
+        for index in range(pairs):
+            for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
+                result = perfbench_result(stages[side], workload, seed, seconds, env)
+                runs[side].append(result if result and result["correct"] is True else None)
+        kept = [(first["metrics"], second["metrics"])
+                for first, second in zip(runs["parent"], runs["change"]) if first and second]
+        metrics = {}
+        for spec in benchmark["end_to_end"]:
+            name = spec["name"]
+            paired = [(first[name]["value"], second[name]["value"])
+                      for first, second in kept if name in first and name in second]
+            if len(paired) < 2:
+                continue
+            parent, change = (list(values) for values in zip(*paired))
+            metrics[name] = {
+                "unit": spec["unit"], "better": spec["better"], "pairs": len(paired),
+                "wins": wins(parent, change, spec["better"]),
+                "losses": wins(change, parent, spec["better"]),
+                "parent": spread(parent), "change": spread(change),
+                "verdict": verdict(parent, change, spec["better"]),
+                "parent_values": parent, "change_values": change,
+            }
+        results.append({"workload": workload, "seed": seed, "metrics": metrics,
+                         "failed_runs": {side: sum(run is None for run in side_runs)
+                                         for side, side_runs in runs.items()}})
+    return {
+        "format": "varxpert-bench/1",
+        **sources,
+        "machine": {"nproc": os.cpu_count(), "nproc_usable": len(os.sched_getaffinity(0)),
+                    "python": platform.python_version(), "git": git,
+                    "platform": platform.platform()},
+        "protocol": {
+            "pairs": pairs, "seconds": seconds,
+            "command": "perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0",
+            "order": "pair i runs the parent first when i is even, the change first when odd",
+            "values": "each run's last stdout line: calibrated seconds, peak RSS in MB",
+            "rule": " ".join(verdict.__doc__.split()),
+        },
+        "results": results,
+    }
+
+
+def command_bench(args: argparse.Namespace) -> int:
+    if args.pairs < 10:
+        raise SystemExit("contract: bench needs at least 10 pairs")
+    trees = {"parent": package_dir(args.parent_src), "change": package_dir(args.change_src)}
+    seconds = args.seconds or benchmark_spec()["run_seconds"]
+    with workspace(args.work) as (work, env):
+        document = bench(trees, work, env, args.pairs, seconds,
+                         [(workload, seed) for workload in args.workloads for seed in args.seeds])
+    for case in document["results"]:
+        for name, entry in case["metrics"].items():
+            parent, change = entry["parent"]["median"], entry["change"]["median"]
+            print(f"{case['workload']} seed {case['seed']} {name}: {parent:.4g} -> {change:.4g} "
+                  f"{entry['unit']} ({100 * (change / parent - 1):+.1f}%), parent IQR "
+                  f"{entry['parent']['q3'] - entry['parent']['q1']:.3g}, change wins "
+                  f"{entry['wins']} of {entry['pairs']}, loses {entry['losses']}: "
+                  f"{entry['verdict']}")
+    if args.out:
+        pathlib.Path(args.out).write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
+    failed = sum(sum(case["failed_runs"].values()) for case in document["results"])
+    print(f"contract: {len(document['results'])} cases of {args.pairs} pairs, {failed} runs failed")
+    return 1 if failed else 0
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="contract.py", description=__doc__.split("\n")[0])
     verbs = parser.add_subparsers(dest="verb", required=True)
@@ -360,10 +538,21 @@ def main(argv: list[str]) -> int:
     compare_parser.add_argument("change_src")
     compare_parser.add_argument("--only", nargs="+", metavar="NAME",
                                 help="inputs to run, e.g. basic or team-churn-0 (default all)")
-    for verb in (check_parser, compare_parser):
+    bench_parser = verbs.add_parser("bench", help="time two source trees in interleaved pairs")
+    bench_parser.add_argument("parent_src")
+    bench_parser.add_argument("change_src")
+    bench_parser.add_argument("--pairs", type=int, default=10, help="pairs per case (at least 10)")
+    bench_parser.add_argument("--seconds", type=int,
+                              help="--seconds of each run (default BENCHMARK.json's run_seconds)")
+    bench_parser.add_argument("--workloads", nargs="+", default=sorted(synth.SHAPES),
+                              choices=sorted(synth.SHAPES))
+    bench_parser.add_argument("--seeds", nargs="+", type=int, default=[0])
+    bench_parser.add_argument("--out", help="write the figures to this JSON file")
+    for verb in (check_parser, compare_parser, bench_parser):
         verb.add_argument("--work", help="an empty or new directory to keep everything in")
     args = parser.parse_args(argv)
-    return command_check(args) if args.verb == "check" else command_compare(args)
+    return {"check": command_check, "compare": command_compare,
+            "bench": command_bench}[args.verb](args)
 
 
 if __name__ == "__main__":
