@@ -670,12 +670,15 @@ def test_missing_tree_fails_the_run(repo_builder, tmp_path, capsys):
     assert f"cannot read the tree of {tip}: git ls-tree failed" in err
 
 
-RENAME_LIMIT = "warning: inexact rename detection was skipped due to too many files."
-
-
-def _git_saying(tmp_path, monkeypatch, said, stream):
-    """A wrapper git first on PATH that says one line on stream ("stdout" or
-    "stderr") for each git log it runs, then runs git."""
+@pytest.mark.parametrize("stream", ["stderr", "stdout"])
+def test_what_git_log_says_while_exiting_0_is_a_warning(repo_builder, tmp_path, monkeypatch,
+                                                        capsys, stream):
+    # past diff.renameLimit git says so on stderr and exits 0; a wrapper git
+    # first on PATH says one such line for each git log it runs. On stdout,
+    # glued to the first commit's header, the line once hid the root commit's
+    # changes: the run exited 0 with fewer commits and developers
+    repo = three_commit_repo(repo_builder)
+    said = "warning: inexact rename detection was skipped due to too many files."
     wrapper = tmp_path / "bin" / "git"
     wrapper.parent.mkdir()
     redirect = " >&2" if stream == "stderr" else ""
@@ -683,29 +686,16 @@ def _git_saying(tmp_path, monkeypatch, said, stream):
                        f'&& break; done\nexec "{shutil.which("git")}" "$@"\n', encoding="utf-8")
     wrapper.chmod(0o755)
     monkeypatch.setenv("PATH", f"{wrapper.parent}{os.pathsep}{os.environ['PATH']}")
-
-
-def test_what_git_log_says_while_exiting_0_is_a_warning(repo_builder, tmp_path, monkeypatch):
-    # past diff.renameLimit git says so on stderr and exits 0
-    repo = three_commit_repo(repo_builder)
-    _git_saying(tmp_path, monkeypatch, RENAME_LIMIT, "stderr")
     out = str(tmp_path / "out")
+    if stream == "stdout":
+        assert run_cli("analyze", repo.path, "--out", out) == 1
+        assert f"git log wrote {said[:60]!r} before its first commit" in capsys.readouterr().err
+        return
     assert run_cli("analyze", repo.path, "--out", out) == 0
     lines = read(os.path.join(out, "warnings.jsonl")).decode("utf-8").splitlines()
-    assert json.loads(lines[-1]) == {"kind": "git_stderr", "detail": RENAME_LIMIT}
+    assert json.loads(lines[-1]) == {"kind": "git_stderr", "detail": said}
     meta = json.loads(read(os.path.join(out, "run_meta.json")))
     assert meta["warnings_by_kind"] == {"git_stderr": 1}
-
-
-def test_what_git_log_prints_before_its_first_commit_fails_the_run(repo_builder, tmp_path,
-                                                                   monkeypatch, capsys):
-    # glued to the first commit's header, the line once hid the root commit's
-    # changes: the run exited 0 with fewer commits and developers
-    repo = three_commit_repo(repo_builder)
-    _git_saying(tmp_path, monkeypatch, RENAME_LIMIT, "stdout")
-    assert run_cli("analyze", repo.path, "--out", str(tmp_path / "out")) == 1
-    err = capsys.readouterr().err
-    assert f"git log wrote {RENAME_LIMIT[:60]!r} before its first commit" in err
 
 
 def _one_file_repo(path, name, config=()):

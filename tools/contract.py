@@ -333,7 +333,6 @@ class Checks(NamedTuple):
                     and miss_ratio is not None and miss_ratio < 0.1):
                 raise CheckFailed(f"{workload}: {absent=} {misses=} {wrappers=} {miss_ratio=}")
 
-
     def bench_self(self) -> None:
         """This tree timed against itself, 10 pairs of one-second deep-ifdef runs
         at seed 0, has no metric the rule calls better: the rule does not read
@@ -415,9 +414,9 @@ def stage(work: str, side: str, src: str) -> str:
     return root
 
 
-def tree_record(src: str) -> dict:
-    """Where the package at src came from: the commit checked out there, with
-    "+modified" when git sees the package changed since, or None outside git."""
+def tree_commit(src: str) -> Optional[str]:
+    """The commit checked out where the package at src lives, with "+modified"
+    when git sees the package changed since, or None outside git."""
     def git(*args: str) -> str:
         done = subprocess.run(["git", "-C", src, *args], capture_output=True, text=True)
         return done.stdout.strip() if done.returncode == 0 else ""
@@ -425,7 +424,7 @@ def tree_record(src: str) -> dict:
     commit = git("rev-parse", "HEAD") or None
     if commit and git("status", "--porcelain", "--", "varxpert"):
         commit += "+modified"
-    return {"path": src, "commit": commit}
+    return commit
 
 
 def perfbench_result(root: str, workload: str, seed: int, seconds: int,
@@ -452,13 +451,13 @@ def bench(trees: dict[str, str], work: str, env: dict, pairs: int, seconds: int,
     """Per (workload, seed) in cases, pairs of `perfbench/run.py --seconds
     seconds --trace 0` runs, one under each of trees["parent"] and
     trees["change"] (package directories) staged under work; pair i runs the
-    parent first when i is even. Returns the record bench writes: the trees,
-    the machine, the protocol and, per case and end-to-end metric of
+    parent first when i is even. Returns the record bench writes: both trees'
+    commits, the machine, the protocol and, per case and end-to-end metric of
     BENCHMARK.json, both sides' values, medians and quartiles, the change's
     wins and losses and the verdict. A run that fails, or reads incorrect,
     leaves its pair out of every metric and counts in failed_runs."""
     stages = {side: stage(work, side, src) for side, src in trees.items()}
-    sources = {side: tree_record(src) for side, src in trees.items()}
+    commits = {side: tree_commit(src) for side, src in trees.items()}
     benchmark = benchmark_spec()
     git = subprocess.run(["git", "--version"], capture_output=True, text=True).stdout.strip()
     results = []
@@ -491,7 +490,7 @@ def bench(trees: dict[str, str], work: str, env: dict, pairs: int, seconds: int,
                                          for side, side_runs in runs.items()}})
     return {
         "format": "varxpert-bench/1",
-        **sources,
+        "commits": commits,
         "machine": {"nproc": os.cpu_count(), "nproc_usable": len(os.sched_getaffinity(0)),
                     "python": platform.python_version(), "git": git,
                     "platform": platform.platform()},
