@@ -108,3 +108,28 @@ TEN = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
 ])
 def test_the_speed_rule(change, better, expected):
     assert contract.verdict(TEN, change, better) == expected
+
+
+@pytest.mark.parametrize("change, better, expected", [
+    # parent median 1.45, IQR 0.55 (exclusive quartiles); bound 0.5 allows 0.725
+    ([value + 0.7 for value in TEN], "lower", "ok"),
+    ([value + 0.8 for value in TEN], "lower", "regressed"),
+    ([value - 0.8 for value in TEN], "higher", "regressed"),
+    ([value - 0.8 for value in TEN], "lower", "ok"),
+    (TEN, "lower", "ok"),
+])
+def test_the_bound_rule(change, better, expected):
+    assert contract.regression(TEN, change, better, 0.5) == expected
+
+
+@pytest.mark.parametrize("change, bound, expected", [
+    # a bound of 0.3 allows 0.435, narrower than the parent's IQR of 0.55
+    (TEN, 0.3, "unresolved"),
+    ([value - 0.5 for value in TEN], 0.3, "unresolved"),
+    # unless every change run beats every parent run
+    ([value - 1.0 for value in TEN], 0.3, "ok"),
+    ([value + 0.5 for value in TEN], 0.3, "regressed"),
+    (TEN, 0.4, "ok"),
+])
+def test_runs_that_spread_wider_than_the_bound_are_unresolved(change, bound, expected):
+    assert contract.regression(TEN, change, "lower", bound) == expected

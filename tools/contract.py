@@ -2,15 +2,16 @@
 
     python3 tools/contract.py check [--work DIR]
     python3 tools/contract.py compare PARENT_SRC CHANGE_SRC [--work DIR] [--only NAME ...]
-    python3 tools/contract.py bench PARENT_SRC CHANGE_SRC [--pairs N] [--seconds S]
-                              [--workloads NAME ...] [--seeds N ...] [--out FILE] [--work DIR]
+    python3 tools/contract.py bench PARENT_SRC CHANGE_SRC [--pairs N] [--workloads NAME ...]
+                              [--seeds N ...] [--out FILE] [--work DIR]
 
 check runs the Checks named in CHECKS on this tree; it prints a line per check
 (name, pass or fail, seconds, why it failed) and exits 1 if one fails. compare
 runs STEPS under two trees (see package_dir) on every input (see build_inputs)
 and prints each file the runs leave that differs (see compare); it exits 1 if
-one does. bench times two trees in interleaved pairs of perfbench runs and
-gives each end-to-end metric a verdict (see bench and verdict); it writes the
+one does. bench times two trees in interleaved pairs of perfbench runs, as
+long as BENCHMARK.json's run_seconds, and gives each end-to-end metric a
+verdict and a bound result (see bench, verdict and regression); it writes the
 figures to --out and exits 1 if a run fails. All keep their files under --work,
 by default a temporary directory removed at the end.
 """
@@ -334,14 +335,23 @@ class Checks(NamedTuple):
                 raise CheckFailed(f"{workload}: {absent=} {misses=} {wrappers=} {miss_ratio=}")
 
     def bench_self(self) -> None:
-        """This tree timed against itself, 10 pairs of one-second deep-ifdef runs
-        at seed 0, has no metric the rule calls better: the rule does not read
-        noise and the order of a pair as a gain."""
+        """This tree timed against itself, 14 pairs of one-second deep-ifdef runs
+        at seed 0, reads "same" on every metric and "regressed" on none: the
+        rules do not read noise or the order of a pair as a change. The check
+        is probabilistic: in simulated pairs of independent noise (normal,
+        lognormal, or a fast and a slow state), a metric reads other than
+        "same" in under 0.1% of 14-pair runs, so the six metrics fail the
+        check in under 0.5% of them (at 10 pairs: 0.5-0.8% a metric, about 4%).
+        """
         (case,) = bench({"parent": self.src, "change": self.src}, self.work, self.env,
-                        pairs=10, seconds=1, cases=[("deep-ifdef", 0)])["results"]
-        better = [name for name, entry in case["metrics"].items() if entry["verdict"] == "better"]
-        if any(case["failed_runs"].values()) or better:
-            raise CheckFailed(f"failed runs: {case['failed_runs']}; better: {better}")
+                        pairs=14, seconds=1, cases=[("deep-ifdef", 0)])["results"]
+        read = {name: (entry["verdict"], entry["regression"])
+                for name, entry in case["metrics"].items()
+                if entry["verdict"] != "same" or entry["regression"] == "regressed"}
+        expected = len(benchmark_spec()["end_to_end"])
+        if any(case["failed_runs"].values()) or read or len(case["metrics"]) != expected:
+            raise CheckFailed(f"failed runs: {case['failed_runs']}; metrics {sorted(case['metrics'])}"
+                              f", read as a change: {read}")
 
 
 CHECKS = ("hash_seed", "benchmark", "blob_asks", "csv_cells", "warm_advance",
@@ -395,6 +405,26 @@ def verdict(parent: list[float], change: list[float], better: str) -> str:
     if gain < 0 and 10 * wins(change, parent, better) >= 9 * len(parent):
         return "worse"
     return "same"
+
+
+def regression(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The no-regression rule, on one metric's values in paired runs, better
+    and bound being BENCHMARK.json's; bound is a share of the parent's median.
+
+    "regressed" when the change's median is worse than the parent's by more
+    than bound times the parent's median; else "unresolved" when the parent's
+    interquartile range is wider than that, so its runs spread too widely to
+    tell, unless every change run beats every parent run; else "ok".
+    """
+    sign = 1 if better == "lower" else -1
+    median = statistics.median(parent)
+    allowed = bound * abs(median)
+    if sign * (statistics.median(change) - median) > allowed:
+        return "regressed"
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    if q3 - q1 > allowed and not all(sign * (p - c) > 0 for p in parent for c in change):
+        return "unresolved"
+    return "ok"
 
 
 def spread(values: list[float]) -> dict:
@@ -454,7 +484,7 @@ def bench(trees: dict[str, str], work: str, env: dict, pairs: int, seconds: int,
     parent first when i is even. Returns the record bench writes: both trees'
     commits, the machine, the protocol and, per case and end-to-end metric of
     BENCHMARK.json, both sides' values, medians and quartiles, the change's
-    wins and losses and the verdict. A run that fails, or reads incorrect,
+    wins and losses, the verdict and the regression result. A run that fails, or reads incorrect,
     leaves its pair out of every metric and counts in failed_runs."""
     stages = {side: stage(work, side, src) for side, src in trees.items()}
     commits = {side: tree_commit(src) for side, src in trees.items()}
@@ -483,6 +513,8 @@ def bench(trees: dict[str, str], work: str, env: dict, pairs: int, seconds: int,
                 "losses": wins(change, parent, spec["better"]),
                 "parent": spread(parent), "change": spread(change),
                 "verdict": verdict(parent, change, spec["better"]),
+                "bound": spec["bound"],
+                "regression": regression(parent, change, spec["better"], spec["bound"]),
                 "parent_values": parent, "change_values": change,
             }
         results.append({"workload": workload, "seed": seed, "metrics": metrics,
@@ -500,6 +532,7 @@ def bench(trees: dict[str, str], work: str, env: dict, pairs: int, seconds: int,
             "order": "pair i runs the parent first when i is even, the change first when odd",
             "values": "each run's last stdout line: calibrated seconds, peak RSS in MB",
             "rule": " ".join(verdict.__doc__.split()),
+            "bound_rule": " ".join(regression.__doc__.split()),
         },
         "results": results,
     }
@@ -509,9 +542,8 @@ def command_bench(args: argparse.Namespace) -> int:
     if args.pairs < 10:
         raise SystemExit("contract: bench needs at least 10 pairs")
     trees = {"parent": package_dir(args.parent_src), "change": package_dir(args.change_src)}
-    seconds = args.seconds or benchmark_spec()["run_seconds"]
     with workspace(args.work) as (work, env):
-        document = bench(trees, work, env, args.pairs, seconds,
+        document = bench(trees, work, env, args.pairs, benchmark_spec()["run_seconds"],
                          [(workload, seed) for workload in args.workloads for seed in args.seeds])
     for case in document["results"]:
         for name, entry in case["metrics"].items():
@@ -520,7 +552,7 @@ def command_bench(args: argparse.Namespace) -> int:
                   f"{entry['unit']} ({100 * (change / parent - 1):+.1f}%), parent IQR "
                   f"{entry['parent']['q3'] - entry['parent']['q1']:.3g}, change wins "
                   f"{entry['wins']} of {entry['pairs']}, loses {entry['losses']}: "
-                  f"{entry['verdict']}")
+                  f"{entry['verdict']}, {entry['regression']} against the bound {entry['bound']}")
     if args.out:
         pathlib.Path(args.out).write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
     failed = sum(sum(case["failed_runs"].values()) for case in document["results"])
@@ -541,8 +573,6 @@ def main(argv: list[str]) -> int:
     bench_parser.add_argument("parent_src")
     bench_parser.add_argument("change_src")
     bench_parser.add_argument("--pairs", type=int, default=10, help="pairs per case (at least 10)")
-    bench_parser.add_argument("--seconds", type=int,
-                              help="--seconds of each run (default BENCHMARK.json's run_seconds)")
     bench_parser.add_argument("--workloads", nargs="+", default=sorted(synth.SHAPES),
                               choices=sorted(synth.SHAPES))
     bench_parser.add_argument("--seeds", nargs="+", type=int, default=[0])
