@@ -110,26 +110,20 @@ def test_the_speed_rule(change, better, expected):
     assert contract.verdict(TEN, change, better) == expected
 
 
-@pytest.mark.parametrize("change, better, expected", [
+@pytest.mark.parametrize("change, better, bound, expected", [
     # parent median 1.45, IQR 0.55 (exclusive quartiles); bound 0.5 allows 0.725
-    ([value + 0.7 for value in TEN], "lower", "ok"),
-    ([value + 0.8 for value in TEN], "lower", "regressed"),
-    ([value - 0.8 for value in TEN], "higher", "regressed"),
-    ([value - 0.8 for value in TEN], "lower", "ok"),
-    (TEN, "lower", "ok"),
-])
-def test_the_bound_rule(change, better, expected):
-    assert contract.regression(TEN, change, better, 0.5) == expected
-
-
-@pytest.mark.parametrize("change, bound, expected", [
-    # a bound of 0.3 allows 0.435, narrower than the parent's IQR of 0.55
-    (TEN, 0.3, "unresolved"),
-    ([value - 0.5 for value in TEN], 0.3, "unresolved"),
+    ([value + 0.7 for value in TEN], "lower", 0.5, "ok"),
+    ([value + 0.8 for value in TEN], "lower", 0.5, "regressed"),
+    ([value - 0.8 for value in TEN], "higher", 0.5, "regressed"),
+    ([value - 0.8 for value in TEN], "lower", 0.5, "ok"),
+    (TEN, "lower", 0.4, "ok"),
+    # a bound of 0.3 allows 0.435, narrower than the parent's IQR
+    (TEN, "lower", 0.3, "unresolved"),
+    ([value - 0.5 for value in TEN], "lower", 0.3, "unresolved"),
+    ([value + 0.5 for value in TEN], "lower", 0.3, "regressed"),
     # unless every change run beats every parent run
-    ([value - 1.0 for value in TEN], 0.3, "ok"),
-    ([value + 0.5 for value in TEN], 0.3, "regressed"),
-    (TEN, 0.4, "ok"),
+    ([value - 1.0 for value in TEN], "lower", 0.3, "ok"),
+    ([value + 1.0 for value in TEN], "higher", 0.3, "ok"),
 ])
-def test_runs_that_spread_wider_than_the_bound_are_unresolved(change, bound, expected):
-    assert contract.regression(TEN, change, "lower", bound) == expected
+def test_the_bound_rule(change, better, bound, expected):
+    assert contract.regression(TEN, change, better, bound) == expected
