@@ -425,6 +425,15 @@ class GitRepo:
             return 0, 0
         return self._blobs.reads, self._blobs.asks_unread
 
+    def extends_first_parent(self, base: str, tip: str) -> bool:
+        """True when base is a strict first-parent ancestor of tip: one of the
+        commits `git rev-list --first-parent base..tip` lists, each of them
+        on tip's first-parent chain, has base as its first parent. False on
+        any git error, an unknown base for one."""
+        result = self._run("rev-list", "--first-parent", "--parents", f"{base}..{tip}", "--")
+        return result.returncode == 0 and any(
+            line.split()[1:2] == [base.encode("ascii")] for line in result.stdout.splitlines())
+
     def ls_tree(self, rev: str) -> list[TreeEntry]:
         result = self._run("ls-tree", "-r", "-z", "--full-tree", rev)
         if result.returncode != 0:
@@ -452,18 +461,21 @@ class GitRepo:
         until: Optional[int] = None,
         extensions: frozenset[str] = DEFAULT_EXTENSIONS,
         warn: Optional[WarningSinkFn] = None,
+        start: Optional[str] = None,
     ) -> Iterator[CommitRecord]:
         """First-parent commits, oldest first, with file changes filtered by
-        extensions, given in lower case.
+        extensions, given in lower case; only those after start, a
+        first-parent ancestor of tip, when it is given.
 
         Changes carry blob ids but no hunks. git log starts at this call.
         """
-        stream = self._commits(tip, since, until, extensions, warn or (lambda record: None))
+        revisions = f"{start}..{tip}" if start else tip
+        stream = self._commits(revisions, since, until, extensions, warn or (lambda record: None))
         next(stream)  # runs up to the first yield, just after git log starts
         self._streams.append(stream)
         return stream
 
-    def _commits(self, tip: str, since: Optional[int], until: Optional[int],
+    def _commits(self, revisions: str, since: Optional[int], until: Optional[int],
                  extensions: frozenset[str], emit: WarningSinkFn) -> Iterator:
         # stderr goes to a file: a pipe nobody drains could block git.
         with tempfile.TemporaryFile() as errors:
@@ -478,7 +490,7 @@ class GitRepo:
                     "--root", "--no-relative", f"-O{os.devnull}", "--encoding=UTF-8",
                     "--no-show-signature",
                     "--format=%x01%H%x1f%P%x1f%an%x1f%ae%x1f%at%x1f%ct",
-                    tip, "--",
+                    revisions, "--",
                 ],
                 stdout=subprocess.PIPE,
                 stderr=errors,

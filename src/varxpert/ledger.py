@@ -146,6 +146,7 @@ def _lineage_id(path: str, commit_id: str) -> str:
 
 def build_contribution_ledger(
     commits: Iterable[tuple[CommitRecord, ClassifiedChanges]],
+    ledger: Optional[ContributionLedger] = None,
 ) -> ContributionLedger:
     """Sequential fold of classified commits into a ContributionLedger.
 
@@ -154,9 +155,12 @@ def build_contribution_ledger(
     facts, so it keeps its path bookkeeping and folds no event. The fold
     calls nothing: whatever produced the facts has already reported its
     warnings. Its only path state is ledger.paths, each live path's
-    lineage id; a deleted lineage keeps its record but no path.
+    lineage id; a deleted lineage keeps its record but no path. So the
+    ledger is the fold's whole state: given the one folded up to a
+    commit (a stored one, say), the fold goes on from there, and
+    folding the commits after it gives the ledger of the whole history.
     """
-    ledger = ContributionLedger()
+    ledger = ContributionLedger() if ledger is None else ledger
     paths = ledger.paths
 
     def record_event(
@@ -280,8 +284,8 @@ def ledger_from_dict(data: dict) -> ContributionLedger:
     # ValueError on a value the fold cannot write: another JSON type, a
     # value out of range (a DL also feeds the file's other ACs), a month
     # outside the ledger's, an event with no month, a variable month on a
-    # file without variable code, two first authors of one file, or a path
-    # naming no lineage
+    # file without variable code, two first authors of one file, a path
+    # naming no lineage, or two paths naming one
     first = _month(data["first_month"])
     last = _month(data["last_month"], first)
     ledger = ContributionLedger(
@@ -314,4 +318,6 @@ def ledger_from_dict(data: dict) -> ContributionLedger:
         if type(lineage_id) is not str or lineage_id not in ledger.files:
             raise ValueError(f"{path} names {lineage_id!r}, which is no lineage")
         ledger.paths[path] = lineage_id
+    if len(set(ledger.paths.values())) != len(ledger.paths):
+        raise ValueError("two paths name one lineage")
     return ledger

@@ -4,7 +4,13 @@ mine is the one path from a repository to a contribution ledger: it
 folds the history, takes the final-tree snapshot and collects the
 warnings, and writes nothing but the change cache. run_analyze is mine
 followed by the writer, which puts scores.csv, ledger.json,
-warnings.jsonl and run_meta.json under the output directory.
+warnings.jsonl and run_meta.json under the output directory, the last
+one last. When the output directory holds an analysis of the same
+options whose tip is a strict first-parent ancestor of the new tip,
+mine folds on from it: the stored ledger, the fold's warnings and the
+blobs it reported (run_meta.json's "fold") are the fold's state at that
+tip, so only the commits after it are streamed, looked up and mined.
+Anything else, an unchanged tip included, folds from the root.
 run_specialization and run_evaluate reuse that analysis when the
 repository tip and configuration still match, otherwise they re-run
 it; run_report does everything and renders the one-line project
@@ -15,6 +21,7 @@ identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import Counter, deque
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -66,7 +73,7 @@ EVALUATION_CSV = "evaluation.csv"
 LEDGER_JSON = "ledger.json"
 WARNINGS_JSONL = "warnings.jsonl"
 RUN_META_JSON = "run_meta.json"
-RUN_FORMAT = "varxpert-run/5"
+RUN_FORMAT = "varxpert-run/6"
 REPORT_BASENAME = "report"
 READ_AHEAD = 16  # commits the fold trails the log stream by
 
@@ -99,11 +106,18 @@ class RunConfig(NamedTuple):
             raise InvalidConfig(f"unknown output format {self.output_format!r}")
         if not self.extensions:
             raise InvalidConfig("at least one file extension is required")
+        if self.doa_abs_floor is not None and not math.isfinite(self.doa_abs_floor):
+            raise InvalidConfig("doa absolute floor must be a finite number")
         if self.since is not None and self.until is not None and self.since > self.until:
             raise InvalidConfig("since must not be later than until")
         for name, path in (("output", self.output_dir), ("cache", self.cache_dir)):
-            if path is not None and os.path.exists(path) and not os.path.isdir(path):
-                raise InvalidConfig(f"{name} directory {path!r} exists and is not a directory")
+            # the path, or the nearest of its parents that exists, must be a directory
+            existing = path
+            while existing and not os.path.lexists(existing):
+                existing = os.path.dirname(existing.rstrip(os.sep))
+            if existing and not os.path.isdir(existing):
+                raise InvalidConfig(f"{name} directory {path!r}: "
+                                    f"{existing!r} exists and is not a directory")
 
     def ledger_key(self) -> str:
         """The options a stored ledger depends on, as canonical JSON."""
@@ -119,6 +133,9 @@ class RunConfig(NamedTuple):
 
 
 class Counters:
+    """What this run did: changes counts the changes it folded (only those
+    after the stored tip when it resumed), cache_hits those the cache held."""
+
     def __init__(
         self,
         *,
@@ -351,12 +368,64 @@ class AnalysisState(NamedTuple):
     snapshot_files: int
     variability: VariabilityCount
     counters: Counters
+    # run_meta.json's "fold", what a later fold resumes from: how many
+    # warnings the fold gave (the snapshot's follow) and the blobs it reported
+    fold: Optional[dict] = None
+
+
+class _StoredFold(NamedTuple):
+    """The fold's state at the tip of a stored analysis."""
+
+    tip: str
+    last_commit: str
+    ledger: ContributionLedger
+    warnings: list[dict]  # the fold's records in warnings.jsonl
+    reported_oids: set[str]
+    binary_oids: set[str]
+
+
+def _is_object_id(value: object) -> bool:
+    return type(value) is str and len(value) in (40, 64) and not value.strip("0123456789abcdef")
+
+
+def _stored_fold(config: RunConfig, repo: GitRepo, tip: str) -> Optional[_StoredFold]:
+    """The fold stored in config.output_dir, when a fold to tip can go on
+    from it: stored with the same ledger_key, sound, and at a strict
+    first-parent ancestor of tip. None for an unchanged tip, and for a
+    stored git_stderr warning: git says those after the last commit, so
+    a fold on from the stored one would put them before the new commits'.
+    """
+    out = config.output_dir
+    try:
+        meta = _load_json(os.path.join(out, RUN_META_JSON), RUN_FORMAT)
+        stored_tip, last_commit, fold = meta["tip"], meta["last_commit"], meta["fold"]
+        if not (meta["ledger_key"] == config.ledger_key() and stored_tip != tip
+                and _is_object_id(stored_tip) and _is_object_id(last_commit)
+                and "git_stderr" not in meta["warnings_by_kind"]
+                and repo.extends_first_parent(stored_tip, tip)):
+            return None
+        ledger = ledger_from_dict(_load_json(os.path.join(out, LEDGER_JSON), LEDGER_FORMAT))
+        with open(os.path.join(out, WARNINGS_JSONL), "r", encoding="utf-8") as handle:
+            warnings = [json.loads(line) for line in handle]
+        count, oids = fold["warnings"], (fold["reported_oids"], fold["binary_oids"])
+        if (Counter(record["kind"] for record in warnings) != meta["warnings_by_kind"]
+                or not (type(count) is int and 0 <= count <= len(warnings))
+                or not all(_is_object_id(oid) for listed in oids for oid in listed)):
+            return None
+        return _StoredFold(stored_tip, last_commit, ledger, warnings[:count], *map(set, oids))
+    except (OSError, MissingAnalysis, ValueError, KeyError, TypeError, AttributeError):
+        return None  # nothing stored, or damaged: fold from the root
 
 
 def mine(config: RunConfig) -> tuple[AnalysisState, list[dict]]:
     """Mine the repository into an analysis and its warnings.jsonl records.
 
     Nothing is written except the change cache under config.cache_dir.
+    With a stored fold to go on from (see _stored_fold), git log lists
+    only the commits after its tip; they take the same path, read-ahead,
+    cache lookups and _mine on a miss, as in a fold from the root. The
+    read-ahead's live table is not stored, so the first change to a path
+    reads its old side.
     """
     config.validate()
 
@@ -364,16 +433,26 @@ def mine(config: RunConfig) -> tuple[AnalysisState, list[dict]]:
         tip = repo.resolve_tip(config.branch)
         if tip is None:
             raise NoEligibleFiles("repository has no commits")
+        stored = _stored_fold(config, repo, tip)
         log_warnings: list[dict] = []
         extensions = frozenset(e.lower() for e in config.extensions)  # once, not per path
         # git walks the log while the cache is read
         commits = repo.iter_commits(tip, since=config.since, until=config.until,
-                                    extensions=extensions, warn=log_warnings.append)
+                                    extensions=extensions, warn=log_warnings.append,
+                                    start=stored and stored.tip)
         cache = ChangeCache.open(
             config.cache_dir, config.extensions, config.exclude_include_guards
         )
         classifier = _PipelineClassifier(repo, config.exclude_include_guards, cache)
-        ledger = build_contribution_ledger(classifier.read_ahead(commits, log_warnings))
+        if stored is not None:
+            classifier.last_commit, classifier.warnings = stored.last_commit, stored.warnings
+            classifier._reported_oids, classifier.binary_oids = \
+                stored.reported_oids, stored.binary_oids
+        ledger = build_contribution_ledger(classifier.read_ahead(commits, log_warnings),
+                                           stored and stored.ledger)
+        fold = {"warnings": len(classifier.warnings),
+                "reported_oids": sorted(classifier._reported_oids),
+                "binary_oids": sorted(classifier.binary_oids)}
         counters = classifier.counters
         last_commit = classifier.last_commit
         if last_commit is None:
@@ -392,6 +471,7 @@ def mine(config: RunConfig) -> tuple[AnalysisState, list[dict]]:
         snapshot_files=snapshot_files,
         variability=variability,
         counters=counters,
+        fold=fold,
     ), classifier.warnings
 
 
@@ -496,6 +576,13 @@ def _write_scores(config: RunConfig, ledger: ContributionLedger) -> list[Experti
 def _write_analysis_artifacts(state: AnalysisState, warnings: list[dict]) -> None:
     config = state.config
     os.makedirs(config.output_dir, exist_ok=True)
+    # run_meta.json, written last, vouches for the files before it: a run
+    # stopped on the way leaves none, so nothing reuses or resumes a torn
+    # analysis
+    try:
+        os.remove(os.path.join(config.output_dir, RUN_META_JSON))
+    except FileNotFoundError:
+        pass
     _write_scores(config, state.ledger)
     _write_text(os.path.join(config.output_dir, LEDGER_JSON), compact_json(ledger_to_dict(state.ledger)))
     _write_text(os.path.join(config.output_dir, WARNINGS_JSONL),
@@ -511,6 +598,7 @@ def _write_analysis_artifacts(state: AnalysisState, warnings: list[dict]) -> Non
             "distinct_macros": state.variability.distinct_macros,
         },
         "counters": vars(state.counters),
+        "fold": state.fold,
         "warnings_by_kind": dict(Counter(record["kind"] for record in warnings)),
     }
     _write_text(os.path.join(config.output_dir, RUN_META_JSON), stable_json(meta))

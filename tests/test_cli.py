@@ -123,6 +123,16 @@ def test_bad_threshold_is_a_user_error(basic_repo, tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
+def test_a_doa_floor_that_is_no_number_is_a_user_error(basic_repo, tmp_path, capsys, floor):
+    # nan once made every file authorless: exit 0, doa_dev_pct 0.0
+    code = run_cli("report", basic_repo[0], f"--doa-abs-floor={floor}",
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "doa absolute floor must be a finite number" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_inverted_window_is_a_user_error(basic_repo, tmp_path):
     path, _ = basic_repo
     code = run_cli("analyze", path, "--since", "2021-01-01",
@@ -140,14 +150,19 @@ def test_report_without_active_developers_is_a_user_error(repo_builder, tmp_path
 @pytest.mark.parametrize("flag", ["--out", "--cache-dir"])
 def test_existing_file_as_a_directory_is_a_user_error(basic_repo, tmp_path, capsys,
                                                       monkeypatch, flag):
-    # rejected before any mining, not after it as a FileExistsError
+    # rejected before any mining, not after it as a FileExistsError, nor,
+    # for a directory under the file, as a NotADirectoryError
     monkeypatch.setattr("varxpert.pipeline.build_contribution_ledger",
                         lambda *args, **kwargs: pytest.fail("the history was mined"))
     taken = tmp_path / "taken"
     taken.write_text("a file\n", encoding="utf-8")
-    out = str(taken) if flag == "--out" else str(tmp_path / "out")
-    assert run_cli("analyze", basic_repo[0], "--out", out, flag, str(taken)) == 2
-    assert f"{str(taken)!r} exists and is not a directory" in capsys.readouterr().err
+    for verb in ("analyze", "report"):
+        for path in (str(taken), str(taken / "under")):
+            out = path if flag == "--out" else str(tmp_path / "out")
+            assert run_cli(verb, basic_repo[0], "--out", out, flag, path) == 2
+            err = capsys.readouterr().err
+            assert f"{path!r}: {str(taken)!r} exists and is not a directory" in err
+            assert err.count("\n") == 1 and err.startswith("varxpert: error:")
     assert taken.read_text(encoding="utf-8") == "a file\n"
 
 
@@ -231,11 +246,11 @@ def test_benchmark_tracer_finds_its_targets(basic_repo, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
 
-    def traced(name, *args):
+    def traced(name, *args, out=None):
         spans = tmp_path / f"{name}.json"
         proc = subprocess.run(
             [sys.executable, os.path.join(root, "perfbench", "trace_cli.py"), str(spans),
-             "analyze", basic_repo[0], "--out", str(tmp_path / name), *args],
+             "analyze", basic_repo[0], "--out", str(tmp_path / (out or name)), *args],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
@@ -250,13 +265,19 @@ def test_benchmark_tracer_finds_its_targets(basic_repo, tmp_path):
         assert name in recorded, name
     # perfbench/run.py takes cache.warm_hit_ratio and cache.miss_ratio from
     # the counted ChangeCache.get calls, and a metric with no sample leaves
-    # the result line unreadable: a warm run and one advanced from HEAD~1
-    # must each look the cache up
+    # the result line unreadable: a warm run and one advanced from HEAD~1,
+    # each into a new --out, then, as perfbench runs them, a warm run into
+    # the --out primed at HEAD~1 (an unchanged tip) and an advance into it
+    # (which folds on from the analysis stored there) must each look the
+    # cache up
     cache = str(tmp_path / "cache")
     traced("prev", "--branch", "HEAD~1", "--cache-dir", cache)
-    for name, branch in (("warm", "HEAD~1"), ("advanced", "HEAD")):
-        counts = traced(name, "--branch", branch, "--cache-dir", cache)["counts"]
+    for name, branch, out in (("warm", "HEAD~1", None), ("advanced", "HEAD", None),
+                              ("unchanged", "HEAD~1", "prev"), ("resumed", "HEAD", "prev")):
+        counts = traced(name, "--branch", branch, "--cache-dir", cache, out=out)["counts"]
         assert counts["cache.get.calls"] >= 1, name
+    meta = json.loads(read(tmp_path / "prev" / "run_meta.json"))
+    assert meta["counters"]["changes"] == 1  # the tip commit's only change
 
 
 # ----------------------------------------------------------------------
@@ -482,6 +503,12 @@ def _path_naming(lineage_id):
 
 
 @_edit_ledger
+def _two_paths_naming_one_lineage(ledger):
+    # a resumed fold would take this path table as its own
+    ledger["paths"]["zz/duplicate.c"] = next(iter(ledger["paths"].values()))
+
+
+@_edit_ledger
 def _commit_count_as_string(ledger):
     ledger["commit_count"] = str(ledger["commit_count"])
 
@@ -515,6 +542,7 @@ def _two_first_authors(ledger):
      _first_file_with(has_variable_code_ever=False),
      # paths hold a string naming a lineage the ledger holds
      _ledger_without_paths, _path_naming("z.c@000000000000"), _path_naming(["x.c"]),
+     _two_paths_naming_one_lineage,
      # JSON types the fold does not write: int() and bool() would read them
      _first_contributor_with(dl=2.5), _first_contributor_with(dl="2"),
      _first_contributor_with(fa=True), _commit_count_as_string,
@@ -538,6 +566,50 @@ def assert_mined_again(path, tmp_path, damage):
     assert read(os.path.join(clean, "ledger.json")) == read(os.path.join(damaged, "ledger.json"))
     assert read(os.path.join(clean, "run_meta.json")) == \
         read(os.path.join(damaged, "run_meta.json"))
+
+
+def _interrupted_analyze(repo_path, out, monkeypatch):
+    """analyze at HEAD~1 into out, then at HEAD, stopped after ledger.json
+    (by a KeyboardInterrupt as warnings.jsonl is written)."""
+    assert run_cli("analyze", repo_path, "--branch", "HEAD~1", "--out", out) == 0
+    write_text = pipeline._write_text
+
+    def interrupted(path, text):
+        if os.path.basename(path) == "warnings.jsonl":
+            raise KeyboardInterrupt
+        write_text(path, text)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(pipeline, "_write_text", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("analyze", repo_path, "--out", out)
+    # ledger.json is HEAD's, and no run_meta.json says it is HEAD~1's
+    assert not os.path.exists(os.path.join(out, "run_meta.json"))
+
+
+def test_an_interrupted_analyze_leaves_no_analysis_to_reuse(repo_builder, tmp_path,
+                                                            monkeypatch):
+    # the old run_meta.json once vouched for the new ledger.json: report at
+    # HEAD~1 printed HEAD's commits and developers
+    repo = three_commit_repo(repo_builder)
+    torn, clean = str(tmp_path / "torn"), str(tmp_path / "clean")
+    _interrupted_analyze(repo.path, torn, monkeypatch)
+    for out in (torn, clean):
+        assert run_cli("report", repo.path, "--branch", "HEAD~1", "--out", out) == 0
+    assert_same_artifacts(clean, torn)
+
+
+def test_an_interrupted_analyze_leaves_no_fold_to_resume(repo_builder, tmp_path, monkeypatch):
+    # resumed from HEAD~1's run_meta.json, the fold would add HEAD to a
+    # ledger that holds it already
+    repo = three_commit_repo(repo_builder)
+    torn, clean = str(tmp_path / "torn"), str(tmp_path / "clean")
+    _interrupted_analyze(repo.path, torn, monkeypatch)
+    repo.write("b.c", "#ifdef Y\nint b;\n#endif\n")
+    repo.commit("four", "Carol", "carol@example.com", "2020-04-01T00:00:00 +0000")
+    for out in (torn, clean):
+        assert run_cli("report", repo.path, "--out", out) == 0
+    assert_same_artifacts(clean, torn)
 
 
 @_edit_ledger

@@ -68,6 +68,9 @@ def test_every_function_in_src_runs(synth_histories, tmp_path, capsys):
         ("evaluate", repo, "--out", out),
         ("plot-data", repo, "--out", out),
         ("analyze", repo, "--since", "1998-01-01", "--out", str(tmp_path / "since")),
+        # an advance into an --out written at HEAD~1 folds on from it
+        ("analyze", repo, "--branch", "HEAD~1", "--out", str(tmp_path / "advance")),
+        ("analyze", repo, "--out", str(tmp_path / "advance")),
     ]
     entered = set()
 

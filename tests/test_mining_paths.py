@@ -7,9 +7,11 @@ follows fold order, file names keep the bytes git stores, and random
 small histories neither crash a run nor make two runs differ.
 """
 
+import calendar
 import csv
 import json
 import os
+import shutil
 import subprocess
 import tempfile
 
@@ -337,22 +339,24 @@ def _build_history(root, commits, start=0, present=None):
     return repo.path
 
 
-def _report(repo_path, out, cache_dir=None):
-    """Artifact bytes by name after `report`; NoEligibleFiles is the one allowed error.
+def _report(repo_path, out, cache_dir=None, **window):
+    """Artifact bytes by name after `report`; NoEligibleFiles is the one allowed
+    error, and its message is kept under its name.
 
     With a cache_dir, `analyze` mines into the cache first and `report`
-    reuses that analysis.
+    reuses that analysis. window holds since and until, if any.
     """
-    config = RunConfig(repo_path=repo_path, output_dir=out, cache_dir=cache_dir)
+    config = RunConfig(repo_path=repo_path, output_dir=out, cache_dir=cache_dir, **window)
+    raised = {}
     try:
         if cache_dir is not None:
             run_analyze(config)
         run_report(config)
-    except NoEligibleFiles:
-        pass
+    except NoEligibleFiles as exc:
+        raised["NoEligibleFiles"] = str(exc)
     if not os.path.isdir(out):
-        return {}
-    return {name: read(os.path.join(out, name)) for name in sorted(os.listdir(out))}
+        return raised
+    return {name: read(os.path.join(out, name)) for name in sorted(os.listdir(out))} | raised
 
 
 @settings(max_examples=25, deadline=None)
@@ -380,26 +384,179 @@ _ADVANCED = ("scores.csv", "ledger.json", "warnings.jsonl", "timeline.csv",
              "evaluation.csv", "report.csv", "report.json", "report.md")
 
 
+def _changes(artifacts):
+    """The changes a run folded, from its run_meta.json; None without one."""
+    meta = artifacts.get("run_meta.json")
+    return None if meta is None else json.loads(meta)["counters"]["changes"]
+
+
+def _month(number):
+    """The start of month number of _build_history's commits, 2020-01 being 0."""
+    return calendar.timegm((2020, number + 1, 1, 0, 0, 0))
+
+
+# no window, or one that starts, ends or both partway through the history
+_WINDOWS = st.sampled_from([{}, {"since": _month(2)}, {"until": _month(3) + 86400},
+                            {"since": _month(1) + 86400, "until": _month(4)}])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.lists(_operations, min_size=1, max_size=4), min_size=2, max_size=6),
        st.data())
 def test_advanced_cache_gives_the_cold_artifacts(commits, data):
-    # the gate a resumable fold must pass (ROADMAP item 4): mine at commit
-    # k into a cache, extend the history to n, mine again on that cache;
-    # the result is the cold run's at n, and every change up to k came
-    # from the old tip's records
+    # the gate of a resumable fold (ROADMAP item 4): mine at commit k, with
+    # or without a cache, in a window or not; extend the history to n and
+    # mine into the --out written at k, which folds on from the analysis
+    # stored there, and, from a copy of the cache primed at k, into a new
+    # --out. Both give the cold run's artifacts at n; every change up to k
+    # came from the cache's records, and the resumed run folded only the
+    # changes after k
     k = data.draw(st.integers(1, len(commits) - 1), label="k")
+    window = data.draw(_WINDOWS, label="window")
+    cache_dir = data.draw(st.sampled_from([None, "cache"]), label="cache")
     with tempfile.TemporaryDirectory() as scratch:
-        root, cache_dir = os.path.join(scratch, "repo"), os.path.join(scratch, "cache")
+        root, out = os.path.join(scratch, "repo"), os.path.join(scratch, "out")
+        cache_dir = cache_dir and os.path.join(scratch, cache_dir)
         present = set()
         _build_history(root, commits[:k], present=present)
-        _report(root, os.path.join(scratch, "at_k"), cache_dir)
-        cached = _change_records(cache_dir)
+        at_k = _report(root, out, cache_dir, **window)
+        if cache_dir is not None:
+            cached = _change_records(cache_dir)
+            shutil.copytree(cache_dir, cache_dir + "-advance")
         _build_history(root, commits[k:], start=k, present=present)
-        advanced = _report(root, os.path.join(scratch, "advanced"), cache_dir)
-        cold = _report(root, os.path.join(scratch, "cold"))
+        resumed = _report(root, out, cache_dir, **window)
+        cold = _report(root, os.path.join(scratch, "cold"), **window)
+        assert resumed.get("NoEligibleFiles") == cold.get("NoEligibleFiles")
+        # where mining at n fails, the --out keeps what the run at k wrote
+        if "run_meta.json" in cold:
+            for name in _ADVANCED:
+                assert resumed.get(name) == cold.get(name), name
+            if "run_meta.json" in at_k:
+                assert _changes(resumed) == _changes(cold) - _changes(at_k)
+        if cache_dir is None:
+            return
+        advanced = _report(root, os.path.join(scratch, "advanced"), cache_dir + "-advance",
+                           **window)
         assert set(advanced) == set(cold)
         for name in _ADVANCED:
             assert advanced.get(name) == cold.get(name), name
         if "run_meta.json" in advanced:
             assert json.loads(advanced["run_meta.json"])["counters"]["cache_hits"] == cached
+
+
+# Histories mined at one commit into an --out (first) and then at a later
+# one into the same --out (then). Each returns the branch to mine first.
+
+def _edits_across_the_boundary(repo):
+    # before: a.c with a stray #endif (a scan warning), b.c and f.c binary,
+    # c.c and d.c; after: a.c goes back to a blob reported before, b.c stays
+    # binary with new bytes, c.c is renamed, d.c deleted, and f.c, which the
+    # final tree holds, is not reported again
+    warned = "int a;\n#endif\n"
+    repo.write("a.c", warned)
+    repo.write_bytes("b.c", b"\x00 table 1")
+    repo.write_bytes("f.c", b"\x00 kept")
+    repo.write("c.c", "".join(f"int c{i};\n" for i in range(8)))
+    repo.write("d.c", "#ifdef D\nint d;\n#endif\n")
+    repo.commit("first", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    repo.write("a.c", "int a2;\n")
+    repo.commit("second", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    yield "HEAD"
+    repo.write("a.c", warned)
+    repo.write_bytes("b.c", b"\x00 table 2")
+    repo.move("c.c", "e.c")
+    repo.delete("d.c")
+    repo.commit("third", "Carol", "carol@example.com", "2020-03-01T00:00:00 +0000")
+    repo.write("e.c", "".join(f"int c{i};\n" for i in range(9)))
+    repo.commit("fourth", "Alice", "alice@example.com", "2020-04-01T00:00:00 +0000")
+
+
+def _amended_tip(repo):
+    steps = _edits_across_the_boundary(repo)
+    yield next(steps)
+    repo.write("a.c", "int amended;\n")
+    repo.git("commit", "-q", "--amend", "-a", "--no-edit",
+             env={"GIT_COMMITTER_DATE": "2020-02-02T00:00:00 +0000"})
+    for _ in steps:
+        pass
+
+
+def _reset_tip(repo):
+    steps = _edits_across_the_boundary(repo)
+    yield next(steps)
+    repo.git("reset", "-q", "--hard", "HEAD~1")
+    for _ in steps:
+        pass
+
+
+def _tip_moved_back(repo):
+    # the new tip is the stored one's parent, so no commit comes after it
+    for _ in _edits_across_the_boundary(repo):
+        pass
+    yield "HEAD"
+    repo.git("reset", "-q", "--hard", "HEAD~1")
+
+
+def _tip_on_a_merged_branch(repo):
+    repo.write("a.c", "int a;\n")
+    repo.commit("base", "Alice", "alice@example.com", "2020-01-01T00:00:00 +0000")
+    repo.checkout("side", create=True)
+    repo.write("s.c", "#ifdef S\nint s;\n#endif\n")
+    repo.commit("side", "Bob", "bob@example.com", "2020-02-01T00:00:00 +0000")
+    yield "side"
+    repo.checkout("main")
+    repo.write("a.c", "int a;\nint b;\n")
+    repo.commit("main", "Carol", "carol@example.com", "2020-03-01T00:00:00 +0000")
+    repo.merge("side", "2020-04-01T00:00:00 +0000")
+    repo.write("s.c", "#ifdef S\nint s2;\n#endif\n")
+    repo.commit("after", "Alice", "alice@example.com", "2020-05-01T00:00:00 +0000")
+
+
+@pytest.mark.parametrize("history, resumes", [
+    (_edits_across_the_boundary, True),
+    (_amended_tip, False),
+    (_reset_tip, False),
+    (_tip_moved_back, False),
+    # reachable only through the merge's second parent, so not on the
+    # first-parent line the fold walks
+    (_tip_on_a_merged_branch, False),
+])
+@pytest.mark.parametrize("window", [{}, {"since": _month(1)}], ids=["all", "since"])
+def test_an_advanced_out_folds_on_or_from_the_root(repo_builder, tmp_path, history, resumes,
+                                                   window):
+    steps = history(repo_builder)
+    branch = next(steps)
+    out = str(tmp_path / "out")
+    run_analyze(RunConfig(repo_path=repo_builder.path, branch=branch, output_dir=out, **window))
+    first = _changes({"run_meta.json": read(os.path.join(out, "run_meta.json"))})
+    for _ in steps:
+        pass
+    resumed = _report(repo_builder.path, out, **window)
+    cold = _report(repo_builder.path, str(tmp_path / "cold"), **window)
+    for name in _ADVANCED:
+        assert resumed[name] == cold[name], name
+    assert _changes(resumed) == (_changes(cold) - first if resumes else _changes(cold))
+
+
+def test_a_stored_git_warning_folds_from_the_root(repo_builder, tmp_path, monkeypatch):
+    # git says what it says while exiting 0 after the last commit, so a
+    # stored git_stderr record would sit before the new commits' records
+    said = "warning: inexact rename detection was skipped due to too many files."
+    wrapper = tmp_path / "bin" / "git"
+    wrapper.parent.mkdir()
+    wrapper.write_text(f'#!/bin/sh\nfor arg in "$@"; do [ "$arg" = log ] && echo "{said}" >&2 '
+                       f'&& break; done\nexec "{shutil.which("git")}" "$@"\n', encoding="utf-8")
+    wrapper.chmod(0o755)
+    steps = _edits_across_the_boundary(repo_builder)
+    next(steps)
+    monkeypatch.setenv("PATH", f"{wrapper.parent}{os.pathsep}{os.environ['PATH']}")
+    out = str(tmp_path / "out")
+    run_analyze(RunConfig(repo_path=repo_builder.path, output_dir=out))
+    for _ in steps:
+        pass
+    resumed = _report(repo_builder.path, out)
+    cold = _report(repo_builder.path, str(tmp_path / "cold"))
+    for name in _ADVANCED:
+        assert resumed[name] == cold[name], name
+    assert json.loads(resumed["warnings.jsonl"].splitlines()[-1])["kind"] == "git_stderr"
+    assert _changes(resumed) == _changes(cold)
